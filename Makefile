@@ -1,20 +1,22 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-json-smoke vet lint lint-suppressions fmt-check trace-demo checksweep fuzz fuzz-smoke load-test serve-smoke trace-smoke persist-smoke
+.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check trace-demo checksweep fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own (the benchmark contract requires it), so
+# ./... does not reach it: vet and test name it explicitly.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # lint runs the repo's own analyzer suite (cmd/stonnelint) plus go vet.
 # Test files are included by default (stonnelint -tests=false to skip).
 # Suppressions use `//lint:ignore <analyzer> <reason>`; a directive without
 # a reason is itself a finding, so the suite stays honest.
-lint:
+lint: vet
 	$(GO) run ./cmd/stonnelint ./...
-	$(GO) vet ./...
 
 # lint-suppressions fails when the set of //lint:ignore directives in the
 # tree drifts from the committed SUPPRESSIONS.txt allowlist: adding an
@@ -31,6 +33,7 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 # race runs the whole module under the race detector — not just the
 # overtly parallel packages: the serving layer, simpool fan-out and chip
@@ -41,52 +44,18 @@ test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-# load-test drives an in-process stonned through the full HTTP stack with
-# 1000 concurrent clients cycling 8 repeat shapes. stonneload pre-warms each
-# shape, then asserts every measured response is byte-identical to the
-# pre-warmed result, the warm hit rate clears 99%, and prints req/s with
-# p50/p99 latency — the serving layer's acceptance harness.
-load-test:
-	$(GO) run ./cmd/stonneload -requests 5000 -concurrency 1000 -shapes 8
-
-# serve-smoke boots the real stonned binary, submits the same job twice,
-# asserts the repeat is served from the result cache byte-identically, and
-# checks SIGTERM drains to a clean exit 0.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# trace-smoke replays the bundled tiny arrival trace twice through
-# stonnetrace with a shared persistent cache dir: the second replay (a
-# fresh server over the same dir) must be ~100% warm and report the same
-# result digest as the first — deterministic replay plus restart-safe
-# persistence in one check.
-trace-smoke:
-	./scripts/trace_smoke.sh
-
-# persist-smoke restarts the real stonned binary over a -cache-dir and
-# asserts the repeated job is served warm and byte-identical after the
-# restart.
-persist-smoke:
-	./scripts/persist_smoke.sh
-
+# bench runs the testing.B ablation and raw-engine benchmarks once each;
+# host speed is measured by the benchmark in bench/ (see bench/README.md):
+#   go run -C bench . > report.json ; go run -C bench . -compare a.json b.json
 bench:
 	$(GO) test -run=XXX -bench=. -benchtime=1x .
 	$(GO) test -run=XXX -bench='BenchmarkCounters' ./internal/comp/
 
-# bench-json runs the canonical benchmark set (Fig 5 parallel scaling, trace
-# overhead, fast-forward vs ticked, multi-core chip scaling, counter hot
-# path) through cmd/benchjson
-# and writes the machine-readable snapshot that each perf PR commits as its
-# BENCH_<issue>.json trajectory point. bench-json-smoke is the CI guard: one
-# iteration, output discarded — it keeps the harness runnable without
-# committing CI-runner noise as a measurement.
-BENCH_SNAPSHOT ?= BENCH_7.json
-
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 3x -out $(BENCH_SNAPSHOT)
-
-bench-json-smoke:
-	$(GO) run ./cmd/benchjson -benchtime 1x > /dev/null
+# bench-smoke is the CI guard for bench/: every workload once at smoke size,
+# both passes, output checked and discarded — it keeps the benchmark
+# runnable without recording CI-runner noise as a measurement.
+bench-smoke:
+	$(GO) run -C bench . -smoke -runs 1 -seconds 0.2 > /dev/null
 
 # trace-demo runs one traced MAERI GEMM end to end and validates that the
 # emitted Chrome trace parses — the smoke check for the observability layer.

@@ -1,201 +1,20 @@
-// Package repro's benchmark suite regenerates every table and figure of
-// the paper's evaluation as testing.B benchmarks, plus ablation benches
-// for the design choices DESIGN.md calls out. Each benchmark reports the
-// headline metric of its figure via b.ReportMetric so `go test -bench=.`
-// reproduces the numbers EXPERIMENTS.md records.
-//
-// Workloads use the documented 1/16 spatial scale so a full -bench=. run
-// completes in minutes; cmd/experiments runs the larger-scale versions.
+// Package repro's testing.B benchmarks are the ablations for the design
+// choices DESIGN.md calls out and the raw per-fabric engine runs; each
+// reports its simulated metric via b.ReportMetric. Host speed is measured
+// by the benchmark in bench/, the paper's tables and figures are printed by
+// cmd/experiments and asserted in internal/exp.
 package repro
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/dnn"
 	"repro/internal/engine"
-	"repro/internal/exp"
 	"repro/internal/sched"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/stonne"
 )
-
-const benchScale = 16
-
-// --- Table V -----------------------------------------------------------
-
-// BenchmarkTableV runs the eleven RTL-validation microbenchmarks and
-// reports the mean absolute cycle error against the published counts.
-func BenchmarkTableV(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, avg, err := exp.TableVRun()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(avg*100, "%avg-err-vs-RTL")
-	}
-}
-
-// --- Figure 1 ----------------------------------------------------------
-
-func benchFig1(b *testing.B, f func(int) ([]exp.Fig1Row, error)) {
-	for i := 0; i < b.N; i++ {
-		rows, err := f(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst, sum := 0.0, 0.0
-		for _, r := range rows {
-			ratio := r.RatioSTOverAM()
-			sum += ratio
-			if ratio > worst {
-				worst = ratio
-			}
-		}
-		b.ReportMetric(worst, "max-ST/AM")
-		b.ReportMetric(sum/float64(len(rows)), "mean-ST/AM")
-	}
-}
-
-func BenchmarkFig1aSystolicVsAnalytical(b *testing.B) { benchFig1(b, exp.Fig1a) }
-func BenchmarkFig1bMAERIBandwidth(b *testing.B)       { benchFig1(b, exp.Fig1b) }
-func BenchmarkFig1cSIGMASparsity(b *testing.B)        { benchFig1(b, exp.Fig1c) }
-
-// --- Figure 5 ----------------------------------------------------------
-
-// BenchmarkFig5 runs the use-case-1 comparison on three representative
-// models and reports the headline speedups.
-func BenchmarkFig5AccelComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig5(benchScale, []string{"M", "S", "A"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg := map[string]uint64{}
-		for _, r := range rows {
-			agg[r.Arch] += r.Cycles
-		}
-		b.ReportMetric(float64(agg["TPU-like"])/float64(agg["MAERI-like"]), "maeri-vs-tpu-x")
-		b.ReportMetric(float64(agg["MAERI-like"])/float64(agg["SIGMA-like"]), "sigma-vs-maeri-x")
-	}
-}
-
-// BenchmarkFig5Parallel times the same use-case-1 comparison fanned over
-// the simpool at GOMAXPROCS workers and reports the wall-clock speedup
-// against a serial (workers=1) run measured in the same invocation. On a
-// single-core host both paths take the same time (speedup ≈ 1); the
-// parallel win appears with ≥4 cores.
-func BenchmarkFig5Parallel(b *testing.B) {
-	ctx := context.Background()
-	tags := []string{"M", "S", "A"}
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := exp.Fig5Par(ctx, 1, benchScale, tags); err != nil {
-			b.Fatal(err)
-		}
-		serial := time.Since(t0)
-		t0 = time.Now()
-		if _, err := exp.Fig5Par(ctx, 0, benchScale, tags); err != nil {
-			b.Fatal(err)
-		}
-		par := time.Since(t0)
-		b.ReportMetric(serial.Seconds()/par.Seconds(), "speedup-vs-serial")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-	}
-}
-
-// --- Figure 6 ----------------------------------------------------------
-
-func BenchmarkFig6SNAPEA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig6(benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sp float64
-		for _, r := range rows {
-			sp += r.Speedup
-		}
-		b.ReportMetric(sp/float64(len(rows)), "avg-speedup-x")
-	}
-}
-
-// --- Figure 7 ----------------------------------------------------------
-
-func BenchmarkFig7FilterMapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, _, err := exp.Fig7(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var avg float64
-		for _, r := range a {
-			avg += r.AvgFilters
-		}
-		b.ReportMetric(avg/float64(len(a)), "avg-filters-per-round")
-	}
-}
-
-// --- Figure 9 ----------------------------------------------------------
-
-func BenchmarkFig9Scheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig9(benchScale, []string{"S", "R", "V"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var lff float64
-		var n int
-		for _, r := range rows {
-			if r.Policy == "LFF" {
-				lff += r.NormRuntime
-				n++
-			}
-		}
-		b.ReportMetric(lff/float64(n), "lff-norm-runtime")
-	}
-}
-
-func BenchmarkFig9cResNetSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig9c(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		b.ReportMetric(rows[0].NormRuntime, "best-layer-norm-runtime")
-	}
-}
-
-// --- Multi-core chip scaling --------------------------------------------
-
-// BenchmarkMulticoreScaling runs the chip scaling sweep (1/2/4 cores ×
-// layer/batch placement, MobileNets, 8 streams) and reports each
-// configuration's inference throughput plus the 4-core speedups — the
-// snapshot metric pinning that chip composition actually overlaps work
-// under both placement policies.
-func BenchmarkMulticoreScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Multicore(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Throughput, fmt.Sprintf("%s-x%d-str/Mcyc", r.Placement, r.Cores))
-			if r.Cores == exp.MulticoreCores[len(exp.MulticoreCores)-1] {
-				b.ReportMetric(r.Speedup, r.Placement+"-x4-speedup")
-				b.ReportMetric(float64(r.ICNWaitCycles), r.Placement+"-x4-icn-wait")
-			}
-		}
-	}
-}
 
 // --- Raw engine benchmarks (cycles/sec of simulation throughput) --------
 
@@ -235,100 +54,6 @@ func BenchmarkEngineMAERI64x64x64(b *testing.B) {
 
 func BenchmarkEngineSIGMA64x64x64(b *testing.B) {
 	benchEngineGEMM(b, config.SIGMALike(256, 128), 64, 64, 64)
-}
-
-// BenchmarkTraceOverhead runs the same MAERI GEMM untraced and traced: the
-// "off" case pins the zero-overhead-when-disabled guarantee (a nil recorder
-// costs one pointer check per run), the "on" case measures the per-cycle
-// attribution cost of the enabled recorder.
-func BenchmarkTraceOverhead(b *testing.B) {
-	for _, cfg := range []struct {
-		name   string
-		traced bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			hw := config.MAERILike(256, 128)
-			hw.Preloaded = true
-			if cfg.traced {
-				hw.Trace = &trace.Config{}
-			}
-			acc, err := engine.New(hw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := dnn.NewRNG(9)
-			A := tensor.New(64, 64)
-			B := tensor.New(64, 64)
-			for _, d := range [][]float32{A.Data(), B.Data()} {
-				for i := range d {
-					d[i] = float32(rng.Normal())
-				}
-			}
-			b.ResetTimer()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				_, run, err := acc.RunGEMM(A, B, "bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = run.Cycles
-			}
-			b.ReportMetric(float64(cycles), "sim-cycles")
-		})
-	}
-}
-
-// BenchmarkFastForward pins the event-driven fast-forward win on the
-// workload it targets: a MAERI GEMM with DRAM throttled to a trickle, so
-// fold-barrier prefetch stalls dominate the simulated time. The "ticked"
-// case forces the per-cycle loop (-fastforward=false); "fastforward" lets
-// the kernel jump the provably-idle stall windows. Both simulate exactly the
-// same cycle count (asserted by TestFastForwardTickedParity); only the
-// wall-clock differs.
-func BenchmarkFastForward(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{
-		{"ticked", true},
-		{"fastforward", false},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			hw := config.MAERILike(128, 64)
-			hw.Preloaded = true
-			hw.DRAM.BandwidthGBs = 0.25 // trickle DRAM: fetch swamps compute
-			hw.DRAM.Modules = 1
-			hw.DisableFastForward = cfg.disable
-			acc, err := engine.New(hw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := dnn.NewRNG(10)
-			// Deep K, small M×N: one starved weight prefetch per fold with
-			// little streaming to hide it — ~93% of the simulated cycles are
-			// provably-idle barrier stalls.
-			A := tensor.New(16, 4096)
-			B := tensor.New(4096, 16)
-			for _, d := range [][]float32{A.Data(), B.Data()} {
-				for i := range d {
-					d[i] = float32(rng.Normal())
-				}
-			}
-			b.ResetTimer()
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				_, run, err := acc.RunGEMM(A, B, "bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = run.Cycles
-			}
-			b.ReportMetric(float64(cycles), "sim-cycles")
-		})
-	}
 }
 
 // --- Ablations ----------------------------------------------------------
@@ -623,7 +348,8 @@ func BenchmarkAblationSchedulingPolicies(b *testing.B) {
 // --- Full-model benchmark through the public API -------------------------
 
 func BenchmarkFullModelQuickstart(b *testing.B) {
-	model, err := stonne.ScaleSpatial(stonne.SqueezeNet(), benchScale)
+	const scale = 16 // the documented 1/16 spatial scale: one iteration in under a second
+	model, err := stonne.ScaleSpatial(stonne.SqueezeNet(), scale)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dnn"
 	"repro/internal/sim"
 	"repro/internal/simpool"
 	"repro/internal/trace"
@@ -106,11 +105,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	p := opParams{
-		M: *mDim, N: *nDim, K: *kDim,
-		R: *rDim, S: *sDim, C: *cDim, G: *gDim, Kf: *kFil,
-		X: *xDim, Y: *yDim, Stride: *stride, Pad: *pad,
-		Sparsity: *sparsity, Policy: *policy, SelfCheck: *selfcheck,
+	sop := stonne.SeededOp{
+		Op: op, M: *mDim, N: *nDim, K: *kDim,
+		Sparsity: *sparsity, Policy: *policy,
+	}
+	if op == "conv" {
+		sop.Conv = &stonne.ConvShape{
+			R: *rDim, S: *sDim, C: *cDim, G: *gDim, K: *kFil, N: 1,
+			X: *xDim, Y: *yDim, Stride: *stride, Padding: *pad,
+		}
+	}
+	checked, err := sop.Check()
+	if err != nil {
+		fatal(err)
 	}
 	if *batch < 1 {
 		*batch = 1
@@ -126,7 +133,17 @@ func main() {
 			if cfg := sink.configFor(fmt.Sprintf("run %d (seed %d)", i, sd)); cfg != nil {
 				h.Trace = cfg
 			}
-			return runOp(h, op, p, sd)
+			// Each run builds its own simulator instance, so batched runs
+			// share nothing.
+			inst, err := stonne.CreateInstance(h)
+			if err != nil {
+				return nil, err
+			}
+			if *selfcheck {
+				inst.EnableSelfCheck()
+			}
+			_, run, err := inst.RunSeededOp(checked, sd)
+			return run, err
 		})
 	if err != nil {
 		fatal(err)
@@ -158,77 +175,6 @@ func main() {
 		// point means every output matched the CPU reference.
 		fmt.Printf("self-check  : %d run(s) verified against the CPU reference\n", len(runs))
 	}
-}
-
-// opParams carries the operation shape so batched runs can rebuild their
-// tensors independently from per-run seeds.
-type opParams struct {
-	M, N, K              int
-	R, S, C, G, Kf, X, Y int
-	Stride, Pad          int
-	Sparsity             float64
-	Policy               string
-	SelfCheck            bool
-}
-
-// runOp simulates one gemm/spmm/conv with tensors derived from seed. Each
-// call builds its own simulator instance, so batched runs share nothing.
-func runOp(hw stonne.Hardware, op string, p opParams, seed uint64) (*stonne.Run, error) {
-	inst, err := stonne.CreateInstance(hw)
-	if err != nil {
-		return nil, err
-	}
-	if p.SelfCheck {
-		inst.EnableSelfCheck()
-	}
-	rng := dnn.NewRNG(seed)
-	randTensor := func(shape ...int) *stonne.Tensor {
-		t := stonne.NewTensor(shape...)
-		for i, d := 0, t.Data(); i < len(d); i++ {
-			d[i] = float32(rng.Normal())
-		}
-		return t
-	}
-	var run *stonne.Run
-	switch op {
-	case "gemm":
-		inst.ConfigureDMM()
-		inst.ConfigureData(randTensor(p.M, p.K), randTensor(p.K, p.N))
-		_, run, err = inst.RunOperation()
-	case "spmm":
-		pol, perr := parsePolicy(p.Policy)
-		if perr != nil {
-			return nil, perr
-		}
-		inst.ConfigureSpMM(pol)
-		A := randTensor(p.M, p.K)
-		pruneTo(A, p.Sparsity)
-		inst.ConfigureData(A, randTensor(p.K, p.N))
-		_, run, err = inst.RunOperation()
-	case "conv":
-		cs := stonne.ConvShape{
-			R: p.R, S: p.S, C: p.C, G: p.G, K: p.Kf, N: 1,
-			X: p.X, Y: p.Y, Stride: p.Stride, Padding: p.Pad,
-		}
-		if cerr := inst.ConfigureCONV(cs); cerr != nil {
-			return nil, cerr
-		}
-		w := randTensor(cs.K, cs.C/cs.G, cs.R, cs.S)
-		in := stonne.NewTensor(1, cs.C, cs.X, cs.Y)
-		for i, d := 0, in.Data(); i < len(d); i++ {
-			v := rng.Normal()
-			if v < 0 {
-				v = 0
-			}
-			d[i] = float32(v)
-		}
-		inst.ConfigureData(w, in)
-		_, run, err = inst.RunOperation()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return run, nil
 }
 
 // traceSink collects completed run traces and live progress samples from
@@ -367,29 +313,6 @@ func listArchs() {
 	}
 }
 
-func parsePolicy(s string) (stonne.SchedPolicy, error) {
-	switch s {
-	case "NS":
-		return stonne.NoScheduling, nil
-	case "RDM":
-		return stonne.RandomScheduling, nil
-	case "LFF":
-		return stonne.LargestFilterFirst, nil
-	default:
-		return stonne.NoScheduling, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-func pruneTo(t *stonne.Tensor, sparsity float64) {
-	d := t.Data()
-	rng := dnn.NewRNG(0x9981)
-	for i := range d {
-		if rng.Float64() < sparsity {
-			d[i] = 0
-		}
-	}
-}
-
 // loadModelAndWeights resolves the model/weights flags shared by the
 // model and train subcommands.
 func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Model, *stonne.Weights, *stonne.Tensor) {
@@ -421,7 +344,7 @@ func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Mo
 // runModelCmd runs a full model from a description file, layer by layer.
 func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy string, seed uint64) {
 	m, w, input := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := parsePolicy(policy)
+	pol, err := stonne.ParsePolicy(policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -450,7 +373,7 @@ func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy
 func runModelChipCmd(hw stonne.Hardware, modelFile, weightsFile, policy string, seed uint64,
 	cores int, placement string, banks, streams int, progress bool) {
 	m, w, _ := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := parsePolicy(policy)
+	pol, err := stonne.ParsePolicy(policy)
 	if err != nil {
 		fatal(err)
 	}

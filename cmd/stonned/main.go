@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -56,17 +57,23 @@ func main() {
 		os.Exit(1)
 	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Bind before announcing: a bind failure is reported as one, and with
+	// port 0 the line names the port the kernel chose.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stonned:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "stonned: listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "stonned: listening on %s\n", *addr)
+	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	select {
 	case <-ctx.Done():

@@ -4,18 +4,17 @@
 // the serving layer's workload harness.
 //
 // With -addr it targets a running daemon; without, it starts an
-// in-process stonned (optionally with a persistent -cache-dir) so
-// `make trace-smoke` is self-contained while still exercising the full
-// HTTP serving path.
+// in-process stonned (optionally with a persistent -cache-dir), so a replay
+// is self-contained while still exercising the full HTTP serving path.
 //
 //	stonnetrace -trace examples/traces/tiny.json -speed 50
 //	stonnetrace -trace examples/traces/tiny.json -cache-dir /tmp/c -min-warm-rate 0.99
 //
 // The report digest is a SHA-256 over every result body in schedule
 // order: replaying the same trace and seed against a warm (or
-// deterministic cold) server yields the same digest, which is how the
-// persistence smoke proves a restarted daemon serves byte-identical
-// results.
+// deterministic cold) server yields the same digest, which is how
+// TestDaemonSmoke (cmd/stonned) proves a restarted daemon serves
+// byte-identical results.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,6 +9,8 @@ import (
 // fast; the assertions pin the *shapes* the paper reports, which are
 // scale-invariant.
 const testScale = 16
+
+var ctx = context.Background()
 
 func TestRepresentativeLayers(t *testing.T) {
 	layers, err := RepresentativeLayers(testScale)
@@ -30,7 +33,7 @@ func TestRepresentativeLayers(t *testing.T) {
 }
 
 func TestFig1aRigidAgreement(t *testing.T) {
-	rows, err := Fig1a(testScale)
+	rows, err := Fig1aPar(ctx, 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestFig1aRigidAgreement(t *testing.T) {
 }
 
 func TestFig1bDivergesWithBandwidth(t *testing.T) {
-	rows, err := Fig1b(testScale)
+	rows, err := Fig1bPar(ctx, 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestFig1bDivergesWithBandwidth(t *testing.T) {
 }
 
 func TestFig1cDivergesWithSparsity(t *testing.T) {
-	rows, err := Fig1c(testScale)
+	rows, err := Fig1cPar(ctx, 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestFig1cDivergesWithSparsity(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	rows, err := Fig5(testScale, []string{"S"})
+	rows, err := Fig5Par(ctx, 1, testScale, []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig6SNAPEAWins(t *testing.T) {
-	rows, err := Fig6(testScale, 1)
+	rows, err := Fig6Par(ctx, 1, testScale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestFig6SNAPEAWins(t *testing.T) {
 }
 
 func TestFig7FilterStats(t *testing.T) {
-	a, b, err := Fig7(testScale)
+	a, b, err := Fig7Par(ctx, 1, testScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestFig7FilterStats(t *testing.T) {
 }
 
 func TestFig9LFFWins(t *testing.T) {
-	rows, err := Fig9(testScale, []string{"S"})
+	rows, err := Fig9Par(ctx, 1, testScale, []string{"S"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,13 +48,6 @@ func fig5Arches() []config.Hardware {
 	}
 }
 
-// Fig5 runs the complete inference of the requested models (nil = all
-// seven of Table I) on the three architectures at the given spatial scale
-// and returns one row per (model, architecture).
-func Fig5(scale int, tags []string) ([]Fig5Row, error) {
-	return Fig5Par(context.Background(), 1, scale, tags)
-}
-
 // fig5Job is one simulation unit: one model on one architecture. Each job
 // rebuilds its model, weights and input from fixed seeds, so jobs share no
 // mutable state and any worker count produces identical rows.
@@ -63,7 +56,9 @@ type fig5Job struct {
 	hw  config.Hardware
 }
 
-// Fig5Par is Fig5 fanned over a simpool: one job per (model, architecture),
+// Fig5Par runs the complete inference of the requested models (nil = all
+// seven of Table I) on the three architectures at the given spatial scale
+// and returns one row per (model, architecture): one simpool job each,
 // results in the serial row order regardless of completion order.
 // workers <= 0 uses GOMAXPROCS; workers == 1 is exactly the serial loop.
 func Fig5Par(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row, error) {

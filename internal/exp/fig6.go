@@ -26,14 +26,6 @@ type Fig6Row struct {
 	MemNorm float64
 }
 
-// Fig6 runs the four purely-CNN models (Alexnet, Squeezenet, VGG-16,
-// Resnets-50) on the 64-multiplier SNAPEA configuration with `images`
-// distinct inputs each, comparing exact-mode early termination against the
-// baseline.
-func Fig6(scale, images int) ([]Fig6Row, error) {
-	return Fig6Par(context.Background(), 1, scale, images)
-}
-
 // fig6Cell is one (model, image) pair's SNAPEA-vs-baseline measurements.
 // Per-image cells come back from the pool in job order and are folded
 // serially per model — same summation order as the serial loop, so the
@@ -48,7 +40,10 @@ type fig6Job struct {
 	img int
 }
 
-// Fig6Par is Fig6 with one simpool job per (model, image) pair.
+// Fig6Par runs the four purely-CNN models (Alexnet, Squeezenet, VGG-16,
+// Resnets-50) on the 64-multiplier SNAPEA configuration with `images`
+// distinct inputs each, comparing exact-mode early termination against the
+// baseline. One simpool job per (model, image) pair.
 func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error) {
 	if images < 1 {
 		images = 1

@@ -40,11 +40,6 @@ type stallJob struct {
 	rl   RepLayer
 }
 
-// StallBreakdown runs the stall-attribution sweep serially.
-func StallBreakdown(scale int) ([]StallRow, error) {
-	return StallBreakdownPar(context.Background(), 1, scale)
-}
-
 // StallBreakdownPar sweeps a 128-multiplier MAERI configuration across
 // shrinking Global Buffer bandwidth (128 → 64 → 32 elements/cycle) and a
 // 16×16 TPU as the rigid reference, tracing every run and returning the

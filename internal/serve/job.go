@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/dnn"
 	"repro/internal/jobkey"
 	"repro/internal/mapper"
 	"repro/internal/sim"
@@ -77,12 +76,11 @@ const (
 // job is a resolved, validated, content-addressed request.
 type job struct {
 	key   jobkey.Key
-	jk    jobkey.Job
+	jk    jobkey.Job // also the one copy of the resolved hardware and arch name
 	req   Request
-	hw    config.Hardware
-	arch  string
-	pol   stonne.SchedPolicy
-	model *stonne.Model // resolved, scaled model (model op only)
+	op    stonne.CheckedOp   // gemm/spmm/conv: the runner shared with the stonne CLI
+	pol   stonne.SchedPolicy // model op only
+	model *stonne.Model      // resolved, scaled model (model op only)
 }
 
 // resolve turns a wire request into a runnable job: presets and defaults
@@ -126,37 +124,20 @@ func resolve(req Request) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.hw, j.arch = hw, arch.Name
 
 	if req.Batch < 0 || req.Batch > maxBatch {
 		return nil, fmt.Errorf("batch %d out of range [0,%d]", req.Batch, maxBatch)
 	}
 
 	switch j.req.Op {
-	case jobkey.OpGEMM, jobkey.OpSpMM:
-		m, n, k := req.M, req.N, req.K
-		if m <= 0 || n <= 0 || k <= 0 {
-			return nil, fmt.Errorf("%s needs positive m, n, k (got %d, %d, %d)", j.req.Op, m, n, k)
-		}
-		if j.req.Op == jobkey.OpSpMM {
-			if req.Sparsity < 0 || req.Sparsity > 1 {
-				return nil, fmt.Errorf("sparsity %g out of [0,1]", req.Sparsity)
-			}
-			if j.pol, err = parsePolicy(req.Policy); err != nil {
-				return nil, err
-			}
-		}
-	case jobkey.OpConv:
-		if req.Conv == nil {
-			return nil, fmt.Errorf("conv needs a conv shape")
-		}
-		if err := req.Conv.Validate(); err != nil {
+	case jobkey.OpGEMM, jobkey.OpSpMM, jobkey.OpConv:
+		j.op, err = stonne.SeededOp{
+			Op: j.req.Op, M: req.M, N: req.N, K: req.K,
+			Conv: req.Conv, Tile: req.Tile,
+			Sparsity: req.Sparsity, Policy: req.Policy,
+		}.Check()
+		if err != nil {
 			return nil, err
-		}
-		if req.Tile != nil {
-			if err := req.Tile.Validate(*req.Conv); err != nil {
-				return nil, err
-			}
 		}
 	case jobkey.OpModel:
 		full, merr := stonne.ModelByShort(req.Model)
@@ -170,7 +151,7 @@ func resolve(req Request) (*job, error) {
 		if j.model, err = stonne.ScaleSpatial(full, scale); err != nil {
 			return nil, err
 		}
-		if j.pol, err = parsePolicy(req.Policy); err != nil {
+		if j.pol, err = stonne.ParsePolicy(req.Policy); err != nil {
 			return nil, err
 		}
 		if req.Chip.Cores > maxCores {
@@ -221,19 +202,6 @@ func resolve(req Request) (*job, error) {
 	return j, nil
 }
 
-func parsePolicy(s string) (stonne.SchedPolicy, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "", "NS":
-		return stonne.NoScheduling, nil
-	case "RDM":
-		return stonne.RandomScheduling, nil
-	case "LFF":
-		return stonne.LargestFilterFirst, nil
-	default:
-		return stonne.NoScheduling, fmt.Errorf("unknown policy %q (want NS, RDM or LFF)", s)
-	}
-}
-
 // Result is the cached payload of one job: everything deterministic about
 // the simulation. Map-valued fields marshal with sorted keys, so two runs
 // of the same job produce byte-identical JSON — the property the
@@ -266,7 +234,7 @@ type progressFn func(label string, cycles uint64, outputs int, occupancy float64
 // simpool fan-out of one batched request; progress, when non-nil, receives
 // periodic samples.
 func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn) (*Result, error) {
-	res := &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}
+	res := &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}
 	var err error
 	if j.req.Op == jobkey.OpModel {
 		err = executeModel(ctx, j, res, progress)
@@ -286,8 +254,8 @@ func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn)
 }
 
 // executeOp fans a gemm/spmm/conv batch out over simpool, one independent
-// instance per seed — the exact per-seed tensor derivation of the stonne
-// CLI, so a service job and a CLI run of the same spelling share a result.
+// instance per seed, through the runner the stonne CLI uses — a service job
+// and a CLI run of the same spelling share a result.
 func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progress progressFn) error {
 	batch := j.jk.Normalize().Batch
 	seeds := make([]uint64, batch)
@@ -300,7 +268,7 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 	}
 	outs, err := simpool.Map(ctx, batchWorkers, seeds,
 		func(_ context.Context, i int, sd uint64) (runOut, error) {
-			hw := j.hw
+			hw := j.jk.HW
 			if progress != nil {
 				label := fmt.Sprintf("%.8s/run%d", j.key, i)
 				hw.Trace = &trace.Config{
@@ -311,7 +279,11 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 					},
 				}
 			}
-			out, run, rerr := runOne(hw, j, sd)
+			inst, rerr := stonne.CreateInstance(hw)
+			if rerr != nil {
+				return runOut{}, rerr
+			}
+			out, run, rerr := inst.RunSeededOp(j.op, sd)
 			if rerr != nil {
 				return runOut{}, rerr
 			}
@@ -326,67 +298,6 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 		res.OutputSums = append(res.OutputSums, o.sum)
 	}
 	return nil
-}
-
-// runOne simulates a single gemm/spmm/conv with operands derived from seed.
-func runOne(hw config.Hardware, j *job, seed uint64) (*stonne.Tensor, *stats.Run, error) {
-	inst, err := stonne.CreateInstance(hw)
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := dnn.NewRNG(seed)
-	randTensor := func(shape ...int) *stonne.Tensor {
-		t := stonne.NewTensor(shape...)
-		for i, d := 0, t.Data(); i < len(d); i++ {
-			d[i] = float32(rng.Normal())
-		}
-		return t
-	}
-	switch j.req.Op {
-	case jobkey.OpGEMM:
-		inst.ConfigureDMM()
-		inst.ConfigureData(randTensor(j.req.M, j.req.K), randTensor(j.req.K, j.req.N))
-	case jobkey.OpSpMM:
-		inst.ConfigureSpMM(j.pol)
-		A := randTensor(j.req.M, j.req.K)
-		pruneTo(A, j.req.Sparsity)
-		inst.ConfigureData(A, randTensor(j.req.K, j.req.N))
-	case jobkey.OpConv:
-		cs := *j.req.Conv
-		if err := inst.ConfigureCONV(cs); err != nil {
-			return nil, nil, err
-		}
-		if j.req.Tile != nil {
-			inst.ConfigureTile(*j.req.Tile)
-		}
-		w := randTensor(cs.K, cs.C/cs.G, cs.R, cs.S)
-		in := stonne.NewTensor(cs.N, cs.C, cs.X, cs.Y)
-		for i, d := 0, in.Data(); i < len(d); i++ {
-			v := rng.Normal()
-			if v < 0 {
-				v = 0
-			}
-			d[i] = float32(v)
-		}
-		inst.ConfigureData(w, in)
-	}
-	out, run, err := inst.RunOperation()
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, run, nil
-}
-
-// pruneTo zeroes elements with the CLI's fixed pruning stream, keeping
-// service results byte-compatible with `stonne spmm` runs.
-func pruneTo(t *stonne.Tensor, sparsity float64) {
-	d := t.Data()
-	rng := dnn.NewRNG(0x9981)
-	for i := range d {
-		if rng.Float64() < sparsity {
-			d[i] = 0
-		}
-	}
 }
 
 // executeModel runs a model job through the chip composition (a 1-core
@@ -415,7 +326,7 @@ func executeModel(ctx context.Context, j *job, res *Result, progress progressFn)
 			progress(fmt.Sprintf("%s/core%d", prefix, core), endCycle, stream+1, 0, 0)
 		}
 	}
-	outs, cr, err := stonne.RunModelChip(ctx, m, w, inputs, j.hw, copts, &stonne.RunOptions{Policy: j.pol})
+	outs, cr, err := stonne.RunModelChip(ctx, m, w, inputs, j.jk.HW, copts, &stonne.RunOptions{Policy: j.pol})
 	if err != nil {
 		return err
 	}

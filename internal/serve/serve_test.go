@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	_ "repro/internal/engine" // register the architectures
+	"repro/internal/sim"
+	"repro/stonne"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -160,7 +163,7 @@ func TestAdmissionControl(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}, nil
+		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -213,7 +216,7 @@ func TestCoalescing(t *testing.T) {
 		runCount++
 		mu.Unlock()
 		<-release
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.arch}, nil
+		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -281,6 +284,119 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: no error body: %s", name, raw)
 		}
+	}
+}
+
+// TestServiceJobMatchesSharedRunner pins the CLI/service contract: a job's
+// run record is byte for byte what stonne.RunSeededOp — the runner behind
+// `stonne gemm|spmm|conv` — yields for the same spelling.
+func TestServiceJobMatchesSharedRunner(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	conv := stonne.ConvShape{R: 3, S: 3, C: 4, G: 1, K: 4, N: 1, X: 6, Y: 6, Stride: 1}
+	for _, tc := range []struct {
+		arch, body string
+		op         stonne.SeededOp
+	}{
+		{"maeri", `"op":"gemm","m":8,"n":8,"k":16`,
+			stonne.SeededOp{Op: "gemm", M: 8, N: 8, K: 16}},
+		{"sigma", `"op":"spmm","m":8,"n":8,"k":16,"sparsity":0.5,"policy":"lff"`,
+			stonne.SeededOp{Op: "spmm", M: 8, N: 8, K: 16, Sparsity: 0.5, Policy: "lff"}},
+		{"maeri", `"op":"conv","conv":{"R":3,"S":3,"C":4,"G":1,"K":4,"N":1,"X":6,"Y":6,"Stride":1}`,
+			stonne.SeededOp{Op: "conv", Conv: &conv}},
+	} {
+		resp, raw := postJob(t, ts, fmt.Sprintf(`{"arch":%q,"ms":16,"bw":16,"seed":3,%s}`, tc.arch, tc.body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.op.Op, resp.StatusCode, raw)
+		}
+		var env Envelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		var res struct {
+			Runs []json.RawMessage `json:"runs"`
+		}
+		if err := json.Unmarshal(env.Result, &res); err != nil || len(res.Runs) != 1 {
+			t.Fatalf("%s: %d runs (%v) in %s", tc.op.Op, len(res.Runs), err, env.Result)
+		}
+
+		hw, err := sim.PresetHW(tc.arch, 16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw.Preloaded = true
+		inst, err := stonne.CreateInstance(hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked, err := tc.op.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, run, err := inst.RunSeededOp(checked, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := json.Marshal(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Runs[0], direct) {
+			t.Errorf("%s: service run differs from the shared runner:\n%s\n%s", tc.op.Op, res.Runs[0], direct)
+		}
+	}
+}
+
+// TestConcurrentWarmClients holds many clients on eight pre-warmed shapes:
+// every response must be a byte-identical replay of its shape's first
+// result, and all but a sliver of them cache hits.
+func TestConcurrentWarmClients(t *testing.T) {
+	const shapes, clients, perClient = 8, 32, 16
+	_, ts := newTestServer(t, Config{Workers: 2})
+	post := func(shape int) (*Envelope, error) {
+		body := fmt.Sprintf(`{"op":"gemm","arch":"maeri","ms":16,"bw":16,"m":8,"n":8,"k":%d,"seed":1}`, 16+shape)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		var env Envelope
+		return &env, json.NewDecoder(resp.Body).Decode(&env)
+	}
+	ref := make([][]byte, shapes)
+	for i := range ref {
+		env, err := post(i)
+		if err != nil {
+			t.Fatalf("pre-warm shape %d: %v", i, err)
+		}
+		ref[i] = env.Result
+	}
+
+	var hits atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				shape := (c + i) % shapes
+				env, err := post(shape)
+				switch {
+				case err != nil:
+					t.Errorf("client %d shape %d: %v", c, shape, err)
+				case !bytes.Equal(env.Result, ref[shape]):
+					t.Errorf("client %d shape %d: body differs from the pre-warmed result", c, shape)
+				case env.Cached:
+					hits.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if rate := float64(hits.Load()) / (clients * perClient); rate < 0.99 {
+		t.Errorf("warm hit rate %.4f, want >= 0.99", rate)
 	}
 }
 

@@ -58,8 +58,7 @@ type Kernel struct {
 
 // Run executes the cycle loop to completion (or watchdog abort). When the
 // context carries a cycle recorder, every cycle is attributed per tier; a
-// nil recorder costs one pointer check per run, not per cycle, because the
-// check is hoisted out of the per-cycle work.
+// nil recorder costs one pointer check per step.
 //
 // When the controller provides Lookahead/Advance and every Tickable also
 // implements the Lookahead capability, the loop fast-forwards: whenever all
@@ -72,13 +71,10 @@ type Kernel struct {
 // identical in cycles, counters and breakdowns. Ctx.HW.DisableFastForward
 // forces the ticked loop as a validation escape hatch.
 func (k *Kernel) Run() error {
-	lastProgress := k.Ctx.Cycles
-	lastState := -1
-	var lastWait uint64
+	w := watch{lastProgress: k.Ctx.Cycles, lastState: -1}
 	if k.Waiting != nil {
-		lastWait = k.Waiting() // a pre-existing wait count is not progress
+		w.lastWait = k.Waiting() // a pre-existing wait count is not progress
 	}
-	rec := k.Ctx.Rec
 	// Fast-forward participation is decided once per run: the controller
 	// must expose the capability, every fabric component must implement it,
 	// and the configuration must not opt out. A nil las means "always tick".
@@ -95,90 +91,80 @@ func (k *Kernel) Run() error {
 		}
 	}
 	for !k.Done() {
+		var n uint64
 		if las != nil {
-			if n := k.skipBound(las, lastProgress); n > 0 {
-				before := k.Ctx.Cycles
-				k.Advance(n)
-				for _, la := range las {
-					la.Advance(n)
-				}
-				k.Ctx.Cycles += n
-				k.Ctx.AccountSkipped(n)
-				if err := k.Err(); err != nil {
-					return err
-				}
-				// A skip is never progress: the steady-state certificate
-				// guarantees Progress() is unchanged across it, so the
-				// watchdog keeps counting — exactly as in the ticked loop.
-				// Only the first-ever iteration can still observe a change
-				// here (the -1 sentinel); the ticked loop would have
-				// recorded it at the window's first cycle, so pin exactly
-				// that.
-				state := k.Progress()
-				if state != lastState {
-					lastState = state
-					lastProgress = before + 1
-				}
-				// A certified-wait skip IS watchdog progress: in the stalled
-				// steady state every ticked cycle advances the wait counter,
-				// so the ticked loop's last reset lands on the final skipped
-				// cycle — pin exactly that.
-				if k.Waiting != nil {
-					if w := k.Waiting(); w != lastWait {
-						lastWait = w
-						lastProgress = k.Ctx.Cycles
-					}
-				}
-				if rec != nil {
-					rec.TickN(n, k.Draining != nil && k.Draining())
-					if rec.ProgressDue(k.Ctx.Cycles) {
-						rec.EmitProgress(k.Ctx.Cycles, state, k.Ctx.UtilizationSoFar(), k.Ctx.SkippedSoFar())
-					}
-				}
-				if k.Ctx.Cycles-lastProgress > DeadlockWindow {
-					if k.Deadlock != nil {
-						return k.Deadlock(DeadlockWindow)
-					}
-					return fmt.Errorf("sim: no progress for %d cycles", uint64(DeadlockWindow))
-				}
-				continue
+			n = k.skipBound(las, w.lastProgress)
+		}
+		if n > 0 {
+			k.Advance(n)
+			for _, la := range las {
+				la.Advance(n)
 			}
+			k.Ctx.AccountSkipped(n)
+		} else {
+			k.Control()
+			if err := k.Err(); err != nil {
+				return err
+			}
+			for _, t := range k.Ticks {
+				t.Cycle()
+			}
+			n = 1
 		}
-		k.Control()
+		k.Ctx.Cycles += n
 		if err := k.Err(); err != nil {
 			return err
 		}
-		for _, t := range k.Ticks {
-			t.Cycle()
-		}
-		k.Ctx.Cycles++
-		if err := k.Err(); err != nil {
+		if err := k.observe(&w, n); err != nil {
 			return err
 		}
+	}
+	return nil
+}
 
-		state := k.Progress()
-		if state != lastState {
-			lastState = state
-			lastProgress = k.Ctx.Cycles
+// watch is what the loop remembers between steps to feed the watchdog.
+type watch struct {
+	lastProgress uint64 // cycle of the latest forward motion
+	lastState    int    // Progress() at that cycle
+	lastWait     uint64 // Waiting() at its latest change
+}
+
+// observe is the bookkeeping after a step of n cycles has been applied and
+// Ctx.Cycles advanced: a tick is the n == 1 case of a skip. It resets the
+// watchdog on forward motion, attributes the step to the recorder, emits
+// due progress and aborts a run that stopped moving.
+func (k *Kernel) observe(w *watch, n uint64) error {
+	// A skip is never progress: the steady-state certificate guarantees
+	// Progress() is unchanged across it, so the watchdog keeps counting —
+	// exactly as in the ticked loop. Only the first-ever iteration can still
+	// observe a change after a skip (the -1 sentinel); the ticked loop would
+	// have recorded it at the window's first cycle, so pin exactly that
+	// (which for a tick is the cycle just completed).
+	state := k.Progress()
+	if state != w.lastState {
+		w.lastState = state
+		w.lastProgress = k.Ctx.Cycles - n + 1
+	}
+	// A certified-wait skip IS watchdog progress: in the stalled steady
+	// state every ticked cycle advances the wait counter, so the ticked
+	// loop's last reset lands on the final skipped cycle — pin exactly that.
+	if k.Waiting != nil {
+		if wait := k.Waiting(); wait != w.lastWait {
+			w.lastWait = wait
+			w.lastProgress = k.Ctx.Cycles
 		}
-		if k.Waiting != nil {
-			if w := k.Waiting(); w != lastWait {
-				lastWait = w
-				lastProgress = k.Ctx.Cycles
-			}
+	}
+	if rec := k.Ctx.Rec; rec != nil {
+		rec.TickN(n, k.Draining != nil && k.Draining())
+		if rec.ProgressDue(k.Ctx.Cycles) {
+			rec.EmitProgress(k.Ctx.Cycles, state, k.Ctx.UtilizationSoFar(), k.Ctx.SkippedSoFar())
 		}
-		if rec != nil {
-			rec.Tick(k.Draining != nil && k.Draining())
-			if rec.ProgressDue(k.Ctx.Cycles) {
-				rec.EmitProgress(k.Ctx.Cycles, state, k.Ctx.UtilizationSoFar(), k.Ctx.SkippedSoFar())
-			}
+	}
+	if k.Ctx.Cycles-w.lastProgress > DeadlockWindow {
+		if k.Deadlock != nil {
+			return k.Deadlock(DeadlockWindow)
 		}
-		if k.Ctx.Cycles-lastProgress > DeadlockWindow {
-			if k.Deadlock != nil {
-				return k.Deadlock(DeadlockWindow)
-			}
-			return fmt.Errorf("sim: no progress for %d cycles", uint64(DeadlockWindow))
-		}
+		return fmt.Errorf("sim: no progress for %d cycles", uint64(DeadlockWindow))
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 // LatencySummary condenses a set of request latencies into the serving
 // layer's standard report shape: count, min/mean/max and nearest-rank
 // percentiles, all in milliseconds. It is shared by the stonned /stats
-// endpoint, the stonneload harness and the trace-replay reports so every
-// surface quotes percentiles with the same (tail-inclusive) definition.
+// endpoint and the trace-replay reports so every surface quotes
+// percentiles with the same (tail-inclusive) definition.
 type LatencySummary struct {
 	Count  uint64  `json:"count"`
 	MinMs  float64 `json:"min_ms"`

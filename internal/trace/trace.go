@@ -204,8 +204,8 @@ func (t *tierState) flush() {
 
 // Recorder attributes cycles for one run. All methods are safe on a nil
 // receiver (they do nothing), so call sites need no enabled-check; the
-// kernel's per-cycle loop still hoists one explicit nil check so a disabled
-// run pays nothing per cycle.
+// kernel still makes one explicit nil check per step so a disabled run pays
+// no call.
 type Recorder struct {
 	cfg *Config
 
@@ -309,31 +309,7 @@ func anyPositive(delta []uint64, idx []int) bool {
 // Tick attributes exactly one cycle to every tier from the counter deltas
 // since the previous Tick/Sync. draining marks cycles after the schedule is
 // exhausted, classifying otherwise-idle tiers as pipeline drain.
-func (r *Recorder) Tick(draining bool) {
-	if r == nil {
-		return
-	}
-	for i, c := range r.counters {
-		v := c.Value()
-		r.delta[i] = v - r.last[i]
-		r.last[i] = v
-	}
-	for ti := range r.tiers {
-		t := &r.tiers[ti]
-		cl := Idle
-		switch {
-		case anyPositive(r.delta, t.busy):
-			cl = Busy
-		case anyPositive(r.delta, t.stallBW):
-			cl = StallBandwidth
-		case anyPositive(r.delta, t.stallIn):
-			cl = StallInput
-		case draining:
-			cl = Drain
-		}
-		t.add(cl, 1)
-	}
-}
+func (r *Recorder) Tick(draining bool) { r.TickN(1, draining) }
 
 // TickN attributes n consecutive cycles at once from the counter deltas
 // since the previous Tick/TickN/Sync — the fast-forward counterpart of

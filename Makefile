@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check trace-demo checksweep fuzz fuzz-smoke
+.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check checksweep fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -56,12 +56,6 @@ bench:
 # runnable without recording CI-runner noise as a measurement.
 bench-smoke:
 	$(GO) run -C bench . -smoke -runs 1 -seconds 0.2 > /dev/null
-
-# trace-demo runs one traced MAERI GEMM end to end and validates that the
-# emitted Chrome trace parses — the smoke check for the observability layer.
-trace-demo:
-	$(GO) run ./cmd/stonne gemm -arch maeri -ms 64 -bw 16 -M 32 -N 32 -K 64 -trace /tmp/stonne-trace-demo.json
-	$(GO) run ./cmd/tracecheck /tmp/stonne-trace-demo.json
 
 # checksweep runs every registered architecture × {GEMM, conv, sparse} over
 # the edge-case shape grid and verifies each simulated output against the

@@ -25,9 +25,9 @@ type Component interface {
 // component, the controller, the watchdog) provides the finite bound.
 const Unbounded = ^uint64(0)
 
-// Lookahead is the optional fast-forward capability of a ticked component.
-// A component implementing it certifies, cycle-accurately, how far ahead
-// its Cycle method is predictable without running it:
+// Lookahead is the fast-forward capability of a ticked component (every
+// sim.Tickable carries it). A component certifies, cycle-accurately, how
+// far ahead its Cycle method is predictable without running it:
 //
 //   - Lookahead returns n > 0 when the next n Cycle calls would be no-ops
 //     apart from state that Advance can replay in closed form (counters,

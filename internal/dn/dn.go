@@ -46,6 +46,7 @@ type Prober func(ms int, p comp.Packet) bool
 // Network is the common behaviour of all three DN types.
 type Network interface {
 	comp.Component
+	comp.Lookahead
 	// Offer enqueues a delivery into the injection queue; false means the
 	// queue is full and the caller must retry next cycle.
 	Offer(d Delivery) bool

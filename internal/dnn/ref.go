@@ -193,7 +193,7 @@ func GEMMOperands(l *Layer, act *tensor.Tensor) (a, b *tensor.Tensor, err error)
 		if err != nil {
 			return nil, nil, err
 		}
-		b = transpose(r)
+		b = tensor.Transpose(r)
 	} else {
 		b = pseudoActivation(l.Name+"/B", l.K, l.N)
 	}
@@ -212,17 +212,6 @@ func pseudoActivation(key string, rows, cols int) *tensor.Tensor {
 		d[i] = float32(v)
 	}
 	return t
-}
-
-func transpose(t *tensor.Tensor) *tensor.Tensor {
-	r, c := t.Dim(0), t.Dim(1)
-	out := tensor.New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Set(t.At(i, j), j, i)
-		}
-	}
-	return out
 }
 
 func concatChannels(a, b *tensor.Tensor) (*tensor.Tensor, error) {

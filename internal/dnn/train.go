@@ -94,11 +94,11 @@ func TrainStep(m *Model, w *Weights, input *tensor.Tensor, label int, run GEMMRu
 			}
 			c.in = x
 			// Y = W(Out×In) × Xᵀ → transpose back to (B, Out).
-			yT, err := run.RunTrainGEMM(w.ByLayer[l.Name], trainTranspose(x), l.Name+".fwd")
+			yT, err := run.RunTrainGEMM(w.ByLayer[l.Name], tensor.Transpose(x), l.Name+".fwd")
 			if err != nil {
 				return nil, err
 			}
-			act = trainTranspose(yT)
+			act = tensor.Transpose(yT)
 		case ReLU:
 			out := act.Clone()
 			out.Apply(func(v float32) float32 {
@@ -185,7 +185,7 @@ func TrainStep(m *Model, w *Weights, input *tensor.Tensor, label int, run GEMMRu
 		case Linear:
 			x := c.in                                         // (B, In)
 			dY := grad                                        // (B, Out)
-			dYT := trainTranspose(dY)                         // (Out, B)
+			dYT := tensor.Transpose(dY)                       // (Out, B)
 			dW, err := run.RunTrainGEMM(dYT, x, l.Name+".dW") // (Out, In)
 			if err != nil {
 				return nil, err
@@ -205,7 +205,7 @@ func TrainStep(m *Model, w *Weights, input *tensor.Tensor, label int, run GEMMRu
 			for g := 0; g < cs.G; g++ {
 				dYmat := gatherConvGrad(grad, cs, g, kg) // (kg, N·X'·Y')
 				// dW = dY_mat × colsᵀ.
-				dW, err := run.RunTrainGEMM(dYmat, trainTranspose(c.cols[g]), l.Name+".dW")
+				dW, err := run.RunTrainGEMM(dYmat, tensor.Transpose(c.cols[g]), l.Name+".dW")
 				if err != nil {
 					return nil, err
 				}
@@ -215,7 +215,7 @@ func TrainStep(m *Model, w *Weights, input *tensor.Tensor, label int, run GEMMRu
 				if err != nil {
 					return nil, err
 				}
-				dCols, err := run.RunTrainGEMM(trainTranspose(fm), dYmat, l.Name+".dX")
+				dCols, err := run.RunTrainGEMM(tensor.Transpose(fm), dYmat, l.Name+".dX")
 				if err != nil {
 					return nil, err
 				}
@@ -264,17 +264,6 @@ type nativeGEMM struct{}
 
 func (nativeGEMM) RunTrainGEMM(a, b *tensor.Tensor, tag string) (*tensor.Tensor, error) {
 	return tensor.MatMul(a, b)
-}
-
-func trainTranspose(t *tensor.Tensor) *tensor.Tensor {
-	r, c := t.Dim(0), t.Dim(1)
-	out := tensor.New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Set(t.At(i, j), j, i)
-		}
-	}
-	return out
 }
 
 func scatterConvOut(prod, out *tensor.Tensor, cs tensor.ConvShape, g, kg int) {

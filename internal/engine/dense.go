@@ -21,23 +21,61 @@ type flexDenseRunner struct {
 	hw config.Hardware
 }
 
+// jobSpec describes one reduction the controller expects to fire: virtual
+// neuron VN will have Expect products tagged with step Seq, reducing into
+// output element OutIdx; Last marks the final fold of that output.
+type jobSpec struct {
+	VN, Seq, Expect, OutIdx int
+	Last                    bool
+	// Members, when non-nil, is the snapshot of the VN's switch set at
+	// schedule time — required when cluster shapes change between rounds
+	// (sparse controller). Nil falls back to the configured VN table.
+	Members []int
+}
+
+// workItem is one schedulable unit: a weight (re)load or one compute step.
+type workItem struct {
+	// Barrier requires the switches in ReloadSet to be quiescent (operand
+	// FIFOs and psum latches empty) and the DN drained before issuing —
+	// the stationary registers are about to be overwritten.
+	Barrier   bool
+	ReloadSet []int
+	// Prefetch, when non-zero, starts a DRAM prefetch of that many
+	// elements for the following block (double buffering).
+	Prefetch   int
+	Deliveries []dn.Delivery
+	Jobs       []jobSpec
+	// Reconfig, when non-nil, reprograms the VN membership once the
+	// barrier has drained the fabric (sparse rounds change cluster shapes
+	// between rounds). It requires full quiescence, not just the
+	// ReloadSet.
+	Reconfig func() error
+}
+
+// source generates work items on demand so full-model runs never
+// materialize their schedule up front. The dense GEMM, dense convolution
+// and SIGMA sparse schedulers are the three sources driving flexRun.
+type source interface {
+	Next() (workItem, bool)
+}
+
 // flexRun drives the flexible pipeline: controller → DN → MN → RN, one
 // Cycle() each per simulated clock, with back-pressure everywhere. The
-// per-clock loop itself is the sim.Kernel; flexRun supplies the controller
-// behaviour, the tick order and the completion/progress probes.
+// per-clock loop itself is the sim.Kernel; flexRun is its sim.Controller —
+// the memory controller's behaviour plus the completion/progress probes.
 type flexRun struct {
 	*sim.Ctx
 	dnet dn.Network
 	marr *mn.Array
 	rnet *rn.Net
-	src  sim.Source
+	src  source
 
-	cur      *sim.WorkItem
+	cur      *workItem
 	curDeliv int
 	issued   bool // some deliveries of cur already offered
 	srcDone  bool
 
-	pending     [][]sim.JobSpec // per-VN FIFO of expected reductions
+	pending     [][]jobSpec // per-VN FIFO of expected reductions
 	pendingJobs int
 	// readsPerDest: the Benes gather fetches one GB operand per
 	// destination; tree/systolic fabrics read a multicast value once.
@@ -62,10 +100,11 @@ type flexRun struct {
 	expected  int
 }
 
-// flexRun consumes reduction-network results — it is the run's sim.Sink.
-var _ sim.Sink = (*flexRun)(nil)
+var _ sim.Controller = (*flexRun)(nil)
 
-func newFlexRun(ctx *sim.Ctx, numVNs int, outLen, expected int) (*flexRun, error) {
+// newFlexRun builds the fabric of the configured DN/MN/RN kinds around ctx
+// with numVNs job queues and an outLen-element output buffer.
+func newFlexRun(ctx *sim.Ctx, numVNs, outLen int) (*flexRun, error) {
 	hw := ctx.HW
 	dnet, err := dn.New(hw.DN.String(), hw.MSSize, hw.DNBandwidth, ctx.Counters)
 	if err != nil {
@@ -87,9 +126,8 @@ func newFlexRun(ctx *sim.Ctx, numVNs int, outLen, expected int) (*flexRun, error
 		dnet:        dnet,
 		marr:        mn.NewArray(hw.MSSize, hw.FIFODepth, hw.MN == config.LinearMN, ctx.Counters),
 		rnet:        rn.New(rkind, hw.MSSize, hw.RNBandwidth, ctx.Counters),
-		pending:     make([][]sim.JobSpec, numVNs),
+		pending:     make([][]jobSpec, numVNs),
 		out:         make([]float32, outLen),
-		expected:    expected,
 		cReloadWait: ctx.Counters.Counter(names.CtrlReloadWaitCycles),
 		cDramWait:   ctx.Counters.Counter(names.CtrlDRAMWaitCycles),
 	}
@@ -101,7 +139,7 @@ func newFlexRun(ctx *sim.Ctx, numVNs int, outLen, expected int) (*flexRun, error
 }
 
 // Consume scatters one reduced result into the output buffer and accounts
-// the Global Buffer write-back (sim.Sink).
+// the Global Buffer write-back (the reduction network's sink).
 func (f *flexRun) Consume(r rn.Result) {
 	f.GB.Write(1)
 	if f.sumOut {
@@ -124,17 +162,9 @@ func (f *flexRun) Consume(r rn.Result) {
 	}
 }
 
-// configureVNs programs the VN membership (Configuration Unit signals).
-func (f *flexRun) configureVNs(vns [][]int) error {
-	if len(vns) != len(f.pending) {
-		return fmt.Errorf("engine: VN count %d does not match job table %d", len(vns), len(f.pending))
-	}
-	return f.marr.ConfigureVNs(vns)
-}
-
-// ctrlCycle is the memory controller's per-clock behaviour: fire ready
+// Control is the memory controller's per-clock behaviour: fire ready
 // reductions, then issue as much of the schedule as the DN accepts.
-func (f *flexRun) ctrlCycle() {
+func (f *flexRun) Control() {
 	// 1. Fire ready virtual neurons into the reduction network.
 	for vn := range f.pending {
 		q := f.pending[vn]
@@ -226,9 +256,9 @@ func (f *flexRun) ctrlCycle() {
 	}
 }
 
-// lookahead is the controller's fast-forward bound (sim.Kernel.Lookahead).
-// It certifies the two controller steady states in which ctrlCycle's effect
-// over the next n cycles is a closed form advance can replay:
+// Lookahead is the controller's fast-forward bound. It certifies the two
+// controller steady states in which Control's effect over the next n cycles
+// is a closed form Advance can replay:
 //
 //   - Barrier DRAM stall: the head work item is a quiesced barrier gated
 //     only by the in-flight prefetch. Part 1 scans empty job queues (pure,
@@ -241,13 +271,13 @@ func (f *flexRun) ctrlCycle() {
 //
 //   - Exhausted source: srcDone with no held item and no pending jobs.
 //     Part 1 scans empty queues and part 2 re-polls the exhausted source
-//     (sources' exhausted path is pure), so ctrlCycle is a no-op for any
+//     (sources' exhausted path is pure), so Control is a no-op for any
 //     horizon — the run is draining through the fabric components, whose
 //     own bounds then limit the skip.
 //
 // Anything else — live deliveries, partially issued items, jobs awaiting
 // fire — must tick.
-func (f *flexRun) lookahead() uint64 {
+func (f *flexRun) Lookahead() uint64 {
 	if f.fatal != nil || f.pendingJobs != 0 {
 		return 0
 	}
@@ -269,11 +299,11 @@ func (f *flexRun) lookahead() uint64 {
 	return f.DRAM.StallLookahead(f.Cycles)
 }
 
-// advance replays n skipped controller cycles (sim.Kernel.Advance). In the
-// barrier-stall steady state each ticked cycle would have counted one
-// dram-wait cycle and one DRAM stall event; in the exhausted-source state a
-// ticked cycle touches nothing.
-func (f *flexRun) advance(n uint64) {
+// Advance replays n skipped controller cycles. In the barrier-stall steady
+// state each ticked cycle would have counted one dram-wait cycle and one
+// DRAM stall event; in the exhausted-source state a ticked cycle touches
+// nothing.
+func (f *flexRun) Advance(n uint64) {
 	if f.cur == nil {
 		return
 	}
@@ -281,39 +311,83 @@ func (f *flexRun) advance(n uint64) {
 	f.DRAM.AdvanceStall(n)
 }
 
-func (f *flexRun) done() bool {
+func (f *flexRun) Done() bool {
 	return f.srcDone && f.cur == nil && f.pendingJobs == 0 &&
 		f.completed >= f.expected &&
 		f.dnet.Pending() == 0 && f.rnet.Drained() && f.marr.Idle()
 }
 
-// deadlock renders the watchdog diagnostic with the run's stuck state.
-func (f *flexRun) deadlock(window uint64) error {
+func (f *flexRun) Progress() int { return f.completed }
+
+// Waiting is the DRAM-wait count: it advances on exactly the cycles a
+// barrier is held only by a granted transfer.
+func (f *flexRun) Waiting() uint64 { return f.cDramWait.Value() }
+
+func (f *flexRun) Draining() bool { return f.srcDone && f.cur == nil }
+
+func (f *flexRun) Err() error { return f.fatal }
+
+// Deadlock renders the watchdog diagnostic with the run's stuck state.
+func (f *flexRun) Deadlock(window uint64) error {
 	return fmt.Errorf("engine: no progress for %d cycles (completed %d/%d, pending jobs %d, dn pending %d)",
 		window, f.completed, f.expected, f.pendingJobs, f.dnet.Pending())
 }
 
-// run executes the cycle kernel to completion: the controller acts, then
-// DN → MN → RN tick in pipeline order.
-func (f *flexRun) run() error {
-	k := &sim.Kernel{
-		Ctx:       f.Ctx,
-		Control:   f.ctrlCycle,
-		Ticks:     []sim.Tickable{f.dnet, f.marr, f.rnet},
-		Done:      f.done,
-		Progress:  func() int { return f.completed },
-		Waiting:   func() uint64 { return f.cDramWait.Value() },
-		Err:       func() error { return f.fatal },
-		Draining:  func() bool { return f.srcDone && f.cur == nil },
-		Deadlock:  f.deadlock,
-		Lookahead: f.lookahead,
-		Advance:   f.advance,
+// flexOp is what one operation hands runFlex: its schedule, its VN
+// programming, its DRAM working set and the shape of its result record.
+type flexOp struct {
+	op, layer string
+	m, n, k   int // GEMM-equivalent dimensions of the run record
+	src       source
+	// vns is the fixed VN membership (Configuration Unit signals). Nil when
+	// every job carries its own members (sparse clusters, at most one per
+	// switch).
+	vns      [][]int
+	sumOut   bool // see flexRun.sumOut
+	fill     int  // initial DRAM working set, in elements
+	outShape []int
+}
+
+// runFlex is the one lifecycle of an operation on the flexible fabric:
+// build the fabric, program the VNs, charge the initial fill, run the cycle
+// kernel (the controller acts, then DN → MN → RN tick in pipeline order),
+// write the outputs back and assemble the run record.
+func runFlex(ctx *sim.Ctx, o flexOp) (*tensor.Tensor, *stats.Run, error) {
+	outLen := 1
+	for _, d := range o.outShape {
+		outLen *= d
 	}
+	numVNs := len(o.vns)
+	if o.vns == nil {
+		numVNs = ctx.HW.MSSize
+	}
+	f, err := newFlexRun(ctx, numVNs, outLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o.vns != nil {
+		if err := f.marr.ConfigureVNs(o.vns); err != nil {
+			return nil, nil, err
+		}
+	}
+	f.src, f.sumOut = o.src, o.sumOut
+	if !o.sumOut {
+		// Summed contributions are not countable up front; completion is
+		// then the drained pipeline alone.
+		f.expected = outLen
+	}
+	ctx.InitialFill(o.fill)
+	k := sim.Kernel{Ctx: ctx, Ctrl: f, Ticks: []sim.Tickable{f.dnet, f.marr, f.rnet}}
 	if err := k.Run(); err != nil {
-		return err
+		return nil, nil, fmt.Errorf("engine: %s %s %s (%dx%dx%d): %w", ctx.HW.Name, o.op, o.layer, o.m, o.n, o.k, err)
 	}
 	f.marr.CollectFIFOStats()
-	return nil
+	ctx.DRAM.WriteBack(outLen)
+	out, err := tensor.FromSlice(f.out, o.outShape...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, ctx.Finish(o.op, o.layer, o.m, o.n, o.k), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -339,8 +413,6 @@ type gemmSource struct {
 	exhausted           bool
 }
 
-var _ sim.Source = (*gemmSource)(nil)
-
 func newGEMMSource(A, B *tensor.Tensor, t mapper.GEMMTile) *gemmSource {
 	m, k := A.Dim(0), A.Dim(1)
 	n := B.Dim(1)
@@ -358,9 +430,6 @@ func newGEMMSource(A, B *tensor.Tensor, t mapper.GEMMTile) *gemmSource {
 	g.groupsPerPanel = ceilDiv(g.panelCols, t.TN)
 	return g
 }
-
-// expectedOutputs is the number of C elements the schedule will produce.
-func (g *gemmSource) expectedOutputs() int { return g.m * g.n }
 
 // vns returns the VN membership: VN (i,j) = i·TN + j occupies KSlice
 // consecutive switches.
@@ -384,9 +453,9 @@ func (g *gemmSource) ms(i, j, p int) int { return (i*g.t.TN+j)*g.t.KSlice + p }
 // work item rather than paid per tick.
 //
 //lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
-func (g *gemmSource) Next() (sim.WorkItem, bool) {
+func (g *gemmSource) Next() (workItem, bool) {
 	if g.exhausted {
-		return sim.WorkItem{}, false
+		return workItem{}, false
 	}
 	t := g.t
 	k0 := g.fold * t.KSlice
@@ -395,7 +464,7 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 	if g.phase == 0 {
 		// Weight load for (mb, fold): row slices A[mi, k0:k0+kw],
 		// multicast across the TN column replicas.
-		item := sim.WorkItem{Barrier: true}
+		item := workItem{Barrier: true}
 		for i := 0; i < t.TM; i++ {
 			mi := g.mb*t.TM + i
 			if mi >= g.m {
@@ -422,7 +491,7 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 
 	// Stream one column group.
 	colBase := g.panel*g.panelCols + g.ng*t.TN
-	item := sim.WorkItem{}
+	item := workItem{}
 	seq := g.seq
 	g.seq++
 	for j := 0; j < t.TN; j++ {
@@ -451,7 +520,7 @@ func (g *gemmSource) Next() (sim.WorkItem, bool) {
 			if mi >= g.m {
 				continue
 			}
-			item.Jobs = append(item.Jobs, sim.JobSpec{
+			item.Jobs = append(item.Jobs, jobSpec{
 				VN: i*t.TN + j, Seq: seq, Expect: kw,
 				OutIdx: mi*g.n + nj,
 				Last:   g.fold == ceilDiv(g.k, t.KSlice)-1,
@@ -494,24 +563,13 @@ func (r *flexDenseRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Te
 		inputStationary = r.hw.Dataflow == config.InputStationary
 	}
 	if inputStationary {
-		Ct, run, err := r.gemmWS(transposed(B), transposed(A), layer)
+		Ct, run, err := r.gemmWS(tensor.Transpose(B), tensor.Transpose(A), layer)
 		if err != nil {
 			return nil, nil, err
 		}
-		return transposed(Ct), run, nil
+		return tensor.Transpose(Ct), run, nil
 	}
 	return r.gemmWS(A, B, layer)
-}
-
-func transposed(t *tensor.Tensor) *tensor.Tensor {
-	r, c := t.Dim(0), t.Dim(1)
-	out := tensor.New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Set(t.At(i, j), j, i)
-		}
-	}
-	return out
 }
 
 // gemmWS is the weight-stationary execution: A row slices stay in the
@@ -523,27 +581,12 @@ func (r *flexDenseRunner) gemmWS(A, B *tensor.Tensor, layer string) (*tensor.Ten
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := sim.NewCtx(&r.hw)
 	src := newGEMMSource(A, B, tile)
-	f, err := newFlexRun(ctx, tile.TM*tile.TN, m*n, src.expectedOutputs())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f.configureVNs(src.vns()); err != nil {
-		return nil, nil, err
-	}
-	f.src = src
-	ctx.InitialFill(m*k + k*n)
-	if err := f.run(); err != nil {
-		return nil, nil, fmt.Errorf("engine: %s GEMM %s (%dx%dx%d): %w", r.hw.Name, layer, m, n, k, err)
-	}
-	ctx.DRAM.WriteBack(m * n)
-	C, err := tensor.FromSlice(f.out, m, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	run := ctx.Finish("GEMM", layer, m, n, k)
-	return C, run, nil
+	return runFlex(sim.NewCtx(&r.hw), flexOp{
+		op: "GEMM", layer: layer, m: m, n: n, k: k,
+		src: src, vns: src.vns(),
+		fill: m*k + k*n, outShape: []int{m, n},
+	})
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -48,8 +48,6 @@ type convSource struct {
 	coordH int // padded column count (X + 2·padding)
 }
 
-var _ sim.Source = (*convSource)(nil)
-
 func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool) *convSource {
 	c := &convSource{
 		in: in, w: w, cs: cs, t: t,
@@ -75,10 +73,6 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 	}
 	c.panels = ceilDiv(totalGroups, c.panelGroups)
 	return c
-}
-
-func (c *convSource) expectedOutputs() int {
-	return c.cs.K * c.xo * c.yo
 }
 
 // vns lays VN (kk, ty) = kk·TYp + ty over consecutive switch ranges.
@@ -111,9 +105,9 @@ func (c *convSource) mblocks() int { return ceilDiv(c.kg, c.t.TK) }
 // the many cycles the item keeps the fabric busy.
 //
 //lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
-func (c *convSource) Next() (sim.WorkItem, bool) {
+func (c *convSource) Next() (workItem, bool) {
 	if c.exhausted {
-		return sim.WorkItem{}, false
+		return workItem{}, false
 	}
 	t := c.t
 	cw := min(t.TC, c.cg-c.fold*t.TC) // channels in this fold
@@ -121,7 +115,7 @@ func (c *convSource) Next() (sim.WorkItem, bool) {
 	if c.phase == 0 {
 		// Weight load for (g, mb, fold): each filter's slice multicast to
 		// its TYp position replicas.
-		item := sim.WorkItem{Barrier: true}
+		item := workItem{Barrier: true}
 		for kk := 0; kk < t.TK; kk++ {
 			kfull := c.g*c.kg + c.mb*t.TK + kk
 			if c.mb*t.TK+kk >= c.kg {
@@ -157,7 +151,7 @@ func (c *convSource) Next() (sim.WorkItem, bool) {
 	ox := grpAbs / c.groupsPerRow
 	oyBase := (grpAbs % c.groupsPerRow) * t.TYp
 
-	item := sim.WorkItem{}
+	item := workItem{}
 	seq := c.seq
 	c.seq++
 
@@ -230,7 +224,7 @@ func (c *convSource) Next() (sim.WorkItem, bool) {
 			}
 			// expect[vn] counted one product per member switch with a
 			// valid channel slice — exactly the set that will latch.
-			item.Jobs = append(item.Jobs, sim.JobSpec{
+			item.Jobs = append(item.Jobs, jobSpec{
 				VN: vn, Seq: seq, Expect: expect[vn],
 				OutIdx: (kfull*c.xo+ox)*c.yo + oy,
 				Last:   c.fold == c.folds-1,
@@ -308,28 +302,13 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 		tile.TYp *= tile.TXp
 		tile.TXp = 1
 	}
-	ctx := sim.NewCtx(&r.hw)
 	src := newConvSource(in, w, cs, tile, r.hw.MN.String() == "LMN")
-	f, err := newFlexRun(ctx, tile.TK*tile.TYp, cs.K*src.xo*src.yo, src.expectedOutputs())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f.configureVNs(src.vns()); err != nil {
-		return nil, nil, err
-	}
-	f.src = src
-	ctx.InitialFill(in.Len() + w.Len())
-	if err := f.run(); err != nil {
-		return nil, nil, fmt.Errorf("engine: %s CONV %s: %w", r.hw.Name, layer, err)
-	}
-	ctx.DRAM.WriteBack(cs.K * src.xo * src.yo)
-	out, err := tensor.FromSlice(f.out, 1, cs.K, src.xo, src.yo)
-	if err != nil {
-		return nil, nil, err
-	}
 	m, n, k := cs.GEMMDims()
-	run := ctx.Finish("CONV", layer, m, n, k)
-	return out, run, nil
+	return runFlex(sim.NewCtx(&r.hw), flexOp{
+		op: "CONV", layer: layer, m: m, n: n, k: k,
+		src: src, vns: src.vns(),
+		fill: in.Len() + w.Len(), outShape: []int{1, cs.K, src.xo, src.yo},
+	})
 }
 
 // runConvBatched serializes a batched convolution into per-image runs —

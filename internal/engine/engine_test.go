@@ -2,8 +2,10 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/comp/names"
 	"repro/internal/config"
 	"repro/internal/dnn"
 	"repro/internal/tensor"
@@ -308,5 +310,61 @@ func TestDispatchErrors(t *testing.T) {
 	bad := randMat(t, 61, 3, 5, 0)
 	if _, _, err := acc.RunGEMM(A, bad, "x"); err == nil {
 		t.Error("mismatched GEMM dims accepted")
+	}
+}
+
+// The SNAPEA GEMM entry is the 1×1-convolution lowering onto the one lane
+// loop: it must agree with a hand-built 1×1 conv (cut off) on cycles and on
+// the datapath counters. The conv entry sign-sorts its weights, so outputs
+// agree only under the architecture's RelTol; and the index-table read and
+// the early-cut counters belong to the conv entry alone.
+func TestSNAPEAGEMMIsTheOneByOneConv(t *testing.T) {
+	acc, err := New(config.SNAPEALike(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		m, n, k  int
+		sparsity float64
+	}{{1, 1, 1, 0}, {5, 7, 9, 0}, {24, 24, 96, 0}, {9, 40, 33, 0.6}, {40, 3, 17, 0.9}} {
+		m, n, k := tc.m, tc.n, tc.k
+		A := randMat(t, 0x91, m, k, tc.sparsity)
+		B := randMat(t, 0x92, k, n, 0)
+		C, gemm, err := acc.RunGEMM(A, B, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, _ := B.Reshape(1, k, n, 1)
+		w, _ := A.Reshape(m, k, 1, 1)
+		cs := tensor.ConvShape{R: 1, S: 1, C: k, G: 1, K: m, N: 1, X: n, Y: 1, Stride: 1}
+		out, conv, err := acc.RunSNAPEAConv(in, w, cs, "c", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gemm.Cycles != conv.Cycles {
+			t.Errorf("%dx%dx%d: cycles %d (GEMM) vs %d (1x1 conv)", m, n, k, gemm.Cycles, conv.Cycles)
+		}
+		for _, key := range []string{names.MNMults, names.GBReads, names.GBWrites} {
+			if gemm.Counters[key] != conv.Counters[key] {
+				t.Errorf("%dx%dx%d: %s %d (GEMM) vs %d (1x1 conv)", m, n, k, key, gemm.Counters[key], conv.Counters[key])
+			}
+		}
+		for key := range gemm.Counters {
+			if key == names.GBMetaReads || strings.HasPrefix(key, "snapea.") {
+				t.Errorf("%dx%dx%d: GEMM counter file carries conv-only key %s", m, n, k, key)
+			}
+		}
+		relTol := acc.arch.Contract.RelTol
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var mag float64
+				for kk := 0; kk < k; kk++ {
+					mag += math.Abs(float64(A.At(i, kk)) * float64(B.At(kk, j)))
+				}
+				if d := math.Abs(float64(C.At(i, j)) - float64(out.At(0, i, j, 0))); d > relTol*mag {
+					t.Fatalf("%dx%dx%d: C[%d,%d] differs by %g, bound %g", m, n, k, i, j, d, relTol*mag)
+				}
+			}
+		}
 	}
 }

@@ -14,14 +14,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The fast-forward differential: every architecture × operation pair runs
-// twice — fully ticked (-fastforward=false) and fast-forwarded — on a
-// bandwidth-starved DRAM configuration that maximizes skippable stall
-// windows. The two runs must be bit-identical in outputs, cycles, every
-// counter and the per-tier breakdown; the only permitted difference is the
-// trace.ff.skipped_cycles observability counter, which only the
-// fast-forwarded run grows. This is the exactness contract of DESIGN.md's
-// "Event-driven fast-forward" section.
+// The fast-forward differential: every sim.Kernel-driven architecture ×
+// operation pair runs twice — fully ticked (-fastforward=false) and
+// fast-forwarded — on a bandwidth-starved DRAM configuration that maximizes
+// skippable stall windows. The two runs must be bit-identical in outputs,
+// cycles, every counter and the per-tier breakdown; the only permitted
+// difference is the trace.ff.skipped_cycles observability counter, which
+// only the fast-forwarded run grows. This is the exactness contract of
+// DESIGN.md's "Sim kernel and architecture registry" section.
 
 // starvedHW builds a preset with DRAM throttled to a trickle so barrier
 // prefetches dominate the runtime (the workload fast-forward targets).
@@ -93,24 +93,26 @@ func TestFastForwardTickedParity(t *testing.T) {
 	gemmB := randTensor(0x62, 24, 7)
 	convIn := randTensor(0x63, 1, 4, 8, 8)
 	convW := randTensor(0x64, 4, 4, 3, 3)
-
-	var maeriSkipped uint64
-	for _, arch := range sim.List() {
-		arch := arch
-		skipped := ffRunPair(t, arch.Name, arch.Name+" gemm", func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
-			return acc.RunGEMM(gemmA, gemmB, "ffparity")
-		})
-		if arch.Name == "maeri" {
-			maeriSkipped = skipped
-		}
-		ffRunPair(t, arch.Name, arch.Name+" conv", func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
-			return acc.RunConv(convIn, convW, cs, "ffparity")
-		})
+	gemm := func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
+		return acc.RunGEMM(gemmA, gemmB, "ffparity")
 	}
-	// The starved MAERI GEMM must actually exercise fast-forward: a parity
-	// pass with zero skips would only prove the feature never engaged.
-	if maeriSkipped == 0 {
-		t.Error("starved maeri gemm skipped no cycles — fast-forward never engaged")
+	conv := func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
+		return acc.RunConv(convIn, convW, cs, "ffparity")
+	}
+
+	// The dense controller's weight loads are barriers, so its starved runs
+	// have DRAM stalls to skip and must actually exercise fast-forward: a
+	// parity pass with zero skips would only prove the feature never
+	// engaged. The sparse controller double-buffers its stationary loads
+	// (no barrier), so its rows pin parity only.
+	for _, op := range []struct {
+		name string
+		fn   ffRunFn
+	}{{"gemm", gemm}, {"conv", conv}} {
+		if ffRunPair(t, "maeri", "maeri "+op.name, op.fn) == 0 {
+			t.Errorf("starved maeri %s skipped no cycles — fast-forward never engaged", op.name)
+		}
+		ffRunPair(t, "sigma", "sigma "+op.name, op.fn)
 	}
 
 	// Sparse controller across all three scheduling policies.
@@ -128,6 +130,23 @@ func TestFastForwardTickedParity(t *testing.T) {
 		ffRunPair(t, "sigma", "sigma spmm "+pol.String(), func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
 			return acc.RunSpMM(spA, spB, "ffparity", &pol)
 		})
+	}
+}
+
+// The rigid runners never build a sim.Kernel (DESIGN.md, "why the rigid
+// runners stay off the kernel"), so DisableFastForward must change nothing
+// on them and no cycle is ever accounted as skipped.
+func TestDisableFastForwardChangesNothingOnRigidRunners(t *testing.T) {
+	cs := tensor.ConvShape{R: 3, S: 3, C: 4, G: 1, K: 4, N: 1, X: 8, Y: 8, Stride: 1, Padding: 1}
+	convIn := randTensor(0x63, 1, 4, 8, 8)
+	convW := randTensor(0x64, 4, 4, 3, 3)
+	for _, arch := range []string{"tpu", "snapea"} {
+		skipped := ffRunPair(t, arch, arch+" conv", func(acc *Accelerator) (*tensor.Tensor, *stats.Run, error) {
+			return acc.RunConv(convIn, convW, cs, "ffrigid")
+		})
+		if skipped != 0 {
+			t.Errorf("%s conv accounted %d skipped cycles without a kernel", arch, skipped)
+		}
 	}
 }
 

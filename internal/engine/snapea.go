@@ -30,71 +30,89 @@ type snapeaRunner struct {
 	hw config.Hardware
 }
 
-// snapeaFilter is one filter's sign-sorted non-zero weights plus the index
-// table locating each weight's activation.
+// snapeaFilter is one filter's non-zero weights (sign-sorted for the
+// convolutions) plus the index table locating each weight's activation.
 type snapeaFilter struct {
 	weights []float32
-	offsets []int32 // flat (c·R·S + r·S + s) offset within the window
-	negFrom int     // first index whose weight is negative
+	taps    []snapeaTap
+	negFrom int // first index whose weight is negative
 }
 
-func buildSNAPEAFilters(w *tensor.Tensor, cs tensor.ConvShape) []snapeaFilter {
-	cg := cs.C / cs.G
-	window := cg * cs.R * cs.S
+// snapeaTap is one index-table entry, decoded at "compile" time: the
+// weight's filter row and column, and the distance of its activation from
+// the window origin in the (channel-major) input.
+type snapeaTap struct{ r, s, delta int32 }
+
+// buildSNAPEAFilters gathers each filter's non-zero weights (pruned weights
+// are never mapped) with their index table. signSort applies SnaPEA's
+// compile-time reordering; without it the weights keep reference (c, r, s)
+// order.
+func buildSNAPEAFilters(w *tensor.Tensor, cs tensor.ConvShape, signSort bool) []snapeaFilter {
+	window := cs.C / cs.G * cs.R * cs.S
 	filters := make([]snapeaFilter, cs.K)
-	for k := 0; k < cs.K; k++ {
-		type wo struct {
-			v   float32
-			off int32
-		}
-		var entries []wo
-		for c := 0; c < cg; c++ {
-			for r := 0; r < cs.R; r++ {
-				for s := 0; s < cs.S; s++ {
-					v := w.At(k, c, r, s)
-					if v == 0 {
-						continue // pruned weights are never mapped
-					}
-					entries = append(entries, wo{v, int32(c*cs.R*cs.S + r*cs.S + s)})
-				}
+	for k := range filters {
+		// Filter k's (c, r, s) window is contiguous.
+		row := w.Data()[k*window : (k+1)*window]
+		nnz := 0
+		for _, v := range row {
+			if v != 0 {
+				nnz++
 			}
 		}
-		// Positives first (descending), then negatives (most negative
-		// first) — the ordering that drops the partial sum fastest once
-		// the positive mass is consumed.
-		sort.SliceStable(entries, func(a, b int) bool {
-			pa, pb := entries[a].v > 0, entries[b].v > 0
-			if pa != pb {
-				return pa
+		f := snapeaFilter{weights: make([]float32, 0, nnz), taps: make([]snapeaTap, 0, nnz)}
+		for off, v := range row {
+			if v != 0 {
+				c, r, s := off/(cs.R*cs.S), off/cs.S%cs.R, off%cs.S
+				f.weights = append(f.weights, v)
+				f.taps = append(f.taps, snapeaTap{int32(r), int32(s), int32((c*cs.X+r)*cs.Y + s)})
 			}
-			if pa {
-				return entries[a].v > entries[b].v
-			}
-			return entries[a].v < entries[b].v
-		})
-		f := snapeaFilter{negFrom: len(entries)}
-		for i, e := range entries {
-			f.weights = append(f.weights, e.v)
-			f.offsets = append(f.offsets, e.off)
-			if e.v < 0 && i < f.negFrom {
+		}
+		if signSort {
+			sort.Stable(signOrder(f))
+		}
+		f.negFrom = nnz
+		for i, v := range f.weights {
+			if v < 0 {
 				f.negFrom = i
+				break
 			}
 		}
 		filters[k] = f
-		_ = window
 	}
 	return filters
+}
+
+// signOrder sorts a filter's weights with their taps: positives first
+// (descending), then negatives (most negative first) — the ordering that
+// drops the partial sum fastest once the positive mass is consumed.
+type signOrder snapeaFilter
+
+func (f signOrder) Len() int { return len(f.weights) }
+func (f signOrder) Less(a, b int) bool {
+	pa, pb := f.weights[a] > 0, f.weights[b] > 0
+	if pa != pb {
+		return pa
+	}
+	if pa {
+		return f.weights[a] > f.weights[b]
+	}
+	return f.weights[a] < f.weights[b]
+}
+func (f signOrder) Swap(a, b int) {
+	f.weights[a], f.weights[b] = f.weights[b], f.weights[a]
+	f.taps[a], f.taps[b] = f.taps[b], f.taps[a]
 }
 
 // snapeaPE is one dot-product lane.
 type snapeaPE struct {
 	active bool
-	filter *snapeaFilter
+	filter snapeaFilter // by value: one pointer chase fewer per MAC
 	outIdx int
-	// window origin in input coordinates
-	ox, oy int
-	pos    int
-	psum   float32
+	// window origin: input row and column of filter tap (0, 0), and the
+	// flat input index of that tap in the first channel of the filter's group
+	x0, y0, base int
+	pos          int
+	psum         float32
 }
 
 // RunConv is the dense-dispatch target; without framework knowledge of
@@ -120,20 +138,62 @@ func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShap
 		return nil, nil, fmt.Errorf("engine: SNAPEA models batch-1 inference, got N=%d", cs.N)
 	}
 	ctx := sim.NewCtx(hw)
-	filters := buildSNAPEAFilters(w, cs)
+	filters := buildSNAPEAFilters(w, cs, true)
 	// The reordering table itself is read once per layer.
 	var tableElems int
 	for k := range filters {
-		tableElems += len(filters[k].offsets)
+		tableElems += len(filters[k].taps)
 	}
 	ctx.Counters.Add(names.GBMetaReads, uint64(tableElems))
 
+	out, signChecks, cuts, savedMACs := runSNAPEALanes(ctx, filters, in, cs, cut)
+	ctx.Counters.Add(names.SNAPEASignChecks, signChecks)
+	ctx.Counters.Add(names.SNAPEACuts, cuts)
+	ctx.Counters.Add(names.SNAPEASavedMACs, savedMACs)
+
+	m, n, k := cs.GEMMDims()
+	return out, ctx.Finish("CONV", layer, m, n, k), nil
+}
+
+// RunGEMM executes C = A×B on the same output-stationary dot-product
+// lanes the convolutions use, as the 1×1 convolution it is: A rows are the
+// filters (K=m, C=k), B columns the pixels (X=n, Y=1), both row-major as
+// they stand, and lane assignment order (k, ox, oy) is (i, j). The
+// sign-sorting/early-cut machinery stays off — SnaPEA applies it to
+// convolutions only — so weights keep reference k order, and this is how
+// both the SNAPEA and Baseline versions run the fully-connected layers.
+func (sr *snapeaRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
+	m, k := A.Dim(0), A.Dim(1)
+	n := B.Dim(1)
+	cs := tensor.ConvShape{N: 1, C: k, X: n, Y: 1, K: m, R: 1, S: 1, G: 1, Stride: 1}
+	w, err := A.Reshape(m, k, 1, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx := sim.NewCtx(&sr.hw)
+	out, _, _, _ := runSNAPEALanes(ctx, buildSNAPEAFilters(w, cs, false), B, cs, false)
+	C, err := out.Reshape(m, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return C, ctx.Finish("GEMM", layer, m, n, k), nil
+}
+
+// runSNAPEALanes is the lane array's cycle loop: every lane owns one output
+// neuron at a time, performs one MAC per cycle over its filter's non-zero
+// weights (in holds the activations, NCXY row-major), and picks up the next
+// neuron from the (k, ox, oy) work queue when it finishes or cuts — so the
+// makespan is the greedy schedule's. It accounts the datapath counters, the
+// bulk trace attribution and the output write-back; the early-cut counts
+// are returned for the entry that enabled cutting.
+func runSNAPEALanes(ctx *sim.Ctx, filters []snapeaFilter, in *tensor.Tensor, cs tensor.ConvShape, cut bool) (out *tensor.Tensor, signChecks, cuts, savedMACs uint64) {
 	xo, yo := cs.OutX(), cs.OutY()
-	out := tensor.New(1, cs.K, xo, yo)
+	out = tensor.New(1, cs.K, xo, yo)
 	od := out.Data()
 	ind := in.Data()
 	cg := cs.C / cs.G
 	kg := cs.K / cs.G
+	inX, inY := cs.X, cs.Y
 
 	// Work queue iterator over (k, ox, oy).
 	nextK, nextX, nextY := 0, 0, 0
@@ -158,9 +218,8 @@ func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShap
 		return k, ox, oy, true
 	}
 
-	pes := make([]snapeaPE, hw.MSSize)
-	var mults, reads, writes, signChecks, cuts, savedMACs uint64
-	inX, inY := cs.X, cs.Y
+	pes := make([]snapeaPE, ctx.HW.MSSize)
+	var mults, reads, writes uint64
 
 	activeAny := true
 	for activeAny {
@@ -173,16 +232,17 @@ func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShap
 					continue
 				}
 				pe.active = true
-				pe.filter = &filters[k]
-				pe.outIdx = (k*xo + ox) * yo
-				pe.outIdx += oy
-				pe.ox, pe.oy = ox, oy
+				pe.filter = filters[k]
+				pe.outIdx = (k*xo+ox)*yo + oy
+				pe.x0, pe.y0 = ox*cs.Stride-cs.Padding, oy*cs.Stride-cs.Padding
+				// Group-aware channel: filter k belongs to group k/kg.
+				pe.base = (k/kg*cg*inX+pe.x0)*inY + pe.y0
 				pe.pos, pe.psum = 0, 0
 				activeAny = true
 				continue // assignment cycle
 			}
 			activeAny = true
-			f := pe.filter
+			f := &pe.filter
 			if cut && pe.pos >= f.negFrom {
 				signChecks++
 				if pe.psum <= 0 {
@@ -200,18 +260,10 @@ func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShap
 				pe.active = false
 				continue
 			}
-			off := int(f.offsets[pe.pos])
-			s := off % cs.S
-			r := (off / cs.S) % cs.R
-			c := off / (cs.R * cs.S)
-			// Group-aware channel: filter k belongs to group k/kg.
-			k := pe.outIdx / (xo * yo)
-			cc := (k/kg)*cg + c
-			ix := pe.ox*cs.Stride + r - cs.Padding
-			iy := pe.oy*cs.Stride + s - cs.Padding
-			var x float32
-			if ix >= 0 && ix < inX && iy >= 0 && iy < inY {
-				x = ind[(cc*inX+ix)*inY+iy]
+			t := f.taps[pe.pos]
+			var x float32 // zero padding outside the input
+			if ix, iy := pe.x0+int(t.r), pe.y0+int(t.s); ix >= 0 && ix < inX && iy >= 0 && iy < inY {
+				x = ind[pe.base+int(t.delta)]
 			}
 			pe.psum += f.weights[pe.pos] * x
 			pe.pos++
@@ -228,106 +280,10 @@ func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShap
 	ctx.Counters.Add(names.GBReads, reads)
 	ctx.Counters.Add(names.GBWrites, writes)
 	ctx.Counters.Add(names.DNLinkTraversals, reads)
-	ctx.Counters.Add(names.SNAPEASignChecks, signChecks)
-	ctx.Counters.Add(names.SNAPEACuts, cuts)
-	ctx.Counters.Add(names.SNAPEASavedMACs, savedMACs)
 	// The lane array only advances cycles while at least one lane works, so
 	// every counted cycle is busy across all tiers (coarse bulk attribution
 	// — the lanes fuse fetch, multiply and accumulate in one step).
 	ctx.Rec.AddSpanAll(trace.Busy, ctx.Cycles)
 	ctx.DRAM.WriteBack(cs.K * xo * yo)
-
-	m, n, kk := cs.GEMMDims()
-	run := ctx.Finish("CONV", layer, m, n, kk)
-	return out, run, nil
-}
-
-// RunGEMM executes C = A×B on the same output-stationary dot-product
-// lanes the convolutions use: each lane owns one output element at a time
-// and performs one MAC per cycle over the non-zero A row entries. The
-// sign-sorting/early-cut machinery stays off — SnaPEA applies it to
-// convolutions only — so this is how both the SNAPEA and Baseline versions
-// run the fully-connected layers.
-func (sr *snapeaRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
-	ctx := sim.NewCtx(&sr.hw)
-	m, k := A.Dim(0), A.Dim(1)
-	n := B.Dim(1)
-	// Non-zero entries per row, gathered once (the weights are static).
-	type rowNZ struct {
-		idx  []int32
-		vals []float32
-	}
-	rows := make([]rowNZ, m)
-	ad := A.Data()
-	for i := 0; i < m; i++ {
-		for kk := 0; kk < k; kk++ {
-			if v := ad[i*k+kk]; v != 0 {
-				rows[i].idx = append(rows[i].idx, int32(kk))
-				rows[i].vals = append(rows[i].vals, v)
-			}
-		}
-	}
-
-	C := tensor.New(m, n)
-	cd, bd := C.Data(), B.Data()
-	lanes := sr.hw.MSSize
-
-	// Work queue over (i, j) output elements; lanes pick up the next when
-	// they finish, so the makespan is the greedy schedule's.
-	type lane struct {
-		active bool
-		i, j   int
-		pos    int
-		psum   float32
-	}
-	ls := make([]lane, lanes)
-	nextI, nextJ := 0, 0
-	more := m > 0 && n > 0
-	var mults, reads, writes uint64
-	active := true
-	for active {
-		active = false
-		for li := range ls {
-			l := &ls[li]
-			if !l.active {
-				if !more {
-					continue
-				}
-				l.active, l.i, l.j, l.pos, l.psum = true, nextI, nextJ, 0, 0
-				nextJ++
-				if nextJ == n {
-					nextJ = 0
-					nextI++
-					if nextI == m {
-						more = false
-					}
-				}
-				active = true
-				continue // assignment cycle
-			}
-			active = true
-			r := &rows[l.i]
-			if l.pos >= len(r.idx) {
-				cd[l.i*n+l.j] = l.psum
-				writes++
-				l.active = false
-				continue
-			}
-			l.psum += r.vals[l.pos] * bd[int(r.idx[l.pos])*n+l.j]
-			l.pos++
-			mults++
-			reads += 2
-		}
-		if active {
-			ctx.Cycles++
-		}
-	}
-	ctx.Counters.Add(names.MNMults, mults)
-	ctx.Counters.Add(names.RNAddersLRN, mults)
-	ctx.Counters.Add(names.GBReads, reads)
-	ctx.Counters.Add(names.GBWrites, writes)
-	ctx.Counters.Add(names.DNLinkTraversals, reads)
-	ctx.Rec.AddSpanAll(trace.Busy, ctx.Cycles) // see runSNAPEAConv
-	ctx.DRAM.WriteBack(m * n)
-	return C, ctx.Finish("GEMM", layer, m, n, k), nil
+	return out, signChecks, cuts, savedMACs
 }

@@ -66,8 +66,6 @@ type sigmaSource struct {
 	exhausted bool
 }
 
-var _ sim.Source = (*sigmaSource)(nil)
-
 func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, seed uint64) []sigmaRound {
 	nnz := make([]int, A.Rows)
 	for i := 0; i < A.Rows; i++ {
@@ -113,9 +111,9 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 // streams through the fabric.
 //
 //lint:ignore hotpathalloc work-item construction is amortized over the many cycles the round occupies the fabric
-func (s *sigmaSource) Next() (sim.WorkItem, bool) {
+func (s *sigmaSource) Next() (workItem, bool) {
 	if s.exhausted {
-		return sim.WorkItem{}, false
+		return workItem{}, false
 	}
 	r := &s.rounds[s.round]
 
@@ -125,7 +123,7 @@ func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 		// shadow register of its switch (generation-tagged), so loading
 		// pipelines behind the previous round's streaming — SIGMA's
 		// double-buffered reconfiguration.
-		item := sim.WorkItem{Prefetch: r.used}
+		item := workItem{Prefetch: r.used}
 		for _, cl := range r.clusters {
 			for p, v := range cl.vals {
 				item.Deliveries = append(item.Deliveries, dn.Delivery{
@@ -141,7 +139,7 @@ func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 
 	// Stream one column of the KN matrix: distinct non-zero k values are
 	// multicast; clusters reduce whatever members participated.
-	item := sim.WorkItem{}
+	item := workItem{}
 	seq := s.seq
 	s.seq++
 	j := s.col
@@ -171,7 +169,7 @@ func (s *sigmaSource) Next() (sim.WorkItem, bool) {
 		if expect[ci] == 0 {
 			continue // entire chunk hit zeros in this column
 		}
-		item.Jobs = append(item.Jobs, sim.JobSpec{
+		item.Jobs = append(item.Jobs, jobSpec{
 			VN: ci, Seq: seq, Expect: expect[ci],
 			OutIdx:  cl.row*s.n + j,
 			Last:    true, // each contribution exits and accumulates GB-side
@@ -229,14 +227,6 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 		return C, ctx.Finish("SpMM", layer, m, n, k), nil
 	}
 
-	f, err := newFlexRun(ctx, r.hw.MSSize, m*n, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	f.sumOut = true
-	src := &sigmaSource{rounds: rounds, B: B, n: n}
-	f.src = src
-
 	// Sparse metadata traffic: the bitmap front format reads one bit per
 	// MK element (packed into 64-bit words); CSR reads one index per
 	// non-zero plus row pointers.
@@ -246,17 +236,14 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 	case config.FmtCSR:
 		ctx.Counters.Add(names.GBMetaReads, uint64(csr.NNZ()+m+1))
 	}
-
-	ctx.InitialFill(csr.NNZ() + k*n)
-	if err := f.run(); err != nil {
-		return nil, nil, fmt.Errorf("engine: %s SpMM %s (%dx%dx%d): %w", r.hw.Name, layer, m, n, k, err)
-	}
-	ctx.DRAM.WriteBack(m * n)
-	C, err := tensor.FromSlice(f.out, m, n)
+	C, run, err := runFlex(ctx, flexOp{
+		op: "SpMM", layer: layer, m: m, n: n, k: k,
+		src: &sigmaSource{rounds: rounds, B: B, n: n}, sumOut: true,
+		fill: csr.NNZ() + k*n, outShape: []int{m, n},
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	run := ctx.Finish("SpMM", layer, m, n, k)
 	run.Counters[names.SchedRounds] = uint64(len(rounds))
 	return C, run, nil
 }
@@ -266,42 +253,24 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 // function reorders the filters, the sparse controller issues them in that
 // order).
 func (r *sparseRunner) RunConvScheduled(in, w *tensor.Tensor, cs tensor.ConvShape, layer string, pol sched.Policy) (*tensor.Tensor, *stats.Run, error) {
-	xo, yo := cs.OutX(), cs.OutY()
-	out := tensor.New(cs.N, cs.K, xo, yo)
-	kg := cs.K / cs.G
 	var agg *stats.Run
-	for g := 0; g < cs.G; g++ {
-		cols, err := tensor.Im2Col(in, cs, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		fm, err := tensor.FilterMatrix(w, cs, g)
-		if err != nil {
-			return nil, nil, err
-		}
+	out, err := lowerConv(in, w, cs, func(g int, fm, cols *tensor.Tensor) ([]float32, error) {
 		C, run, err := r.RunSpMM(fm, cols, fmt.Sprintf("%s.g%d", layer, g), &pol)
 		if err != nil {
-			return nil, nil, err
-		}
-		nc := xo * yo
-		for kf := 0; kf < kg; kf++ {
-			kk := g*kg + kf
-			for b := 0; b < cs.N; b++ {
-				for pix := 0; pix < nc; pix++ {
-					out.Set(C.At(kf, b*nc+pix), b, kk, pix/yo, pix%yo)
-				}
-			}
+			return nil, err
 		}
 		if agg == nil {
 			agg = run
-			agg.Op = "CONV"
-			agg.Layer = layer
+			agg.Op, agg.Layer = "CONV", layer
 		} else {
 			agg.Merge(run)
 		}
+		return C.Data(), nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	m, n, k := cs.GEMMDims()
-	agg.M, agg.N, agg.K = m, n, k
+	agg.M, agg.N, agg.K = cs.GEMMDims()
 	agg.RecomputeUtilization(r.hw.MSSize)
 	return out, agg, nil
 }

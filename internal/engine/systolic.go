@@ -167,9 +167,32 @@ func (s *systolicArray) runTile(A, B *tensor.Tensor, C []float32, m, n, k, mi0, 
 	}
 }
 
-// RunGEMM tiles an M×N×K GEMM over the array; tiles execute back-to-back
-// (the rigid pipeline cannot overlap tile boundaries, which is precisely
-// the behaviour the RTL validation shows).
+// sweep tiles an M×N×K GEMM over the array and returns C row-major; tiles
+// execute back-to-back (the rigid pipeline cannot overlap tile boundaries,
+// which is precisely the behaviour the RTL validation shows).
+func (s *systolicArray) sweep(A, B *tensor.Tensor) []float32 {
+	m, k := A.Dim(0), A.Dim(1)
+	n := B.Dim(1)
+	C := make([]float32, m*n)
+	p := s.p
+	// The GB working set per K panel must fit; panels larger than the
+	// buffer are split (K folding with in-C accumulation).
+	kPanel := k
+	if maxK := s.GB.CapacityElems() / (4 * p); kPanel > maxK && maxK > 0 {
+		kPanel = maxK
+	}
+	for k0 := 0; k0 < k; k0 += kPanel {
+		kw := min(kPanel, k-k0)
+		for mi0 := 0; mi0 < m; mi0 += p {
+			for nj0 := 0; nj0 < n; nj0 += p {
+				s.runTile(A, B, C, m, n, k, mi0, nj0, k0, kw)
+			}
+		}
+	}
+	return C
+}
+
+// RunGEMM runs the GEMM as one tile sweep.
 func (r *systolicRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
 	ctx := sim.NewCtx(&r.hw)
 	arr, err := newSystolicArray(ctx)
@@ -178,23 +201,8 @@ func (r *systolicRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Ten
 	}
 	m, k := A.Dim(0), A.Dim(1)
 	n := B.Dim(1)
-	C := make([]float32, m*n)
-	p := arr.p
-	// The GB working set per K panel must fit; panels larger than the
-	// buffer are split (K folding with in-C accumulation).
-	kPanel := k
-	if maxK := ctx.GB.CapacityElems() / (4 * p); kPanel > maxK && maxK > 0 {
-		kPanel = maxK
-	}
-	ctx.InitialFill(min(m*k+k*n, ctx.GB.CapacityElems()/2))
-	for k0 := 0; k0 < k; k0 += kPanel {
-		kw := min(kPanel, k-k0)
-		for mi0 := 0; mi0 < m; mi0 += p {
-			for nj0 := 0; nj0 < n; nj0 += p {
-				arr.runTile(A, B, C, m, n, k, mi0, nj0, k0, kw)
-			}
-		}
-	}
+	ctx.InitialFill(m*k + k*n)
+	C := arr.sweep(A, B)
 	ctx.DRAM.WriteBack(m * n)
 	out, err := tensor.FromSlice(C, m, n)
 	if err != nil {
@@ -204,55 +212,54 @@ func (r *systolicRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Ten
 }
 
 // RunConv lowers the convolution to GEMM with im2col — how rigid systolic
-// designs execute convolutions — and reshapes the result.
+// designs execute convolutions — one tile sweep per group.
 func (r *systolicRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer string) (*tensor.Tensor, *stats.Run, error) {
 	ctx := sim.NewCtx(&r.hw)
 	arr, err := newSystolicArray(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	xo, yo := cs.OutX(), cs.OutY()
-	out := tensor.New(cs.N, cs.K, xo, yo)
+	ctx.InitialFill(in.Len() + w.Len())
+	out, err := lowerConv(in, w, cs, func(_ int, fm, cols *tensor.Tensor) ([]float32, error) {
+		return arr.sweep(fm, cols), nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx.DRAM.WriteBack(cs.K * cs.OutX() * cs.OutY())
+	m, n, k := cs.GEMMDims()
+	return out, ctx.Finish("CONV", layer, m, n, k), nil
+}
+
+// lowerConv runs a convolution as one GEMM per group — filter matrix
+// (Kg × R·S·Cg) times im2col columns (R·S·Cg × N·X'·Y'); any CONV maps to
+// GEMM via img2col, Section IV-B — and scatters each row-major product into
+// the NKX'Y' output.
+func lowerConv(in, w *tensor.Tensor, cs tensor.ConvShape, gemm func(g int, fm, cols *tensor.Tensor) ([]float32, error)) (*tensor.Tensor, error) {
+	nc := cs.OutX() * cs.OutY()
+	out := tensor.New(cs.N, cs.K, cs.OutX(), cs.OutY())
+	od := out.Data()
 	kg := cs.K / cs.G
-	p := arr.p
-	gm, gn, gk := cs.GEMMDims()
-	ctx.InitialFill(min(in.Len()+w.Len(), ctx.GB.CapacityElems()/2))
 	for g := 0; g < cs.G; g++ {
 		cols, err := tensor.Im2Col(in, cs, g)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fm, err := tensor.FilterMatrix(w, cs, g)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		m, k := fm.Dim(0), fm.Dim(1)
-		n := cols.Dim(1)
-		C := make([]float32, m*n)
-		kPanel := k
-		if maxK := ctx.GB.CapacityElems() / (4 * p); kPanel > maxK && maxK > 0 {
-			kPanel = maxK
+		C, err := gemm(g, fm, cols)
+		if err != nil {
+			return nil, err
 		}
-		for k0 := 0; k0 < k; k0 += kPanel {
-			kw := min(kPanel, k-k0)
-			for mi0 := 0; mi0 < m; mi0 += p {
-				for nj0 := 0; nj0 < n; nj0 += p {
-					arr.runTile(fm, cols, C, m, n, k, mi0, nj0, k0, kw)
-				}
-			}
-		}
-		nc := xo * yo
 		for kf := 0; kf < kg; kf++ {
-			kk := g*kg + kf
 			for b := 0; b < cs.N; b++ {
-				for pix := 0; pix < nc; pix++ {
-					out.Set(C[kf*n+b*nc+pix], b, kk, pix/yo, pix%yo)
-				}
+				copy(od[(b*cs.K+g*kg+kf)*nc:][:nc], C[(kf*cs.N+b)*nc:])
 			}
 		}
 	}
-	ctx.DRAM.WriteBack(cs.K * xo * yo)
-	return out, ctx.Finish("CONV", layer, gm, gn, gk), nil
+	return out, nil
 }
 
 func isqrt(n int) int {

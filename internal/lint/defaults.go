@@ -2,12 +2,12 @@ package lint
 
 // DefaultExtraRoots is the repository's hot-leaf configuration for
 // hotpathalloc: per-cycle functions invoked from another package's tick
-// loop, which the structural root detection (Cycle/Next/Consume, Kernel
-// hooks) cannot see from inside their own package.
+// loop, which the structural root detection (Cycle/Next/Consume,
+// sim.Controller methods) cannot see from inside their own package.
 func DefaultExtraRoots() map[string][]string {
 	return map[string][]string{
 		// The engine controllers call these once per element / per barrier
-		// cycle from ctrlCycle and Consume.
+		// cycle from Control and Consume.
 		"repro/internal/mem": {
 			"GlobalBuffer.Read",
 			"GlobalBuffer.Write",

@@ -12,13 +12,12 @@ import (
 // package:
 //
 //   - Cycle() methods — the sim.Tickable / comp.Component tick callbacks;
-//   - Next() (T, bool) methods — sim.Source schedule generators;
-//   - Consume(T) methods — sim.Sink result consumers;
+//   - Next() (T, bool) methods — schedule generators;
+//   - Consume(T) methods — result consumers;
 //   - Lookahead() uint64 and Advance(uint64) methods — the comp.Lookahead
 //     fast-forward probes, called once per candidate skip at tick rate;
-//   - functions wired into a sim.Kernel literal's Control / Done /
-//     Progress / Err / Draining / Lookahead / Advance hooks (method values
-//     and closures);
+//   - every sim.Controller method of a type implementing that interface,
+//     except Deadlock;
 //   - extraRoots, a per-package-path list of "Type.Method" (or plain
 //     function) names for hot leaves invoked from another package's tick
 //     loop — e.g. mem.GlobalBuffer.Read, which engine controllers call per
@@ -27,12 +26,12 @@ import (
 // From those roots the analyzer walks the package-local static call graph
 // and flags allocating expressions and map indexing in every reachable
 // function. Calls that cross a package boundary are not followed (each
-// package is analyzed with its own roots); the Deadlock hook is deliberately
-// not a root — it renders once, at abort, never per tick.
+// package is analyzed with its own roots); Controller.Deadlock is
+// deliberately not a root — it renders once, at abort, never per tick.
 func HotPathAlloc(extraRoots map[string][]string) *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc: "per-tick code (Cycle/Next/Consume and sim.Kernel hooks, plus their " +
+		Doc: "per-tick code (Cycle/Next/Consume and sim.Controller methods, plus their " +
 			"package-local callees) must stay free of allocations and map lookups",
 	}
 	a.Run = func(pass *Pass) error {
@@ -49,21 +48,18 @@ func HotPathAlloc(extraRoots map[string][]string) *Analyzer {
 type hotFunc struct {
 	decl *ast.FuncDecl
 	// root holds the surface name the function was reached from, for the
-	// diagnostic ("Cycle", "Next", a Kernel hook, ...). Empty = cold.
+	// diagnostic ("Cycle", "Next", a Controller method, ...). Empty = cold.
 	root string
 }
 
 type hotPaths struct {
 	pass  *Pass
 	decls map[*types.Func]*hotFunc
-	// rootLits are hot closure bodies (Kernel hook func literals).
-	rootLits map[*ast.FuncLit]string
-	work     []*types.Func
+	work  []*types.Func
 }
 
 func (h *hotPaths) collectDecls() {
 	h.decls = make(map[*types.Func]*hotFunc)
-	h.rootLits = make(map[*ast.FuncLit]string)
 	for _, f := range h.pass.Files {
 		if h.pass.InTestFile(f.Pos()) {
 			continue
@@ -94,6 +90,7 @@ func (h *hotPaths) collectRoots(extra []string) {
 	for _, e := range extra {
 		extraSet[e] = true
 	}
+	ctrl := h.controllerIface()
 	for fn, hf := range h.decls {
 		fd := hf.decl
 		if name := qualifiedName(fd); extraSet[name] {
@@ -106,6 +103,11 @@ func (h *hotPaths) collectRoots(extra []string) {
 		if !ok {
 			continue
 		}
+		if recv := sig.Recv().Type(); ctrl != nil && fd.Name.Name != "Deadlock" &&
+			types.NewMethodSet(ctrl).Lookup(nil, fd.Name.Name) != nil &&
+			(types.Implements(recv, ctrl) || types.Implements(types.NewPointer(recv), ctrl)) {
+			h.markRoot(fn, qualifiedName(fd)+" (sim.Controller)")
+		}
 		switch fd.Name.Name {
 		case "Cycle":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 0 {
@@ -113,11 +115,11 @@ func (h *hotPaths) collectRoots(extra []string) {
 			}
 		case "Next":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 2 && isBool(sig.Results().At(1).Type()) {
-				h.markRoot(fn, qualifiedName(fd)+" (sim.Source)")
+				h.markRoot(fn, qualifiedName(fd)+" (schedule source)")
 			}
 		case "Consume":
 			if sig.Params().Len() == 1 && sig.Results().Len() == 0 {
-				h.markRoot(fn, qualifiedName(fd)+" (sim.Sink)")
+				h.markRoot(fn, qualifiedName(fd)+" (result sink)")
 			}
 		case "Lookahead":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 1 && isUint64(sig.Results().At(0).Type()) {
@@ -129,62 +131,25 @@ func (h *hotPaths) collectRoots(extra []string) {
 			}
 		}
 	}
-	// sim.Kernel hook wiring.
-	for _, f := range h.pass.Files {
-		if h.pass.InTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok || !h.isKernelLit(lit) {
-				return true
-			}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch key.Name {
-				case "Control", "Done", "Progress", "Err", "Draining", "Lookahead", "Advance":
-				default:
-					continue
-				}
-				why := "sim.Kernel." + key.Name + " hook"
-				switch v := kv.Value.(type) {
-				case *ast.FuncLit:
-					if h.rootLits[v] == "" {
-						h.rootLits[v] = why
-					}
-				default:
-					if fn := h.staticCallee(kv.Value); fn != nil {
-						h.markRoot(fn, why)
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
-func (h *hotPaths) isKernelLit(lit *ast.CompositeLit) bool {
-	tv, ok := h.pass.Info.Types[lit]
-	if !ok || tv.Type == nil {
-		return false
+// controllerIface returns the sim.Controller interface when the package
+// under analysis imports internal/sim, nil otherwise.
+func (h *hotPaths) controllerIface() *types.Interface {
+	for _, imp := range h.pass.Pkg.Imports() {
+		if imp.Path() != simPkgPath {
+			continue
+		}
+		if obj := imp.Scope().Lookup("Controller"); obj != nil {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
+		}
 	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Kernel" && obj.Pkg() != nil && obj.Pkg().Path() == simPkgPath
+	return nil
 }
 
 // staticCallee resolves an expression to a package-local declared function
-// (method value f.ctrlCycle, or plain identifier).
+// (method f.helper, or plain identifier).
 func (h *hotPaths) staticCallee(e ast.Expr) *types.Func {
 	var obj types.Object
 	switch v := e.(type) {
@@ -207,7 +172,6 @@ func (h *hotPaths) staticCallee(e ast.Expr) *types.Func {
 
 // propagate runs the BFS over package-local static calls.
 func (h *hotPaths) propagate() {
-	seenLit := make(map[*ast.FuncLit]bool)
 	visit := func(body ast.Node, root string) {
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -219,12 +183,6 @@ func (h *hotPaths) propagate() {
 			}
 			return true
 		})
-	}
-	for lit, why := range h.rootLits {
-		if !seenLit[lit] {
-			seenLit[lit] = true
-			visit(lit.Body, why)
-		}
 	}
 	for len(h.work) > 0 {
 		fn := h.work[len(h.work)-1]
@@ -240,9 +198,6 @@ func (h *hotPaths) flag() {
 		if hf.root != "" {
 			h.flagBody(hf.decl.Body, hf.root)
 		}
-	}
-	for lit, why := range h.rootLits {
-		h.flagBody(lit.Body, why)
 	}
 }
 

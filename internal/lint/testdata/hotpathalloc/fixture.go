@@ -1,6 +1,7 @@
 // Package fixture exercises the hotpathalloc analyzer: per-tick code
-// (Cycle/Next/Consume methods, sim.Kernel hooks, their package-local
-// callees and configured hot leaves) must not allocate or index maps.
+// (Cycle/Next/Consume methods, sim.Controller implementations, their
+// package-local callees and configured hot leaves) must not allocate or
+// index maps.
 package fixture
 
 import (
@@ -39,9 +40,9 @@ func (t *ticker) cold() {
 
 type source struct{ n int }
 
-func (s *source) Next() (sim.WorkItem, bool) {
+func (s *source) Next() (int, bool) {
 	_ = []int{1, 2, 3} // want `slice literal \(allocates\) on the per-tick path \(reachable from source.Next`
-	return sim.WorkItem{}, false
+	return 0, false
 }
 
 type sink struct{ out []float32 }
@@ -50,35 +51,43 @@ func (s *sink) Consume(v float32) {
 	s.out = append(s.out, v) // want `append \(may grow the backing array\) on the per-tick path \(reachable from sink.Consume`
 }
 
+// run implements sim.Controller: every method of the interface except
+// Deadlock is a per-tick root.
 type run struct {
 	state map[int]int
 	done  bool
 }
 
-// ctrl is rooted through the sim.Kernel Control hook below.
-func (r *run) ctrl() {
-	_ = r.state[3] // want `map index on the per-tick path \(reachable from sim.Kernel.Control hook\)`
+var _ sim.Controller = (*run)(nil)
+
+func (r *run) Control() {
+	_ = r.state[3] // want `map index on the per-tick path \(reachable from run.Control \(sim.Controller\)\)`
+}
+func (r *run) Done() bool      { return r.done }
+func (r *run) Progress() int   { return len(r.state) } // len on a map does not allocate: ok
+func (r *run) Waiting() uint64 { return 0 }
+func (r *run) Draining() bool  { return r.done }
+func (r *run) Err() error      { return nil }
+func (r *run) Lookahead() uint64 {
+	return r.bound()
+}
+func (r *run) Advance(uint64) {}
+
+// Deadlock renders once, at abort: formatting and map reads are fine.
+func (r *run) Deadlock(window uint64) error {
+	return fmt.Errorf("stuck for %d cycles in state %d", window, r.state[0])
 }
 
-func (r *run) kernel() *sim.Kernel {
-	return &sim.Kernel{
-		Control: r.ctrl,
-		Done:    func() bool { return r.done },
-		Progress: func() int {
-			return len(r.state) // len on a map does not allocate: ok
-		},
-		Lookahead: r.bound,
-		Advance: func(n uint64) {
-			_ = r.state[int(n)] // want `map index on the per-tick path \(reachable from sim.Kernel.Advance hook\)`
-		},
-	}
-}
-
-// bound is rooted through the sim.Kernel Lookahead hook above.
+// bound is reachable from the Controller's Lookahead through the call graph.
 func (r *run) bound() uint64 {
-	_ = r.state[1] // want `map index on the per-tick path \(reachable from sim.Kernel.Lookahead hook\)`
+	_ = r.state[1] // want `map index on the per-tick path \(reachable from run.Lookahead`
 	return 0
 }
+
+// bystander has a Control method but is no sim.Controller: not a root.
+type bystander struct{ m map[int]int }
+
+func (b *bystander) Control() { _ = b.m[0] }
 
 // probe is a structural fast-forward root: Lookahead() uint64 on a type.
 type probe struct{ pending []int }

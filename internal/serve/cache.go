@@ -61,15 +61,10 @@ func (c *Cache) SetDisk(d *DiskStore) { c.disk = d }
 // array: callers must treat it as immutable (the server only ever writes
 // it to a response).
 func (c *Cache) Get(k jobkey.Key) ([]byte, bool) {
-	c.mu.Lock()
-	el, ok := c.byKey[k]
-	if ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		body := el.Value.(*cacheEntry).body
-		c.mu.Unlock()
+	if body, ok := c.getMemory(k); ok {
 		return body, true
 	}
+	c.mu.Lock()
 	c.misses++
 	c.mu.Unlock()
 	if c.disk == nil {
@@ -85,6 +80,21 @@ func (c *Cache) Get(k jobkey.Key) ([]byte, bool) {
 	c.insert(k, body)
 	c.mu.Unlock()
 	return body, true
+}
+
+// getMemory is Get restricted to the memory tier: a hit counts and
+// refreshes recency like any other, a miss counts nothing and reads no
+// disk — so it is safe to call with another mutex held.
+func (c *Cache) getMemory(k jobkey.Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[k]
+	if !ok {
+		return nil, false
+	}
+	c.hits++
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put stores the result body for k, evicting the least-recently-used entry

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	_ "repro/internal/engine" // register the architectures
+	"repro/internal/jobkey"
 	"repro/internal/sim"
 	"repro/stonne"
 )
@@ -254,6 +255,45 @@ func TestCoalescing(t *testing.T) {
 	}
 	if cached != 3 {
 		t.Errorf("%d of 4 responses were marked cached, want 3 coalesced followers", cached)
+	}
+}
+
+// TestLeaderPublishedBetweenProbes pins the miss-path race: a request
+// misses the cache, and before it reaches the in-flight table the leader of
+// an identical job publishes its result and deletes its flight. The request
+// must be served that result warm — not lead a second cold run — and the
+// re-probe must not count a second miss.
+func TestLeaderPublishedBetweenProbes(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = jobkey.Key("published-between-probes")
+	want := []byte(`{"cycles":1}`)
+	if _, ok := s.cache.Get(key); ok { // the request's cache probe
+		t.Fatal("empty cache hit")
+	}
+	s.cache.Put(key, want) // the leader publishes; its flight is already gone
+
+	f, body, lead := s.joinOrLead(key)
+	if lead || f != nil || string(body) != string(want) {
+		t.Fatalf("joinOrLead = (flight %v, body %q, lead %v), want the published body served warm", f, body, lead)
+	}
+	st := s.Snapshot()
+	if st.Inflight != 0 || st.WarmHits != 1 || st.Coalesced != 0 {
+		t.Errorf("inflight=%d warm=%d coalesced=%d, want 0/1/0", st.Inflight, st.WarmHits, st.Coalesced)
+	}
+	if st.Cache.Hits != 1 || st.Cache.Misses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want 1 hit and the one original miss", st.Cache.Hits, st.Cache.Misses)
+	}
+
+	// With nothing published the same step leads, and counts no miss either.
+	f, body, lead = s.joinOrLead("never-published")
+	if !lead || f == nil || body != nil {
+		t.Fatalf("joinOrLead on an unknown key = (flight %v, body %q, lead %v), want to lead", f, body, lead)
+	}
+	if got := s.Snapshot().Cache.Misses; got != 1 {
+		t.Errorf("re-probe counted a miss: misses=%d, want 1", got)
 	}
 }
 

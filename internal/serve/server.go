@@ -176,8 +176,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		s.warmHits++
 		s.mu.Unlock()
-		s.warmLat.add(time.Since(began))
-		writeJSON(w, http.StatusOK, Envelope{Cached: true, Key: j.key, Result: body})
+		s.replyWarm(w, j.key, body, began)
 		return
 	}
 
@@ -194,11 +193,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Coalescing: identical jobs racing past the cache share one run.
-	s.mu.Lock()
-	if f, ok := s.inflight[j.key]; ok {
-		s.coalesced++
-		s.mu.Unlock()
+	f, body, lead := s.joinOrLead(j.key)
+	if body != nil {
+		s.replyWarm(w, j.key, body, began)
+		return
+	}
+	if !lead {
 		select {
 		case <-f.done:
 		case <-r.Context().Done():
@@ -215,9 +215,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[j.key] = f
-	s.mu.Unlock()
 
 	body, queueWait, simTime, err := s.execJob(r.Context(), j, w)
 	f.body, f.err = body, err
@@ -263,6 +260,36 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, env)
+}
+
+// joinOrLead decides, under mu, how a request that missed the cache
+// proceeds. Identical jobs racing past the cache share one run: the request
+// joins the in-flight leader when there is one (lead false, f set). When
+// there is none the leader may have published and left since this request's
+// cache probe, so the memory tier is probed once more — the leader's Put
+// inserts there before it deletes its flight, and no disk is read under mu —
+// and a hit is served warm (body set) without counting a second miss.
+// Otherwise the request registers f and leads the run.
+func (s *Server) joinOrLead(k jobkey.Key) (f *flight, body []byte, lead bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f, ok := s.inflight[k]; ok {
+		s.coalesced++
+		return f, nil, false
+	}
+	if body, ok := s.cache.getMemory(k); ok {
+		s.warmHits++
+		return nil, body, false
+	}
+	f = &flight{done: make(chan struct{})}
+	s.inflight[k] = f
+	return f, nil, true
+}
+
+// replyWarm replays cached result bytes.
+func (s *Server) replyWarm(w http.ResponseWriter, k jobkey.Key, body []byte, began time.Time) {
+	s.warmLat.add(time.Since(began))
+	writeJSON(w, http.StatusOK, Envelope{Cached: true, Key: k, Result: body})
 }
 
 // execJob takes an execution slot, runs the job, and returns the

@@ -30,20 +30,19 @@ func (f *ffTick) Advance(n uint64) { f.advanced += n }
 // wakeKernel builds a kernel whose controller certifies idleness until the
 // cycle counter reaches target — the distilled shape of a DRAM-stall wait.
 func wakeKernel(ctx *Ctx, target uint64, tk *ffTick, ctrlAdvanced *uint64) *Kernel {
-	return &Kernel{
-		Ctx:      ctx,
-		Control:  func() {},
-		Ticks:    []Tickable{tk},
-		Done:     func() bool { return ctx.Cycles >= target },
-		Progress: func() int { return 0 },
-		Err:      func() error { return nil },
-		Lookahead: func() uint64 {
+	return &Kernel{Ctx: ctx, Ticks: []Tickable{tk}, Ctrl: wakeCtrl(ctx, target, ctrlAdvanced)}
+}
+
+func wakeCtrl(ctx *Ctx, target uint64, ctrlAdvanced *uint64) *testCtrl {
+	return &testCtrl{
+		done: func() bool { return ctx.Cycles >= target },
+		lookahead: func() uint64 {
 			if ctx.Cycles >= target {
 				return 0
 			}
 			return target - ctx.Cycles
 		},
-		Advance: func(n uint64) { *ctrlAdvanced += n },
+		advance: func(n uint64) { *ctrlAdvanced += n },
 	}
 }
 
@@ -73,8 +72,9 @@ func TestKernelFastForwardTakesMinBound(t *testing.T) {
 	ctx := testCtx()
 	tk := &ffTick{bound: func() uint64 { return 7 }}
 	var advanced uint64
-	k := wakeKernel(ctx, 21, tk, &advanced)
-	k.Lookahead = func() uint64 { return Unbounded }
+	ctrl := wakeCtrl(ctx, 21, &advanced)
+	ctrl.lookahead = func() uint64 { return Unbounded }
+	k := &Kernel{Ctx: ctx, Ticks: []Tickable{tk}, Ctrl: ctrl}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,10 @@ func TestKernelWatchdogIdenticalAcrossSkip(t *testing.T) {
 		hw.Preloaded = true
 		hw.DisableFastForward = disable
 		ctx := NewCtx(&hw)
-		k := &Kernel{
-			Ctx:       ctx,
-			Control:   func() {},
-			Ticks:     []Tickable{&ffTick{}},
-			Done:      func() bool { return false },
-			Progress:  func() int { return 7 }, // constant: no progress ever
-			Err:       func() error { return nil },
-			Lookahead: func() uint64 { return Unbounded },
-			Advance:   func(uint64) {},
-		}
+		k := &Kernel{Ctx: ctx, Ticks: []Tickable{&ffTick{}}, Ctrl: &testCtrl{
+			progress:  func() int { return 7 }, // constant: no progress ever
+			lookahead: func() uint64 { return Unbounded },
+		}}
 		// Run first, then read the counter: a multi-value return would
 		// evaluate ctx.Cycles before Run executes and always yield 0.
 		err := k.Run()
@@ -137,22 +131,10 @@ func TestKernelWaitingIdenticalAcrossSkip(t *testing.T) {
 		hw.DisableFastForward = disable
 		ctx := NewCtx(&hw)
 		wait := uint64(0)
-		k := &Kernel{
-			Ctx:      ctx,
-			Control:  func() { wait++ },
-			Ticks:    []Tickable{&ffTick{}},
-			Done:     func() bool { return ctx.Cycles >= target },
-			Progress: func() int { return 0 },
-			Waiting:  func() uint64 { return wait },
-			Err:      func() error { return nil },
-			Lookahead: func() uint64 {
-				if ctx.Cycles >= target {
-					return 0
-				}
-				return target - ctx.Cycles
-			},
-			Advance: func(n uint64) { wait += n },
-		}
+		ctrl := wakeCtrl(ctx, target, &wait)
+		ctrl.control = func() { wait++ }
+		ctrl.waiting = func() uint64 { return wait }
+		k := &Kernel{Ctx: ctx, Ticks: []Tickable{&ffTick{}}, Ctrl: ctrl}
 		err := k.Run()
 		return ctx.Cycles, err
 	}
@@ -178,16 +160,11 @@ func TestKernelErrRaisedDuringAdvance(t *testing.T) {
 	boom := errors.New("advance fault")
 	var fatal error
 	tk := &ffTick{}
-	k := &Kernel{
-		Ctx:       ctx,
-		Control:   func() {},
-		Ticks:     []Tickable{tk},
-		Done:      func() bool { return false },
-		Progress:  func() int { return 0 },
-		Err:       func() error { return fatal },
-		Lookahead: func() uint64 { return 50 },
-		Advance:   func(uint64) { fatal = boom },
-	}
+	k := &Kernel{Ctx: ctx, Ticks: []Tickable{tk}, Ctrl: &testCtrl{
+		err:       func() error { return fatal },
+		lookahead: func() uint64 { return 50 },
+		advance:   func(uint64) { fatal = boom },
+	}}
 	if err := k.Run(); !errors.Is(err, boom) {
 		t.Fatalf("Run() = %v, want the advance fault", err)
 	}
@@ -209,8 +186,9 @@ func TestKernelSkippedDrainAttribution(t *testing.T) {
 	ctx := NewCtx(&hw)
 	tk := &ffTick{}
 	var advanced uint64
-	k := wakeKernel(ctx, 64, tk, &advanced)
-	k.Draining = func() bool { return true }
+	ctrl := wakeCtrl(ctx, 64, &advanced)
+	ctrl.draining = true
+	k := &Kernel{Ctx: ctx, Ticks: []Tickable{tk}, Ctrl: ctrl}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,33 +227,27 @@ func TestKernelFastForwardUntracedCounterPurity(t *testing.T) {
 	}
 }
 
-// One non-Lookahead Tickable disables fast-forward for the whole run: the
-// loop must tick every cycle even though the controller certifies idleness.
-func TestKernelFastForwardRequiresAllParticipants(t *testing.T) {
+// A Tickable that certifies nothing (Lookahead 0) is ticked every cycle even
+// though the controller and its neighbour certify idleness forever.
+func TestKernelZeroBoundForcesTicks(t *testing.T) {
 	ctx := testCtx()
 	var log []int
 	var advanced uint64
-	k := &Kernel{
-		Ctx:       ctx,
-		Control:   func() {},
-		Ticks:     []Tickable{&ffTick{}, tick{1, &log}}, // tick lacks Lookahead
-		Done:      func() bool { return ctx.Cycles >= 5 },
-		Progress:  func() int { return 0 },
-		Err:       func() error { return nil },
-		Lookahead: func() uint64 { return Unbounded },
-		Advance:   func(n uint64) { advanced += n },
-	}
+	ctrl := wakeCtrl(ctx, 5, &advanced)
+	ctrl.lookahead = func() uint64 { return Unbounded }
+	tk := &ffTick{}
+	k := &Kernel{Ctx: ctx, Ticks: []Tickable{tk, tick{1, &log}}, Ctrl: ctrl}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Cycles != 5 || len(log) != 5 || advanced != 0 {
-		t.Errorf("Cycles=%d ticks=%d advanced=%d, want a fully ticked 5-cycle run",
-			ctx.Cycles, len(log), advanced)
+	if ctx.Cycles != 5 || len(log) != 5 || tk.ticks != 5 || advanced != 0 {
+		t.Errorf("Cycles=%d ticks=%d/%d advanced=%d, want a fully ticked 5-cycle run",
+			ctx.Cycles, len(log), tk.ticks, advanced)
 	}
 }
 
 // DisableFastForward forces the ticked loop even when every participant
-// implements the capability — the -fastforward=false escape hatch.
+// certifies idleness — the -fastforward=false reference path.
 func TestKernelFastForwardDisabledByConfig(t *testing.T) {
 	hw := config.MAERILike(16, 8)
 	hw.Preloaded = true

@@ -1,109 +1,94 @@
 package sim
 
-import "fmt"
+import "repro/internal/comp"
+
+// Controller is the one seam between a pipelined composition and the cycle
+// loop that runs it: the composition's memory controller, as the kernel
+// sees it. Every method except Deadlock runs at tick rate and must neither
+// allocate nor index a map (stonnelint's hotpathalloc roots them).
+type Controller interface {
+	// Control is the controller's per-clock behaviour, run before the
+	// fabric ticks: it fires ready reductions and issues schedule items
+	// into the distribution network.
+	Control()
+	// Done reports run completion; the loop exits without a final tick.
+	Done() bool
+	// Progress returns a value that changes whenever the run moved forward
+	// (completed outputs); the watchdog resets on change.
+	Progress() int
+	// Waiting returns a value that changes while the run is stalled on a
+	// certified external event — a granted DRAM transfer whose completion
+	// time was fixed when the bank accepted it. Such a stall is forward
+	// motion toward a bounded future event, not a deadlock, so the watchdog
+	// also resets on change: on a multi-core chip a core's first prefetch
+	// can legitimately queue behind another core's entire stage in the
+	// shared banks, far longer than DeadlockWindow. A true deadlock keeps
+	// both Progress and Waiting frozen; a controller with no such state
+	// returns a constant.
+	Waiting() uint64
+	// Draining reports that the schedule source is exhausted; the cycle
+	// recorder classifies the pipeline flush that follows as drain rather
+	// than idle.
+	Draining() bool
+	// Err surfaces a fatal error. It is checked after Control and again
+	// after the fabric ticks (or the skip), so an error raised mid-cycle by
+	// a Tickable aborts the same cycle instead of leaking into the next —
+	// or being swallowed entirely when Done flips first.
+	Err() error
+	// Deadlock renders the watchdog's abort diagnostic with the run's stuck
+	// state. It runs once, at abort, never per tick.
+	Deadlock(window uint64) error
+	// Lookahead returns how many upcoming Control calls are provably no-ops
+	// apart from the closed-form bookkeeping Advance(n) replays, and 0 when
+	// the controller must actually run — the same contract the Tickables
+	// honour. It is probed first, so a busy controller should answer 0 after
+	// a few field comparisons.
+	comp.Lookahead
+}
 
 // Kernel is the canonical cycle loop every pipelined composition runs: the
-// controller acts, the fabric components tick once each in pipeline order,
-// the cycle counter advances, and a watchdog aborts the run when no
-// observable progress is made for DeadlockWindow cycles.
-//
-// The hooks keep the kernel architecture-agnostic:
-//
-//   - Control is the memory controller's per-clock behaviour, run before
-//     the fabric ticks (it fires ready reductions and issues schedule
-//     items into the distribution network).
-//   - Ticks are the fabric components, ticked in registration order —
-//     the tick ordering is the pipeline order (DN → MN → RN).
-//   - Done reports run completion; the loop exits without a final tick.
-//   - Progress returns a value that changes whenever the run moved forward
-//     (completed outputs); the watchdog resets on change.
-//   - Waiting optionally returns a value that changes while the run is
-//     stalled on a certified external event — a granted DRAM transfer whose
-//     completion time was fixed when the bank accepted it. Such a stall is
-//     forward motion toward a bounded future event, not a deadlock, so the
-//     watchdog also resets on change. On a multi-core chip a core's first
-//     prefetch can legitimately queue behind another core's entire stage in
-//     the shared banks, stalling far longer than DeadlockWindow; without
-//     this signal the watchdog would abort that run. A true deadlock keeps
-//     both Progress and Waiting frozen. Nil means the controller has no
-//     such states.
-//   - Err surfaces a fatal error; it is checked after Control and again
-//     after the fabric ticks, so an error raised mid-cycle by a Tickable
-//     aborts the same cycle instead of leaking into the next (or being
-//     swallowed entirely when Done flips first).
-//   - Draining optionally reports that the schedule source is exhausted;
-//     the cycle recorder uses it to classify end-of-run pipeline flushing
-//     as drain rather than idle. Nil means never draining.
-//   - Deadlock renders the abort diagnostic; nil falls back to a generic
-//     message.
-//   - Lookahead / Advance are the controller's fast-forward capability,
-//     mirroring the component-side Lookahead interface: Lookahead returns
-//     how many upcoming Control calls are provably no-ops apart from the
-//     closed-form bookkeeping Advance replays, and 0 when the controller
-//     must actually run. Nil disables fast-forward for the run.
+// controller acts, the fabric components tick once each in registration
+// order — the tick ordering is the pipeline order (DN → MN → RN) — the cycle
+// counter advances, and a watchdog aborts the run when nothing moved for
+// DeadlockWindow cycles.
 type Kernel struct {
-	Ctx      *Ctx
-	Control  func()
-	Ticks    []Tickable
-	Done     func() bool
-	Progress func() int
-	Waiting  func() uint64
-	Err      func() error
-	Draining func() bool
-	Deadlock func(window uint64) error
-
-	Lookahead func() uint64
-	Advance   func(n uint64)
+	Ctx   *Ctx
+	Ctrl  Controller
+	Ticks []Tickable
 }
 
 // Run executes the cycle loop to completion (or watchdog abort). When the
 // context carries a cycle recorder, every cycle is attributed per tier; a
 // nil recorder costs one pointer check per step.
 //
-// When the controller provides Lookahead/Advance and every Tickable also
-// implements the Lookahead capability, the loop fast-forwards: whenever all
-// participants report a nonzero steady-state bound, it jumps min(bounds)
-// cycles at once, replaying counters and trace attribution in closed form.
-// Fast-forward is bit-exact, not approximate — the jump is additionally
-// capped so the deadlock watchdog and the periodic progress callback fire
-// at exactly the cycles the ticked loop would have fired them, and the
-// differential tests in internal/engine pin ticked and fast-forwarded runs
-// identical in cycles, counters and breakdowns. Ctx.HW.DisableFastForward
-// forces the ticked loop as a validation escape hatch.
+// Whenever the controller and every Tickable report a nonzero Lookahead
+// bound, the loop jumps min(bounds) cycles at once, replaying counters and
+// trace attribution in closed form. Fast-forward is bit-exact, not
+// approximate — the jump is additionally capped so the deadlock watchdog
+// and the periodic progress callback fire at exactly the cycles the ticked
+// loop would have fired them, and the differential tests in internal/engine
+// pin ticked and fast-forwarded runs identical in cycles, counters and
+// breakdowns. Ctx.HW.DisableFastForward forces the ticked loop, the
+// reference path of those tests.
 func (k *Kernel) Run() error {
-	w := watch{lastProgress: k.Ctx.Cycles, lastState: -1}
-	if k.Waiting != nil {
-		w.lastWait = k.Waiting() // a pre-existing wait count is not progress
-	}
-	// Fast-forward participation is decided once per run: the controller
-	// must expose the capability, every fabric component must implement it,
-	// and the configuration must not opt out. A nil las means "always tick".
-	var las []Lookahead
-	if k.Lookahead != nil && k.Advance != nil && !k.Ctx.HW.DisableFastForward {
-		las = make([]Lookahead, 0, len(k.Ticks))
-		for _, t := range k.Ticks {
-			la, ok := t.(Lookahead)
-			if !ok {
-				las = nil
-				break
-			}
-			las = append(las, la)
-		}
-	}
-	for !k.Done() {
+	c := k.Ctrl
+	// A wait count that predates the run is not progress.
+	w := watch{lastProgress: k.Ctx.Cycles, lastState: -1, lastWait: c.Waiting()}
+	ff := !k.Ctx.HW.DisableFastForward
+	for !c.Done() {
 		var n uint64
-		if las != nil {
-			n = k.skipBound(las, w.lastProgress)
+		if ff {
+			n = k.skipBound(w.lastProgress)
 		}
 		if n > 0 {
-			k.Advance(n)
-			for _, la := range las {
-				la.Advance(n)
+			c.Advance(n)
+			for _, t := range k.Ticks {
+				t.Advance(n)
 			}
 			k.Ctx.AccountSkipped(n)
 		} else {
-			k.Control()
-			if err := k.Err(); err != nil {
+			c.Control()
+			if err := c.Err(); err != nil {
 				return err
 			}
 			for _, t := range k.Ticks {
@@ -112,7 +97,7 @@ func (k *Kernel) Run() error {
 			n = 1
 		}
 		k.Ctx.Cycles += n
-		if err := k.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if err := k.observe(&w, n); err != nil {
@@ -140,7 +125,7 @@ func (k *Kernel) observe(w *watch, n uint64) error {
 	// observe a change after a skip (the -1 sentinel); the ticked loop would
 	// have recorded it at the window's first cycle, so pin exactly that
 	// (which for a tick is the cycle just completed).
-	state := k.Progress()
+	state := k.Ctrl.Progress()
 	if state != w.lastState {
 		w.lastState = state
 		w.lastProgress = k.Ctx.Cycles - n + 1
@@ -148,23 +133,18 @@ func (k *Kernel) observe(w *watch, n uint64) error {
 	// A certified-wait skip IS watchdog progress: in the stalled steady
 	// state every ticked cycle advances the wait counter, so the ticked
 	// loop's last reset lands on the final skipped cycle — pin exactly that.
-	if k.Waiting != nil {
-		if wait := k.Waiting(); wait != w.lastWait {
-			w.lastWait = wait
-			w.lastProgress = k.Ctx.Cycles
-		}
+	if wait := k.Ctrl.Waiting(); wait != w.lastWait {
+		w.lastWait = wait
+		w.lastProgress = k.Ctx.Cycles
 	}
 	if rec := k.Ctx.Rec; rec != nil {
-		rec.TickN(n, k.Draining != nil && k.Draining())
+		rec.TickN(n, k.Ctrl.Draining())
 		if rec.ProgressDue(k.Ctx.Cycles) {
 			rec.EmitProgress(k.Ctx.Cycles, state, k.Ctx.UtilizationSoFar(), k.Ctx.SkippedSoFar())
 		}
 	}
 	if k.Ctx.Cycles-w.lastProgress > DeadlockWindow {
-		if k.Deadlock != nil {
-			return k.Deadlock(DeadlockWindow)
-		}
-		return fmt.Errorf("sim: no progress for %d cycles", uint64(DeadlockWindow))
+		return k.Ctrl.Deadlock(DeadlockWindow)
 	}
 	return nil
 }
@@ -179,17 +159,13 @@ func (k *Kernel) observe(w *watch, n uint64) error {
 //     cycle (and the post-skip check fires there, identically);
 //   - the periodic progress callback fires at every multiple of the
 //     configured period, so a skip never jumps past the next multiple.
-//
-// The controller bound is probed first: in busy states it returns 0 after a
-// few field comparisons, keeping the fast-forward probe cheap on runs that
-// never skip.
-func (k *Kernel) skipBound(las []Lookahead, lastProgress uint64) uint64 {
-	n := k.Lookahead()
+func (k *Kernel) skipBound(lastProgress uint64) uint64 {
+	n := k.Ctrl.Lookahead()
 	if n == 0 {
 		return 0
 	}
-	for _, la := range las {
-		b := la.Lookahead()
+	for _, t := range k.Ticks {
+		b := t.Lookahead()
 		if b == 0 {
 			return 0
 		}

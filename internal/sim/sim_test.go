@@ -9,13 +9,62 @@ import (
 	"repro/internal/config"
 )
 
-// tick records the order fabric components were ticked in.
+// tick records the order fabric components were ticked in; it certifies no
+// steady state, so the kernel ticks it every cycle.
 type tick struct {
 	id  int
 	log *[]int
 }
 
-func (t tick) Cycle() { *t.log = append(*t.log, t.id) }
+func (t tick) Cycle()            { *t.log = append(*t.log, t.id) }
+func (t tick) Lookahead() uint64 { return 0 }
+func (t tick) Advance(uint64)    {}
+
+// testCtrl is a scriptable Controller: every nil field answers like a
+// controller with nothing to report (never done, no progress, no wait, no
+// error, no certified steady state, a generic deadlock diagnostic).
+type testCtrl struct {
+	control   func()
+	done      func() bool
+	progress  func() int
+	waiting   func() uint64
+	draining  bool
+	err       func() error
+	deadlock  func(window uint64) error
+	lookahead func() uint64
+	advance   func(n uint64)
+}
+
+// call invokes f, or answers the zero value when the script leaves it nil.
+func call[T any](f func() T) (zero T) {
+	if f == nil {
+		return zero
+	}
+	return f()
+}
+
+func (c *testCtrl) Control() {
+	if c.control != nil {
+		c.control()
+	}
+}
+func (c *testCtrl) Done() bool        { return call(c.done) }
+func (c *testCtrl) Progress() int     { return call(c.progress) }
+func (c *testCtrl) Waiting() uint64   { return call(c.waiting) }
+func (c *testCtrl) Draining() bool    { return c.draining }
+func (c *testCtrl) Err() error        { return call(c.err) }
+func (c *testCtrl) Lookahead() uint64 { return call(c.lookahead) }
+func (c *testCtrl) Advance(n uint64) {
+	if c.advance != nil {
+		c.advance(n)
+	}
+}
+func (c *testCtrl) Deadlock(window uint64) error {
+	if c.deadlock == nil {
+		return fmt.Errorf("test: no progress for %d cycles", window)
+	}
+	return c.deadlock(window)
+}
 
 func testCtx() *Ctx {
 	hw := config.MAERILike(16, 8)
@@ -28,12 +77,13 @@ func TestKernelTickOrderAndCycleCount(t *testing.T) {
 	var log []int
 	cycles := 0
 	k := &Kernel{
-		Ctx:      ctx,
-		Control:  func() { cycles++ },
-		Ticks:    []Tickable{tick{1, &log}, tick{2, &log}, tick{3, &log}},
-		Done:     func() bool { return cycles == 4 },
-		Progress: func() int { return cycles },
-		Err:      func() error { return nil },
+		Ctx: ctx,
+		Ctrl: &testCtrl{
+			control:  func() { cycles++ },
+			done:     func() bool { return cycles == 4 },
+			progress: func() int { return cycles },
+		},
+		Ticks: []Tickable{tick{1, &log}, tick{2, &log}, tick{3, &log}},
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -55,13 +105,7 @@ func TestKernelTickOrderAndCycleCount(t *testing.T) {
 func TestKernelErrAborts(t *testing.T) {
 	ctx := testCtx()
 	boom := errors.New("controller fault")
-	k := &Kernel{
-		Ctx:      ctx,
-		Control:  func() {},
-		Done:     func() bool { return false },
-		Progress: func() int { return 0 },
-		Err:      func() error { return boom },
-	}
+	k := &Kernel{Ctx: ctx, Ctrl: &testCtrl{err: func() error { return boom }}}
 	if err := k.Run(); !errors.Is(err, boom) {
 		t.Errorf("Run() = %v, want the controller fault", err)
 	}
@@ -70,9 +114,10 @@ func TestKernelErrAborts(t *testing.T) {
 	}
 }
 
-// failingTick raises its error through the Err hook the moment it is
-// ticked — the mid-cycle fault path.
+// failingTick raises its error through the controller's Err the moment it
+// is ticked — the mid-cycle fault path.
 type failingTick struct {
+	tick
 	err  *error
 	boom error
 }
@@ -89,14 +134,14 @@ func TestKernelErrRaisedByTickableAborts(t *testing.T) {
 	var tickErr error
 	done := false
 	k := &Kernel{
-		Ctx:     ctx,
-		Control: func() {},
-		Ticks:   []Tickable{failingTick{&tickErr, boom}},
-		// Done flips after the first cycle: without the post-tick Err
-		// check the loop would exit cleanly and drop the error.
-		Done:     func() bool { d := done; done = true; return d },
-		Progress: func() int { return 0 },
-		Err:      func() error { return tickErr },
+		Ctx:   ctx,
+		Ticks: []Tickable{failingTick{err: &tickErr, boom: boom}},
+		Ctrl: &testCtrl{
+			// Done flips after the first cycle: without the post-tick Err
+			// check the loop would exit cleanly and drop the error.
+			done: func() bool { d := done; done = true; return d },
+			err:  func() error { return tickErr },
+		},
 	}
 	if err := k.Run(); !errors.Is(err, boom) {
 		t.Errorf("Run() = %v, want the fabric fault", err)
@@ -108,42 +153,34 @@ func TestKernelErrRaisedByTickableAborts(t *testing.T) {
 
 func TestKernelWatchdog(t *testing.T) {
 	ctx := testCtx()
-	k := &Kernel{
-		Ctx:      ctx,
-		Control:  func() {},
-		Done:     func() bool { return false },
-		Progress: func() int { return 7 }, // constant: no progress ever
-		Err:      func() error { return nil },
-	}
+	ctrl := &testCtrl{progress: func() int { return 7 }} // constant: no progress ever
+	k := &Kernel{Ctx: ctx, Ctrl: ctrl}
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "no progress") {
 		t.Fatalf("watchdog did not fire: %v", err)
 	}
 
-	// A custom Deadlock hook renders the diagnostic instead.
-	ctx2 := testCtx()
-	k.Ctx = ctx2
-	k.Deadlock = func(window uint64) error {
+	// The controller's Deadlock renders the diagnostic, given the window.
+	k.Ctx = testCtx()
+	ctrl.deadlock = func(window uint64) error {
 		return fmt.Errorf("custom diagnostic after %d", window)
 	}
 	err = k.Run()
 	if err == nil || err.Error() != fmt.Sprintf("custom diagnostic after %d", uint64(DeadlockWindow)) {
-		t.Fatalf("custom deadlock hook not used: %v", err)
+		t.Fatalf("controller diagnostic not used: %v", err)
 	}
 }
 
 func TestKernelWatchdogResetsOnProgress(t *testing.T) {
 	ctx := testCtx()
 	n := uint64(0)
-	k := &Kernel{
-		Ctx:     ctx,
-		Control: func() { n++ },
-		Done:    func() bool { return n > DeadlockWindow+DeadlockWindow/2 },
+	k := &Kernel{Ctx: ctx, Ctrl: &testCtrl{
+		control: func() { n++ },
+		done:    func() bool { return n > DeadlockWindow+DeadlockWindow/2 },
 		// Progress changes every DeadlockWindow/2 cycles — always inside
 		// the window, so the watchdog must never fire.
-		Progress: func() int { return int(n / (DeadlockWindow / 2)) },
-		Err:      func() error { return nil },
-	}
+		progress: func() int { return int(n / (DeadlockWindow / 2)) },
+	}}
 	if err := k.Run(); err != nil {
 		t.Fatalf("watchdog fired despite periodic progress: %v", err)
 	}
@@ -157,14 +194,11 @@ func TestKernelWaitingResetsOnWatchdog(t *testing.T) {
 	target := uint64(DeadlockWindow + DeadlockWindow/2)
 	wait := uint64(0)
 	ctx := testCtx()
-	k := &Kernel{
-		Ctx:      ctx,
-		Control:  func() { wait++ },
-		Done:     func() bool { return ctx.Cycles >= target },
-		Progress: func() int { return 0 }, // no outputs ever complete
-		Waiting:  func() uint64 { return wait },
-		Err:      func() error { return nil },
-	}
+	k := &Kernel{Ctx: ctx, Ctrl: &testCtrl{ // Progress frozen: no outputs ever complete
+		control: func() { wait++ },
+		done:    func() bool { return ctx.Cycles >= target },
+		waiting: func() uint64 { return wait },
+	}}
 	if err := k.Run(); err != nil {
 		t.Fatalf("watchdog fired during an advancing certified wait: %v", err)
 	}
@@ -173,16 +207,9 @@ func TestKernelWaitingResetsOnWatchdog(t *testing.T) {
 	}
 
 	// Same shape with the wait value frozen at a nonzero initial reading:
-	// the watchdog must fire exactly as if the hook were absent.
+	// the watchdog must fire exactly as for a controller that never waits.
 	ctx2 := testCtx()
-	k = &Kernel{
-		Ctx:      ctx2,
-		Control:  func() {},
-		Done:     func() bool { return false },
-		Progress: func() int { return 0 },
-		Waiting:  func() uint64 { return 42 },
-		Err:      func() error { return nil },
-	}
+	k = &Kernel{Ctx: ctx2, Ctrl: &testCtrl{waiting: func() uint64 { return 42 }}}
 	if err := k.Run(); err == nil || !strings.Contains(err.Error(), "no progress") {
 		t.Fatalf("frozen wait did not trip the watchdog: %v", err)
 	}

@@ -127,6 +127,18 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	return v, nil
 }
 
+// Transpose returns the transpose of a rank-2 tensor as a new tensor.
+func Transpose(t *Tensor) *Tensor {
+	r, c := t.Dim(0), t.Dim(1)
+	out := New(c, r)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			out.data[j*r+i] = t.data[i*c+j]
+		}
+	}
+	return out
+}
+
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.data {

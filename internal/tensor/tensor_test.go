@@ -57,6 +57,27 @@ func TestReshape(t *testing.T) {
 	}
 }
 
+func TestTransposeRoundTrip(t *testing.T) {
+	a := New(3, 5)
+	for i := range a.data {
+		a.data[i] = float32(i)
+	}
+	at := Transpose(a)
+	if at.Dim(0) != 5 || at.Dim(1) != 3 {
+		t.Fatalf("transpose shape %v, want [5 3]", at.Shape())
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 5; j++ {
+			if at.At(j, i) != a.At(i, j) {
+				t.Fatalf("Transpose(a)[%d,%d] = %v, want a[%d,%d] = %v", j, i, at.At(j, i), i, j, a.At(i, j))
+			}
+		}
+	}
+	if d, err := MaxAbsDiff(Transpose(at), a); err != nil || d != 0 {
+		t.Errorf("transposing twice is not the identity (diff %v, err %v)", d, err)
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	a := New(4)
 	a.Set(1, 0)

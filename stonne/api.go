@@ -230,7 +230,7 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 			return nil, nil, err2
 		}
 		// out = W × Xᵀ: run as GEMM with the weight matrix stationary.
-		gA, gB = W, transpose(X)
+		gA, gB = W, tensor.Transpose(X)
 		out, run, err = s.acc.RunGEMM(gA, gB, "linear")
 	case opDMM:
 		if s.weights == nil {
@@ -321,15 +321,4 @@ func (s *Instance) runMaxPool() (*Tensor, *Run, error) {
 		},
 	}
 	return out, run, nil
-}
-
-func transpose(t *Tensor) *Tensor {
-	r, c := t.Dim(0), t.Dim(1)
-	out := tensor.New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Set(t.At(i, j), j, i)
-		}
-	}
-	return out
 }

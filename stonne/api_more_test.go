@@ -62,7 +62,7 @@ func TestConfigureLinearFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference: Y = W·Xᵀ, i.e. got should be (out × batch).
-	want, _ := tensor.MatMul(W, transpose(X))
+	want, _ := tensor.MatMul(W, tensor.Transpose(X))
 	if d := maxRelDiff(got, want); d > 1e-3 {
 		t.Errorf("linear output differs by %g", d)
 	}

@@ -91,7 +91,7 @@ func (o *simOffloader) RunLayer(l *dnn.Layer, in, w *tensor.Tensor) (*tensor.Ten
 	case dnn.Linear:
 		// out = W(Out×In) × inᵀ(In×B), reshaped to (B, Out).
 		wt := w
-		bt := transpose(in)
+		bt := tensor.Transpose(in)
 		if inst.acc.SupportsScheduling() {
 			pol := o.opts.Policy
 			out, run, err = inst.acc.RunSpMM(wt, bt, l.Name, &pol)
@@ -99,7 +99,7 @@ func (o *simOffloader) RunLayer(l *dnn.Layer, in, w *tensor.Tensor) (*tensor.Ten
 			out, run, err = inst.acc.RunGEMM(wt, bt, l.Name)
 		}
 		if err == nil {
-			out = transpose(out)
+			out = tensor.Transpose(out)
 		}
 	case dnn.GEMM:
 		a, b, err2 := dnn.GEMMOperands(l, in)

@@ -1,51 +1,56 @@
-// Command stonnelint is the simulator's invariant checker: a multichecker
-// over the internal/lint analyzer suite. It loads the module's packages
-// (test files included by default), runs every analyzer, applies the
-// //lint:ignore suppression convention and prints surviving findings one
-// per line:
+// Command stonnelint is the simulator's invariant checker: the
+// internal/lint analyzer suite as a `go vet -vettool` unit checker. The go
+// command is its package loader — it expands the patterns, applies build
+// constraints, builds the test variants and the export data of every
+// import, and hands the tool one package per invocation as a vet.cfg file:
+//
+//	go build -o bin/stonnelint ./cmd/stonnelint
+//	go vet -vettool=bin/stonnelint ./...
+//	go vet -C bench -vettool=$PWD/bin/stonnelint ./...
+//
+// Per unit the tool runs every analyzer, applies the //lint:ignore
+// suppression convention and prints surviving findings on stderr, one per
+// line:
 //
 //	file:line:col: message (analyzer)
 //
-// Usage:
+// It exits 1 when any finding survives and 2 when the unit cannot be
+// loaded, which go vet turns into its own non-zero exit, so `make lint`
+// and CI gate on it. Test files are part of the units go vet builds and
+// are linted like the rest (individual analyzers may exempt them on
+// principle — floatcmp lets golden tests pin bit-exact floats).
 //
-//	stonnelint [-C dir] [-list] [-tests=false] [-suppressions] [patterns ...]
-//
-// Patterns default to ./... relative to the module root. The exit status
-// is 1 when any diagnostic survives, 2 on a loading or internal error —
-// the same contract as go vet, so `make lint` and CI can gate on it.
-//
-// -tests=false drops findings located in _test.go files (individual
-// analyzers may still exempt tests on principle — floatcmp, for example,
-// lets golden tests pin bit-exact floats deliberately).
-//
-// -suppressions switches to audit mode: instead of findings it lists every
-// //lint:ignore directive in the matched packages as
+// Run directly, `stonnelint -list` prints the analyzers and `stonnelint
+// -suppressions` lists every //lint:ignore directive under the current
+// directory as
 //
 //	file:line: analyzer: reason
 //
-// and exits 0, so the full set of silenced findings is reviewable (CI
-// diffs this output against the committed SUPPRESSIONS.txt allowlist — a
-// new suppression must arrive as a reviewed allowlist edit).
+// so the full set of silenced findings is reviewable (CI diffs this output
+// against the committed SUPPRESSIONS.txt allowlist — a new suppression
+// must arrive as a reviewed allowlist edit). -V=full and -flags answer the
+// two queries go vet makes of a vettool before it runs it.
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	dir := flag.String("C", ".", "module root to lint")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	tests := flag.Bool("tests", true, "report findings in _test.go files")
-	suppressions := flag.Bool("suppressions", false, "audit mode: list every //lint:ignore directive instead of running the analyzers")
+	suppressions := flag.Bool("suppressions", false, "list every //lint:ignore directive under the current directory instead of running the analyzers")
+	version := flag.String("V", "", "print the tool's version and build ID (go vet asks with -V=full)")
+	flags := flag.Bool("flags", false, "print the flags go vet may pass through, as JSON (none)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: stonnelint [-C dir] [-list] [-tests=false] [-suppressions] [patterns ...]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's invariant analyzers (default patterns: ./...).\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: go vet -vettool=$(command -v stonnelint) [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "       stonnelint -list | -suppressions\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the repository's invariant analyzers over the packages go vet loads.\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Suppress a finding with a justified directive:\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "\t//lint:ignore <analyzer> <reason>\n\n")
 		flag.PrintDefaults()
@@ -53,65 +58,70 @@ func main() {
 	flag.Parse()
 
 	analyzers := lint.DefaultAnalyzers()
-	if *list {
+	switch {
+	case *version != "":
+		// The form the go command parses for a development tool. The hash
+		// of the executable is the build ID, so the go command's vet cache
+		// is invalidated whenever the analyzers change.
+		exe, err := os.Executable()
+		check(err)
+		data, err := os.ReadFile(exe)
+		check(err)
+		fmt.Printf("stonnelint version devel sha256 buildID=%x\n", sha256.Sum256(data))
+	case *flags:
+		fmt.Println("[]")
+	case *list:
 		for _, a := range analyzers {
 			fmt.Printf("%-17s %s\n", a.Name, a.Doc)
 		}
-		return
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	loader, err := lint.NewLoader(*dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	if *suppressions {
-		for _, s := range lint.Suppressions(pkgs, analyzers) {
-			s.File = relTo(loader.Dir, s.File)
+	case *suppressions:
+		sups, err := lint.Suppressions(".", analyzers)
+		check(err)
+		for _, s := range sups {
 			fmt.Println(s)
 		}
-		return
-	}
-
-	diags, err := lint.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if !*tests {
-		kept := diags[:0]
+	case flag.NArg() == 1 && strings.HasSuffix(flag.Arg(0), ".cfg"):
+		diags, err := analyzeUnit(flag.Arg(0), analyzers)
+		check(err)
 		for _, d := range diags {
-			if !strings.HasSuffix(d.Pos.Filename, "_test.go") {
-				kept = append(kept, d)
-			}
+			fmt.Fprintln(os.Stderr, d)
 		}
-		diags = kept
-	}
-	for _, d := range diags {
-		fmt.Println(d)
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "stonnelint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+		if len(diags) > 0 {
+			os.Exit(1)
+		}
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 
-// relTo renders path relative to the module root so audit output is stable
-// across checkouts (the committed allowlist is diffed verbatim in CI).
-func relTo(root, path string) string {
-	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
+// check exits 2, the load-error status, on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	return path
+}
+
+// analyzeUnit runs the suite over the one package cfgFile describes.
+func analyzeUnit(cfgFile string, analyzers []*lint.Analyzer) ([]lint.Diagnostic, error) {
+	unit, err := lint.ReadUnit(cfgFile)
+	if err != nil {
+		return nil, err
+	}
+	// The analyzers are package-local and export no facts; the empty file
+	// is what lets the go command cache a dependency's unit.
+	if unit.VetxOutput != "" {
+		if err := os.WriteFile(unit.VetxOutput, nil, 0o666); err != nil {
+			return nil, err
+		}
+	}
+	if unit.VetxOnly {
+		return nil, nil
+	}
+	pkg, err := unit.Load()
+	if err != nil {
+		return nil, err
+	}
+	return lint.Run(pkg, analyzers)
 }

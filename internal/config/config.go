@@ -9,6 +9,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 
 	"repro/internal/comp"
@@ -311,6 +312,18 @@ func (h *Hardware) Validate() error {
 		return fmt.Errorf("config: the sparse controller requires the disabled multiplier network (got %v)", h.MN)
 	case h.Ctrl == DenseCtrl && h.DN == BenesDN:
 		return fmt.Errorf("config: the dense controller does not target the Benes network")
+	}
+	if h.Ctrl == DenseCtrl && h.DN == PointToPointDN {
+		// The systolic array: √MSSize × √MSSize PEs fed from two edges. A
+		// power of two is a perfect square iff its exponent is even.
+		exp := bits.TrailingZeros(uint(h.MSSize))
+		if exp%2 != 0 {
+			return fmt.Errorf("config: systolic array needs a square PE count, got %d", h.MSSize)
+		}
+		if edge := 2 << (exp / 2); h.DNBandwidth < edge {
+			return fmt.Errorf("config: systolic array requires full edge bandwidth (%d), configured %d",
+				edge, h.DNBandwidth)
+		}
 	}
 	return nil
 }

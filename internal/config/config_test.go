@@ -63,6 +63,21 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := hw2.Validate(); err == nil {
 		t.Error("dense controller on Benes accepted")
 	}
+	// The systolic composition (dense controller on the point-to-point DN)
+	// is a √MSSize-square array fed from two full edges.
+	starved := TPULike(128)
+	if err := starved.Validate(); err == nil {
+		t.Error("systolic array with a non-square PE count accepted")
+	}
+	starved = TPULike(256)
+	starved.DNBandwidth = 31 // one short of 2·√256
+	if err := starved.Validate(); err == nil {
+		t.Error("systolic array below full edge bandwidth accepted")
+	}
+	starved.DNBandwidth = 32
+	if err := starved.Validate(); err != nil {
+		t.Errorf("systolic array at exactly full edge bandwidth rejected: %v", err)
+	}
 }
 
 func TestFileRoundTrip(t *testing.T) {

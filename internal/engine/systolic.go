@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/comp"
 	"repro/internal/comp/names"
 	"repro/internal/config"
@@ -41,15 +39,10 @@ type systolicArray struct {
 	cMults, cAdders, cFwds, cOutputs comp.Counter
 }
 
-func newSystolicArray(ctx *sim.Ctx) (*systolicArray, error) {
+// newSystolicArray sizes the array for a configuration config.Validate
+// accepted: a square PE count with full edge bandwidth.
+func newSystolicArray(ctx *sim.Ctx) *systolicArray {
 	p := isqrt(ctx.HW.MSSize)
-	if p*p != ctx.HW.MSSize {
-		return nil, fmt.Errorf("engine: systolic array needs a square PE count, got %d", ctx.HW.MSSize)
-	}
-	if ctx.HW.DNBandwidth < 2*p {
-		return nil, fmt.Errorf("engine: systolic array requires full edge bandwidth (%d), configured %d",
-			2*p, ctx.HW.DNBandwidth)
-	}
 	n := p * p
 	return &systolicArray{
 		Ctx: ctx,
@@ -62,7 +55,7 @@ func newSystolicArray(ctx *sim.Ctx) (*systolicArray, error) {
 		cAdders:     ctx.Counters.Counter(names.RNAddersLRN),
 		cFwds:       ctx.Counters.Counter(names.MNForwards),
 		cOutputs:    ctx.Counters.Counter(names.RNOutputs),
-	}, nil
+	}
 }
 
 // runTile streams one (P rows × P cols × K) tile and scatters the partial
@@ -195,10 +188,7 @@ func (s *systolicArray) sweep(A, B *tensor.Tensor) []float32 {
 // RunGEMM runs the GEMM as one tile sweep.
 func (r *systolicRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
 	ctx := sim.NewCtx(&r.hw)
-	arr, err := newSystolicArray(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
+	arr := newSystolicArray(ctx)
 	m, k := A.Dim(0), A.Dim(1)
 	n := B.Dim(1)
 	ctx.InitialFill(m*k + k*n)
@@ -215,10 +205,7 @@ func (r *systolicRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Ten
 // designs execute convolutions — one tile sweep per group.
 func (r *systolicRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer string) (*tensor.Tensor, *stats.Run, error) {
 	ctx := sim.NewCtx(&r.hw)
-	arr, err := newSystolicArray(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
+	arr := newSystolicArray(ctx)
 	ctx.InitialFill(in.Len() + w.Len())
 	out, err := lowerConv(in, w, cs, func(_ int, fm, cols *tensor.Tensor) ([]float32, error) {
 		return arr.sweep(fm, cols), nil

@@ -1,7 +1,7 @@
 // Package lint is the simulator's custom static-analysis layer: a small
 // go/analysis-style framework (the toolchain image carries no
 // golang.org/x/tools, so the Analyzer/Pass surface is reimplemented on the
-// standard library's go/ast + go/types) plus the ten analyzers that
+// standard library's go/ast + go/types) plus the nine analyzers that
 // mechanically enforce the invariants earlier PRs established by
 // convention:
 //
@@ -11,8 +11,6 @@
 //     allocating expressions and map lookups (PR 1's hot-path contract).
 //   - floatcmp: float operands are never compared with == / != outside
 //     internal/check, which owns the tolerance model (PR 4).
-//   - registrycontract: every sim.Register call declares the
-//     architecture's NumericContract and names are unique (PR 4).
 //   - globalrand: no math/rand global-state use — randomness flows
 //     through seeded *rand.Rand so cycle counts stay reproducible.
 //   - maporder: no map iteration feeding order-sensitive accumulation,
@@ -99,46 +97,46 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// Run executes the analyzers over the loaded packages, applies
-// //lint:ignore suppression, and returns the surviving diagnostics sorted
-// by position. Malformed suppression directives are reported under the
-// "lintignore" pseudo-analyzer regardless of which analyzers run.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// knownNames is the set of names a //lint:ignore directive may target.
+func knownNames(analyzers []*Analyzer) map[string]bool {
 	known := make(map[string]bool, len(analyzers)+1)
 	known[DirectiveAnalyzerName] = true
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	return known
+}
 
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		dirs := collectDirectives(pkg, known)
-		var diags []Diagnostic
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				diags:    &diags,
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
-			}
+// Run executes the analyzers over one loaded package, applies
+// //lint:ignore suppression, and returns the surviving diagnostics sorted
+// by position. Malformed suppression directives are reported under the
+// "lintignore" pseudo-analyzer regardless of which analyzers run.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	dirs := collectDirectives(pkg, knownNames(analyzers))
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			diags:    &diags,
 		}
-		diags = append(diags, directiveDiagnostics(dirs)...)
-		all = append(all, filterSuppressed(diags, dirs)...)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Types.Path(), err)
+		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i].Pos, all[j].Pos
+	diags = filterSuppressed(append(diags, directiveDiagnostics(dirs)...), dirs)
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return all[i].Analyzer < all[j].Analyzer
+		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return all, nil
+	return diags, nil
 }

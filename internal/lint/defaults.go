@@ -76,16 +76,15 @@ func DefaultWallClockPackages() []string {
 	}
 }
 
-// DefaultAnalyzers is the stonnelint suite: the five PR 5 invariant checks
-// plus the five determinism/concurrency checks distilled from the bug
-// classes the serving layer surfaced (PRs 8–9), in the order their
-// invariants were introduced.
+// DefaultAnalyzers is the stonnelint suite: four invariant checks on the
+// simulator's own conventions plus five determinism/concurrency checks
+// distilled from the bug classes the serving layer surfaced, in the order
+// their invariants were introduced.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc(DefaultExtraRoots()),
 		CounterNames(),
 		FloatCmp(),
-		RegistryContract(),
 		GlobalRand(),
 		MapOrder(),
 		WallClock(DefaultWallClockPackages()),

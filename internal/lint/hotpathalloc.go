@@ -133,6 +133,9 @@ func (h *hotPaths) collectRoots(extra []string) {
 	}
 }
 
+// simPkgPath declares the Controller contract the kernel drives per tick.
+const simPkgPath = "repro/internal/sim"
+
 // controllerIface returns the sim.Controller interface when the package
 // under analysis imports internal/sim, nil otherwise.
 func (h *hotPaths) controllerIface() *types.Interface {

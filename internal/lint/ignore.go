@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"strconv"
 	"strings"
 )
 
@@ -118,14 +119,12 @@ func directiveDiagnostics(dirs []directive) []Diagnostic {
 			out = append(out, Diagnostic{
 				Analyzer: DirectiveAnalyzerName,
 				Pos:      d.pos,
-				Message:  "//lint:ignore names unknown analyzer " + strconvQuote(d.analyzer),
+				Message:  "//lint:ignore names unknown analyzer " + strconv.Quote(d.analyzer),
 			})
 		}
 	}
 	return out
 }
-
-func strconvQuote(s string) string { return `"` + s + `"` }
 
 // filterSuppressed drops diagnostics covered by a well-formed directive for
 // their analyzer. Directive-hygiene diagnostics are never suppressible.

@@ -8,69 +8,71 @@
 package linttest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"os"
+	"io"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/lint"
 )
 
-var (
-	loaderOnce sync.Once
-	loader     *lint.Loader
-	loaderErr  error
-)
-
-// sharedLoader builds one Loader for the whole test process (the stdlib
-// export-data table behind it is worth sharing across analyzer tests).
-func sharedLoader() (*lint.Loader, error) {
-	loaderOnce.Do(func() {
-		root, err := moduleRoot()
-		if err != nil {
-			loaderErr = err
-			return
-		}
-		loader, loaderErr = lint.NewLoader(root)
-	})
-	return loader, loaderErr
-}
-
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
+// load type-checks testdata/<fixture> through the unit loader stonnelint
+// runs under go vet. One `go list` names what go vet would put in the
+// fixture's vet.cfg: its files and the export data of everything it
+// imports (fixtures import repro/internal/sim, config and comp, so the go
+// command builds those first).
+func load(fixture string) (*lint.Package, error) {
+	cmd := exec.Command("go", "list", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,ImportMap,DepOnly,Module", "./testdata/"+fixture)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return "", err
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+	unit := &lint.Unit{PackageFile: make(map[string]string)}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			ImportMap               map[string]string
+			DepOnly                 bool
+			Module                  *struct{ GoVersion string }
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("linttest: no go.mod above %s", dir)
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("decoding go list output: %w", err)
 		}
-		dir = parent
+		if p.DepOnly {
+			unit.PackageFile[p.ImportPath] = p.Export
+			continue
+		}
+		unit.ImportPath, unit.ImportMap = p.ImportPath, p.ImportMap
+		if p.Module != nil {
+			unit.GoVersion = "go" + p.Module.GoVersion
+		}
+		for _, f := range p.GoFiles {
+			unit.GoFiles = append(unit.GoFiles, filepath.Join(p.Dir, f))
+		}
 	}
+	return unit.Load()
 }
 
 // Run loads testdata/<fixture> as a package and checks the analyzer's
 // post-suppression diagnostics against the fixture's // want comments.
 func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	t.Helper()
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join("testdata", fixture)
-	pkg, err := l.LoadDirAs(dir, "repro/internal/lint/testdata/"+fixture)
+	pkg, err := load(fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
-	diags, err := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{a})
+	diags, err := lint.Run(pkg, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,11 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string) {
 	}
 }
 
-var wantRE = regexp.MustCompile(`//\s*want([+-]\d+)?\s+(.*)$`)
+var (
+	wantRE = regexp.MustCompile(`//\s*want([+-]\d+)?\s+(.*)$`)
+	// quotedRE matches one "interpreted" or `raw` string literal.
+	quotedRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
+)
 
 // collectWants parses // want "re" ["re" ...] comments per fixture line.
 // The optional offset form `// want-1 "re"` anchors the expectation N
@@ -132,7 +138,7 @@ func collectWants(t *testing.T, pkg *lint.Package) map[string][]*regexp.Regexp {
 					line += off
 				}
 				key := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), line)
-				for _, q := range splitQuoted(m[2]) {
+				for _, q := range quotedRE.FindAllString(m[2], -1) {
 					pat, err := strconv.Unquote(q)
 					if err != nil {
 						t.Fatalf("%s: bad want pattern %s: %v", key, q, err)
@@ -147,33 +153,4 @@ func collectWants(t *testing.T, pkg *lint.Package) map[string][]*regexp.Regexp {
 		}
 	}
 	return out
-}
-
-// splitQuoted splits `"a" "b"` (or the backtick-quoted equivalent) into
-// its quoted fields.
-func splitQuoted(s string) []string {
-	var out []string
-	for {
-		s = strings.TrimSpace(s)
-		if len(s) == 0 || (s[0] != '"' && s[0] != '`') {
-			return out
-		}
-		quote := s[0]
-		end := 1
-		for end < len(s) {
-			if quote == '"' && s[end] == '\\' {
-				end += 2
-				continue
-			}
-			if s[end] == quote {
-				break
-			}
-			end++
-		}
-		if end >= len(s) {
-			return out
-		}
-		out = append(out, s[:end+1])
-		s = s[end+1:]
-	}
 }

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -12,7 +14,7 @@ import (
 // so the audit surfaces them instead of hiding them — though the regular
 // lint run already fails on them via the lintignore pseudo-analyzer.
 type Suppression struct {
-	File     string // absolute path; callers typically relativize
+	File     string // as walked: root joined with the path below it
 	Line     int
 	Analyzer string
 	Reason   string
@@ -32,40 +34,38 @@ func (s Suppression) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", s.File, s.Line, an, reason)
 }
 
-// Suppressions lists every //lint:ignore directive across the loaded
-// packages, sorted by position, so the set of silenced findings is
-// reviewable in one place (and diffable against a committed allowlist in
-// CI — a new suppression then shows up in review as an allowlist edit,
-// with its reason, instead of disappearing into the code).
-func Suppressions(pkgs []*Package, analyzers []*Analyzer) []Suppression {
-	known := make(map[string]bool, len(analyzers)+1)
-	known[DirectiveAnalyzerName] = true
-	for _, a := range analyzers {
-		known[a.Name] = true
+// Suppressions lists every //lint:ignore directive in the Go files under
+// root, sorted by position, so the set of silenced findings is reviewable
+// in one place (and diffable against a committed allowlist in CI — a new
+// suppression then shows up in review as an allowlist edit, with its
+// reason, instead of disappearing into the code). Directives are comments,
+// so the files are parsed and never type-checked; testdata, dot and
+// underscore directories below root are skipped, as the go command skips
+// them.
+func Suppressions(root string, analyzers []*Analyzer) ([]Suppression, error) {
+	filenames, err := goFilesUnder(root, nil)
+	if err != nil {
+		return nil, fmt.Errorf("lint: %w", err)
 	}
-	seen := make(map[string]bool)
+	pkg, err := parseFiles(filenames)
+	if err != nil {
+		return nil, err
+	}
 	var out []Suppression
-	for _, pkg := range pkgs {
-		for _, d := range collectDirectives(pkg, known) {
-			id := fmt.Sprintf("%s:%d", d.pos.Filename, d.pos.Line)
-			if seen[id] {
-				continue // a file shared between package variants
-			}
-			seen[id] = true
-			s := Suppression{
-				File:     d.pos.Filename,
-				Line:     d.pos.Line,
-				Analyzer: d.analyzer,
-				Reason:   d.reason,
-			}
-			switch {
-			case d.malformed:
-				s.Note = "malformed"
-			case d.unknownAn:
-				s.Note = "unknown analyzer"
-			}
-			out = append(out, s)
+	for _, d := range collectDirectives(pkg, knownNames(analyzers)) {
+		s := Suppression{
+			File:     filepath.ToSlash(d.pos.Filename),
+			Line:     d.pos.Line,
+			Analyzer: d.analyzer,
+			Reason:   d.reason,
 		}
+		switch {
+		case d.malformed:
+			s.Note = "malformed"
+		case d.unknownAn:
+			s.Note = "unknown analyzer"
+		}
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
@@ -73,5 +73,27 @@ func Suppressions(pkgs []*Package, analyzers []*Analyzer) []Suppression {
 		}
 		return out[i].Line < out[j].Line
 	})
-	return out
+	return out, nil
+}
+
+// goFilesUnder appends the .go files of dir and its subdirectories.
+func goFilesUnder(dir string, files []string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range ents {
+		name := e.Name()
+		switch {
+		case !e.IsDir():
+			if strings.HasSuffix(name, ".go") {
+				files = append(files, filepath.Join(dir, name))
+			}
+		case name != "testdata" && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_"):
+			if files, err = goFilesUnder(filepath.Join(dir, name), files); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return files, nil
 }

@@ -66,6 +66,9 @@ const (
 	maxBatch   = 1024
 	maxStreams = 256
 	maxCores   = 64
+	// maxJobBytes bounds a POST /jobs body: about 1000x the largest legal
+	// request (a full hardware description plus a conv shape and a tile).
+	maxJobBytes = 1 << 20
 
 	// Defaults when the request names a preset without a fabric size: small
 	// enough that an interactive curl answers in milliseconds.
@@ -92,13 +95,9 @@ func resolve(req Request) (*job, error) {
 	j.req.Op = strings.ToLower(strings.TrimSpace(req.Op))
 
 	var hw config.Hardware
-	switch {
-	case req.HW != nil:
+	if req.HW != nil {
 		hw = *req.HW
-		if err := hw.Validate(); err != nil {
-			return nil, fmt.Errorf("hw: %w", err)
-		}
-	default:
+	} else {
 		name := req.Arch
 		if name == "" {
 			name = "maeri"
@@ -115,6 +114,11 @@ func resolve(req Request) (*job, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	// A preset at an impossible fabric size is as much a bad request as a
+	// bad explicit description: reject it here, before it takes a slot.
+	if err := hw.Validate(); err != nil {
+		return nil, fmt.Errorf("hw: %w", err)
 	}
 	// The service is the paper's user-interface mode: operands are
 	// generated from the seed and start preloaded in the Global Buffer.

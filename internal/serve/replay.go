@@ -52,17 +52,7 @@ type ReplayReport struct {
 	Speed      float64 `json:"speed"`
 	DurationMs float64 `json:"duration_ms"`
 
-	Requests  int     `json:"requests"`
-	Completed int     `json:"completed"`
-	Warm      int     `json:"warm"`
-	Cold      int     `json:"cold"`
-	Rejected  int     `json:"rejected"`
-	Failed    int     `json:"failed"`
-	WarmRate  float64 `json:"warm_rate"`
-
-	Latency   stats.LatencySummary `json:"latency"`
-	QueueWait stats.LatencySummary `json:"queue_wait"`
-	SimTime   stats.LatencySummary `json:"sim_time"`
+	ReplaySummary
 
 	Digest    string           `json:"digest"`
 	Scenarios []ScenarioReport `json:"scenarios"`
@@ -71,7 +61,15 @@ type ReplayReport struct {
 // ScenarioReport is one scenario's slice of the replay, same conventions
 // as the top-level report.
 type ScenarioReport struct {
-	Name      string  `json:"name"`
+	Name string `json:"name"`
+	ReplaySummary
+	Digest string `json:"digest"`
+}
+
+// ReplaySummary is what a report says about one scope — the whole replay
+// or one scenario: outcome counts, the warm share of completed requests,
+// and the latency split. Embedded, so its fields marshal in place.
+type ReplaySummary struct {
 	Requests  int     `json:"requests"`
 	Completed int     `json:"completed"`
 	Warm      int     `json:"warm"`
@@ -83,8 +81,6 @@ type ScenarioReport struct {
 	Latency   stats.LatencySummary `json:"latency"`
 	QueueWait stats.LatencySummary `json:"queue_wait"`
 	SimTime   stats.LatencySummary `json:"sim_time"`
-
-	Digest string `json:"digest"`
 }
 
 // outcome is one request's observed result.
@@ -193,8 +189,6 @@ type tally struct {
 	latency, queue, sim                    []time.Duration
 }
 
-func newTally() *tally { return &tally{} }
-
 func (t *tally) add(idx int, o outcome) {
 	t.requests++
 	switch {
@@ -234,28 +228,33 @@ func digestOutcomes(outs []outcome, indices []int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (t *tally) fill(req *int, completed *int, warm, cold, rejected, failed *int, rate *float64,
-	lat, queue, sim *stats.LatencySummary) {
-	*req = t.requests
-	*completed = t.warm + t.cold
-	*warm, *cold, *rejected, *failed = t.warm, t.cold, t.rejected, t.failed
-	if done := t.warm + t.cold; done > 0 {
-		*rate = float64(t.warm) / float64(done)
+func (t *tally) summary() ReplaySummary {
+	sum := ReplaySummary{
+		Requests:  t.requests,
+		Completed: t.warm + t.cold,
+		Warm:      t.warm,
+		Cold:      t.cold,
+		Rejected:  t.rejected,
+		Failed:    t.failed,
+		Latency:   stats.SummarizeLatencies(t.latency),
+		QueueWait: stats.SummarizeLatencies(t.queue),
+		SimTime:   stats.SummarizeLatencies(t.sim),
 	}
-	*lat = stats.SummarizeLatencies(t.latency)
-	*queue = stats.SummarizeLatencies(t.queue)
-	*sim = stats.SummarizeLatencies(t.sim)
+	if sum.Completed > 0 {
+		sum.WarmRate = float64(t.warm) / float64(sum.Completed)
+	}
+	return sum
 }
 
 func buildReport(tr *Trace, seed uint64, speed float64, wall time.Duration, outs []outcome) *ReplayReport {
-	total := newTally()
+	total := &tally{}
 	perScenario := map[string]*tally{}
 	perIndices := map[string][]int{}
 	for i, o := range outs {
 		total.add(i, o)
 		sc := perScenario[o.scenario]
 		if sc == nil {
-			sc = newTally()
+			sc = &tally{}
 			perScenario[o.scenario] = sc
 		}
 		sc.add(i, o)
@@ -266,21 +265,21 @@ func buildReport(tr *Trace, seed uint64, speed float64, wall time.Duration, outs
 		Seed:       seed,
 		Speed:      speed,
 		DurationMs: float64(wall) / float64(time.Millisecond),
-		Digest:     digestOutcomes(outs, seqIndices(len(outs))),
+
+		ReplaySummary: total.summary(),
+		Digest:        digestOutcomes(outs, seqIndices(len(outs))),
 	}
-	total.fill(&rep.Requests, &rep.Completed, &rep.Warm, &rep.Cold, &rep.Rejected, &rep.Failed,
-		&rep.WarmRate, &rep.Latency, &rep.QueueWait, &rep.SimTime)
 	names := make([]string, 0, len(perScenario))
 	for name := range perScenario {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sc := perScenario[name]
-		s := ScenarioReport{Name: name, Digest: digestOutcomes(outs, perIndices[name])}
-		sc.fill(&s.Requests, &s.Completed, &s.Warm, &s.Cold, &s.Rejected, &s.Failed,
-			&s.WarmRate, &s.Latency, &s.QueueWait, &s.SimTime)
-		rep.Scenarios = append(rep.Scenarios, s)
+		rep.Scenarios = append(rep.Scenarios, ScenarioReport{
+			Name:          name,
+			ReplaySummary: perScenario[name].summary(),
+			Digest:        digestOutcomes(outs, perIndices[name]),
+		})
 	}
 	return rep
 }

@@ -368,3 +368,25 @@ func TestReplayEndpoint(t *testing.T) {
 		t.Errorf("GET /replay: status %d, want 405", resp2.StatusCode)
 	}
 }
+
+// TestReplayReportWireFormat pins the report's JSON — field names and
+// order — to the bytes the report marshalled to when ReplayReport and
+// ScenarioReport each spelled the summary fields out: the embedded
+// ReplaySummary must stay invisible on the wire (stonnetrace -json and
+// POST /replay consumers parse it).
+func TestReplayReportWireFormat(t *testing.T) {
+	outs := []outcome{
+		{scenario: "steady", status: http.StatusOK, latency: 4 * time.Millisecond, queueMs: 1, simMs: 2.5, result: []byte(`{"total_cycles":9}`)},
+		{scenario: "steady", status: http.StatusOK, cached: true, latency: time.Millisecond, result: []byte(`{"total_cycles":9}`)},
+		{scenario: "burst", status: http.StatusTooManyRequests, latency: time.Millisecond},
+		{scenario: "burst", latency: 2 * time.Millisecond},
+	}
+	got, err := json.Marshal(buildReport(&Trace{Name: "fixed"}, 7, 2, 10*time.Millisecond, outs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"trace":"fixed","seed":7,"speed":2,"duration_ms":10,"requests":4,"completed":2,"warm":1,"cold":1,"rejected":1,"failed":1,"warm_rate":0.5,"latency":{"count":2,"min_ms":1,"mean_ms":2.5,"p50_ms":1,"p90_ms":4,"p99_ms":4,"max_ms":4},"queue_wait":{"count":2,"min_ms":0,"mean_ms":0.5,"p50_ms":0,"p90_ms":1,"p99_ms":1,"max_ms":1},"sim_time":{"count":2,"min_ms":0,"mean_ms":1.25,"p50_ms":0,"p90_ms":2.5,"p99_ms":2.5,"max_ms":2.5},"digest":"f4eb2ebdf38f5128b87acd499cd07f11e51cb0d240b26a4668b20ecfaae955b3","scenarios":[{"name":"burst","requests":2,"completed":0,"warm":0,"cold":0,"rejected":1,"failed":1,"warm_rate":0,"latency":{"count":0,"min_ms":0,"mean_ms":0,"p50_ms":0,"p90_ms":0,"p99_ms":0,"max_ms":0},"queue_wait":{"count":0,"min_ms":0,"mean_ms":0,"p50_ms":0,"p90_ms":0,"p99_ms":0,"max_ms":0},"sim_time":{"count":0,"min_ms":0,"mean_ms":0,"p50_ms":0,"p90_ms":0,"p99_ms":0,"max_ms":0},"digest":"7a192d793a0c81fc1a1ed8bca72d0ef749c65fa965588f08cadb11498b4287ab"},{"name":"steady","requests":2,"completed":2,"warm":1,"cold":1,"rejected":0,"failed":0,"warm_rate":0.5,"latency":{"count":2,"min_ms":1,"mean_ms":2.5,"p50_ms":1,"p90_ms":4,"p99_ms":4,"max_ms":4},"queue_wait":{"count":2,"min_ms":0,"mean_ms":0.5,"p50_ms":0,"p90_ms":1,"p99_ms":1,"max_ms":1},"sim_time":{"count":2,"min_ms":0,"mean_ms":1.25,"p50_ms":0,"p90_ms":2.5,"p99_ms":2.5,"max_ms":2.5},"digest":"af9c201adaa3cc0ca5a8d0588a095c5b75b4e36b11bc1a3cc102a938a705c420"}]}`
+	if string(got) != want {
+		t.Errorf("report wire format changed:\n got %s\nwant %s", got, want)
+	}
+}

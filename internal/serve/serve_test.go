@@ -301,7 +301,7 @@ func TestLeaderPublishedBetweenProbes(t *testing.T) {
 // fields, unknown arch and over-limit batch all fail fast with an error
 // body instead of reaching the simulator.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	for name, body := range map[string]string{
 		"unknown op":    `{"op":"matmul","m":8,"n":8,"k":8}`,
 		"no dims":       `{"op":"gemm","arch":"maeri"}`,
@@ -312,6 +312,13 @@ func TestBadRequests(t *testing.T) {
 		"bad policy":    `{"op":"spmm","arch":"sigma","m":8,"n":8,"k":8,"policy":"FIFO"}`,
 		"conv no shape": `{"op":"conv","arch":"maeri"}`,
 		"bad model":     `{"op":"model","arch":"maeri","model":"ZZZ"}`,
+		// A preset at an impossible fabric size is the client's mistake, not
+		// a failed run: no slot taken, nothing counted as failed.
+		"preset ms not 2^k": `{"op":"gemm","arch":"maeri","ms":100,"m":8,"n":8,"k":8}`,
+		"tpu ms not square": `{"op":"gemm","arch":"tpu","ms":128,"m":8,"n":8,"k":8}`,
+		"trailing garbage":  `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8} trailing garbage`,
+		"second json value": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8}{"op":"x"}`,
+		"body over the cap": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"policy":"` + strings.Repeat("x", maxJobBytes) + `"}`,
 	} {
 		resp, raw := postJob(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -324,6 +331,9 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
 			t.Errorf("%s: no error body: %s", name, raw)
 		}
+	}
+	if st := s.Snapshot(); st.Failed != 0 || st.ColdRuns != 0 {
+		t.Errorf("bad requests reached the simulator: failed=%d cold_runs=%d, want 0/0", st.Failed, st.ColdRuns)
 	}
 }
 

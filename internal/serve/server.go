@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -157,11 +158,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a job description"})
 		return
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeJSON(w, http.StatusBadRequest, errorBody{"request body has data after the job description"})
 		return
 	}
 	j, err := resolve(req)

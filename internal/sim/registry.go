@@ -68,9 +68,11 @@ var registry = struct {
 
 // Register adds an architecture to the registry. It panics on a duplicate
 // name or an incomplete entry — registration happens in package init, where
-// a panic is a build-time bug, not a runtime condition.
+// a panic is a build-time bug, not a runtime condition. An undeclared
+// (zero) NumericContract is incomplete: the differential check harness
+// refuses to guess an architecture's numeric tolerance.
 func Register(a Arch) {
-	if a.Name == "" || a.Matches == nil || a.Build == nil || a.Preset == nil {
+	if a.Name == "" || a.Matches == nil || a.Build == nil || a.Preset == nil || a.Contract == (NumericContract{}) {
 		panic(fmt.Sprintf("sim: incomplete architecture registration %+v", a))
 	}
 	registry.Lock()

@@ -232,10 +232,11 @@ func TestRegisterValidation(t *testing.T) {
 		Register(a)
 	}
 	full := Arch{
-		Name:    "sim-test-dup",
-		Matches: func(config.Hardware) bool { return false },
-		Preset:  func(ms, bw int) config.Hardware { return config.Hardware{} },
-		Build:   func(config.Hardware) (Runner, error) { return nil, nil },
+		Name:     "sim-test-dup",
+		Matches:  func(config.Hardware) bool { return false },
+		Preset:   func(ms, bw int) config.Hardware { return config.Hardware{} },
+		Build:    func(config.Hardware) (Runner, error) { return nil, nil },
+		Contract: NumericContract{ExactSum: true},
 	}
 	Register(full)
 	expectPanic("duplicate name", full)
@@ -243,6 +244,10 @@ func TestRegisterValidation(t *testing.T) {
 	incomplete.Name = "sim-test-nobuild"
 	incomplete.Build = nil
 	expectPanic("missing builder", incomplete)
+	incomplete = full
+	incomplete.Name = "sim-test-nocontract"
+	incomplete.Contract = NumericContract{}
+	expectPanic("missing numeric contract", incomplete)
 
 	if _, ok := Lookup("sim-test-dup"); !ok {
 		t.Error("registered architecture not found by Lookup")

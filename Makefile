@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check checksweep fuzz fuzz-smoke
+.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check loc checksweep fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,11 @@ lint-suppressions:
 # fmt-check fails if any file needs gofmt (prints the offenders).
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# loc prints the size figure the simplicity PRs report in CHANGES.md:
+# lines of non-test Go outside bench/ and the lint fixtures.
+loc:
+	@git ls-files '*.go' ':!bench' ':!*_test.go' ':!*/testdata/*' | xargs wc -l | tail -1
 
 test:
 	$(GO) test ./...

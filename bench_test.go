@@ -98,15 +98,13 @@ func BenchmarkAblationRN(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		rn   config.RNType
-		acc  bool
 	}{
-		{"ART+ACC", config.ARTAccRN, true},
-		{"ART", config.ARTRN, false},
+		{"ART+ACC", config.ARTAccRN},
+		{"ART", config.ARTRN},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			hw := config.MAERILike(128, 64)
 			hw.RN = cfg.rn
-			hw.AccumulationBuffer = cfg.acc
 			hw.Preloaded = true
 			acc, err := engine.New(hw)
 			if err != nil {

@@ -9,6 +9,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 
@@ -170,11 +171,10 @@ type DRAM struct {
 	BandwidthGBs float64
 	// Modules is the number of HBM modules.
 	Modules int
-	// SizeMB is the capacity per module.
-	SizeMB int
-	// RowHitLatency / RowMissLatency in cycles.
-	RowHitLatency, RowMissLatency int
-	// RowBytes is the open-row size used for hit/miss modelling.
+	// RowMissLatency is the row-activation cost in cycles.
+	RowMissLatency int
+	// RowBytes is the open-row size: a transfer activates one row per
+	// RowBytes streamed.
 	RowBytes int
 }
 
@@ -212,8 +212,6 @@ type Hardware struct {
 	// FIFODepth is the depth of the operand FIFOs at the multiplier
 	// switches; it bounds how far delivery can run ahead of compute.
 	FIFODepth int
-	// AccumulationBuffer enables the ART+ACC accumulators.
-	AccumulationBuffer bool
 
 	// SparseFormat selects bitmap or CSR for the sparse controller.
 	SparseFormat SparseFmt
@@ -221,7 +219,9 @@ type Hardware struct {
 	// BytesPerElement of the data type (1 for the paper's FP8 use cases).
 	BytesPerElement int
 
-	// ClockGHz is used only to convert cycles to seconds in reports.
+	// ClockGHz is the accelerator clock. Runs are counted in cycles, so its
+	// one effect is the DRAM rate: elements per cycle is the module
+	// bandwidth divided by it.
 	ClockGHz float64
 
 	// Preloaded marks the STONNE-user-interface mode in which operands are
@@ -292,6 +292,9 @@ type MemPortSource interface {
 }
 
 // Validate reports a descriptive error for an inconsistent configuration.
+// It is the one place hardware validity is checked: every value a model
+// divides by (internal/mem's rate and row arithmetic included) is refused
+// here, so constructors below it take a validated description on trust.
 func (h *Hardware) Validate() error {
 	switch {
 	case h.MSSize <= 0:
@@ -308,6 +311,17 @@ func (h *Hardware) Validate() error {
 		return fmt.Errorf("config: FIFODepth must be positive, got %d", h.FIFODepth)
 	case h.BytesPerElement <= 0:
 		return fmt.Errorf("config: BytesPerElement must be positive, got %d", h.BytesPerElement)
+	case !positiveFinite(h.ClockGHz):
+		return fmt.Errorf("config: ClockGHz must be positive and finite, got %g", h.ClockGHz)
+	case !positiveFinite(h.DRAM.BandwidthGBs):
+		return fmt.Errorf("config: DRAM.BandwidthGBs must be positive and finite, got %g", h.DRAM.BandwidthGBs)
+	case h.DRAM.Modules <= 0:
+		return fmt.Errorf("config: DRAM.Modules must be positive, got %d", h.DRAM.Modules)
+	case h.DRAM.RowBytes < h.BytesPerElement:
+		return fmt.Errorf("config: DRAM.RowBytes must hold at least one element (%d B), got %d",
+			h.BytesPerElement, h.DRAM.RowBytes)
+	case h.DRAM.RowMissLatency < 0:
+		return fmt.Errorf("config: DRAM.RowMissLatency must not be negative, got %d", h.DRAM.RowMissLatency)
 	case h.Ctrl == SparseCtrl && h.MN != DisabledMN:
 		return fmt.Errorf("config: the sparse controller requires the disabled multiplier network (got %v)", h.MN)
 	case h.Ctrl == DenseCtrl && h.DN == BenesDN:
@@ -328,14 +342,15 @@ func (h *Hardware) Validate() error {
 	return nil
 }
 
-// defaultDRAM mirrors the paper's use-case system: two 256 GB/s, 512 MB
-// HBM2 modules.
+// positiveFinite reports x > 0 with NaN and +Inf refused.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// defaultDRAM mirrors the paper's use-case system: two 256 GB/s HBM2
+// modules.
 func defaultDRAM() DRAM {
 	return DRAM{
 		BandwidthGBs:   256,
 		Modules:        2,
-		SizeMB:         512,
-		RowHitLatency:  14,
 		RowMissLatency: 38,
 		RowBytes:       2048,
 	}
@@ -376,7 +391,6 @@ func MAERILike(ms, bandwidth int) Hardware {
 	h.DN = TreeDN
 	h.MN = LinearMN
 	h.RN = ARTAccRN
-	h.AccumulationBuffer = true
 	h.Ctrl = DenseCtrl
 	h.Dataflow = WeightStationary
 	h.DNBandwidth = bandwidth

@@ -1,7 +1,10 @@
 package config
 
 import (
+	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -35,20 +38,42 @@ func TestTableIVCompositions(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfigs(t *testing.T) {
-	cases := []func(*Hardware){
-		func(h *Hardware) { h.MSSize = 0 },
-		func(h *Hardware) { h.MSSize = 100 }, // not a power of two
-		func(h *Hardware) { h.DNBandwidth = 0 },
-		func(h *Hardware) { h.RNBandwidth = -1 },
-		func(h *Hardware) { h.GBSizeKB = 0 },
-		func(h *Hardware) { h.FIFODepth = 0 },
-		func(h *Hardware) { h.BytesPerElement = 0 },
+	// Each row breaks one field; the error must name it. The DRAM and clock
+	// rows are every value internal/mem divides by: Validate is their only
+	// check, so a description that passes it can never make the memory model
+	// divide by zero or charge NaN/Inf cycles.
+	cases := []struct {
+		field  string
+		mutate func(*Hardware)
+	}{
+		{"MSSize", func(h *Hardware) { *h = Hardware{} }},
+		{"MSSize", func(h *Hardware) { h.MSSize = 0 }},
+		{"MSSize", func(h *Hardware) { h.MSSize = 100 }}, // not a power of two
+		{"DNBandwidth", func(h *Hardware) { h.DNBandwidth = 0 }},
+		{"RNBandwidth", func(h *Hardware) { h.RNBandwidth = -1 }},
+		{"GBSizeKB", func(h *Hardware) { h.GBSizeKB = 0 }},
+		{"FIFODepth", func(h *Hardware) { h.FIFODepth = 0 }},
+		{"BytesPerElement", func(h *Hardware) { h.BytesPerElement = 0 }},
+		{"ClockGHz", func(h *Hardware) { h.ClockGHz = 0 }},
+		{"ClockGHz", func(h *Hardware) { h.ClockGHz = -1 }},
+		{"ClockGHz", func(h *Hardware) { h.ClockGHz = math.NaN() }},
+		{"ClockGHz", func(h *Hardware) { h.ClockGHz = math.Inf(1) }},
+		{"DRAM.BandwidthGBs", func(h *Hardware) { h.DRAM.BandwidthGBs = 0 }},
+		{"DRAM.BandwidthGBs", func(h *Hardware) { h.DRAM.BandwidthGBs = math.NaN() }},
+		{"DRAM.BandwidthGBs", func(h *Hardware) { h.DRAM.BandwidthGBs = math.Inf(1) }},
+		{"DRAM.Modules", func(h *Hardware) { h.DRAM.Modules = 0 }},
+		{"DRAM.Modules", func(h *Hardware) { h.DRAM.Modules = -2 }},
+		{"DRAM.RowBytes", func(h *Hardware) { h.DRAM.RowBytes = 0 }},
+		{"DRAM.RowBytes", func(h *Hardware) { h.BytesPerElement, h.DRAM.RowBytes = 4, 3 }}, // row smaller than an element
+		{"DRAM.RowMissLatency", func(h *Hardware) { h.DRAM.RowMissLatency = -1 }},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		hw := MAERILike(128, 32)
-		mutate(&hw)
+		tc.mutate(&hw)
 		if err := hw.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+			t.Errorf("case %d: invalid %s accepted", i, tc.field)
+		} else if !strings.Contains(err.Error(), "config: "+tc.field+" ") {
+			t.Errorf("case %d: error %q does not name %s", i, err, tc.field)
 		}
 	}
 	// Controller/fabric compatibility (Section IV-B: "the configured
@@ -96,6 +121,55 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.cfg")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestReadFileAcceptsRetiredKeys pins that hardware files outlive the
+// fields they name: ReadFile is lenient by design (the strict decoder is the
+// service's wire format), so a file WriteFile produced while
+// AccumulationBuffer, DRAM.SizeMB and DRAM.RowHitLatency still existed —
+// none of which any model ever read — loads as the same accelerator.
+func TestReadFileAcceptsRetiredKeys(t *testing.T) {
+	const written = `{
+  "Name": "MAERI-like",
+  "MSSize": 64,
+  "DN": 0,
+  "MN": 0,
+  "RN": 1,
+  "Ctrl": 0,
+  "Dataflow": 1,
+  "ForceDataflow": false,
+  "DNBandwidth": 16,
+  "RNBandwidth": 16,
+  "GBSizeKB": 108,
+  "FIFODepth": 4,
+  "AccumulationBuffer": true,
+  "SparseFormat": 0,
+  "BytesPerElement": 1,
+  "ClockGHz": 1,
+  "Preloaded": true,
+  "DisableFastForward": false,
+  "DRAM": {
+    "BandwidthGBs": 256,
+    "Modules": 2,
+    "SizeMB": 512,
+    "RowHitLatency": 14,
+    "RowMissLatency": 38,
+    "RowBytes": 2048
+  }
+}`
+	path := filepath.Join(t.TempDir(), "old.cfg")
+	if err := os.WriteFile(path, []byte(written), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MAERILike(64, 16)
+	want.Preloaded = true
+	if got != want {
+		t.Errorf("old file loaded as\n %+v\nwant %+v", got, want)
 	}
 }
 

@@ -108,12 +108,6 @@ func (a *Accelerator) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.P
 	return sr.RunSpMM(A, B, layer, policy)
 }
 
-// RunSpMMScheduled is RunSpMM with an explicit policy value (convenience
-// for the scheduling study).
-func (a *Accelerator) RunSpMMScheduled(A, B *tensor.Tensor, layer string, policy sched.Policy) (*tensor.Tensor, *stats.Run, error) {
-	return a.RunSpMM(A, B, layer, &policy)
-}
-
 // RunConvScheduled runs a convolution on the sparse controller with an
 // explicit filter-scheduling policy (use case 3: the prior-simulation
 // function reorders the filters, the sparse controller issues them in that

@@ -149,6 +149,13 @@ func TestGoldenVectors(t *testing.T) {
 	if strings.Contains(canon, "Trace") || strings.Contains(canon, "SharedMem") {
 		t.Errorf("canonical encoding leaks runtime-only fields:\n%s", canon)
 	}
+	// Every hashed hardware value must be one a model reads: a field nothing
+	// reads gives byte-identical results two content addresses. 21 is the
+	// count after AccumulationBuffer, DRAM.SizeMB and DRAM.RowHitLatency —
+	// which had no reader — were deleted; a new field must earn its line.
+	if n := strings.Count(canon, "job.HW."); n != 21 {
+		t.Errorf("canonical encoding has %d job.HW.* lines, want 21:\n%s", n, canon)
+	}
 	// Lines must come out sorted within each struct: a stable order is what
 	// makes the encoding independent of declaration/request field order.
 	lines := strings.Split(strings.TrimSpace(canon), "\n")

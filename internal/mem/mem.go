@@ -12,7 +12,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -26,7 +25,6 @@ import (
 type GlobalBuffer struct {
 	sizeBytes    int
 	bytesPerElem int
-	counters     *comp.Counters
 
 	// Pre-resolved handles: Read/Write run in per-element inner loops.
 	cReads, cWrites comp.Counter
@@ -37,7 +35,6 @@ func NewGlobalBuffer(h *config.Hardware, c *comp.Counters) *GlobalBuffer {
 	return &GlobalBuffer{
 		sizeBytes:    h.GBSizeKB * 1024,
 		bytesPerElem: h.BytesPerElement,
-		counters:     c,
 		cReads:       c.Counter(names.GBReads),
 		cWrites:      c.Counter(names.GBWrites),
 	}
@@ -65,95 +62,33 @@ func (g *GlobalBuffer) CheckTileFit(elems int) error {
 // DRAM models the off-chip memory modules with double-buffered prefetch:
 // while tile t computes, tile t+1's operands stream in. The accelerator
 // stalls only when a tile's compute time is shorter than its successor's
-// fetch time.
+// fetch time. It is the run-private port: nothing else shares the modules,
+// so a transfer is issued the moment it is asked for.
 type DRAM struct {
-	elemsPerCycle   float64 // aggregate deliverable elements per core cycle
-	rowElems        int
-	rowHit, rowMiss int
-	counters        *comp.Counters
-
-	cReads, cRowActs, cStallEvents, cWrites comp.Counter
-
-	// prefetchReady is the cycle at which the currently prefetching tile
-	// completes.
-	prefetchReady float64
+	timing
+	window
 }
 
-// NewDRAM derives per-cycle element bandwidth from the configured modules
-// and clock.
+// NewDRAM builds the private model of the configured modules.
 func NewDRAM(h *config.Hardware, c *comp.Counters) *DRAM {
-	bytesPerSec := h.DRAM.BandwidthGBs * 1e9 * float64(h.DRAM.Modules)
-	cyclesPerSec := h.ClockGHz * 1e9
-	bytesPerCycle := bytesPerSec / cyclesPerSec
-	return &DRAM{
-		elemsPerCycle: bytesPerCycle / float64(h.BytesPerElement),
-		rowElems:      h.DRAM.RowBytes / h.BytesPerElement,
-		rowHit:        h.DRAM.RowHitLatency,
-		rowMiss:       h.DRAM.RowMissLatency,
-		counters:      c,
-		cReads:        c.Counter(names.DRAMReads),
-		cRowActs:      c.Counter(names.DRAMRowActivations),
-		cStallEvents:  c.Counter(names.DRAMStallEvents),
-		cWrites:       c.Counter(names.DRAMWrites),
-	}
+	d := &DRAM{timing: newTiming(h)}
+	d.bind(c)
+	return d
 }
 
-// FetchCycles returns the cycles needed to stream n elements, including the
-// amortized row activations of the banked model.
+// FetchCycles returns the cycles needed to stream n elements — a blocking
+// fetch that leaves the prefetch window untouched.
 func (d *DRAM) FetchCycles(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	stream := float64(n) / d.elemsPerCycle
-	rows := 1 + n/d.rowElems
-	overhead := float64(rows*d.rowMiss) * 0.1 // banking hides most activations
-	d.cReads.Add(uint64(n))
-	d.cRowActs.Add(uint64(rows))
-	return stream + overhead
+	d.charge(n, d.rows(n))
+	return d.cost(n)
 }
 
 // BeginPrefetch records that a tile of n elements starts streaming at
-// cycle `now`; it returns nothing — StallCycles later reports how long the
-// consumer must wait for it.
+// cycle `now`, or behind the prefetch still in flight; it returns nothing —
+// StallCycles later reports how long the consumer must wait for it.
 func (d *DRAM) BeginPrefetch(now float64, n int) {
-	start := now
-	if d.prefetchReady > start {
-		start = d.prefetchReady
-	}
-	d.prefetchReady = start + d.FetchCycles(n)
-}
-
-// StallCycles reports how many cycles past `now` the in-flight prefetch
-// still needs — zero when double buffering fully hid the transfer.
-func (d *DRAM) StallCycles(now float64) float64 {
-	if d.prefetchReady <= now {
-		return 0
-	}
-	d.cStallEvents.Add(1)
-	return d.prefetchReady - now
-}
-
-// StallLookahead is the side-effect-free fast-forward probe behind
-// StallCycles: it returns how many whole controller cycles from `now`
-// (inclusive) the in-flight prefetch still blocks the consumer — i.e. the
-// count of consecutive cycles at which StallCycles would report a stall.
-// The first unblocked cycle is the smallest integer ≥ prefetchReady, so the
-// bound is ceil(prefetchReady) − now. Unlike StallCycles it counts no stall
-// event; AdvanceStall replays those for the skipped cycles.
-func (d *DRAM) StallLookahead(now uint64) uint64 {
-	if d.prefetchReady <= float64(now) {
-		return 0
-	}
-	return uint64(math.Ceil(d.prefetchReady)) - now
-}
-
-// AdvanceStall replays the bookkeeping of n skipped stalled cycles: the
-// ticked loop probes StallCycles once per controller cycle while blocked,
-// counting one stall event each time.
-func (d *DRAM) AdvanceStall(n uint64) { d.cStallEvents.Add(n) }
-
-// WriteBack accounts n output elements leaving for DRAM; writes are
-// buffered and overlap compute, so they cost bandwidth but no stall.
-func (d *DRAM) WriteBack(n int) {
-	d.cWrites.Add(uint64(n))
+	d.prefetchReady = max(now, d.prefetchReady) + d.FetchCycles(n)
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/comp"
@@ -9,22 +10,46 @@ import (
 	"repro/internal/config"
 )
 
+// sweepHW returns the preset plus a seeded sweep of valid DRAM descriptions
+// (bandwidth, modules, clock, row size, element size, row-miss latency):
+// the private and the shared port are one model for all of them, not only
+// where the preset's round numbers hide a rounding difference.
+func sweepHW() []*config.Hardware {
+	rng := rand.New(rand.NewSource(15))
+	out := []*config.Hardware{testHW()}
+	for i := 0; i < 64; i++ {
+		h := testHW()
+		h.BytesPerElement = 1 << rng.Intn(3)
+		h.ClockGHz = 0.1 + 3*rng.Float64()
+		h.DRAM.BandwidthGBs = 0.05 + 500*rng.Float64()
+		h.DRAM.Modules = 1 + rng.Intn(8)
+		h.DRAM.RowBytes = h.BytesPerElement * (1 + rng.Intn(4096))
+		h.DRAM.RowMissLatency = rng.Intn(100)
+		if err := h.Validate(); err != nil {
+			panic(err)
+		}
+		out = append(out, h)
+	}
+	return out
+}
+
 // TestSharedUncontendedMatchesPrivate pins the parity-critical shape of
 // the shared model: a transfer on an idle shared system costs exactly what
 // the private DRAM model charges for the same element count.
 func TestSharedUncontendedMatchesPrivate(t *testing.T) {
-	hw := testHW()
-	for _, n := range []int{1, 100, 4096, 100_000} {
-		priv := NewDRAM(hw, comp.NewCounters())
-		want := priv.FetchCycles(n)
+	for _, hw := range sweepHW() {
+		for _, n := range []int{1, 100, 4096, 100_000} {
+			priv := NewDRAM(hw, comp.NewCounters())
+			want := priv.FetchCycles(n)
 
-		s := mustShared(t, hw, 0, 0)
-		start, completion := s.Serve(0, n)
-		if start != 0 {
-			t.Errorf("n=%d: idle system delayed the grant to %g", n, start)
-		}
-		if got := completion - start; math.Abs(got-want) > 1e-9 {
-			t.Errorf("n=%d: shared uncontended cost %g, private cost %g", n, got, want)
+			s := mustShared(t, hw, 0, 0)
+			start, completion := s.Serve(0, n)
+			if start != 0 {
+				t.Errorf("%+v n=%d: idle system delayed the grant to %g", hw.DRAM, n, start)
+			}
+			if got := completion - start; got != want {
+				t.Errorf("%+v n=%d: shared uncontended cost %g, private cost %g", hw.DRAM, n, got, want)
+			}
 		}
 	}
 }
@@ -72,32 +97,56 @@ func TestSharedLinkBandwidthKnob(t *testing.T) {
 }
 
 // TestCorePortMirrorsPrivateCounters pins the Port contract on an idle
-// system: a core port's blocking fetch accounts the same dram.* counters
-// and returns the same duration as a private DRAM.
+// system: driven through the whole method set at whole-cycle times, a core
+// port returns the same values and accounts the same dram.* counters as a
+// private DRAM, bit for bit; the icn.* counters are all it adds.
 func TestCorePortMirrorsPrivateCounters(t *testing.T) {
-	hw := testHW()
-	const n = 50_000
+	for _, hw := range sweepHW() {
+		pc, cc := comp.NewCounters(), comp.NewCounters()
+		var priv Port = NewDRAM(hw, pc)
+		port := NewCorePort(mustShared(t, hw, 0, 0), 0).Port(cc)
 
-	pc := comp.NewCounters()
-	priv := NewDRAM(hw, pc)
-	wantDur := priv.FetchCycles(n)
-
-	s := mustShared(t, hw, 0, 0)
-	cc := comp.NewCounters()
-	port := NewCorePort(s, 0).Port(cc)
-	if got := port.FetchCycles(n); math.Abs(got-wantDur) > 1e-9 {
-		t.Errorf("idle core-port fetch %g cycles, private %g", got, wantDur)
-	}
-	for _, key := range []string{names.DRAMReads, names.DRAMRowActivations} {
-		if got, want := cc.Get(key), pc.Get(key); got != want {
-			t.Errorf("%s = %d on the core port, %d on the private model", key, got, want)
+		// same runs one step on both ports and compares what it returns.
+		same := func(what string, step func(Port) float64) float64 {
+			t.Helper()
+			want, got := step(priv), step(port)
+			if got != want {
+				t.Errorf("%+v %s: core port %v, private %v", hw.DRAM, what, got, want)
+			}
+			return want
 		}
-	}
-	if cc.Get(names.ICNRequests) != 1 {
-		t.Errorf("icn.requests = %d, want 1", cc.Get(names.ICNRequests))
-	}
-	if cc.Get(names.ICNWaitCycles) != 0 {
-		t.Errorf("idle fetch recorded %d wait cycles", cc.Get(names.ICNWaitCycles))
+		stalled := func(now uint64) uint64 {
+			return uint64(same("StallLookahead", func(p Port) float64 { return float64(p.StallLookahead(now)) }))
+		}
+		fill := same("FetchCycles", func(p Port) float64 { return p.FetchCycles(50_000) })
+		same("FetchCycles(0)", func(p Port) float64 { return p.FetchCycles(0) })
+		now := uint64(math.Ceil(fill)) // the op's clock starts once the fill has landed
+		for _, n := range []int{20_000, 1, 300_000} {
+			// Three prefetches issued together queue behind one another.
+			same("BeginPrefetch", func(p Port) float64 { p.BeginPrefetch(float64(now), n); return 0 })
+			same("StallCycles", func(p Port) float64 { return p.StallCycles(float64(now)) })
+		}
+		skip := stalled(now)
+		same("AdvanceStall", func(p Port) float64 { p.AdvanceStall(skip); return 0 })
+		now += skip
+		same("StallCycles at the bound", func(p Port) float64 { return p.StallCycles(float64(now)) })
+		now += 1000 // compute ran ahead: the next prefetch starts on an idle port
+		same("BeginPrefetch", func(p Port) float64 { p.BeginPrefetch(float64(now), 7_000); return 0 })
+		same("StallCycles", func(p Port) float64 { return p.StallCycles(float64(now + 1)) })
+		stalled(now + 1)
+		same("WriteBack", func(p Port) float64 { p.WriteBack(4096); return 0 })
+
+		for _, key := range []string{names.DRAMReads, names.DRAMRowActivations, names.DRAMStallEvents, names.DRAMWrites} {
+			if got, want := cc.Get(key), pc.Get(key); got != want || want == 0 {
+				t.Errorf("%+v %s = %d on the core port, %d on the private model", hw.DRAM, key, got, want)
+			}
+		}
+		if got := cc.Get(names.ICNRequests); got != 5 {
+			t.Errorf("%+v icn.requests = %d, want 5", hw.DRAM, got)
+		}
+		if got := cc.Get(names.ICNWaitCycles); got != 0 {
+			t.Errorf("%+v idle port recorded %d wait cycles", hw.DRAM, got)
+		}
 	}
 }
 
@@ -167,43 +216,14 @@ func mustShared(t *testing.T, hw *config.Hardware, banks int, linkGBs float64) *
 	return s
 }
 
-// TestNewSharedDRAMRejectsDegenerateHardware pins the construction-time
-// validation: a zeroed (or partially zeroed) hardware description must be
-// rejected with a descriptive error instead of building a model that later
-// divides by zero or charges NaN/Inf cycle costs in Serve.
-func TestNewSharedDRAMRejectsDegenerateHardware(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*config.Hardware)
-	}{
-		{"zero value", func(h *config.Hardware) { *h = config.Hardware{} }},
-		{"zero clock", func(h *config.Hardware) { h.ClockGHz = 0 }},
-		{"negative clock", func(h *config.Hardware) { h.ClockGHz = -1 }},
-		{"zero bytes per element", func(h *config.Hardware) { h.BytesPerElement = 0 }},
-		{"row smaller than element", func(h *config.Hardware) { h.DRAM.RowBytes = 0 }},
-		{"negative row miss", func(h *config.Hardware) { h.DRAM.RowMissLatency = -1 }},
-		{"zero bandwidth", func(h *config.Hardware) { h.DRAM.BandwidthGBs = 0 }},
-		{"zero modules", func(h *config.Hardware) { h.DRAM.Modules = 0 }},
-		{"negative modules", func(h *config.Hardware) { h.DRAM.Modules = -2 }},
-	}
-	for _, tc := range cases {
-		hw := testHW()
-		tc.mutate(hw)
-		if s, err := NewSharedDRAM(hw, 0, 0); err == nil {
-			// Prove the rejected configuration would have been poisonous:
-			// serve one transfer and look for the NaN/Inf it would yield.
-			_, completion := s.Serve(0, 100)
-			t.Errorf("%s: NewSharedDRAM accepted the configuration (a transfer completes at %g)",
-				tc.name, completion)
+// TestSharedLinkMustBeFinite pins the one input NewSharedDRAM owns: the
+// link override is not a hardware field, so config.Hardware.Validate — the
+// owner of everything else the model divides by — never sees it.
+func TestSharedLinkMustBeFinite(t *testing.T) {
+	for _, link := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewSharedDRAM(testHW(), 0, link); err == nil {
+			t.Errorf("link override %g GB/s accepted", link)
 		}
-	}
-
-	// An explicit link override sidesteps the configured bandwidth, so a
-	// zero-bandwidth DRAM block with a positive override is still valid.
-	hw := testHW()
-	hw.DRAM.BandwidthGBs = 0
-	if _, err := NewSharedDRAM(hw, 0, 64); err != nil {
-		t.Errorf("explicit link override rejected: %v", err)
 	}
 }
 

@@ -20,14 +20,13 @@ const DefaultBanks = 8
 // per-beat traffic — and adds exactly one new effect: transfers from
 // different cores contend.
 //
-// A transfer costs what the private model's FetchCycles charges — stream
-// time at the link rate plus row-activation overhead — and occupies the
-// granted bank for that whole duration; transfers on different banks
-// overlap fully, the banked-DRAM shape (HBM pseudo-channels). An
-// uncontended transfer therefore costs exactly what the private model
-// charges, aggregate chip bandwidth scales with the bank count, and
-// contention appears as queueing when in-flight transfers outnumber banks
-// (or collide on one under round-robin).
+// A transfer's duration is the one timing value both models are built on,
+// so an uncontended transfer costs exactly what the private model charges.
+// It occupies the granted bank for that whole duration; transfers on
+// different banks overlap fully, the banked-DRAM shape (HBM
+// pseudo-channels): aggregate chip bandwidth scales with the bank count,
+// and contention appears as queueing when in-flight transfers outnumber
+// banks (or collide on one under round-robin).
 //
 // A transfer's completion time is fixed at Serve time and never
 // retroactively changed — later arrivals only ever queue behind earlier
@@ -39,50 +38,30 @@ const DefaultBanks = 8
 // sequentially in deterministic event order, which is also what makes
 // N-core runs bit-identical across repeats.
 type SharedDRAM struct {
-	elemsPerCycle float64
-	rowElems      int
-	rowMiss       int
+	timing
 
 	bankFree []float64 // chip cycle each bank is next free
 	next     int       // round-robin bank grant cursor
 }
 
 // NewSharedDRAM builds the shared memory system from the chip's DRAM
-// parameters. banks <= 0 uses DefaultBanks; linkGBs <= 0 derives the link
-// bandwidth from the configuration's modules, matching what a private
-// DRAM would deliver. The derived per-cycle rates divide by several
-// hardware fields, so a zero or negative field is rejected here with a
-// descriptive error instead of silently yielding NaN/Inf cycle costs (or
-// a divide-by-zero panic) deep inside Serve.
+// parameters, which must have passed config.Hardware.Validate. banks <= 0
+// uses DefaultBanks; linkGBs <= 0 keeps the configured modules, matching
+// what a private DRAM would deliver, and a positive linkGBs replaces them
+// with one link of that bandwidth.
 func NewSharedDRAM(h *config.Hardware, banks int, linkGBs float64) (*SharedDRAM, error) {
 	if banks <= 0 {
 		banks = DefaultBanks
 	}
-	switch {
-	case !(h.ClockGHz > 0): // also catches NaN
-		return nil, fmt.Errorf("mem: shared DRAM needs ClockGHz > 0, got %g", h.ClockGHz)
-	case h.BytesPerElement <= 0:
-		return nil, fmt.Errorf("mem: shared DRAM needs BytesPerElement > 0, got %d", h.BytesPerElement)
-	case h.DRAM.RowBytes < h.BytesPerElement:
-		return nil, fmt.Errorf("mem: shared DRAM needs DRAM.RowBytes >= BytesPerElement, got %d < %d",
-			h.DRAM.RowBytes, h.BytesPerElement)
-	case h.DRAM.RowMissLatency < 0:
-		return nil, fmt.Errorf("mem: shared DRAM needs DRAM.RowMissLatency >= 0, got %d", h.DRAM.RowMissLatency)
+	if math.IsNaN(linkGBs) || math.IsInf(linkGBs, 1) {
+		return nil, fmt.Errorf("mem: shared DRAM link bandwidth must be finite, got %g GB/s", linkGBs)
 	}
-	if linkGBs <= 0 {
-		linkGBs = h.DRAM.BandwidthGBs * float64(h.DRAM.Modules)
+	if linkGBs > 0 {
+		link := *h
+		link.DRAM.BandwidthGBs, link.DRAM.Modules = linkGBs, 1
+		h = &link
 	}
-	if !(linkGBs > 0) {
-		return nil, fmt.Errorf("mem: shared DRAM link bandwidth must be positive, got %g GB/s (BandwidthGBs=%g Modules=%d)",
-			linkGBs, h.DRAM.BandwidthGBs, h.DRAM.Modules)
-	}
-	bytesPerCycle := linkGBs * 1e9 / (h.ClockGHz * 1e9)
-	return &SharedDRAM{
-		elemsPerCycle: bytesPerCycle / float64(h.BytesPerElement),
-		rowElems:      h.DRAM.RowBytes / h.BytesPerElement,
-		rowMiss:       h.DRAM.RowMissLatency,
-		bankFree:      make([]float64, banks),
-	}, nil
+	return &SharedDRAM{timing: newTiming(h), bankFree: make([]float64, banks)}, nil
 }
 
 // Banks returns the configured bank count.
@@ -97,9 +76,6 @@ func (s *SharedDRAM) Serve(issue float64, n int) (start, completion float64) {
 	if n <= 0 {
 		return issue, issue
 	}
-	stream := float64(n) / s.elemsPerCycle
-	rows := 1 + n/s.rowElems
-	overhead := float64(rows*s.rowMiss) * 0.1 // banking hides most activations
 	b := s.next
 	s.next++
 	if s.next == len(s.bankFree) {
@@ -109,14 +85,10 @@ func (s *SharedDRAM) Serve(issue float64, n int) (start, completion float64) {
 	if s.bankFree[b] > start {
 		start = s.bankFree[b]
 	}
-	completion = start + stream + overhead
+	completion = start + s.cost(n)
 	s.bankFree[b] = completion
 	return start, completion
 }
-
-// rowsFor is the row-activation count the private model would charge a
-// transfer of n elements (shared by CorePort accounting).
-func (s *SharedDRAM) rowsFor(n int) int { return 1 + n/s.rowElems }
 
 // CorePort is one core's view of a SharedDRAM: it implements Port (so the
 // engine compositions drive it exactly as they drive a private DRAM) and
@@ -124,14 +96,15 @@ func (s *SharedDRAM) rowsFor(n int) int { return 1 + n/s.rowElems }
 // counter set). The port owns the translation between a run's op-local
 // clock and the chip clock: StartOp pins the chip cycle at which the
 // current op's cycle zero sits, and every transfer is issued in chip time,
-// so contention with other cores lands in the op's observed stalls.
+// so contention with other cores lands in the op's observed stalls — the
+// consumer side (the embedded window) never sees the difference.
 type CorePort struct {
+	window
 	shared *SharedDRAM
 	core   int
 
-	base          float64 // chip cycle of the current op's cycle zero
-	selfReady     float64 // chip cycle the core's last transfer completes
-	prefetchReady float64 // op-local cycle the in-flight prefetch completes
+	base      float64 // chip cycle of the current op's cycle zero
+	selfReady float64 // chip cycle the core's last transfer completes
 
 	// Cumulative true busy/wait chip time and the integer cycles already
 	// emitted to the icn.* counters. Each transfer emits floor(cum)-emitted,
@@ -142,8 +115,7 @@ type CorePort struct {
 	busyAcc, waitAcc         float64
 	busyEmitted, waitEmitted uint64
 
-	cReads, cRowActs, cStallEvents, cWrites comp.Counter
-	cICNReq, cICNBusy, cICNWait             comp.Counter
+	cICNReq, cICNBusy, cICNWait comp.Counter
 }
 
 // NewCorePort builds core's port into the shared memory system.
@@ -173,11 +145,7 @@ func (p *CorePort) Port(c *comp.Counters) config.MemPort {
 	if p.selfReady > p.base {
 		p.base = p.selfReady
 	}
-	p.prefetchReady = 0
-	p.cReads = c.Counter(names.DRAMReads)
-	p.cRowActs = c.Counter(names.DRAMRowActivations)
-	p.cStallEvents = c.Counter(names.DRAMStallEvents)
-	p.cWrites = c.Counter(names.DRAMWrites)
+	p.bind(c)
 	p.cICNReq = c.Counter(names.ICNRequests)
 	p.cICNBusy = c.Counter(names.ICNBusyCycles)
 	p.cICNWait = c.Counter(names.ICNWaitCycles)
@@ -194,8 +162,7 @@ func (p *CorePort) transfer(issue float64, n int) float64 {
 	}
 	start, completion := p.shared.Serve(issue, n)
 	p.selfReady = completion
-	p.cReads.Add(uint64(n))
-	p.cRowActs.Add(uint64(p.shared.rowsFor(n)))
+	p.charge(n, p.shared.rows(n))
 	p.cICNReq.Add(1)
 	p.busyAcc += completion - start
 	p.waitAcc += start - issue
@@ -223,44 +190,12 @@ func (p *CorePort) FetchCycles(n int) float64 {
 
 // BeginPrefetch starts a double-buffered transfer of n elements at
 // op-local cycle `now`, mirroring the private model's serialization of
-// successive prefetches and adding shared-link/bank contention on top.
+// successive prefetches and adding shared-link/bank contention on top; the
+// contention is folded into prefetchReady, so the window reports it as
+// ordinary stall.
 func (p *CorePort) BeginPrefetch(now float64, n int) {
-	start := now
-	if p.prefetchReady > start {
-		start = p.prefetchReady
-	}
-	p.prefetchReady = p.transfer(p.base+start, n) - p.base
+	p.prefetchReady = p.transfer(p.base+max(now, p.prefetchReady), n) - p.base
 }
-
-// StallCycles reports how many op-local cycles past `now` the in-flight
-// prefetch still needs, counting one stall event per probe — identical in
-// shape to the private model; the contention is already folded into
-// prefetchReady.
-func (p *CorePort) StallCycles(now float64) float64 {
-	if p.prefetchReady <= now {
-		return 0
-	}
-	p.cStallEvents.Add(1)
-	return p.prefetchReady - now
-}
-
-// StallLookahead is the side-effect-free fast-forward probe: the bound is
-// exact because the transfer's completion was fixed when it was granted —
-// later traffic from other cores can only queue behind it, never push it.
-// A core therefore skips at most to its next interconnect event.
-func (p *CorePort) StallLookahead(now uint64) uint64 {
-	if p.prefetchReady <= float64(now) {
-		return 0
-	}
-	return uint64(math.Ceil(p.prefetchReady)) - now
-}
-
-// AdvanceStall replays the bookkeeping of n skipped stalled cycles.
-func (p *CorePort) AdvanceStall(n uint64) { p.cStallEvents.Add(n) }
-
-// WriteBack accounts n output elements leaving for DRAM; as in the
-// private model, writes are buffered and overlap compute.
-func (p *CorePort) WriteBack(n int) { p.cWrites.Add(uint64(n)) }
 
 // Handoff streams n activation elements through the shared system at chip
 // cycle `now` — the producer-to-consumer transfer of a cross-core stage

@@ -90,12 +90,6 @@ func NewArray(n, fifoDepth int, forwarding bool, c *comp.Counters) *Array {
 // Name implements comp.Component.
 func (a *Array) Name() string { return a.name }
 
-// Size returns the number of multiplier switches.
-func (a *Array) Size() int { return a.n }
-
-// Forwarding reports whether the array has inter-switch forwarding links.
-func (a *Array) Forwarding() bool { return a.forwarding }
-
 // ConfigureVNs assigns switches to virtual neurons. Each inner slice lists
 // the member switch indices of one VN. Reconfiguration happens between
 // tiles, mirroring the signals the paper's Configuration Unit drives.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	_ "repro/internal/engine" // register the architectures
 	"repro/internal/jobkey"
 	"repro/internal/sim"
@@ -258,6 +259,47 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestPanickingJobDoesNotPoisonItsKey pins panic containment: a run that
+// panics answers 500 with the panic value (no stack), counts as failed, and
+// settles its flight, so the next identical request runs fresh instead of
+// coalescing onto a leader that will never finish.
+func TestPanickingJobDoesNotPoisonItsKey(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+		if calls.Add(1) == 1 {
+			panic("integer divide by zero")
+		}
+		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp, raw := postJob(t, ts, gemmBody)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking job: status %d (%s), want 500", resp.StatusCode, raw)
+	}
+	if !bytes.Contains(raw, []byte("integer divide by zero")) || bytes.Contains(raw, []byte("goroutine")) {
+		t.Errorf("panicking job: body %s, want the panic value and no stack", raw)
+	}
+	if st := s.Snapshot(); st.Inflight != 0 || st.Failed != 1 {
+		t.Errorf("after the panic: inflight=%d failed=%d, want 0/1", st.Inflight, st.Failed)
+	}
+
+	resp, raw = postJob(t, ts, gemmBody) // hangs on the dead flight without the fix
+	var env Envelope
+	if err := json.Unmarshal(raw, &env); err != nil || resp.StatusCode != http.StatusOK || env.Cached {
+		t.Fatalf("identical job after the panic: status %d cached=%v (%s), want a fresh 200", resp.StatusCode, env.Cached, raw)
+	}
+	if st := s.Snapshot(); st.Inflight != 0 || st.Failed != 1 || st.ColdRuns != 1 || st.Coalesced != 0 {
+		t.Errorf("after the rerun: inflight=%d failed=%d cold=%d coalesced=%d, want 0/1/1/0",
+			st.Inflight, st.Failed, st.ColdRuns, st.Coalesced)
+	}
+}
+
 // TestLeaderPublishedBetweenProbes pins the miss-path race: a request
 // misses the cache, and before it reaches the in-flight table the leader of
 // an identical job publishes its result and deletes its flight. The request
@@ -302,6 +344,20 @@ func TestLeaderPublishedBetweenProbes(t *testing.T) {
 // body instead of reaching the simulator.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	expect400 := func(name, body, wantInError string) {
+		t.Helper()
+		resp, raw := postJob(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, raw)
+			return
+		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" || !strings.Contains(eb.Error, wantInError) {
+			t.Errorf("%s: error body %s, want an error naming %q", name, raw, wantInError)
+		}
+	}
 	for name, body := range map[string]string{
 		"unknown op":    `{"op":"matmul","m":8,"n":8,"k":8}`,
 		"no dims":       `{"op":"gemm","arch":"maeri"}`,
@@ -320,18 +376,39 @@ func TestBadRequests(t *testing.T) {
 		"second json value": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8}{"op":"x"}`,
 		"body over the cap": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"policy":"` + strings.Repeat("x", maxJobBytes) + `"}`,
 	} {
-		resp, raw := postJob(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, raw)
-			continue
+		expect400(name, body, "")
+	}
+
+	// An explicit hardware description is checked by config.Hardware.Validate
+	// before the job takes a slot, the values the DRAM model divides by
+	// included: each of these ran (a panic, a hang, a cycle count at infinite
+	// bandwidth) while only multi-core chips checked them.
+	for field, mutate := range map[string]func(*config.Hardware){
+		"DRAM.RowBytes":       func(h *config.Hardware) { h.DRAM.RowBytes = 0 },
+		"DRAM.BandwidthGBs":   func(h *config.Hardware) { h.DRAM.BandwidthGBs = 0 },
+		"ClockGHz":            func(h *config.Hardware) { h.ClockGHz = 0 },
+		"DRAM.Modules":        func(h *config.Hardware) { h.DRAM.Modules = 0 },
+		"DRAM.RowMissLatency": func(h *config.Hardware) { h.DRAM.RowMissLatency = -1 },
+	} {
+		hw := config.MAERILike(16, 16)
+		mutate(&hw)
+		desc, err := json.Marshal(hw)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" {
-			t.Errorf("%s: no error body: %s", name, raw)
+		for _, op := range []string{`"op":"gemm","m":8,"n":8,"k":8`, `"op":"model","model":"A","scale":32`} {
+			expect400("hw "+field, fmt.Sprintf(`{%s,"hw":%s}`, op, desc), "hw: config: "+field)
 		}
 	}
+	// The wire decoder is strict: a description that still carries a key this
+	// version no longer has is refused by name, not silently reinterpreted.
+	desc, err := json.Marshal(config.MAERILike(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"AccumulationBuffer":true,` + strings.TrimPrefix(string(desc), "{")
+	expect400("hw with a removed key", `{"op":"gemm","m":8,"n":8,"k":8,"hw":`+stale+`}`, `"AccumulationBuffer"`)
+
 	if st := s.Snapshot(); st.Failed != 0 || st.ColdRuns != 0 {
 		t.Errorf("bad requests reached the simulator: failed=%d cold_runs=%d, want 0/0", st.Failed, st.ColdRuns)
 	}

@@ -9,9 +9,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -221,22 +224,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, queueWait, simTime, err := s.execJob(r.Context(), j, w)
-	f.body, f.err = body, err
-	// Publish to the cache BEFORE dropping the in-flight entry: a request
-	// arriving in between must find one or the other, never a gap where an
-	// identical job runs cold a second time.
-	if err == nil {
-		s.cache.Put(j.key, body)
-	}
-	s.mu.Lock()
-	delete(s.inflight, j.key)
-	s.mu.Unlock()
-	close(f.done)
+	body, queueWait, simTime, err := s.execJob(r.Context(), j, f, w)
 	if err != nil {
-		s.mu.Lock()
-		s.failed++
-		s.mu.Unlock()
 		if j.req.Progress {
 			// Progress lines may already be on the wire: the status is
 			// committed, so the error goes out as a final NDJSON line.
@@ -297,12 +286,43 @@ func (s *Server) replyWarm(w http.ResponseWriter, k jobkey.Key, body []byte, beg
 	writeJSON(w, http.StatusOK, Envelope{Cached: true, Key: k, Result: body})
 }
 
-// execJob takes an execution slot, runs the job, and returns the
-// canonical marshaled result bytes plus the cost split: time spent
-// waiting for the slot vs time simulating. When the request asked for
-// progress, samples stream to the response as NDJSON lines before the
-// final envelope (written by the caller).
-func (s *Server) execJob(ctx context.Context, j *job, w http.ResponseWriter) (body []byte, queueWait, simTime time.Duration, err error) {
+// execJob runs the job as the leader of flight f: it takes an execution
+// slot, simulates, and returns the canonical marshaled result bytes plus the
+// cost split (time waiting for the slot vs time simulating). When the
+// request asked for progress, samples stream to the response as NDJSON lines
+// before the final envelope (written by the caller).
+//
+// The flight is settled in a defer, so no way out of the run — an error, a
+// cancelled wait, a panic — can leave the key in the in-flight table with
+// followers parked on a channel nobody will close. A panicking simulation is
+// contained here for both job kinds: a model job panics on this goroutine,
+// an op batch inside simpool, which hands the panic back as a *PanicError.
+// Clients are told the panic value; the stack goes to stderr.
+func (s *Server) execJob(ctx context.Context, j *job, f *flight, w http.ResponseWriter) (body []byte, queueWait, simTime time.Duration, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &simpool.PanicError{Value: v, Stack: debug.Stack()}
+		}
+		var pe *simpool.PanicError
+		if errors.As(err, &pe) {
+			fmt.Fprintf(os.Stderr, "serve: job %s panicked: %v\n%s", j.key, pe.Value, pe.Stack)
+			err = fmt.Errorf("job panicked: %v", pe.Value)
+		}
+		f.body, f.err = body, err
+		// Publish to the cache BEFORE dropping the in-flight entry: a request
+		// arriving in between must find one or the other, never a gap where
+		// an identical job runs cold a second time.
+		if err == nil {
+			s.cache.Put(j.key, body)
+		}
+		s.mu.Lock()
+		delete(s.inflight, j.key)
+		if err != nil {
+			s.failed++
+		}
+		s.mu.Unlock()
+		close(f.done)
+	}()
 	waitStart := time.Now()
 	select {
 	case s.exec <- struct{}{}:

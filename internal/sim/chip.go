@@ -110,6 +110,13 @@ func NewChip(cfg ChipConfig, build func(core int, hw config.Hardware) (Runner, e
 			return arch.Build(hw)
 		}
 	}
+	// Validate every core before anything is built from one: the shared
+	// memory system takes core 0's description on trust.
+	for i := range cfg.Cores {
+		if err := cfg.Cores[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sim: chip core %d: %w", i, err)
+		}
+	}
 	c := &Chip{cfg: cfg}
 	if len(cfg.Cores) > 1 {
 		shared, err := mem.NewSharedDRAM(&cfg.Cores[0], cfg.Banks, cfg.LinkGBs)
@@ -122,9 +129,6 @@ func NewChip(cfg ChipConfig, build func(core int, hw config.Hardware) (Runner, e
 	c.runners = make([]Runner, len(cfg.Cores))
 	for i := range cfg.Cores {
 		hw := cfg.Cores[i]
-		if err := hw.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: chip core %d: %w", i, err)
-		}
 		if c.shared != nil {
 			c.ports[i] = mem.NewCorePort(c.shared, i)
 			hw.SharedMem = c.ports[i]

@@ -139,13 +139,6 @@ func Transpose(t *Tensor) *Tensor {
 	return out
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // Apply replaces every element x with f(x).
 func (t *Tensor) Apply(f func(float32) float32) {
 	for i, x := range t.data {

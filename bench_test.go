@@ -32,6 +32,7 @@ func benchEngineGEMM(b *testing.B, hw config.Hardware, m, n, k int) {
 			d[i] = float32(rng.Normal())
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {

@@ -68,6 +68,11 @@ func FuzzConvTile(f *testing.F) {
 	f.Add(uint16(16), uint16(8), 0, 3, 4, 0, 4, 1, 8, 8, 1, 0, uint64(4))   // degenerate dims
 	f.Add(uint16(16), uint16(8), 3, 3, 4, 1, 4, 1, 8, 8, -1, -1, uint64(5)) // negative stride/pad
 	f.Add(uint16(4), uint16(4), 5, 5, 2, 1, 2, 1, 9, 9, 1, 0, uint64(6))    // window exceeds fabric
+	// Stride 2 at the edges of the schedule's step shapes. The mapper spends
+	// switches on filters only once a whole output row fits, so one tile
+	// never has both a short last group and a short last filter block.
+	f.Add(uint16(64), uint16(16), 3, 3, 2, 1, 3, 1, 8, 8, 2, 2, uint64(7)) // T_Y'=3 over Y'=5: tail group
+	f.Add(uint16(64), uint16(16), 3, 3, 1, 1, 5, 1, 5, 5, 2, 0, uint64(8)) // T_K=3 over K=5: tail filter block
 	f.Fuzz(func(t *testing.T, ms, bw uint16, r, s, c, g, k, n, x, y, stride, pad int, seed uint64) {
 		cs := tensor.ConvShape{
 			R: clampDim(r), S: clampDim(s), C: clampDim(c), G: clampDim(g),

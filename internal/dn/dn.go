@@ -24,7 +24,11 @@ import (
 // single delivery with many destinations; the network decides what that
 // costs in bandwidth and link energy.
 type Delivery struct {
-	Pkt   comp.Packet
+	Pkt comp.Packet
+	// Dests is a read-only destination table of the operation being run:
+	// the schedule builds each distinct set once, many deliveries (queued
+	// ones included) may share one, and it outlives them all — so no network
+	// writes through it, and copying a Delivery copies only the reference.
 	Dests []int
 	// Forward marks a value that travels over the multiplier network's
 	// forwarding links instead of the distribution tree (Linear MN
@@ -125,9 +129,9 @@ func (b *base) Lookahead() uint64 {
 func (b *base) Advance(uint64) {}
 
 // qpop removes the head delivery without giving up the queue's backing
-// array; the zeroed slot releases the Dests slice for the collector.
+// array. The consumed slot is left as it is: its Dests is a table of the
+// operation, which the slot neither owns nor can outlive.
 func (b *base) qpop() {
-	b.queue[b.head] = Delivery{}
 	b.head++
 	if b.head > 64 && b.head*2 >= len(b.queue) {
 		n := copy(b.queue, b.queue[b.head:])

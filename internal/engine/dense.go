@@ -34,6 +34,14 @@ type jobSpec struct {
 }
 
 // workItem is one schedulable unit: a weight (re)load or one compute step.
+//
+// Lifetime: ReloadSet, Deliveries and Jobs are buffers the source owns and
+// refills; they are valid until the next call of Next on that source, and a
+// consumer that keeps an element past that point copies it by value (the
+// controller copies deliveries into the DN queue and jobs into its per-VN
+// queues). The slices those elements carry in turn — dn.Delivery.Dests,
+// jobSpec.Members — are per-operation tables: immutable, possibly shared by
+// many elements, alive as long as the operation.
 type workItem struct {
 	// Barrier requires the switches in ReloadSet to be quiescent (operand
 	// FIFOs and psum latches empty) and the DN drained before issuing —
@@ -56,6 +64,10 @@ type workItem struct {
 // materialize their schedule up front. The dense GEMM, dense convolution
 // and SIGMA sparse schedulers are the three sources driving flexRun.
 type source interface {
+	// Next returns the next item of the schedule, false once it is
+	// exhausted. It allocates nothing: a source builds its destination
+	// tables and sizes its buffers when the operation is set up, and the
+	// item returned aliases them (see workItem for how long it stays valid).
 	Next() (workItem, bool)
 }
 
@@ -70,7 +82,11 @@ type flexRun struct {
 	rnet *rn.Net
 	src  source
 
-	cur      *workItem
+	// cur is the work item being issued, held by value while hasCur: its
+	// slices alias the source's buffers, which stay put until Control asks
+	// the source for the next item.
+	cur      workItem
+	hasCur   bool
 	curDeliv int
 	issued   bool // some deliveries of cur already offered
 	srcDone  bool
@@ -103,8 +119,9 @@ type flexRun struct {
 var _ sim.Controller = (*flexRun)(nil)
 
 // newFlexRun builds the fabric of the configured DN/MN/RN kinds around ctx
-// with numVNs job queues and an outLen-element output buffer.
-func newFlexRun(ctx *sim.Ctx, numVNs, outLen int) (*flexRun, error) {
+// and sets it up for operation o: the VN programming, the per-VN job queues,
+// the output buffer and the schedule.
+func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 	hw := ctx.HW
 	dnet, err := dn.New(hw.DN.String(), hw.MSSize, hw.DNBandwidth, ctx.Counters)
 	if err != nil {
@@ -121,22 +138,46 @@ func newFlexRun(ctx *sim.Ctx, numVNs, outLen int) (*flexRun, error) {
 	case config.LinearRN:
 		rkind = rn.Linear
 	}
+	outLen := 1
+	for _, d := range o.outShape {
+		outLen *= d
+	}
+	numVNs := len(o.vns)
+	if o.vns == nil {
+		numVNs = hw.MSSize
+	}
 	f := &flexRun{
 		Ctx:         ctx,
 		dnet:        dnet,
 		marr:        mn.NewArray(hw.MSSize, hw.FIFODepth, hw.MN == config.LinearMN, ctx.Counters),
 		rnet:        rn.New(rkind, hw.MSSize, hw.RNBandwidth, ctx.Counters),
+		src:         o.src,
 		pending:     make([][]jobSpec, numVNs),
 		out:         make([]float32, outLen),
+		sumOut:      o.sumOut,
 		cReloadWait: ctx.Counters.Counter(names.CtrlReloadWaitCycles),
 		cDramWait:   ctx.Counters.Counter(names.CtrlDRAMWaitCycles),
+	}
+	if !o.sumOut {
+		// Summed contributions are not countable up front; completion is
+		// then the drained pipeline alone.
+		f.expected = outLen
 	}
 	f.readsPerDest = hw.DN == config.BenesDN
 	f.dnet.SetSink(f.marr.Deliver)
 	f.dnet.SetProber(f.marr.CanDeliver)
 	f.rnet.SetSink(f.Consume)
+	if o.vns != nil {
+		if err := f.marr.ConfigureVNs(o.vns); err != nil {
+			return nil, err
+		}
+	}
 	return f, nil
 }
+
+// ticks lists the fabric in pipeline order, as the kernel clocks it after
+// the controller has acted.
+func (f *flexRun) ticks() []sim.Tickable { return []sim.Tickable{f.dnet, f.marr, f.rnet} }
 
 // Consume scatters one reduced result into the output buffer and accounts
 // the Global Buffer write-back (the reduction network's sink).
@@ -197,13 +238,13 @@ func (f *flexRun) Control() {
 
 	// 2. Issue schedule items.
 	for {
-		if f.cur == nil {
+		if !f.hasCur {
 			item, ok := f.src.Next()
 			if !ok {
 				f.srcDone = true
 				return
 			}
-			f.cur = &item
+			f.cur, f.hasCur = item, true
 			f.curDeliv = 0
 			f.issued = false
 		}
@@ -252,7 +293,7 @@ func (f *flexRun) Control() {
 			f.pending[j.VN] = append(f.pending[j.VN], j)
 			f.pendingJobs++
 		}
-		f.cur = nil
+		f.hasCur = false
 	}
 }
 
@@ -281,7 +322,7 @@ func (f *flexRun) Lookahead() uint64 {
 	if f.fatal != nil || f.pendingJobs != 0 {
 		return 0
 	}
-	if f.cur == nil {
+	if !f.hasCur {
 		if f.srcDone {
 			return sim.Unbounded
 		}
@@ -304,7 +345,7 @@ func (f *flexRun) Lookahead() uint64 {
 // DRAM stall event; in the exhausted-source state a ticked cycle touches
 // nothing.
 func (f *flexRun) Advance(n uint64) {
-	if f.cur == nil {
+	if !f.hasCur {
 		return
 	}
 	f.cDramWait.Add(n)
@@ -312,7 +353,7 @@ func (f *flexRun) Advance(n uint64) {
 }
 
 func (f *flexRun) Done() bool {
-	return f.srcDone && f.cur == nil && f.pendingJobs == 0 &&
+	return f.srcDone && !f.hasCur && f.pendingJobs == 0 &&
 		f.completed >= f.expected &&
 		f.dnet.Pending() == 0 && f.rnet.Drained() && f.marr.Idle()
 }
@@ -323,7 +364,7 @@ func (f *flexRun) Progress() int { return f.completed }
 // barrier is held only by a granted transfer.
 func (f *flexRun) Waiting() uint64 { return f.cDramWait.Value() }
 
-func (f *flexRun) Draining() bool { return f.srcDone && f.cur == nil }
+func (f *flexRun) Draining() bool { return f.srcDone && !f.hasCur }
 
 func (f *flexRun) Err() error { return f.fatal }
 
@@ -353,36 +394,17 @@ type flexOp struct {
 // kernel (the controller acts, then DN → MN → RN tick in pipeline order),
 // write the outputs back and assemble the run record.
 func runFlex(ctx *sim.Ctx, o flexOp) (*tensor.Tensor, *stats.Run, error) {
-	outLen := 1
-	for _, d := range o.outShape {
-		outLen *= d
-	}
-	numVNs := len(o.vns)
-	if o.vns == nil {
-		numVNs = ctx.HW.MSSize
-	}
-	f, err := newFlexRun(ctx, numVNs, outLen)
+	f, err := newFlexRun(ctx, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.vns != nil {
-		if err := f.marr.ConfigureVNs(o.vns); err != nil {
-			return nil, nil, err
-		}
-	}
-	f.src, f.sumOut = o.src, o.sumOut
-	if !o.sumOut {
-		// Summed contributions are not countable up front; completion is
-		// then the drained pipeline alone.
-		f.expected = outLen
-	}
 	ctx.InitialFill(o.fill)
-	k := sim.Kernel{Ctx: ctx, Ctrl: f, Ticks: []sim.Tickable{f.dnet, f.marr, f.rnet}}
+	k := sim.Kernel{Ctx: ctx, Ctrl: f, Ticks: f.ticks()}
 	if err := k.Run(); err != nil {
 		return nil, nil, fmt.Errorf("engine: %s %s %s (%dx%dx%d): %w", ctx.HW.Name, o.op, o.layer, o.m, o.n, o.k, err)
 	}
 	f.marr.CollectFIFOStats()
-	ctx.DRAM.WriteBack(outLen)
+	ctx.DRAM.WriteBack(len(f.out))
 	out, err := tensor.FromSlice(f.out, o.outShape...)
 	if err != nil {
 		return nil, nil, err
@@ -406,6 +428,18 @@ type gemmSource struct {
 
 	mblocks, panels, groupsPerPanel int
 
+	// Destination tables, built once (the VN configuration fixes them for
+	// the whole operation). wDests[i·KSlice+p] is where element p of
+	// stationary row i lands: its TN column replicas. sDests[j·KSlice+p] is
+	// where element p of streamed column j lands: rows 0..TM-1, so a tail
+	// row block uses a prefix of each entry.
+	wDests, sDests [][]int
+
+	// Item buffers, refilled by every Next.
+	deliv  []dn.Delivery
+	jobs   []jobSpec
+	reload []int
+
 	// iteration state
 	mb, panel, fold, ng int
 	phase               int // 0 = weight load, 1 = stream
@@ -428,31 +462,41 @@ func newGEMMSource(A, B *tensor.Tensor, t mapper.GEMMTile) *gemmSource {
 	g.mblocks = ceilDiv(m, t.TM)
 	g.panels = ceilDiv(n, g.panelCols)
 	g.groupsPerPanel = ceilDiv(g.panelCols, t.TN)
+
+	g.wDests = destTable(t.TM*t.KSlice, t.TN, func(e, j int) int { return g.ms(e/t.KSlice, j, e%t.KSlice) })
+	g.sDests = destTable(t.TN*t.KSlice, t.TM, func(e, i int) int { return g.ms(i, e/t.KSlice, e%t.KSlice) })
+	g.deliv = make([]dn.Delivery, max(t.TM, t.TN)*t.KSlice)
+	g.jobs = make([]jobSpec, t.TM*t.TN)
+	g.reload = make([]int, t.TM*t.KSlice*t.TN)
 	return g
+}
+
+// destTable builds entries destination sets of width switches each over one
+// backing array; every set is capped at its own length, so an append through
+// one can never reach its neighbour.
+func destTable(entries, width int, ms func(entry, i int) int) [][]int {
+	flat := make([]int, entries*width)
+	table := make([][]int, entries)
+	for e := range table {
+		set := flat[e*width : (e+1)*width : (e+1)*width]
+		for i := range set {
+			set[i] = ms(e, i)
+		}
+		table[e] = set
+	}
+	return table
 }
 
 // vns returns the VN membership: VN (i,j) = i·TN + j occupies KSlice
 // consecutive switches.
 func (g *gemmSource) vns() [][]int {
-	vns := make([][]int, g.t.TM*g.t.TN)
-	for v := range vns {
-		members := make([]int, g.t.KSlice)
-		for p := range members {
-			members[p] = v*g.t.KSlice + p
-		}
-		vns[v] = members
-	}
-	return vns
+	return destTable(g.t.TM*g.t.TN, g.t.KSlice, func(v, p int) int { return v*g.t.KSlice + p })
 }
 
 func (g *gemmSource) ms(i, j, p int) int { return (i*g.t.TN+j)*g.t.KSlice + p }
 
-// Next builds the next work item of the GEMM schedule. Building an item
-// allocates its delivery lists, but an item then occupies the fabric for
-// many cycles while the source sits idle, so the cost is amortized per
-// work item rather than paid per tick.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
+// Next builds the next work item of the GEMM schedule into the source's
+// buffers.
 func (g *gemmSource) Next() (workItem, bool) {
 	if g.exhausted {
 		return workItem{}, false
@@ -460,71 +504,57 @@ func (g *gemmSource) Next() (workItem, bool) {
 	t := g.t
 	k0 := g.fold * t.KSlice
 	kw := min(t.KSlice, g.k-k0)
+	rows := min(t.TM, g.m-g.mb*t.TM) // valid rows of this block
 
 	if g.phase == 0 {
 		// Weight load for (mb, fold): row slices A[mi, k0:k0+kw],
 		// multicast across the TN column replicas.
-		item := workItem{Barrier: true}
-		for i := 0; i < t.TM; i++ {
+		nd, nr := 0, 0
+		for i := 0; i < rows; i++ {
 			mi := g.mb*t.TM + i
-			if mi >= g.m {
-				continue
-			}
 			for p := 0; p < kw; p++ {
-				dests := make([]int, 0, t.TN)
-				for j := 0; j < t.TN; j++ {
-					dests = append(dests, g.ms(i, j, p))
-				}
-				item.ReloadSet = append(item.ReloadSet, dests...)
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				dests := g.wDests[i*t.KSlice+p]
+				nr += copy(g.reload[nr:], dests)
+				g.deliv[nd] = dn.Delivery{
 					Pkt:   comp.Packet{Value: g.A.At(mi, k0+p), Kind: comp.WeightPkt},
 					Dests: dests,
-				})
+				}
+				nd++
 			}
 		}
-		// Prefetch the next fold's weights while this fold computes.
-		item.Prefetch = t.TM * t.KSlice
 		g.phase = 1
 		g.ng = 0
-		return item, true
+		return workItem{
+			Barrier: true, ReloadSet: g.reload[:nr],
+			// Prefetch the next fold's weights while this fold computes.
+			Prefetch:   t.TM * t.KSlice,
+			Deliveries: g.deliv[:nd],
+		}, true
 	}
 
 	// Stream one column group.
 	colBase := g.panel*g.panelCols + g.ng*t.TN
-	item := workItem{}
+	cols := min(t.TN, g.n-colBase, (g.panel+1)*g.panelCols-colBase)
+	folds := ceilDiv(g.k, t.KSlice)
 	seq := g.seq
 	g.seq++
-	for j := 0; j < t.TN; j++ {
-		nj := colBase + j
-		if nj >= g.n || nj >= (g.panel+1)*g.panelCols {
-			continue
-		}
+	nd, nj := 0, 0
+	for j := 0; j < cols; j++ {
+		col := colBase + j
 		for p := 0; p < kw; p++ {
-			dests := make([]int, 0, t.TM)
-			for i := 0; i < t.TM; i++ {
-				if g.mb*t.TM+i >= g.m {
-					continue
-				}
-				dests = append(dests, g.ms(i, j, p))
+			g.deliv[nd] = dn.Delivery{
+				Pkt:   comp.Packet{Value: g.B.At(k0+p, col), Kind: comp.InputPkt, Seq: seq},
+				Dests: g.sDests[j*t.KSlice+p][:rows:rows],
 			}
-			if len(dests) == 0 {
-				continue
-			}
-			item.Deliveries = append(item.Deliveries, dn.Delivery{
-				Pkt:   comp.Packet{Value: g.B.At(k0+p, nj), Kind: comp.InputPkt, Seq: seq},
-				Dests: dests,
-			})
+			nd++
 		}
-		for i := 0; i < t.TM; i++ {
-			mi := g.mb*t.TM + i
-			if mi >= g.m {
-				continue
-			}
-			item.Jobs = append(item.Jobs, jobSpec{
+		for i := 0; i < rows; i++ {
+			g.jobs[nj] = jobSpec{
 				VN: i*t.TN + j, Seq: seq, Expect: kw,
-				OutIdx: mi*g.n + nj,
-				Last:   g.fold == ceilDiv(g.k, t.KSlice)-1,
-			})
+				OutIdx: (g.mb*t.TM+i)*g.n + col,
+				Last:   g.fold == folds-1,
+			}
+			nj++
 		}
 	}
 
@@ -534,7 +564,7 @@ func (g *gemmSource) Next() (workItem, bool) {
 		g.ng = 0
 		g.fold++
 		g.phase = 0
-		if g.fold >= ceilDiv(g.k, t.KSlice) {
+		if g.fold >= folds {
 			g.fold = 0
 			g.panel++
 			if g.panel >= g.panels {
@@ -546,7 +576,7 @@ func (g *gemmSource) Next() (workItem, bool) {
 			}
 		}
 	}
-	return item, true
+	return workItem{Deliveries: g.deliv[:nd], Jobs: g.jobs[:nj]}, true
 }
 
 // RunGEMM simulates a dense GEMM on the tree-based flexible fabric (the

@@ -17,9 +17,10 @@ import (
 // and the Linear MN forwarding links carry the sliding-window overlap
 // between consecutive steps.
 type convSource struct {
-	in, w *tensor.Tensor
-	cs    tensor.ConvShape
-	t     mapper.Tile
+	in []float32 // the one image, C×X×Y
+	w  *tensor.Tensor
+	cs tensor.ConvShape
+	t  mapper.Tile
 
 	cg, kg, xo, yo int
 	folds          int
@@ -28,40 +29,55 @@ type convSource struct {
 	// consecutive oy positions at one ox.
 	groupsPerRow, panelGroups, panels int
 
+	forwarding bool
+
+	// wDests[kk·VNSize+p] is where weight element p of filter kk lands: its
+	// TYp position replicas.
+	wDests [][]int
+	// steps holds the compute-step shapes, indexed by whether the fold's
+	// channel slice, the group's position count and the block's filter
+	// count are full (0) or the tail (1); a shape the layer never reaches
+	// stays nil.
+	steps [2][2][2][]convSlot
+
+	// Item buffers, refilled by every Next.
+	deliv  []dn.Delivery
+	jobs   []jobSpec
+	reload []int
+
 	// iteration state
 	g, mb, panel, fold, grp int
 	phase                   int // 0 = weight load, 1 = stream
 	seq                     int
 	exhausted               bool
+	prevOx                  int
+}
 
-	prevOx     int
-	forwarding bool
-
-	// Stamp-based coordinate dedup (allocation-free hot path): seen[idx]
-	// holds the generation (seq+1) a coordinate was last needed in;
-	// slot[idx] its delivery index within the current step. A coordinate
-	// whose stamp equals the previous step's generation was just
-	// delivered and can ride the forwarding links.
-	seen   []uint32
-	slot   []int32
-	coordW int // padded row width (Y + 2·padding)
-	coordH int // padded column count (X + 2·padding)
+// convSlot is one delivery of a compute-step shape: the input element at
+// channel tc, row tr, column u of the step's receptive field, and every
+// switch that multiplies by it. Which (ty, p) pairs read the same element,
+// the order the distinct elements are first needed in and who receives each
+// depend only on how many channels, positions and filters the step covers —
+// not on where it sits in the image — so a layer has at most eight shapes
+// and a step only fills in values.
+type convSlot struct {
+	tc, tr, u int
+	// fwd: the previous group of the same output row read this element too
+	// (it lies in the TS−stride columns two adjacent windows share), so the
+	// forwarding links can supply it.
+	fwd   bool
+	dests []int
 }
 
 func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool) *convSource {
 	c := &convSource{
-		in: in, w: w, cs: cs, t: t,
+		in: in.Data(), w: w, cs: cs, t: t,
 		cg: cs.C / cs.G, kg: cs.K / cs.G,
 		xo: cs.OutX(), yo: cs.OutY(),
 		folds:      t.Folds,
 		forwarding: forwarding,
 		prevOx:     -1,
-		coordH:     cs.X + 2*cs.Padding,
-		coordW:     cs.Y + 2*cs.Padding,
 	}
-	cells := cs.C * c.coordH * c.coordW
-	c.seen = make([]uint32, cells)
-	c.slot = make([]int32, cells)
 	c.groupsPerRow = ceilDiv(c.yo, t.TYp)
 	totalGroups := c.xo * c.groupsPerRow
 	c.panelGroups = sim.MaxAccEntries / (t.TK * t.TYp)
@@ -72,20 +88,28 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 		c.panelGroups = totalGroups
 	}
 	c.panels = ceilDiv(totalGroups, c.panelGroups)
+
+	c.wDests = destTable(t.TK*t.VNSize, t.TYp, func(e, ty int) int { return c.ms(e/t.VNSize, ty, e%t.VNSize) })
+	// Only the last group of a row and the last filter block can be short.
+	for fold := 0; fold < c.folds; fold++ {
+		for _, grp := range [2]int{0, c.groupsPerRow - 1} {
+			for _, mb := range [2]int{0, c.mblocks() - 1} {
+				cw, tys, kks := c.foldChannels(fold), c.groupPositions(grp), c.blockFilters(mb)
+				if shape := c.shape(cw, tys, kks); cw > 0 && *shape == nil {
+					*shape = c.buildShape(cw, tys, kks)
+				}
+			}
+		}
+	}
+	c.deliv = make([]dn.Delivery, max(t.TK, t.TYp)*t.VNSize)
+	c.jobs = make([]jobSpec, t.TK*t.TYp)
+	c.reload = make([]int, t.TK*t.VNSize*t.TYp)
 	return c
 }
 
 // vns lays VN (kk, ty) = kk·TYp + ty over consecutive switch ranges.
 func (c *convSource) vns() [][]int {
-	vns := make([][]int, c.t.TK*c.t.TYp)
-	for v := range vns {
-		members := make([]int, c.t.VNSize)
-		for p := range members {
-			members[p] = v*c.t.VNSize + p
-		}
-		vns[v] = members
-	}
-	return vns
+	return destTable(c.t.TK*c.t.TYp, c.t.VNSize, func(v, p int) int { return v*c.t.VNSize + p })
 }
 
 func (c *convSource) ms(kk, ty, p int) int { return (kk*c.t.TYp+ty)*c.t.VNSize + p }
@@ -100,135 +124,141 @@ func (c *convSource) decode(p int) (tc, tr, ts int) {
 
 func (c *convSource) mblocks() int { return ceilDiv(c.kg, c.t.TK) }
 
-// Next builds the next work item of the convolution schedule; like the
-// GEMM source, the per-item delivery-list allocations are amortized over
-// the many cycles the item keeps the fabric busy.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the item occupies the fabric
+// foldChannels, groupPositions and blockFilters give the extent of one
+// fold's channel slice, one group's run of output positions (grp counts
+// within the row) and one block's filters. A user tile with more folds than
+// the channels need makes foldChannels non-positive: those folds still issue
+// their (empty) items.
+func (c *convSource) foldChannels(fold int) int  { return min(c.t.TC, c.cg-fold*c.t.TC) }
+func (c *convSource) groupPositions(grp int) int { return min(c.t.TYp, c.yo-grp*c.t.TYp) }
+func (c *convSource) blockFilters(mb int) int    { return min(c.t.TK, c.kg-mb*c.t.TK) }
+
+// shape selects the step shape for cw channels, tys positions and kks
+// filters.
+func (c *convSource) shape(cw, tys, kks int) *[]convSlot {
+	return &c.steps[tail(cw, c.t.TC)][tail(tys, c.t.TYp)][tail(kks, c.t.TK)]
+}
+
+// tail is the shape index of an extent: 0 when it is the tile's full
+// extent, 1 when it is the short remainder.
+func tail(n, full int) int {
+	if n == full {
+		return 0
+	}
+	return 1
+}
+
+// buildShape derives one step shape the way a step would be scheduled from
+// scratch: walk the (ty, p) members in order, give every input element its
+// slot the first time it is needed, and add the member's kks filter replicas
+// to that slot's destinations.
+func (c *convSource) buildShape(cw, tys, kks int) []convSlot {
+	t := c.t
+	cols := (tys-1)*c.cs.Stride + t.TS  // columns of the step's receptive field
+	slotOf := make([]int, cw*t.TR*cols) // element → 1 + its slot; 0 = not needed yet
+	var slots []convSlot
+	for ty := 0; ty < tys; ty++ {
+		for p := 0; p < cw*t.TR*t.TS; p++ {
+			tc, tr, ts := c.decode(p)
+			u := ty*c.cs.Stride + ts
+			e := (tc*t.TR+tr)*cols + u
+			if slotOf[e] == 0 {
+				slots = append(slots, convSlot{tc: tc, tr: tr, u: u, fwd: u+c.cs.Stride < t.TS})
+				slotOf[e] = len(slots)
+			}
+			s := &slots[slotOf[e]-1]
+			for kk := 0; kk < kks; kk++ {
+				s.dests = append(s.dests, c.ms(kk, ty, p))
+			}
+		}
+	}
+	return slots
+}
+
+// Next builds the next work item of the convolution schedule into the
+// source's buffers.
 func (c *convSource) Next() (workItem, bool) {
 	if c.exhausted {
 		return workItem{}, false
 	}
 	t := c.t
-	cw := min(t.TC, c.cg-c.fold*t.TC) // channels in this fold
+	cw := c.foldChannels(c.fold)
+	kks := c.blockFilters(c.mb)
+	// Members p < vw hold a channel of this fold (p = (tc·TR+tr)·TS+ts).
+	vw := max(cw, 0) * t.TR * t.TS
 
 	if c.phase == 0 {
 		// Weight load for (g, mb, fold): each filter's slice multicast to
 		// its TYp position replicas.
-		item := workItem{Barrier: true}
-		for kk := 0; kk < t.TK; kk++ {
+		nd, nr := 0, 0
+		for kk := 0; kk < kks; kk++ {
 			kfull := c.g*c.kg + c.mb*t.TK + kk
-			if c.mb*t.TK+kk >= c.kg {
-				continue
-			}
-			for p := 0; p < t.VNSize; p++ {
+			for p := 0; p < vw; p++ {
 				tc, tr, ts := c.decode(p)
-				if tc >= cw {
-					continue
-				}
-				dests := make([]int, 0, t.TYp)
-				for ty := 0; ty < t.TYp; ty++ {
-					dests = append(dests, c.ms(kk, ty, p))
-				}
-				item.ReloadSet = append(item.ReloadSet, dests...)
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				dests := c.wDests[kk*t.VNSize+p]
+				nr += copy(c.reload[nr:], dests)
+				c.deliv[nd] = dn.Delivery{
 					Pkt: comp.Packet{
 						Value: c.w.At(kfull, c.fold*t.TC+tc, tr, ts),
 						Kind:  comp.WeightPkt,
 					},
 					Dests: dests,
-				})
+				}
+				nd++
 			}
 		}
-		item.Prefetch = t.TK * t.VNSize
 		c.phase = 1
 		c.prevOx = -1 // a reload breaks the sliding-window reuse chain
-		return item, true
+		return workItem{
+			Barrier: true, ReloadSet: c.reload[:nr],
+			Prefetch:   t.TK * t.VNSize,
+			Deliveries: c.deliv[:nd],
+		}, true
 	}
 
 	// Stream one output position group.
 	grpAbs := c.panel*c.panelGroups + c.grp
 	ox := grpAbs / c.groupsPerRow
-	oyBase := (grpAbs % c.groupsPerRow) * t.TYp
-
-	item := workItem{}
+	grpInRow := grpAbs % c.groupsPerRow
+	oyBase := grpInRow * t.TYp
+	tys := c.groupPositions(grpInRow)
 	seq := c.seq
 	c.seq++
-
-	// Group needed elements by coordinate for multicast, preserving a
-	// deterministic order. The stamp arrays make the dedup allocation-free
-	// (this loop runs once per compute step, dominating full-model runs).
-	curGen := uint32(seq) + 1
-	prevGen := curGen - 1
 	sameRow := c.forwarding && c.prevOx == ox
-	expect := make([]int, t.TK*t.TYp)
-
-	for ty := 0; ty < t.TYp; ty++ {
-		oy := oyBase + ty
-		if oy >= c.yo {
-			continue
-		}
-		for p := 0; p < t.VNSize; p++ {
-			tc, tr, ts := c.decode(p)
-			if tc >= cw {
-				continue
-			}
-			cc := c.g*c.cg + c.fold*t.TC + tc
-			ix := ox*c.cs.Stride + tr - c.cs.Padding
-			iy := oy*c.cs.Stride + ts - c.cs.Padding
-			idx := (cc*c.coordH+ix+c.cs.Padding)*c.coordW + iy + c.cs.Padding
-			var slot int32
-			if c.seen[idx] != curGen {
-				reused := sameRow && c.seen[idx] == prevGen
-				c.seen[idx] = curGen
-				slot = int32(len(item.Deliveries))
-				c.slot[idx] = slot
-				var v float32
-				if ix >= 0 && ix < c.cs.X && iy >= 0 && iy < c.cs.Y {
-					v = c.in.At(0, cc, ix, iy)
-				}
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
-					Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
-					Forward: reused,
-				})
-			} else {
-				slot = c.slot[idx]
-			}
-			d := &item.Deliveries[slot]
-			for kk := 0; kk < t.TK; kk++ {
-				if c.mb*t.TK+kk >= c.kg {
-					continue
-				}
-				d.Dests = append(d.Dests, c.ms(kk, ty, p))
-				expect[kk*t.TYp+ty]++
-			}
-		}
-	}
 	c.prevOx = ox
 
-	// Expected participation per VN: TC slice size times... each (kk,ty)
-	// receives exactly one product per member with tc < cw.
-	for kk := 0; kk < t.TK; kk++ {
-		if c.mb*t.TK+kk >= c.kg {
-			continue
+	nd, nj := 0, 0
+	if vw > 0 {
+		cc0 := c.g*c.cg + c.fold*t.TC
+		ix0 := ox*c.cs.Stride - c.cs.Padding
+		iy0 := oyBase*c.cs.Stride - c.cs.Padding
+		slots := *c.shape(cw, tys, kks)
+		for i := range slots {
+			s := &slots[i]
+			ix, iy := ix0+s.tr, iy0+s.u
+			var v float32 // padding reads as zero
+			if ix >= 0 && ix < c.cs.X && iy >= 0 && iy < c.cs.Y {
+				v = c.in[((cc0+s.tc)*c.cs.X+ix)*c.cs.Y+iy]
+			}
+			c.deliv[nd] = dn.Delivery{
+				Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
+				Dests:   s.dests,
+				Forward: sameRow && s.fwd,
+			}
+			nd++
 		}
-		kfull := c.g*c.kg + c.mb*t.TK + kk
-		for ty := 0; ty < t.TYp; ty++ {
-			oy := oyBase + ty
-			if oy >= c.yo {
-				continue
+		// Every member switch with a channel of this fold latches one
+		// product, so each (filter, position) VN reduces vw of them.
+		for kk := 0; kk < kks; kk++ {
+			kfull := c.g*c.kg + c.mb*t.TK + kk
+			for ty := 0; ty < tys; ty++ {
+				c.jobs[nj] = jobSpec{
+					VN: kk*t.TYp + ty, Seq: seq, Expect: vw,
+					OutIdx: (kfull*c.xo+ox)*c.yo + oyBase + ty,
+					Last:   c.fold == c.folds-1,
+				}
+				nj++
 			}
-			vn := kk*t.TYp + ty
-			if expect[vn] == 0 {
-				continue
-			}
-			// expect[vn] counted one product per member switch with a
-			// valid channel slice — exactly the set that will latch.
-			item.Jobs = append(item.Jobs, jobSpec{
-				VN: vn, Seq: seq, Expect: expect[vn],
-				OutIdx: (kfull*c.xo+ox)*c.yo + oy,
-				Last:   c.fold == c.folds-1,
-			})
 		}
 	}
 
@@ -254,7 +284,7 @@ func (c *convSource) Next() (workItem, bool) {
 			}
 		}
 	}
-	return item, true
+	return workItem{Deliveries: c.deliv[:nd], Jobs: c.jobs[:nj]}, true
 }
 
 // RunConv simulates a convolution on the tree-based flexible fabric with

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comp"
@@ -10,7 +11,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// drainSource exhausts a source and returns all items.
+// drainSource exhausts a source and returns all items. It keeps them past
+// the next Next(), so it copies the slices the source will refill; Dests and
+// Members are per-operation tables and stay shared.
 func drainSource(t *testing.T, src source, max int) []workItem {
 	t.Helper()
 	var items []workItem
@@ -19,6 +22,9 @@ func drainSource(t *testing.T, src source, max int) []workItem {
 		if !ok {
 			return items
 		}
+		item.ReloadSet = slices.Clone(item.ReloadSet)
+		item.Deliveries = slices.Clone(item.Deliveries)
+		item.Jobs = slices.Clone(item.Jobs)
 		items = append(items, item)
 	}
 	t.Fatalf("source did not exhaust within %d items", max)
@@ -167,7 +173,7 @@ func TestSigmaSourceGenerations(t *testing.T) {
 		t.Skip("need multiple rounds for this check")
 	}
 	B := randTensor(8, 10, 3)
-	src := &sigmaSource{rounds: rounds, B: B, n: 3}
+	src := newSigmaSource(rounds, B)
 	gens := map[uint32]bool{}
 	for {
 		item, ok := src.Next()

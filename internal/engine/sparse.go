@@ -34,8 +34,8 @@ type sigmaCluster struct {
 	ks     []int32   // k index per member switch
 	vals   []float32 // stationary value per member switch
 	// members is the switch-index set [msBase, msBase+len(ks)), built once
-	// at round construction; JobSpecs share it read-only, so streaming a
-	// column allocates nothing.
+	// at round construction; jobs share it and the stationary load unicasts
+	// to its one-element sub-slices.
 	members []int
 }
 
@@ -44,8 +44,10 @@ type sigmaCluster struct {
 type sigmaRound struct {
 	clusters []sigmaCluster
 	used     int
-	kOrder   []int32
-	kDests   map[int32][]int
+	// kOrder lists the round's distinct k values in first-use order and
+	// kDests[i] the switches holding kOrder[i].
+	kOrder []int32
+	kDests [][]int
 	// clusterOfMS maps switch → cluster index for expectation counting.
 	clusterOfMS []int
 }
@@ -60,10 +62,26 @@ type sigmaSource struct {
 	col   int
 	seq   int
 
-	// expect is the reusable per-cluster participation counter scratch.
+	// Item buffers, refilled by every Next, and the per-cluster
+	// participation counters; all sized for the largest round.
+	deliv  []dn.Delivery
+	jobs   []jobSpec
 	expect []int
 
 	exhausted bool
+}
+
+func newSigmaSource(rounds []sigmaRound, B *tensor.Tensor) *sigmaSource {
+	s := &sigmaSource{rounds: rounds, B: B, n: B.Dim(1)}
+	var delivs, clusters int
+	for i := range rounds {
+		delivs = max(delivs, rounds[i].used, len(rounds[i].kOrder))
+		clusters = max(clusters, len(rounds[i].clusters))
+	}
+	s.deliv = make([]dn.Delivery, delivs)
+	s.jobs = make([]jobSpec, clusters)
+	s.expect = make([]int, clusters)
+	return s
 }
 
 func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, seed uint64) []sigmaRound {
@@ -74,10 +92,11 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 	packed := sched.Pack(nnz, capacity, policy, seed)
 	rounds := make([]sigmaRound, 0, len(packed))
 	for _, r := range packed {
-		sr := sigmaRound{kDests: map[int32][]int{}, clusterOfMS: make([]int, capacity)}
+		sr := sigmaRound{clusterOfMS: make([]int, capacity)}
 		for i := range sr.clusterOfMS {
 			sr.clusterOfMS[i] = -1
 		}
+		kIndex := map[int32]int{} // k → its position in kOrder
 		base := 0
 		for ci, chunk := range r {
 			idx, vals := A.Row(chunk.Row)
@@ -91,10 +110,14 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 			for p, k := range cl.ks {
 				ms := base + p
 				cl.members[p] = ms
-				if _, seen := sr.kDests[k]; !seen {
+				ki, seen := kIndex[k]
+				if !seen {
+					ki = len(sr.kOrder)
+					kIndex[k] = ki
 					sr.kOrder = append(sr.kOrder, k)
+					sr.kDests = append(sr.kDests, nil)
 				}
-				sr.kDests[k] = append(sr.kDests[k], ms)
+				sr.kDests[ki] = append(sr.kDests[ki], ms)
 				sr.clusterOfMS[ms] = ci
 			}
 			base += len(cl.ks)
@@ -106,11 +129,8 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 	return rounds
 }
 
-// Next emits the next phase of the current SIGMA round; per-round
-// delivery-list allocations are amortized over the cycles the round
-// streams through the fabric.
-//
-//lint:ignore hotpathalloc work-item construction is amortized over the many cycles the round occupies the fabric
+// Next emits the next phase of the current SIGMA round into the source's
+// buffers.
 func (s *sigmaSource) Next() (workItem, bool) {
 	if s.exhausted {
 		return workItem{}, false
@@ -123,58 +143,60 @@ func (s *sigmaSource) Next() (workItem, bool) {
 		// shadow register of its switch (generation-tagged), so loading
 		// pipelines behind the previous round's streaming — SIGMA's
 		// double-buffered reconfiguration.
-		item := workItem{Prefetch: r.used}
-		for _, cl := range r.clusters {
+		nd := 0
+		for ci := range r.clusters {
+			cl := &r.clusters[ci]
 			for p, v := range cl.vals {
-				item.Deliveries = append(item.Deliveries, dn.Delivery{
+				s.deliv[nd] = dn.Delivery{
 					Pkt:   comp.Packet{Value: v, Kind: comp.WeightPkt, Gen: gen},
-					Dests: []int{cl.msBase + p},
-				})
+					Dests: cl.members[p : p+1 : p+1],
+				}
+				nd++
 			}
 		}
 		s.phase = 1
 		s.col = 0
-		return item, true
+		return workItem{Prefetch: r.used, Deliveries: s.deliv[:nd]}, true
 	}
 
 	// Stream one column of the KN matrix: distinct non-zero k values are
 	// multicast; clusters reduce whatever members participated.
-	item := workItem{}
 	seq := s.seq
 	s.seq++
 	j := s.col
-	if cap(s.expect) < len(r.clusters) {
-		s.expect = make([]int, len(r.clusters))
-	}
 	expect := s.expect[:len(r.clusters)]
 	for i := range expect {
 		expect[i] = 0
 	}
 	bd := s.B.Data()
-	for _, k := range r.kOrder {
+	nd, nj := 0, 0
+	for ki, k := range r.kOrder {
 		bv := bd[int(k)*s.n+j]
 		if bv == 0 {
 			continue // streaming sparsity: never delivered, never multiplied
 		}
-		dests := r.kDests[k]
-		item.Deliveries = append(item.Deliveries, dn.Delivery{
+		dests := r.kDests[ki]
+		s.deliv[nd] = dn.Delivery{
 			Pkt:   comp.Packet{Value: bv, Kind: comp.InputPkt, Seq: seq, Gen: gen},
 			Dests: dests,
-		})
+		}
+		nd++
 		for _, ms := range dests {
 			expect[r.clusterOfMS[ms]]++
 		}
 	}
-	for ci, cl := range r.clusters {
+	for ci := range r.clusters {
 		if expect[ci] == 0 {
 			continue // entire chunk hit zeros in this column
 		}
-		item.Jobs = append(item.Jobs, jobSpec{
+		cl := &r.clusters[ci]
+		s.jobs[nj] = jobSpec{
 			VN: ci, Seq: seq, Expect: expect[ci],
 			OutIdx:  cl.row*s.n + j,
 			Last:    true, // each contribution exits and accumulates GB-side
 			Members: cl.members,
-		})
+		}
+		nj++
 	}
 
 	s.col++
@@ -185,7 +207,7 @@ func (s *sigmaSource) Next() (workItem, bool) {
 			s.exhausted = true
 		}
 	}
-	return item, true
+	return workItem{Deliveries: s.deliv[:nd], Jobs: s.jobs[:nj]}, true
 }
 
 // RunGEMM runs the GEMM through the sparse front end: the sparse
@@ -238,7 +260,7 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 	}
 	C, run, err := runFlex(ctx, flexOp{
 		op: "SpMM", layer: layer, m: m, n: n, k: k,
-		src: &sigmaSource{rounds: rounds, B: B, n: n}, sumOut: true,
+		src: newSigmaSource(rounds, B), sumOut: true,
 		fill: csr.NNZ() + k*n, outShape: []int{m, n},
 	})
 	if err != nil {

@@ -69,26 +69,6 @@ func MAERIConv(p MAERIConvParams) (float64, error) {
 	return math.Max(steps, deliveryCycles) + pipelineFill, nil
 }
 
-// MAERIGEMMParams describes a plain GEMM for the MAERI analytical model.
-type MAERIGEMMParams struct {
-	M, N, K           int
-	TM, TN, KSlice    int
-	MSSize, Bandwidth int
-}
-
-// MAERIGEMM is the GEMM form of MAERIConv: steps under perfect compute
-// pipelining versus total volume over bandwidth, whichever dominates.
-func MAERIGEMM(p MAERIGEMMParams) (float64, error) {
-	if p.M <= 0 || p.N <= 0 || p.K <= 0 || p.TM <= 0 || p.TN <= 0 || p.KSlice <= 0 || p.Bandwidth <= 0 {
-		return 0, fmt.Errorf("analytical: non-positive params %+v", p)
-	}
-	folds := float64(ceilDiv(p.K, p.KSlice))
-	steps := float64(ceilDiv(p.M, p.TM)) * folds * float64(ceilDiv(p.N, p.TN))
-	volume := float64(p.M*p.K+p.K*p.N) / float64(p.Bandwidth)
-	pipelineFill := math.Ceil(math.Log2(float64(p.KSlice))) + 2
-	return math.Max(steps, volume) + pipelineFill, nil
-}
-
 // SIGMAParams describes a sparse GEMM for the SIGMA analytical model.
 type SIGMAParams struct {
 	M, N, K int

@@ -63,18 +63,18 @@ func TestMAERIConvBandwidthBound(t *testing.T) {
 	}
 }
 
+// A GEMM is the 1×1 convolution with K = M filters, C = K channels and a
+// 1×N output.
 func TestMAERIGEMM(t *testing.T) {
-	got, err := MAERIGEMM(MAERIGEMMParams{
-		M: 64, N: 64, K: 128, TM: 1, TN: 1, KSlice: 128, MSSize: 128, Bandwidth: 128,
+	got, err := MAERIConv(MAERIConvParams{
+		K: 64, C: 128, G: 1, R: 1, S: 1, Xo: 1, Yo: 64,
+		TK: 1, TYp: 1, TC: 128, MSSize: 128, Bandwidth: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got < 4096 || got > 4200 { // steps = 64·64 = 4096, compute bound
+	if got != 4096+7+2 { // steps = 64·64, compute bound; fill log2(128) + 2
 		t.Errorf("cycles %v", got)
-	}
-	if _, err := MAERIGEMM(MAERIGEMMParams{M: 1}); err == nil {
-		t.Error("bad params accepted")
 	}
 }
 

@@ -85,6 +85,24 @@ type PoolShape struct {
 	Window, Stride, Padding int
 }
 
+// Out returns the output extent (x+2·Padding−Window)/Stride + 1 of the
+// window sliding over an input extent x. It rejects a window that overhangs
+// the padded input — integer division truncates toward zero, so the formula
+// alone would give such a window one output — and a padding of a whole
+// window or more, which would leave an output whose window holds padding
+// only.
+func (p PoolShape) Out(x int) (int, error) {
+	switch {
+	case p.Window <= 0 || p.Stride <= 0 || p.Padding < 0:
+		return 0, fmt.Errorf("pool %+v: window and stride must be positive, padding non-negative", p)
+	case p.Padding >= p.Window:
+		return 0, fmt.Errorf("pool %+v: padding must be smaller than the window", p)
+	case p.Window > x+2*p.Padding:
+		return 0, fmt.Errorf("pool window %d exceeds feature map %d (padding %d)", p.Window, x, p.Padding)
+	}
+	return (x+2*p.Padding-p.Window)/p.Stride + 1, nil
+}
+
 // Layer is one operator in a model graph. The graph is a list with optional
 // named skip connections, which is enough for all seven models of Table I.
 type Layer struct {
@@ -279,14 +297,13 @@ func (l *Layer) outShape(in []int) ([]int, error) {
 		if len(in) != 4 {
 			return nil, fmt.Errorf("pool expects rank-4 input, got %v", in)
 		}
-		p := l.Pool
-		if p.Window > in[2]+2*p.Padding || p.Window > in[3]+2*p.Padding {
-			return nil, fmt.Errorf("pool window %d exceeds feature map %v", p.Window, in)
+		ox, err := l.Pool.Out(in[2])
+		if err != nil {
+			return nil, err
 		}
-		ox := (in[2]+2*p.Padding-p.Window)/p.Stride + 1
-		oy := (in[3]+2*p.Padding-p.Window)/p.Stride + 1
-		if ox <= 0 || oy <= 0 {
-			return nil, fmt.Errorf("pool %+v yields empty output from %v", p, in)
+		oy, err := l.Pool.Out(in[3])
+		if err != nil {
+			return nil, err
 		}
 		return []int{in[0], in[1], ox, oy}, nil
 	case Flatten:

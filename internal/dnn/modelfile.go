@@ -181,31 +181,21 @@ func BuildModel(spec *ModelSpec) (*Model, error) {
 			if flat != 0 {
 				return nil, fmt.Errorf("dnn: layer %d: pool after flatten", i)
 			}
-			if s.Window <= 0 {
-				return nil, fmt.Errorf("dnn: layer %d: pool needs a window", i)
+			// A zero (omitted) stride is the window: non-overlapping pooling.
+			p := PoolShape{Window: s.Window, Stride: s.Stride, Padding: s.Pad}
+			if p.Stride == 0 {
+				p.Stride = s.Window
 			}
-			if s.Stride < 0 || s.Pad < 0 {
-				return nil, fmt.Errorf("dnn: layer %d: pool stride/pad must be non-negative (stride %d, pad %d)", i, s.Stride, s.Pad)
-			}
-			stride := s.Stride
-			if stride == 0 {
-				stride = s.Window
-			}
-			if s.Window > x+2*s.Pad {
-				return nil, fmt.Errorf("dnn: layer %d: pool window %d exceeds feature map %d", i, s.Window, x)
+			nx, err := p.Out(x)
+			if err != nil {
+				return nil, fmt.Errorf("dnn: layer %d: %w", i, err)
 			}
 			kind := MaxPool
 			if s.Type == "avgpool" {
 				kind = AvgPool
 			}
-			m.Layers = append(m.Layers, Layer{
-				Name: name(s, s.Type), Kind: kind, Class: ClassNA,
-				Pool: PoolShape{Window: s.Window, Stride: stride, Padding: s.Pad},
-			})
-			x = (x+2*s.Pad-s.Window)/stride + 1
-			if x <= 0 {
-				return nil, fmt.Errorf("dnn: layer %d: pool empties the feature map", i)
-			}
+			m.Layers = append(m.Layers, Layer{Name: name(s, s.Type), Kind: kind, Class: ClassNA, Pool: p})
+			x = nx
 		case "linear":
 			if s.Out <= 0 {
 				return nil, fmt.Errorf("dnn: layer %d: linear needs out", i)

@@ -92,9 +92,9 @@ func (e *Executor) runLayer(l *Layer, act *tensor.Tensor, saved map[string]*tens
 		}
 		return tensor.MatMul(a, b)
 	case MaxPool:
-		return pool2D(act, l.Pool, true)
+		return PoolForward(act, l.Pool, true)
 	case AvgPool:
-		return pool2D(act, l.Pool, false)
+		return PoolForward(act, l.Pool, false)
 	case ReLU:
 		out := act.Clone()
 		out.Apply(func(v float32) float32 {
@@ -240,15 +240,20 @@ func concatChannels(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-func pool2D(act *tensor.Tensor, p PoolShape, isMax bool) (*tensor.Tensor, error) {
+// PoolForward pools an NCHW activation: the maximum of each window when
+// isMax, else the mean of its non-padding elements.
+func PoolForward(act *tensor.Tensor, p PoolShape, isMax bool) (*tensor.Tensor, error) {
 	if act.Rank() != 4 {
 		return nil, fmt.Errorf("pool expects rank-4 input, got %v", act.Shape())
 	}
 	n, c, x, y := act.Dim(0), act.Dim(1), act.Dim(2), act.Dim(3)
-	ox := (x+2*p.Padding-p.Window)/p.Stride + 1
-	oy := (y+2*p.Padding-p.Window)/p.Stride + 1
-	if ox <= 0 || oy <= 0 {
-		return nil, fmt.Errorf("pool %+v yields empty output from %v", p, act.Shape())
+	ox, err := p.Out(x)
+	if err != nil {
+		return nil, err
+	}
+	oy, err := p.Out(y)
+	if err != nil {
+		return nil, err
 	}
 	out := tensor.New(n, c, ox, oy)
 	for ni := 0; ni < n; ni++ {
@@ -278,7 +283,7 @@ func pool2D(act *tensor.Tensor, p PoolShape, isMax bool) (*tensor.Tensor, error)
 					}
 					if isMax {
 						out.Set(best, ni, ci, i, j)
-					} else if count > 0 {
+					} else {
 						out.Set(sum/float32(count), ni, ci, i, j)
 					}
 				}

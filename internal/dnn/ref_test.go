@@ -261,3 +261,45 @@ func TestGEMMOperandsReuseActivation(t *testing.T) {
 		t.Errorf("B shape %v", b.Shape())
 	}
 }
+
+func TestPoolShapeOut(t *testing.T) {
+	for _, tc := range []struct {
+		p    PoolShape
+		x    int
+		want int // 0 = rejected
+	}{
+		{PoolShape{Window: 2, Stride: 2}, 4, 2},
+		{PoolShape{Window: 3, Stride: 2, Padding: 1}, 2, 1},
+		{PoolShape{Window: 3, Stride: 2}, 7, 3},
+		{PoolShape{Window: 3, Stride: 2}, 2, 0},             // overhangs by one, less than a stride
+		{PoolShape{Window: 2, Stride: 1, Padding: 2}, 2, 0}, // corner window is all padding
+		{PoolShape{Window: 0, Stride: 1}, 2, 0},
+		{PoolShape{Window: 2, Stride: 0}, 2, 0},
+		{PoolShape{Window: 2, Stride: 1, Padding: -1}, 4, 0},
+	} {
+		got, err := tc.p.Out(tc.x)
+		if (err == nil) != (tc.want > 0) || got != tc.want {
+			t.Errorf("%+v over %d: %d, %v; want %d", tc.p, tc.x, got, err, tc.want)
+		}
+	}
+}
+
+// Every window PoolForward accepts holds at least one input element, so max
+// pooling never reports -Inf and average pooling never divides by zero.
+func TestPoolForwardHasNoEmptyWindow(t *testing.T) {
+	act := tensor.New(1, 1, 3, 3)
+	act.Apply(func(float32) float32 { return -5 })
+	for _, p := range []PoolShape{{Window: 2, Stride: 2, Padding: 1}, {Window: 3, Stride: 3, Padding: 2}} {
+		for _, isMax := range []bool{true, false} {
+			out, err := PoolForward(act, p, isMax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out.Data() {
+				if v != -5 {
+					t.Errorf("%+v max=%v: output %d = %v, want -5", p, isMax, i, v)
+				}
+			}
+		}
+	}
+}

@@ -77,7 +77,10 @@ func ScaleSpatial(m *Model, factor int) (*Model, error) {
 			if p.Stride > p.Window {
 				p.Stride = p.Window
 			}
-			nx := (x+2*p.Padding-p.Window)/p.Stride + 1
+			nx, err := p.Out(x)
+			if err != nil {
+				return nil, fmt.Errorf("dnn: layer %s: %w", l.Name, err)
+			}
 			x = nx
 		case Linear:
 			// The first linear after a flatten must accept whatever the
@@ -96,7 +99,7 @@ func ScaleSpatial(m *Model, factor int) (*Model, error) {
 			// conv/fc work balance of the full-resolution network is
 			// preserved; the final classifier keeps its class count.
 			if l.Out >= 256 && !isFinalLinear(out.Layers, i) {
-				l.Out = maxInt(64, l.Out/factor)
+				l.Out = max(64, l.Out/factor)
 			}
 			prevLinOutOrig, prevLinOutNew = origOut, l.Out
 		}
@@ -111,13 +114,6 @@ func isFinalLinear(layers []Layer, i int) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func lastChannels(layers []Layer) int {

@@ -7,19 +7,12 @@ import (
 	"repro/internal/comp/names"
 	"repro/internal/config"
 	"repro/internal/dn"
-	"repro/internal/mapper"
 	"repro/internal/mn"
 	"repro/internal/rn"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
-
-// flexDenseRunner is the MAERI-like composition: dense controller + tree
-// distribution + linear multiplier network + (accumulating) reduction tree.
-type flexDenseRunner struct {
-	hw config.Hardware
-}
 
 // jobSpec describes one reduction the controller expects to fire: virtual
 // neuron VN will have Expect products tagged with step Seq, reducing into
@@ -61,8 +54,9 @@ type workItem struct {
 }
 
 // source generates work items on demand so full-model runs never
-// materialize their schedule up front. The dense GEMM, dense convolution
-// and SIGMA sparse schedulers are the three sources driving flexRun.
+// materialize their schedule up front. The dense convolution scheduler (a
+// GEMM is its 1×1 convolution) and the SIGMA sparse scheduler are the two
+// sources driving flexRun.
 type source interface {
 	// Next returns the next item of the schedule, false once it is
 	// exhausted. It allocates nothing: a source builds its destination
@@ -411,212 +405,3 @@ func runFlex(ctx *sim.Ctx, o flexOp) (*tensor.Tensor, *stats.Run, error) {
 	}
 	return out, ctx.Finish(o.op, o.layer, o.m, o.n, o.k), nil
 }
-
-// ---------------------------------------------------------------------------
-// GEMM scheduler
-// ---------------------------------------------------------------------------
-
-// gemmSource emits the schedule for a dense M×N×K GEMM on the flexible
-// fabric: for each row block, column panel and fold — a weight load
-// followed by one compute step per column group.
-type gemmSource struct {
-	A, B    *tensor.Tensor
-	m, n, k int
-	t       mapper.GEMMTile
-
-	panelCols int // columns per panel (accumulation-buffer bound)
-
-	mblocks, panels, groupsPerPanel int
-
-	// Destination tables, built once (the VN configuration fixes them for
-	// the whole operation). wDests[i·KSlice+p] is where element p of
-	// stationary row i lands: its TN column replicas. sDests[j·KSlice+p] is
-	// where element p of streamed column j lands: rows 0..TM-1, so a tail
-	// row block uses a prefix of each entry.
-	wDests, sDests [][]int
-
-	// Item buffers, refilled by every Next.
-	deliv  []dn.Delivery
-	jobs   []jobSpec
-	reload []int
-
-	// iteration state
-	mb, panel, fold, ng int
-	phase               int // 0 = weight load, 1 = stream
-	seq                 int
-	exhausted           bool
-}
-
-func newGEMMSource(A, B *tensor.Tensor, t mapper.GEMMTile) *gemmSource {
-	m, k := A.Dim(0), A.Dim(1)
-	n := B.Dim(1)
-	g := &gemmSource{A: A, B: B, m: m, n: n, k: k, t: t}
-	g.panelCols = sim.MaxAccEntries / t.TM
-	if g.panelCols < t.TN {
-		g.panelCols = t.TN
-	}
-	g.panelCols -= g.panelCols % t.TN
-	if g.panelCols > n {
-		g.panelCols = n
-	}
-	g.mblocks = ceilDiv(m, t.TM)
-	g.panels = ceilDiv(n, g.panelCols)
-	g.groupsPerPanel = ceilDiv(g.panelCols, t.TN)
-
-	g.wDests = destTable(t.TM*t.KSlice, t.TN, func(e, j int) int { return g.ms(e/t.KSlice, j, e%t.KSlice) })
-	g.sDests = destTable(t.TN*t.KSlice, t.TM, func(e, i int) int { return g.ms(i, e/t.KSlice, e%t.KSlice) })
-	g.deliv = make([]dn.Delivery, max(t.TM, t.TN)*t.KSlice)
-	g.jobs = make([]jobSpec, t.TM*t.TN)
-	g.reload = make([]int, t.TM*t.KSlice*t.TN)
-	return g
-}
-
-// destTable builds entries destination sets of width switches each over one
-// backing array; every set is capped at its own length, so an append through
-// one can never reach its neighbour.
-func destTable(entries, width int, ms func(entry, i int) int) [][]int {
-	flat := make([]int, entries*width)
-	table := make([][]int, entries)
-	for e := range table {
-		set := flat[e*width : (e+1)*width : (e+1)*width]
-		for i := range set {
-			set[i] = ms(e, i)
-		}
-		table[e] = set
-	}
-	return table
-}
-
-// vns returns the VN membership: VN (i,j) = i·TN + j occupies KSlice
-// consecutive switches.
-func (g *gemmSource) vns() [][]int {
-	return destTable(g.t.TM*g.t.TN, g.t.KSlice, func(v, p int) int { return v*g.t.KSlice + p })
-}
-
-func (g *gemmSource) ms(i, j, p int) int { return (i*g.t.TN+j)*g.t.KSlice + p }
-
-// Next builds the next work item of the GEMM schedule into the source's
-// buffers.
-func (g *gemmSource) Next() (workItem, bool) {
-	if g.exhausted {
-		return workItem{}, false
-	}
-	t := g.t
-	k0 := g.fold * t.KSlice
-	kw := min(t.KSlice, g.k-k0)
-	rows := min(t.TM, g.m-g.mb*t.TM) // valid rows of this block
-
-	if g.phase == 0 {
-		// Weight load for (mb, fold): row slices A[mi, k0:k0+kw],
-		// multicast across the TN column replicas.
-		nd, nr := 0, 0
-		for i := 0; i < rows; i++ {
-			mi := g.mb*t.TM + i
-			for p := 0; p < kw; p++ {
-				dests := g.wDests[i*t.KSlice+p]
-				nr += copy(g.reload[nr:], dests)
-				g.deliv[nd] = dn.Delivery{
-					Pkt:   comp.Packet{Value: g.A.At(mi, k0+p), Kind: comp.WeightPkt},
-					Dests: dests,
-				}
-				nd++
-			}
-		}
-		g.phase = 1
-		g.ng = 0
-		return workItem{
-			Barrier: true, ReloadSet: g.reload[:nr],
-			// Prefetch the next fold's weights while this fold computes.
-			Prefetch:   t.TM * t.KSlice,
-			Deliveries: g.deliv[:nd],
-		}, true
-	}
-
-	// Stream one column group.
-	colBase := g.panel*g.panelCols + g.ng*t.TN
-	cols := min(t.TN, g.n-colBase, (g.panel+1)*g.panelCols-colBase)
-	folds := ceilDiv(g.k, t.KSlice)
-	seq := g.seq
-	g.seq++
-	nd, nj := 0, 0
-	for j := 0; j < cols; j++ {
-		col := colBase + j
-		for p := 0; p < kw; p++ {
-			g.deliv[nd] = dn.Delivery{
-				Pkt:   comp.Packet{Value: g.B.At(k0+p, col), Kind: comp.InputPkt, Seq: seq},
-				Dests: g.sDests[j*t.KSlice+p][:rows:rows],
-			}
-			nd++
-		}
-		for i := 0; i < rows; i++ {
-			g.jobs[nj] = jobSpec{
-				VN: i*t.TN + j, Seq: seq, Expect: kw,
-				OutIdx: (g.mb*t.TM+i)*g.n + col,
-				Last:   g.fold == folds-1,
-			}
-			nj++
-		}
-	}
-
-	// Advance iteration: ng → fold → panel → mb.
-	g.ng++
-	if g.ng >= g.groupsPerPanel || g.panel*g.panelCols+g.ng*t.TN >= g.n {
-		g.ng = 0
-		g.fold++
-		g.phase = 0
-		if g.fold >= folds {
-			g.fold = 0
-			g.panel++
-			if g.panel >= g.panels {
-				g.panel = 0
-				g.mb++
-				if g.mb >= g.mblocks {
-					g.exhausted = true
-				}
-			}
-		}
-	}
-	return workItem{Deliveries: g.deliv[:nd], Jobs: g.jobs[:nj]}, true
-}
-
-// RunGEMM simulates a dense GEMM on the tree-based flexible fabric (the
-// MAERI-like composition). The controller keeps the operand with more reuse
-// stationary: A rows are each reused N times and B columns M times, so when
-// M > N the GEMM runs transposed (Cᵀ = Bᵀ×Aᵀ), making the execution
-// input-stationary — this is how batch-1 fully-connected layers avoid a
-// stationary reload per output row (the dense controller's WS/IS dataflow
-// selection of Section IV-B). Configurations with ForceDataflow pin the
-// choice instead.
-func (r *flexDenseRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
-	inputStationary := A.Dim(0) > B.Dim(1)
-	if r.hw.ForceDataflow {
-		inputStationary = r.hw.Dataflow == config.InputStationary
-	}
-	if inputStationary {
-		Ct, run, err := r.gemmWS(tensor.Transpose(B), tensor.Transpose(A), layer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tensor.Transpose(Ct), run, nil
-	}
-	return r.gemmWS(A, B, layer)
-}
-
-// gemmWS is the weight-stationary execution: A row slices stay in the
-// switches while B columns stream.
-func (r *flexDenseRunner) gemmWS(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
-	m, k := A.Dim(0), A.Dim(1)
-	n := B.Dim(1)
-	tile, err := mapper.PickGEMM(&r.hw, m, n, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := newGEMMSource(A, B, tile)
-	return runFlex(sim.NewCtx(&r.hw), flexOp{
-		op: "GEMM", layer: layer, m: m, n: n, k: k,
-		src: src, vns: src.vns(),
-		fill: m*k + k*n, outShape: []int{m, n},
-	})
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

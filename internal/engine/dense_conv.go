@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/comp"
+	"repro/internal/config"
 	"repro/internal/dn"
 	"repro/internal/mapper"
 	"repro/internal/sim"
@@ -11,11 +12,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// flexDenseRunner is the MAERI-like composition: dense controller + tree
+// distribution + linear multiplier network + (accumulating) reduction tree.
+type flexDenseRunner struct {
+	hw config.Hardware
+}
+
 // convSource emits the schedule for a convolution on the flexible dense
 // fabric: virtual neurons span T_K parallel filters × T_Y' adjacent output
 // positions, weights stay stationary across a panel of output positions,
 // and the Linear MN forwarding links carry the sliding-window overlap
-// between consecutive steps.
+// between consecutive steps. A GEMM is its 1×1 convolution
+// (gemmConvSource).
 type convSource struct {
 	in []float32 // the one image, C×X×Y
 	w  *tensor.Tensor
@@ -113,6 +121,22 @@ func (c *convSource) vns() [][]int {
 }
 
 func (c *convSource) ms(kk, ty, p int) int { return (kk*c.t.TYp+ty)*c.t.VNSize + p }
+
+// destTable builds entries destination sets of width switches each over one
+// backing array; every set is capped at its own length, so an append through
+// one can never reach its neighbour.
+func destTable(entries, width int, ms func(entry, i int) int) [][]int {
+	flat := make([]int, entries*width)
+	table := make([][]int, entries)
+	for e := range table {
+		set := flat[e*width : (e+1)*width : (e+1)*width]
+		for i := range set {
+			set[i] = ms(e, i)
+		}
+		table[e] = set
+	}
+	return table
+}
 
 // member p of a VN decodes to filter offsets (tc, tr, ts).
 func (c *convSource) decode(p int) (tc, tr, ts int) {
@@ -335,7 +359,7 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 		tile.TYp *= tile.TXp
 		tile.TXp = 1
 	}
-	src := newConvSource(in, w, cs, tile, r.hw.MN.String() == "LMN")
+	src := newConvSource(in, w, cs, tile, r.hw.MN == config.LinearMN)
 	m, n, k := cs.GEMMDims()
 	return runFlex(sim.NewCtx(&r.hw), flexOp{
 		op: "CONV", layer: layer, m: m, n: n, k: k,
@@ -375,3 +399,67 @@ func (r *flexDenseRunner) runConvBatched(in, w *tensor.Tensor, cs tensor.ConvSha
 	total.RecomputeUtilization(r.hw.MSSize)
 	return out, total, nil
 }
+
+// RunGEMM simulates a dense GEMM on the tree-based flexible fabric (the
+// MAERI-like composition). The controller keeps the operand with more reuse
+// stationary: A rows are each reused N times and B columns M times, so when
+// M > N the GEMM runs transposed (Cᵀ = Bᵀ×Aᵀ), making the execution
+// input-stationary — this is how batch-1 fully-connected layers avoid a
+// stationary reload per output row (the dense controller's WS/IS dataflow
+// selection of Section IV-B). Configurations with ForceDataflow pin the
+// choice instead.
+func (r *flexDenseRunner) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
+	inputStationary := A.Dim(0) > B.Dim(1)
+	if r.hw.ForceDataflow {
+		inputStationary = r.hw.Dataflow == config.InputStationary
+	}
+	if inputStationary {
+		Ct, run, err := r.gemmWS(tensor.Transpose(B), tensor.Transpose(A), layer)
+		if err != nil {
+			return nil, nil, err
+		}
+		return tensor.Transpose(Ct), run, nil
+	}
+	return r.gemmWS(A, B, layer)
+}
+
+// gemmWS is the weight-stationary execution: A row slices stay in the
+// switches while B columns stream.
+func (r *flexDenseRunner) gemmWS(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
+	m, k := A.Dim(0), A.Dim(1)
+	n := B.Dim(1)
+	tile, err := mapper.PickGEMM(&r.hw, m, n, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := gemmConvSource(A, B, tile)
+	if err != nil {
+		return nil, nil, err
+	}
+	return runFlex(sim.NewCtx(&r.hw), flexOp{
+		op: "GEMM", layer: layer, m: m, n: n, k: k,
+		src: src, vns: src.vns(),
+		fill: m*k + k*n, outShape: []int{m, n},
+	})
+}
+
+// gemmConvSource schedules the GEMM A×B as the 1×1 convolution
+// mapper.GEMMShape: A (m×k) is its m×k×1×1 filter bank and B (k×n) its one
+// k×1×n image. Reshape shares the data, so nothing is copied, and the output
+// index (filter·n + position) is already the row-major m×n result. A 1×1
+// window shares no column with its neighbour, so nothing is forwarded.
+func gemmConvSource(A, B *tensor.Tensor, t mapper.Tile) (*convSource, error) {
+	m, k := A.Dim(0), A.Dim(1)
+	n := B.Dim(1)
+	w, err := A.Reshape(m, k, 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	in, err := B.Reshape(1, k, 1, n)
+	if err != nil {
+		return nil, err
+	}
+	return newConvSource(in, w, mapper.GEMMShape(m, n, k), t, false), nil
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }

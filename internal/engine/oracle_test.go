@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -10,6 +13,8 @@ import (
 	"repro/internal/dn"
 	"repro/internal/mapper"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -186,27 +191,66 @@ func (c *refConvSource) Next() (workItem, bool) {
 	return item, true
 }
 
-// refGEMMSource is the pre-table GEMM builder.
-type refGEMMSource struct{ *gemmSource }
+// refGEMMSource is the pre-table GEMM builder, from when a GEMM had a
+// schedule source of its own: a TM×TN grid of VNs, each covering a KSlice of
+// one output row, its weight-stationary rows loaded per (row block, fold) and
+// its columns streamed TN at a time within accumulator-sized panels. It keeps
+// its own geometry; the source under test is the 1×1 convolution.
+type refGEMMSource struct {
+	A, B                            *tensor.Tensor
+	m, n, k                         int
+	kslice, tm, tn                  int
+	panelCols                       int
+	mblocks, panels, groupsPerPanel int
 
-func (g refGEMMSource) Next() (workItem, bool) {
+	mb, panel, fold, ng int
+	phase               int
+	seq                 int
+	exhausted           bool
+}
+
+func newRefGEMMSource(A, B *tensor.Tensor, kslice, tm, tn int) *refGEMMSource {
+	g := &refGEMMSource{A: A, B: B, m: A.Dim(0), n: B.Dim(1), k: A.Dim(1), kslice: kslice, tm: tm, tn: tn}
+	g.panelCols = max(sim.MaxAccEntries/tm, tn)
+	g.panelCols -= g.panelCols % tn
+	g.panelCols = min(g.panelCols, g.n)
+	g.mblocks = ceilDiv(g.m, tm)
+	g.panels = ceilDiv(g.n, g.panelCols)
+	g.groupsPerPanel = ceilDiv(g.panelCols, tn)
+	return g
+}
+
+// vns is the VN membership: VN (i,j) = i·TN + j occupies KSlice consecutive
+// switches.
+func (g *refGEMMSource) vns() [][]int {
+	vns := make([][]int, g.tm*g.tn)
+	for v := range vns {
+		for p := 0; p < g.kslice; p++ {
+			vns[v] = append(vns[v], v*g.kslice+p)
+		}
+	}
+	return vns
+}
+
+func (g *refGEMMSource) ms(i, j, p int) int { return (i*g.tn+j)*g.kslice + p }
+
+func (g *refGEMMSource) Next() (workItem, bool) {
 	if g.exhausted {
 		return workItem{}, false
 	}
-	t := g.t
-	k0 := g.fold * t.KSlice
-	kw := min(t.KSlice, g.k-k0)
+	k0 := g.fold * g.kslice
+	kw := min(g.kslice, g.k-k0)
 
 	if g.phase == 0 {
 		item := workItem{Barrier: true}
-		for i := 0; i < t.TM; i++ {
-			mi := g.mb*t.TM + i
+		for i := 0; i < g.tm; i++ {
+			mi := g.mb*g.tm + i
 			if mi >= g.m {
 				continue
 			}
 			for p := 0; p < kw; p++ {
-				dests := make([]int, 0, t.TN)
-				for j := 0; j < t.TN; j++ {
+				dests := make([]int, 0, g.tn)
+				for j := 0; j < g.tn; j++ {
 					dests = append(dests, g.ms(i, j, p))
 				}
 				item.ReloadSet = append(item.ReloadSet, dests...)
@@ -216,25 +260,25 @@ func (g refGEMMSource) Next() (workItem, bool) {
 				})
 			}
 		}
-		item.Prefetch = t.TM * t.KSlice
+		item.Prefetch = g.tm * g.kslice
 		g.phase = 1
 		g.ng = 0
 		return item, true
 	}
 
-	colBase := g.panel*g.panelCols + g.ng*t.TN
+	colBase := g.panel*g.panelCols + g.ng*g.tn
 	item := workItem{}
 	seq := g.seq
 	g.seq++
-	for j := 0; j < t.TN; j++ {
+	for j := 0; j < g.tn; j++ {
 		nj := colBase + j
 		if nj >= g.n || nj >= (g.panel+1)*g.panelCols {
 			continue
 		}
 		for p := 0; p < kw; p++ {
-			dests := make([]int, 0, t.TM)
-			for i := 0; i < t.TM; i++ {
-				if g.mb*t.TM+i >= g.m {
+			dests := make([]int, 0, g.tm)
+			for i := 0; i < g.tm; i++ {
+				if g.mb*g.tm+i >= g.m {
 					continue
 				}
 				dests = append(dests, g.ms(i, j, p))
@@ -247,25 +291,25 @@ func (g refGEMMSource) Next() (workItem, bool) {
 				Dests: dests,
 			})
 		}
-		for i := 0; i < t.TM; i++ {
-			mi := g.mb*t.TM + i
+		for i := 0; i < g.tm; i++ {
+			mi := g.mb*g.tm + i
 			if mi >= g.m {
 				continue
 			}
 			item.Jobs = append(item.Jobs, jobSpec{
-				VN: i*t.TN + j, Seq: seq, Expect: kw,
+				VN: i*g.tn + j, Seq: seq, Expect: kw,
 				OutIdx: mi*g.n + nj,
-				Last:   g.fold == ceilDiv(g.k, t.KSlice)-1,
+				Last:   g.fold == ceilDiv(g.k, g.kslice)-1,
 			})
 		}
 	}
 
 	g.ng++
-	if g.ng >= g.groupsPerPanel || g.panel*g.panelCols+g.ng*t.TN >= g.n {
+	if g.ng >= g.groupsPerPanel || g.panel*g.panelCols+g.ng*g.tn >= g.n {
 		g.ng = 0
 		g.fold++
 		g.phase = 0
-		if g.fold >= ceilDiv(g.k, t.KSlice) {
+		if g.fold >= ceilDiv(g.k, g.kslice) {
 			g.fold = 0
 			g.panel++
 			if g.panel >= g.panels {
@@ -389,14 +433,27 @@ func assertSameSchedule(t *testing.T, got, want source) (items int) {
 				t.Fatalf("item %d delivery %d: %+v, want %+v", items, i, gd, wd)
 			}
 		}
+		// Jobs are compared by VN: the controller files them into per-VN
+		// queues, so their order within an item is not observable.
 		if len(g.Jobs) != len(w.Jobs) {
 			t.Fatalf("item %d: %d jobs, want %d", items, len(g.Jobs), len(w.Jobs))
 		}
-		for i, gj := range g.Jobs {
-			wj := w.Jobs[i]
-			if gj.VN != wj.VN || gj.Seq != wj.Seq || gj.Expect != wj.Expect || gj.OutIdx != wj.OutIdx ||
+		want := make(map[int]jobSpec, len(w.Jobs))
+		for _, wj := range w.Jobs {
+			if _, dup := want[wj.VN]; dup {
+				t.Fatalf("item %d: reference has two jobs for VN %d", items, wj.VN)
+			}
+			want[wj.VN] = wj
+		}
+		for _, gj := range g.Jobs {
+			wj, ok := want[gj.VN]
+			if !ok {
+				t.Fatalf("item %d: job %+v for a VN the reference has no job (or already matched) for", items, gj)
+			}
+			delete(want, gj.VN)
+			if gj.Seq != wj.Seq || gj.Expect != wj.Expect || gj.OutIdx != wj.OutIdx ||
 				gj.Last != wj.Last || !slices.Equal(gj.Members, wj.Members) {
-				t.Fatalf("item %d job %d: %+v, want %+v", items, i, gj, wj)
+				t.Fatalf("item %d VN %d: job %+v, want %+v", items, gj.VN, gj, wj)
 			}
 		}
 	}
@@ -524,41 +581,174 @@ func TestScheduleConvShapeCount(t *testing.T) {
 	}
 }
 
-func TestScheduleGEMMMatchesReference(t *testing.T) {
-	cases := []struct {
-		name    string
-		m, n, k int
-		tile    *mapper.GEMMTile // nil = mapper.PickGEMM on MAERILike(64,16)
-	}{
-		{"square", 4, 4, 4, nil},
-		{"one", 1, 1, 1, nil},
-		{"tail-k-slice", 10, 3, 130, nil}, // K = 64+64+2
-		{"wide", 7, 20, 64, nil},
-		{"tail-rows", 7, 9, 20, &mapper.GEMMTile{KSlice: 8, Folds: 3, TM: 3, TN: 2, NumVNs: 6, UsedMultipliers: 48}},            // M = 3+3+1, N = 2·4+1, K = 8+8+4
-		{"tail-column-panel", 5, 2101, 6, &mapper.GEMMTile{KSlice: 4, Folds: 2, TM: 4, TN: 4, NumVNs: 16, UsedMultipliers: 64}}, // N = 1024+1024+53
-		{"tile-taller-than-m", 2, 5, 3, &mapper.GEMMTile{KSlice: 4, Folds: 1, TM: 4, TN: 2, NumVNs: 8, UsedMultipliers: 32}},
+// gemmCase is one GEMM shape the schedule and run oracles share.
+type gemmCase struct {
+	name    string
+	m, n, k int
+	// user is the tile (KSlice, TM, TN) aimed at one edge; zero means
+	// mapper.PickGEMM's on the hardware under test.
+	user      [3]int
+	wantPanel bool // several column panels, the last one short
+}
+
+var gemmOracleCases = []gemmCase{
+	{name: "square", m: 4, n: 4, k: 4},
+	{name: "one", m: 1, n: 1, k: 1},
+	{name: "tail-k-slice", m: 10, n: 3, k: 130}, // K = 64+64+2; M > N runs input-stationary
+	{name: "wide", m: 7, n: 20, k: 64},
+	{name: "tail-rows", m: 7, n: 9, k: 20, user: [3]int{8, 3, 2}},                            // M = 3+3+1, N = 2·4+1, K = 8+8+4
+	{name: "tail-column-panel", m: 5, n: 2101, k: 6, user: [3]int{4, 4, 4}, wantPanel: true}, // N = 1024+1024+53
+	{name: "tile-taller-than-m", m: 2, n: 5, k: 3, user: [3]int{4, 4, 2}},
+}
+
+// userTile is the case's user tile as the mapper.Tile of its 1×1
+// convolution, nil when the mapper picks.
+func (c gemmCase) userTile() *mapper.Tile {
+	if c.user == [3]int{} {
+		return nil
 	}
+	kslice, tm, tn := c.user[0], c.user[1], c.user[2]
+	t := convTile(mapper.GEMMShape(c.m, c.n, c.k), kslice, tm, 1, tn, ceilDiv(c.k, kslice))
+	return &t
+}
+
+// gemmSchedule builds the schedule of A×B on tile t, returning it with the VN
+// membership it programs.
+type gemmSchedule func(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error)
+
+func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error) {
+	src, err := gemmConvSource(A, B, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	return src, src.vns(), nil
+}
+
+func refGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error) {
+	src := newRefGEMMSource(A, B, t.TC, t.TK, t.TYp)
+	return src, src.vns(), nil
+}
+
+func TestScheduleGEMMMatchesReference(t *testing.T) {
 	hw := config.MAERILike(64, 16)
-	for _, tc := range cases {
+	for _, tc := range gemmOracleCases {
 		t.Run(tc.name, func(t *testing.T) {
 			A, B := randTensor(1, tc.m, tc.k), randTensor(2, tc.k, tc.n)
-			var tile mapper.GEMMTile
-			if tc.tile != nil {
-				tile = *tc.tile
-			} else {
-				var err error
-				if tile, err = mapper.PickGEMM(&hw, tc.m, tc.n, tc.k); err != nil {
-					t.Fatal(err)
-				}
+			tile, err := mapper.PickGEMM(&hw, tc.m, tc.n, tc.k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			src := newGEMMSource(A, B, tile)
-			if tc.name == "tail-column-panel" && (src.panels < 3 || tc.n%src.panelCols == 0) {
-				t.Fatalf("case does not end in a tail panel: %d panels of %d columns", src.panels, src.panelCols)
+			if ut := tc.userTile(); ut != nil {
+				tile = *ut
 			}
-			if n := assertSameSchedule(t, src, refGEMMSource{newGEMMSource(A, B, tile)}); n == 0 {
+			src, err := gemmConvSource(A, B, tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefGEMMSource(A, B, tile.TC, tile.TK, tile.TYp)
+			if tc.wantPanel && (src.panels < 3 || tc.n%ref.panelCols == 0) {
+				t.Fatalf("case does not end in a tail panel: %d panels of %d columns", src.panels, ref.panelCols)
+			}
+			if !slices.EqualFunc(src.vns(), ref.vns(), slices.Equal) {
+				t.Fatal("VN membership differs from the reference")
+			}
+			if n := assertSameSchedule(t, src, ref); n == 0 {
 				t.Fatal("empty schedule")
 			}
 		})
+	}
+}
+
+// runGEMMWith is RunGEMM's lifecycle over the schedule build makes: the same
+// dataflow choice (M > N runs transposed, input-stationary), tile (the
+// mapper's when tile is nil), VN programming, DRAM fill and run record.
+func runGEMMWith(hw config.Hardware, A, B *tensor.Tensor, tile *mapper.Tile, build gemmSchedule) (*tensor.Tensor, *stats.Run, error) {
+	inputStationary := A.Dim(0) > B.Dim(1)
+	if inputStationary {
+		A, B = tensor.Transpose(B), tensor.Transpose(A)
+	}
+	m, k := A.Dim(0), A.Dim(1)
+	n := B.Dim(1)
+	t, err := mapper.PickGEMM(&hw, m, n, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tile != nil {
+		t = *tile
+	}
+	src, vns, err := build(A, B, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, run, err := runFlex(sim.NewCtx(&hw), flexOp{
+		op: "GEMM", layer: "oracle", m: m, n: n, k: k,
+		src: src, vns: vns, fill: m*k + k*n, outShape: []int{m, n},
+	})
+	if err != nil || !inputStationary {
+		return out, run, err
+	}
+	return tensor.Transpose(out), run, nil
+}
+
+// TestRunGEMMMatchesReference runs every oracle case through the whole
+// flexible lifecycle twice — on the 1×1-convolution schedule (RunGEMM itself
+// where the mapper picks the tile) and on the pre-change GEMM builder — and
+// requires the same run record, byte for byte, and the same bits out. It is
+// the check behind "the order of an item's jobs is not observable".
+func TestRunGEMMMatchesReference(t *testing.T) {
+	for _, rn := range []config.RNType{config.ARTAccRN, config.ARTRN} {
+		for _, dram := range []string{"preloaded", "cold", "starved"} {
+			hw := config.MAERILike(64, 16)
+			hw.RN = rn
+			switch dram {
+			case "preloaded":
+				hw.Preloaded = true
+			case "starved":
+				hw.DRAM.BandwidthGBs, hw.DRAM.Modules = 0.25, 1
+			}
+			acc, err := New(hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range gemmOracleCases {
+				t.Run(rn.String()+"/"+dram+"/"+tc.name, func(t *testing.T) {
+					A, B := randTensor(1, tc.m, tc.k), randTensor(2, tc.k, tc.n)
+					var (
+						got    *tensor.Tensor
+						gotRun *stats.Run
+						err    error
+					)
+					if ut := tc.userTile(); ut != nil {
+						got, gotRun, err = runGEMMWith(hw, A, B, ut, convGEMMSchedule)
+					} else {
+						got, gotRun, err = acc.RunGEMM(A, B, "oracle")
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantRun, err := runGEMMWith(hw, A, B, tc.userTile(), refGEMMSchedule)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotJSON, gerr := json.Marshal(gotRun)
+					wantJSON, werr := json.Marshal(wantRun)
+					if gerr != nil || werr != nil {
+						t.Fatal(gerr, werr)
+					}
+					if !bytes.Equal(gotJSON, wantJSON) {
+						t.Errorf("run record differs:\n got %s\nwant %s", gotJSON, wantJSON)
+					}
+					if !slices.Equal(got.Shape(), want.Shape()) {
+						t.Fatalf("output shape %v, want %v", got.Shape(), want.Shape())
+					}
+					for i, v := range got.Data() {
+						if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+							t.Fatalf("output %d = %v, want %v", i, v, want.Data()[i])
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

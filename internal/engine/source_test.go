@@ -81,7 +81,10 @@ func TestGEMMSourceScheduleInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := newGEMMSource(A, B, tile)
+		src, err := gemmConvSource(A, B, tile)
+		if err != nil {
+			t.Fatal(err)
+		}
 		items := drainSource(t, src, 1_000_000)
 		checkScheduleInvariants(t, items, m*n)
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mapper"
 	"repro/internal/simpool"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -126,54 +127,44 @@ func fig1bPoint(bw int, rl RepLayer) (Fig1Row, error) {
 	if err != nil {
 		return Fig1Row{}, err
 	}
-	var st uint64
-	var am float64
+	// The model sees a GEMM as the 1×1 convolution the fabric runs it as.
+	var (
+		run  *stats.Run
+		cs   tensor.ConvShape
+		tile mapper.Tile
+	)
 	if rl.Layer.Kind == dnn.Conv {
-		cs := rl.Layer.Conv
+		cs = rl.Layer.Conv
 		in, w := convOperands(&rl.Layer, 0)
-		_, run, err := acc.RunConv(in, w, cs, rl.Tag)
-		if err != nil {
+		if _, run, err = acc.RunConv(in, w, cs, rl.Tag); err != nil {
 			return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
 		}
-		st = run.Cycles
-		tile, err := mapper.PickConv(&hw, cs)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		am, err = analytical.MAERIConv(analytical.MAERIConvParams{
-			K: cs.K / cs.G, C: cs.C / cs.G, G: cs.G, R: cs.R, S: cs.S,
-			Xo: cs.OutX(), Yo: cs.OutY(),
-			TK: tile.TK, TYp: tile.TYp, TC: tile.TC,
-			MSSize: ms, Bandwidth: bw,
-		})
-		if err != nil {
-			return Fig1Row{}, err
-		}
+		tile, err = mapper.PickConv(&hw, cs)
 	} else {
-		A, B, err := layerOperands(&rl.Layer, 0, 0xf16b)
-		if err != nil {
+		var A, B *tensor.Tensor
+		if A, B, err = layerOperands(&rl.Layer, 0, 0xf16b); err != nil {
 			return Fig1Row{}, err
 		}
-		_, run, err := acc.RunGEMM(A, B, rl.Tag)
-		if err != nil {
+		if _, run, err = acc.RunGEMM(A, B, rl.Tag); err != nil {
 			return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
 		}
-		st = run.Cycles
 		m, n, k := rl.Layer.GEMMDims()
-		tile, err := mapper.PickGEMM(&hw, m, n, k)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		am, err = analytical.MAERIGEMM(analytical.MAERIGEMMParams{
-			M: m, N: n, K: k,
-			TM: tile.TM, TN: tile.TN, KSlice: tile.KSlice,
-			MSSize: ms, Bandwidth: bw,
-		})
-		if err != nil {
-			return Fig1Row{}, err
-		}
+		cs = mapper.GEMMShape(m, n, k)
+		tile, err = mapper.PickGEMM(&hw, m, n, k)
 	}
-	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("bw=%d", bw), ST: st, AM: am}, nil
+	if err != nil {
+		return Fig1Row{}, err
+	}
+	am, err := analytical.MAERIConv(analytical.MAERIConvParams{
+		K: cs.K / cs.G, C: cs.C / cs.G, G: cs.G, R: cs.R, S: cs.S,
+		Xo: cs.OutX(), Yo: cs.OutY(),
+		TK: tile.TK, TYp: tile.TYp, TC: tile.TC,
+		MSSize: ms, Bandwidth: bw,
+	})
+	if err != nil {
+		return Fig1Row{}, err
+	}
+	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("bw=%d", bw), ST: run.Cycles, AM: am}, nil
 }
 
 var fig1cSparsities = []float64{0, 0.3, 0.5, 0.7, 0.9}

@@ -100,51 +100,33 @@ func PickConv(h *config.Hardware, cs tensor.ConvShape) (Tile, error) {
 	return t, nil
 }
 
-// GEMMTile describes the mapping of a plain M×N×K GEMM on a flexible
-// fabric: each virtual neuron covers a K-slice of one output row, folded
-// when K exceeds the fabric.
-type GEMMTile struct {
-	KSlice int // dot-product elements per VN per fold
-	Folds  int
-	// TM and TN are the output rows and columns processed in parallel.
-	TM, TN          int
-	NumVNs          int
-	UsedMultipliers int
+// GEMMShape is the 1×1 convolution an M×N×K GEMM runs as on the dense
+// controller: the m rows of A are filters over k channels, and the n
+// columns of B are the output positions of one 1×n image.
+func GEMMShape(m, n, k int) tensor.ConvShape {
+	return tensor.ConvShape{R: 1, S: 1, C: k, G: 1, K: m, N: 1, X: 1, Y: n, Stride: 1}
 }
 
-// PickGEMM chooses a GEMM tile: the widest K slice that fits, remaining
-// multipliers spent on parallel output columns (sharing the stationary
-// row), then rows.
-func PickGEMM(h *config.Hardware, m, n, k int) (GEMMTile, error) {
+// PickGEMM chooses the tile of GEMMShape(m, n, k): the widest channel (K)
+// slice that fits, remaining multipliers spent on parallel filters (output
+// rows sharing a streamed column), then parallel positions (output
+// columns sharing a stationary row).
+func PickGEMM(h *config.Hardware, m, n, k int) (Tile, error) {
 	if m <= 0 || n <= 0 || k <= 0 {
-		return GEMMTile{}, fmt.Errorf("mapper: non-positive GEMM dims %d×%d×%d", m, n, k)
+		return Tile{}, fmt.Errorf("mapper: non-positive GEMM dims %d×%d×%d", m, n, k)
 	}
 	if h.MSSize <= 0 {
-		return GEMMTile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d)", h.MSSize)
+		return Tile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d)", h.MSSize)
 	}
-	t := GEMMTile{}
-	t.KSlice = min(k, h.MSSize)
-	t.Folds = ceilDiv(k, t.KSlice)
-	avail := h.MSSize / t.KSlice
-	t.TM = min(avail, m)
-	if t.TM < 1 {
-		t.TM = 1
-	}
-	avail /= t.TM
-	t.TN = min(avail, n)
-	if t.TN < 1 {
-		t.TN = 1
-	}
-	t.NumVNs = t.TM * t.TN
-	t.UsedMultipliers = t.NumVNs * t.KSlice
-	return t, nil
+	// The slice never exceeds the fabric, so at least one VN of each kind fits.
+	tc := min(k, h.MSSize)
+	avail := h.MSSize / tc
+	tk := min(avail, m)
+	typ := min(avail/tk, n)
+	return Tile{
+		TR: 1, TS: 1, TC: tc, TG: 1, TK: tk, TN: 1, TXp: 1, TYp: typ,
+		VNSize: tc, NumVNs: tk * typ, Folds: ceilDiv(k, tc), UsedMultipliers: tk * typ * tc,
+	}, nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

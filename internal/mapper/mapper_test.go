@@ -52,8 +52,11 @@ func TestPickGEMMBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tile.KSlice != 48 || tile.Folds != 1 {
-		t.Errorf("KSlice/folds: %+v", tile)
+	if tile.TC != 48 || tile.Folds != 1 {
+		t.Errorf("K slice/folds: %+v", tile)
+	}
+	if err := tile.Validate(GEMMShape(64, 32, 48)); err != nil {
+		t.Error(err)
 	}
 	if tile.UsedMultipliers > 128 {
 		t.Errorf("overflow: %+v", tile)
@@ -80,10 +83,10 @@ func TestPickGEMMProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tile.UsedMultipliers <= ms &&
-			tile.KSlice*tile.Folds >= k &&
-			tile.TM >= 1 && tile.TN >= 1 &&
-			tile.TM <= m && tile.TN <= n
+		return tile.Validate(GEMMShape(m, n, k)) == nil &&
+			tile.UsedMultipliers <= ms &&
+			tile.TC*tile.Folds >= k &&
+			tile.TK <= m && tile.TYp <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

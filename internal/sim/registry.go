@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/config"
@@ -140,17 +141,5 @@ func PresetHW(name string, ms, bw int) (config.Hardware, error) {
 // UnknownArchError renders the friendly unknown-architecture error naming
 // every registered architecture.
 func UnknownArchError(name string) error {
-	return fmt.Errorf("unknown architecture %q (available: %s)", name, archListString())
-}
-
-func archListString() string {
-	names := Names()
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return fmt.Errorf("unknown architecture %q (available: %s)", name, strings.Join(Names(), ", "))
 }

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/comp/names"
 	"repro/internal/config"
+	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/mapper"
@@ -94,7 +95,7 @@ type Instance struct {
 	op     opKind
 	conv   ConvShape
 	lin    struct{ out, in, batch int }
-	pool   struct{ window, stride, padding int }
+	pool   dnn.PoolShape
 	tile   *Tile
 	policy SchedPolicy
 
@@ -171,7 +172,7 @@ func (s *Instance) ConfigureMaxPool(window, stride, padding int) error {
 		return fmt.Errorf("stonne: bad pool parameters window=%d stride=%d padding=%d", window, stride, padding)
 	}
 	s.op = opMaxPool
-	s.pool.window, s.pool.stride, s.pool.padding = window, stride, padding
+	s.pool = dnn.PoolShape{Window: window, Stride: stride, Padding: padding}
 	return nil
 }
 
@@ -258,54 +259,19 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 	return out, run, nil
 }
 
-// runMaxPool executes pooling on the fabric: one comparison per window
-// element per output, at MSSize comparisons per cycle.
+// runMaxPool executes pooling on the fabric: the values are dnn's pooling
+// loop; the cost is one comparison per window element per output, at MSSize
+// comparisons per cycle.
 func (s *Instance) runMaxPool() (*Tensor, *Run, error) {
 	in := s.inputs
-	if in.Rank() != 4 {
-		return nil, nil, fmt.Errorf("stonne: MaxPool expects NCHW input, got %v", in.Shape())
+	out, err := dnn.PoolForward(in, s.pool, true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stonne: MaxPool: %w", err)
 	}
 	n, c, x, y := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	w, st, pad := s.pool.window, s.pool.stride, s.pool.padding
-	ox := (x+2*pad-w)/st + 1
-	oy := (y+2*pad-w)/st + 1
-	if ox <= 0 || oy <= 0 {
-		return nil, nil, fmt.Errorf("stonne: pool window %d stride %d yields empty output from %v", w, st, in.Shape())
-	}
-	out := tensor.New(n, c, ox, oy)
-	comparisons := uint64(n*c*ox*oy) * uint64(w*w)
-	cycles := comparisons / uint64(s.hw.MSSize)
-	if cycles == 0 {
-		cycles = 1
-	}
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			for i := 0; i < ox; i++ {
-				for j := 0; j < oy; j++ {
-					best := float32(0)
-					first := true
-					for wi := 0; wi < w; wi++ {
-						xi := i*st + wi - pad
-						if xi < 0 || xi >= x {
-							continue
-						}
-						for wj := 0; wj < w; wj++ {
-							yj := j*st + wj - pad
-							if yj < 0 || yj >= y {
-								continue
-							}
-							v := in.At(ni, ci, xi, yj)
-							if first || v > best {
-								best = v
-								first = false
-							}
-						}
-					}
-					out.Set(best, ni, ci, i, j)
-				}
-			}
-		}
-	}
+	ox, oy := out.Dim(2), out.Dim(3)
+	comparisons := uint64(n*c*ox*oy) * uint64(s.pool.Window*s.pool.Window)
+	cycles := max(comparisons/uint64(s.hw.MSSize), 1)
 	run := &Run{
 		Accelerator: s.hw.Name, Op: "MaxPool",
 		Cycles: cycles, MemAccesses: uint64(n * c * (x*y + ox*oy)),

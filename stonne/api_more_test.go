@@ -131,6 +131,25 @@ func TestConfigureMaxPoolErrors(t *testing.T) {
 	}
 }
 
+// Regression: integer division truncates toward zero, so a window that
+// overhung a 2×2 input by less than a stride came back as a 1×1 output, and a
+// padding of a whole window gave outputs whose window held padding only.
+func TestMaxPoolRejectsWindowsPastTheInput(t *testing.T) {
+	inst, err := CreateInstance(MAERILike(64, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][3]int{{3, 2, 0}, {2, 1, 2}} {
+		if err := inst.ConfigureMaxPool(p[0], p[1], p[2]); err != nil {
+			t.Fatal(err)
+		}
+		inst.ConfigureData(nil, NewTensor(1, 1, 2, 2))
+		if out, _, err := inst.RunOperation(); err == nil {
+			t.Errorf("window %d stride %d padding %d over a 2×2 input accepted, output %v", p[0], p[1], p[2], out.Shape())
+		}
+	}
+}
+
 func TestSNAPEAPresetThroughAPI(t *testing.T) {
 	inst, err := CreateInstance(SNAPEALike(64, 64))
 	if err != nil {

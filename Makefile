@@ -70,22 +70,24 @@ bench:
 bench-smoke:
 	$(GO) run -C bench . -smoke -runs 1 -seconds 0.2 > /dev/null
 
-# checksweep runs every registered architecture × {GEMM, conv, sparse} over
-# the edge-case shape grid and verifies each simulated output against the
-# CPU reference under the architecture's numeric contract.
+# checksweep runs every registered architecture × {gemm, conv, spmm} over
+# the edge-case shape grid through the CLI's seeded-op runner and verifies
+# each simulated output against the CPU reference under the architecture's
+# numeric contract.
 checksweep:
 	$(GO) run ./cmd/experiments checksweep
 
-# Go's native fuzzer accepts one -fuzz pattern per invocation, so each
-# target gets its own run. FUZZTIME scales both flavours: fuzz-smoke is the
-# CI budget, fuzz a longer local soak.
-FUZZ_TARGETS = FuzzGEMMDispatch FuzzConvTile FuzzSparseRoundTrip
+# Go's native fuzzer accepts one -fuzz pattern in one package per
+# invocation, so each package:target pair gets its own run. FUZZTIME scales
+# both flavours: fuzz-smoke is the CI budget, fuzz a longer local soak.
+FUZZ_TARGETS = ./stonne:FuzzGEMMDispatch ./stonne:FuzzConvTile ./internal/check:FuzzSparseRoundTrip
 
 fuzz-smoke: FUZZTIME ?= 30s
 fuzz-smoke:
-	@for t in $(FUZZ_TARGETS); do \
-		echo "== $$t ($(FUZZTIME)) =="; \
-		$(GO) test ./internal/check/ -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; t=$${pt##*:}; \
+		echo "== $$pkg $$t ($(FUZZTIME)) =="; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 fuzz: FUZZTIME ?= 3m

@@ -31,12 +31,12 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/exp"
 	"repro/internal/stats"
+	"repro/stonne"
 )
 
 func main() {
@@ -171,12 +171,13 @@ func sortedKeys(m map[string]float64) []string {
 }
 
 // checksweep runs the differential verification sweep: every registered
-// architecture × {GEMM, conv, sparse} × a grid of edge-case shapes, each
-// simulated output compared element-wise against the CPU reference under
-// the architecture's numeric contract. Exits non-zero on any mismatch.
+// architecture × {gemm, conv, spmm} × a grid of edge-case shapes, each run
+// through the CLI's seeded-op runner with its output compared element-wise
+// against the CPU reference under the architecture's numeric contract.
+// Exits non-zero on any mismatch.
 func checksweep() error {
 	fmt.Println("== Differential self-check sweep — all architectures vs CPU reference ==")
-	return check.WriteSweep(os.Stdout)
+	return stonne.WriteSweep(os.Stdout)
 }
 
 // multicore prints the chip scaling figure: core-count sweep under both

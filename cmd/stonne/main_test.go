@@ -13,13 +13,7 @@ import (
 // trace_event file it writes must parse, carry at least one metadata and one
 // complete ("X") span event, no zero-duration span and no other phase.
 func TestTraceDemo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "stonne")
-	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/stonne").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildStonne(t)
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	if out, err := exec.Command(bin, "gemm", "-arch", "maeri", "-ms", "64", "-bw", "16",
 		"-M", "32", "-N", "32", "-K", "64", "-trace", tracePath).CombinedOutput(); err != nil {
@@ -56,4 +50,28 @@ func TestTraceDemo(t *testing.T) {
 	if meta == 0 || spans == 0 {
 		t.Errorf("trace has %d metadata and %d span events, want at least one of each", meta, spans)
 	}
+}
+
+// `stonne spmm` on a composition without the sparse controller runs the
+// pruned operand as a dense GEMM. It used to exit 1 with "RunSpMM requires
+// the sparse controller".
+func TestSpMMOnDenseArch(t *testing.T) {
+	bin := buildStonne(t)
+	if out, err := exec.Command(bin, "spmm", "-arch", "maeri", "-ms", "64", "-bw", "16",
+		"-M", "8", "-N", "8", "-K", "16", "-sparsity", "0.5", "-selfcheck").CombinedOutput(); err != nil {
+		t.Fatalf("stonne spmm -arch maeri: %v\n%s", err, out)
+	}
+}
+
+// buildStonne builds the stonne binary into a test temp dir.
+func buildStonne(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "stonne")
+	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/stonne").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -1,7 +1,9 @@
-// Package check is the differential verification harness: it replays any
-// workload the simulator ran (GEMM, convolution, sparse MM) on the CPU
-// reference executor and compares the simulated output tensor element by
-// element under a summation-order-aware tolerance model.
+// Package check is the tolerance model of the differential verification
+// harness: it replays any workload the simulator ran (GEMM, convolution,
+// sparse MM) on the CPU reference executor and compares the simulated output
+// tensor element by element under a summation-order-aware tolerance model.
+// The cases that drive it (stonne.Case, stonne.SweepCases) run through the
+// stonne runner the CLI and the service use.
 //
 // The tolerance an architecture earns comes from its registered
 // sim.NumericContract. Compositions that accumulate every output in the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/dnn"
 	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -175,8 +176,8 @@ func TestReportWorstOffenders(t *testing.T) {
 
 func TestVerifyGEMMDetectsCorruption(t *testing.T) {
 	hw := config.TPULike(16)
-	r := splitmix{s: 7}
-	A, B := randTensor(&r, 5, 6), randTensor(&r, 6, 4)
+	rng := dnn.NewRNG(7)
+	A, B := randTensor(rng, 5, 6), randTensor(rng, 6, 4)
 	acc, err := engine.New(hw)
 	if err != nil {
 		t.Fatal(err)
@@ -203,62 +204,14 @@ func TestVerifyGEMMDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestRandomCaseDeterministicAndValid(t *testing.T) {
-	for seed := uint64(0); seed < 64; seed++ {
-		a, b := RandomCase(seed), RandomCase(seed)
-		if a.String() != b.String() {
-			t.Fatalf("seed %d: nondeterministic case: %s vs %s", seed, a, b)
-		}
-		hw, err := a.HW()
-		if err != nil {
-			t.Fatalf("seed %d (%s): %v", seed, a, err)
-		}
-		if err := hw.Validate(); err != nil {
-			t.Fatalf("seed %d (%s): invalid preset: %v", seed, a, err)
-		}
-	}
-}
-
-func TestRandomCasesPass(t *testing.T) {
-	n := uint64(60)
-	if testing.Short() {
-		n = 12
-	}
-	for seed := uint64(0); seed < n; seed++ {
-		c := RandomCase(seed)
-		rep, err := c.Run()
-		if err != nil {
-			t.Fatalf("seed %d (%s): %v", seed, c, err)
-		}
-		if !rep.OK() {
-			t.Fatalf("seed %d: %s", seed, rep)
-		}
-	}
-}
-
-// TestSweep is the in-tree copy of the checksweep CLI gate: every
-// registered architecture × workload kind × shape grid must verify.
-func TestSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep in short mode")
-	}
-	for _, r := range Sweep() {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Case, r.Err)
-		} else if !r.Report.OK() {
-			t.Errorf("%s", r.Report)
-		}
-	}
-}
-
 // Regression: the flexible dense schedule used to stream only the first
 // image of a batched convolution and return an N=1 output tensor.
 func TestBatchedConvMAERIRegression(t *testing.T) {
 	hw := config.MAERILike(16, 8)
 	cs := tensor.ConvShape{R: 2, S: 2, C: 3, G: 1, K: 2, N: 3, X: 5, Y: 5, Stride: 1}
-	r := splitmix{s: 99}
-	in := randTensor(&r, cs.N, cs.C, cs.X, cs.Y)
-	w := randTensor(&r, cs.K, cs.C/cs.G, cs.R, cs.S)
+	rng := dnn.NewRNG(99)
+	in := randTensor(rng, cs.N, cs.C, cs.X, cs.Y)
+	w := randTensor(rng, cs.K, cs.C/cs.G, cs.R, cs.S)
 	acc, err := engine.New(hw)
 	if err != nil {
 		t.Fatal(err)

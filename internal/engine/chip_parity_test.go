@@ -11,9 +11,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// chipOpWorkload runs one op (GEMM or conv) through the Runner the chip
-// scheduler hands it — the minimal workload for differential parity.
+// chipOpWorkload runs one op (GEMM or conv) on an accelerator built from the
+// chip's core — the minimal workload for differential parity.
 type chipOpWorkload struct {
+	acc    *Accelerator
 	op     string
 	gemmA  *tensor.Tensor
 	gemmB  *tensor.Tensor
@@ -25,16 +26,16 @@ type chipOpWorkload struct {
 
 func (w *chipOpWorkload) Streams() int { return 1 }
 func (w *chipOpWorkload) Stages() int  { return 1 }
-func (w *chipOpWorkload) RunStage(_, _, _ int, r sim.Runner) ([]*stats.Run, int, error) {
+func (w *chipOpWorkload) RunStage(_, _, _ int) ([]*stats.Run, int, error) {
 	var (
 		out *tensor.Tensor
 		run *stats.Run
 		err error
 	)
 	if w.op == "gemm" {
-		out, run, err = r.RunGEMM(w.gemmA, w.gemmB, "chip-parity")
+		out, run, err = w.acc.RunGEMM(w.gemmA, w.gemmB, "chip-parity")
 	} else {
-		out, run, err = r.RunConv(w.convIn, w.convW, w.cs, "chip-parity")
+		out, run, err = w.acc.RunConv(w.convIn, w.convW, w.cs, "chip-parity")
 	}
 	if err != nil {
 		return nil, 0, err
@@ -44,8 +45,8 @@ func (w *chipOpWorkload) RunStage(_, _, _ int, r sim.Runner) ([]*stats.Run, int,
 }
 
 // TestChipSingleCoreParity is the differential regression the tentpole
-// promises: a 1-core sim.Chip drives each registered architecture through
-// the registry-built runner and must be byte-identical to running the same
+// promises: a 1-core sim.Chip drives each registered architecture, built from
+// the chip's core description, and must be byte-identical to running the same
 // op on a bare runner — output bits, cycles, every counter, and the full
 // cycle breakdown. A failure here means the chip composition leaked into
 // the single-core path.
@@ -78,11 +79,15 @@ func TestChipSingleCoreParity(t *testing.T) {
 				t.Fatalf("%s %s: bare run: %v", arch.Name, op, err)
 			}
 
-			chip, err := sim.NewChip(sim.ChipConfig{Cores: []config.Hardware{hw}}, nil)
+			chip, err := sim.NewChip(sim.ChipConfig{Cores: []config.Hardware{hw}})
 			if err != nil {
 				t.Fatalf("%s: NewChip: %v", arch.Name, err)
 			}
-			w := &chipOpWorkload{op: op, gemmA: gemmA, gemmB: gemmB, convIn: convIn, convW: convW, cs: cs}
+			acc, err := New(chip.Core(0))
+			if err != nil {
+				t.Fatalf("%s: New: %v", arch.Name, err)
+			}
+			w := &chipOpWorkload{acc: acc, op: op, gemmA: gemmA, gemmB: gemmB, convIn: convIn, convW: convW, cs: cs}
 			cr, err := chip.Run(context.Background(), w)
 			if err != nil {
 				t.Fatalf("%s %s: chip run: %v", arch.Name, op, err)

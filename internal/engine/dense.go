@@ -46,11 +46,6 @@ type workItem struct {
 	Prefetch   int
 	Deliveries []dn.Delivery
 	Jobs       []jobSpec
-	// Reconfig, when non-nil, reprograms the VN membership once the
-	// barrier has drained the fabric (sparse rounds change cluster shapes
-	// between rounds). It requires full quiescence, not just the
-	// ReloadSet.
-	Reconfig func() error
 }
 
 // source generates work items on demand so full-model runs never
@@ -97,8 +92,6 @@ type flexRun struct {
 
 	// Pre-resolved controller counter handles (per-cycle path).
 	cReloadWait, cDramWait comp.Counter
-
-	fatal error
 
 	out []float32
 	// sumOut accumulates results into out (sparse controller: every
@@ -247,20 +240,9 @@ func (f *flexRun) Control() {
 				f.cReloadWait.Add(1)
 				return
 			}
-			if f.cur.Reconfig != nil && (f.pendingJobs > 0 || !f.marr.Idle()) {
-				f.cReloadWait.Add(1)
-				return
-			}
 			if stall := f.DRAM.StallCycles(float64(f.Cycles)); stall > 0 {
 				f.cDramWait.Add(1)
 				return
-			}
-			if f.cur.Reconfig != nil {
-				if err := f.cur.Reconfig(); err != nil {
-					f.fatal = err
-					return
-				}
-				f.cur.Reconfig = nil
 			}
 		}
 		if f.cur.Prefetch > 0 && !f.issued {
@@ -301,8 +283,7 @@ func (f *flexRun) Control() {
 //     nothing in flight changes them while the fabric is idle) and hits the
 //     DRAM stall — each ticked cycle is exactly cDramWait.Add(1) plus one
 //     dram.stall_events count. StallLookahead bounds how many consecutive
-//     cycles stay stalled. The Reconfig arm re-checks marr.Idle here so the
-//     claim is self-contained rather than leaning on the MN's own bound.
+//     cycles stay stalled.
 //
 //   - Exhausted source: srcDone with no held item and no pending jobs.
 //     Part 1 scans empty queues and part 2 re-polls the exhausted source
@@ -313,7 +294,7 @@ func (f *flexRun) Control() {
 // Anything else — live deliveries, partially issued items, jobs awaiting
 // fire — must tick.
 func (f *flexRun) Lookahead() uint64 {
-	if f.fatal != nil || f.pendingJobs != 0 {
+	if f.pendingJobs != 0 {
 		return 0
 	}
 	if !f.hasCur {
@@ -326,9 +307,6 @@ func (f *flexRun) Lookahead() uint64 {
 		return 0
 	}
 	if f.dnet.Pending() > 0 || !f.marr.QuiescentSet(f.cur.ReloadSet) {
-		return 0
-	}
-	if f.cur.Reconfig != nil && !f.marr.Idle() {
 		return 0
 	}
 	return f.DRAM.StallLookahead(f.Cycles)
@@ -359,8 +337,6 @@ func (f *flexRun) Progress() int { return f.completed }
 func (f *flexRun) Waiting() uint64 { return f.cDramWait.Value() }
 
 func (f *flexRun) Draining() bool { return f.srcDone && !f.hasCur }
-
-func (f *flexRun) Err() error { return f.fatal }
 
 // Deadlock renders the watchdog diagnostic with the run's stuck state.
 func (f *flexRun) Deadlock(window uint64) error {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mapper"
 	"repro/internal/simpool"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -72,26 +71,11 @@ func fig1aPoint(pe int, rl RepLayer) (Fig1Row, error) {
 	if err != nil {
 		return Fig1Row{}, err
 	}
-	m, n, k := rl.Layer.GEMMDims()
-	var st uint64
-	if rl.Layer.Kind == dnn.Conv {
-		in, w := convOperands(&rl.Layer, 0)
-		_, run, err := acc.RunConv(in, w, rl.Layer.Conv, rl.Tag)
-		if err != nil {
-			return Fig1Row{}, fmt.Errorf("fig1a %s: %w", rl.Tag, err)
-		}
-		st = run.Cycles
-	} else {
-		A, B, err := layerOperands(&rl.Layer, 0, 0xf16a)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		_, run, err := acc.RunGEMM(A, B, rl.Tag)
-		if err != nil {
-			return Fig1Row{}, fmt.Errorf("fig1a %s: %w", rl.Tag, err)
-		}
-		st = run.Cycles
+	run, err := runRepLayer(acc, rl, 0xf16a)
+	if err != nil {
+		return Fig1Row{}, fmt.Errorf("fig1a %s: %w", rl.Tag, err)
 	}
+	m, n, k := rl.Layer.GEMMDims()
 	am, err := analytical.SystolicOS(m, n, k, pe)
 	if err != nil {
 		return Fig1Row{}, err
@@ -100,7 +84,7 @@ func fig1aPoint(pe int, rl RepLayer) (Fig1Row, error) {
 	if rl.Layer.Kind == dnn.Conv {
 		am *= float64(rl.Layer.Conv.G)
 	}
-	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("%dx%d", pe, pe), ST: st, AM: am}, nil
+	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("%dx%d", pe, pe), ST: run.Cycles, AM: am}, nil
 }
 
 // Fig1bPar compares STONNE against the MAERI analytical model on a
@@ -127,27 +111,19 @@ func fig1bPoint(bw int, rl RepLayer) (Fig1Row, error) {
 	if err != nil {
 		return Fig1Row{}, err
 	}
+	run, err := runRepLayer(acc, rl, 0xf16b)
+	if err != nil {
+		return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
+	}
 	// The model sees a GEMM as the 1×1 convolution the fabric runs it as.
 	var (
-		run  *stats.Run
 		cs   tensor.ConvShape
 		tile mapper.Tile
 	)
 	if rl.Layer.Kind == dnn.Conv {
 		cs = rl.Layer.Conv
-		in, w := convOperands(&rl.Layer, 0)
-		if _, run, err = acc.RunConv(in, w, cs, rl.Tag); err != nil {
-			return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
-		}
 		tile, err = mapper.PickConv(&hw, cs)
 	} else {
-		var A, B *tensor.Tensor
-		if A, B, err = layerOperands(&rl.Layer, 0, 0xf16b); err != nil {
-			return Fig1Row{}, err
-		}
-		if _, run, err = acc.RunGEMM(A, B, rl.Tag); err != nil {
-			return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
-		}
 		m, n, k := rl.Layer.GEMMDims()
 		cs = mapper.GEMMShape(m, n, k)
 		tile, err = mapper.PickGEMM(&hw, m, n, k)
@@ -210,27 +186,4 @@ func fig1cPoint(sp float64, rl RepLayer) (Fig1Row, error) {
 		return Fig1Row{}, err
 	}
 	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("sp=%.0f%%", sp*100), ST: run.Cycles, AM: am}, nil
-}
-
-// convOperands builds deterministic input and weight tensors for a conv
-// layer, pruning weights to the given sparsity.
-func convOperands(l *dnn.Layer, sparsity float64) (in, w *tensor.Tensor) {
-	cs := l.Conv
-	rng := dnn.NewRNG(0xc04 + uint64(cs.K*cs.C*cs.X))
-	in = tensor.New(1, cs.C, cs.X, cs.Y)
-	for i, d := 0, in.Data(); i < len(d); i++ {
-		v := rng.Normal()
-		if v < 0 {
-			v = 0
-		}
-		d[i] = float32(v)
-	}
-	w = tensor.New(cs.K, cs.C/cs.G, cs.R, cs.S)
-	for i, d := 0, w.Data(); i < len(d); i++ {
-		d[i] = float32(rng.Normal())
-	}
-	if sparsity > 0 {
-		_ = pruneDense(w, sparsity)
-	}
-	return in, w
 }

@@ -82,12 +82,8 @@ func fig5Run(tag string, hw config.Hardware, scale int) (Fig5Row, error) {
 	if err != nil {
 		return Fig5Row{}, err
 	}
-	m, err := dnn.ScaleSpatial(full, scale)
+	m, w, err := seededModel(full, scale, 0xf165)
 	if err != nil {
-		return Fig5Row{}, err
-	}
-	w := dnn.InitWeights(m, 0xf165)
-	if err := w.Prune(m.Sparsity); err != nil {
 		return Fig5Row{}, err
 	}
 	input := dnn.RandomInput(m, 0x1217)

@@ -98,12 +98,8 @@ func fig6Image(tag string, scale, img int) (fig6Cell, error) {
 	if err != nil {
 		return fig6Cell{}, err
 	}
-	m, err := dnn.ScaleSpatial(full, scale)
+	m, w, err := seededModel(full, scale, 0xf166)
 	if err != nil {
-		return fig6Cell{}, err
-	}
-	w := dnn.InitWeights(m, 0xf166)
-	if err := w.Prune(m.Sparsity); err != nil {
 		return fig6Cell{}, err
 	}
 	input := dnn.RandomInput(m, 0x100+uint64(img))

@@ -51,12 +51,8 @@ func Fig7Par(ctx context.Context, workers, scale int) ([]Fig7aRow, []Fig7bRow, e
 
 func fig7Model(full *dnn.Model, scale int) (fig7Pair, error) {
 	const capacity = 256
-	m, err := dnn.ScaleSpatial(full, scale)
+	m, w, err := seededModel(full, scale, 0xf167)
 	if err != nil {
-		return fig7Pair{}, err
-	}
-	w := dnn.InitWeights(m, 0xf167)
-	if err := w.Prune(m.Sparsity); err != nil {
 		return fig7Pair{}, err
 	}
 	var sumFilters, layerCount float64

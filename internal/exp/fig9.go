@@ -75,12 +75,8 @@ func fig9Run(tag string, pol sched.Policy, scale int) (Fig9Row, error) {
 	if err != nil {
 		return Fig9Row{}, err
 	}
-	m, err := dnn.ScaleSpatial(full, scale)
+	m, w, err := seededModel(full, scale, 0xf169)
 	if err != nil {
-		return Fig9Row{}, err
-	}
-	w := dnn.InitWeights(m, 0xf169)
-	if err := w.Prune(m.Sparsity); err != nil {
 		return Fig9Row{}, err
 	}
 	input := dnn.RandomInput(m, 0x919)
@@ -114,12 +110,8 @@ func Fig9cPar(ctx context.Context, workers, scale int) ([]Fig9cRow, error) {
 	mrs, err := simpool.Map(ctx, workers, []sched.Policy{sched.NS, sched.LFF},
 		func(_ context.Context, _ int, pol sched.Policy) (*stonne.ModelRun, error) {
 			hw := archHW("sigma", 256, 128)
-			m, err := dnn.ScaleSpatial(dnn.ResNet50(), scale)
+			m, w, err := seededModel(dnn.ResNet50(), scale, 0xf169)
 			if err != nil {
-				return nil, err
-			}
-			w := dnn.InitWeights(m, 0xf169)
-			if err := w.Prune(m.Sparsity); err != nil {
 				return nil, err
 			}
 			input := dnn.RandomInput(m, 0x919)

@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/dnn"
+	"repro/internal/engine"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -69,6 +71,43 @@ func RepresentativeLayers(scale int) ([]RepLayer, error) {
 	return out, nil
 }
 
+// runRepLayer simulates one representative layer on acc: a convolution on
+// its convOperands, any other layer as the GEMM of its layerOperands drawn
+// from gemmSeed.
+func runRepLayer(acc *engine.Accelerator, rl RepLayer, gemmSeed uint64) (*stats.Run, error) {
+	if rl.Layer.Kind == dnn.Conv {
+		in, w := convOperands(&rl.Layer)
+		_, run, err := acc.RunConv(in, w, rl.Layer.Conv, rl.Tag)
+		return run, err
+	}
+	A, B, err := layerOperands(&rl.Layer, 0, gemmSeed)
+	if err != nil {
+		return nil, err
+	}
+	_, run, err := acc.RunGEMM(A, B, rl.Tag)
+	return run, err
+}
+
+// convOperands builds deterministic input and weight tensors for a conv
+// layer.
+func convOperands(l *dnn.Layer) (in, w *tensor.Tensor) {
+	cs := l.Conv
+	rng := dnn.NewRNG(0xc04 + uint64(cs.K*cs.C*cs.X))
+	in = tensor.New(1, cs.C, cs.X, cs.Y)
+	for i, d := 0, in.Data(); i < len(d); i++ {
+		v := rng.Normal()
+		if v < 0 {
+			v = 0
+		}
+		d[i] = float32(v)
+	}
+	w = tensor.New(cs.K, cs.C/cs.G, cs.R, cs.S)
+	for i, d := 0, w.Data(); i < len(d); i++ {
+		d[i] = float32(rng.Normal())
+	}
+	return in, w
+}
+
 // layerOperands builds deterministic operand tensors for a representative
 // layer: the weight/filter matrix and the input/im2col matrix of its GEMM
 // lowering, with weights optionally pruned to a sparsity ratio.
@@ -98,6 +137,20 @@ func layerOperands(l *dnn.Layer, sparsity float64, seed uint64) (A, B *tensor.Te
 func pruneDense(t *tensor.Tensor, target float64) error {
 	w := &dnn.Weights{ByLayer: map[string]*tensor.Tensor{"x": t}}
 	return w.Prune(target)
+}
+
+// seededModel scales a zoo model and draws its weights from seed, pruned to
+// the model's Table I sparsity — the workload of every model figure.
+func seededModel(full *dnn.Model, scale int, seed uint64) (*dnn.Model, *dnn.Weights, error) {
+	m, err := dnn.ScaleSpatial(full, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := dnn.InitWeights(m, seed)
+	if err := w.Prune(m.Sparsity); err != nil {
+		return nil, nil, err
+	}
+	return m, w, nil
 }
 
 // archHW resolves a preset from the architecture registry. The experiment

@@ -46,12 +46,8 @@ func Multicore(scale int) ([]MulticoreRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := dnn.ScaleSpatial(full, scale)
+	m, w, err := seededModel(full, scale, 0xf165)
 	if err != nil {
-		return nil, err
-	}
-	w := dnn.InitWeights(m, 0xf165)
-	if err := w.Prune(m.Sparsity); err != nil {
 		return nil, err
 	}
 	hw := archHW("tpu", 256, 32)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dnn"
 	"repro/internal/engine"
 	"repro/internal/simpool"
 	"repro/internal/stats"
@@ -72,17 +71,7 @@ func stallPoint(j stallJob) (StallRow, error) {
 	if err != nil {
 		return StallRow{}, err
 	}
-	var run *stats.Run
-	if j.rl.Layer.Kind == dnn.Conv {
-		in, w := convOperands(&j.rl.Layer, 0)
-		_, run, err = acc.RunConv(in, w, j.rl.Layer.Conv, j.rl.Tag)
-	} else {
-		A, B, oerr := layerOperands(&j.rl.Layer, 0, 0x57a1)
-		if oerr != nil {
-			return StallRow{}, oerr
-		}
-		_, run, err = acc.RunGEMM(A, B, j.rl.Tag)
-	}
+	run, err := runRepLayer(acc, j.rl, 0x57a1)
 	if err != nil {
 		return StallRow{}, fmt.Errorf("stalls %s/%s bw=%d: %w", j.arch, j.rl.Tag, j.bw, err)
 	}

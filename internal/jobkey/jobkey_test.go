@@ -4,14 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/check"
 	"repro/internal/config"
 	"repro/internal/jobkey"
 	"repro/internal/mapper"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-
-	_ "repro/internal/engine" // register the architectures
+	"repro/stonne"
 )
 
 // gemmJob is the fully-spelled-out reference job the golden vectors pin.
@@ -245,7 +243,7 @@ func TestRejectsUnknownOp(t *testing.T) {
 
 // caseJob converts one differential-sweep case into the serving layer's
 // key material, exactly as the serve package does for a request.
-func caseJob(t *testing.T, c check.Case) jobkey.Job {
+func caseJob(t *testing.T, c stonne.Case) jobkey.Job {
 	t.Helper()
 	hw, err := c.HW()
 	if err != nil {
@@ -255,6 +253,7 @@ func caseJob(t *testing.T, c check.Case) jobkey.Job {
 	if !ok {
 		t.Fatalf("%s: unregistered arch", c)
 	}
+	o := c.Op
 	j := jobkey.Job{
 		Arch: c.Arch,
 		Contract: jobkey.Contract{
@@ -262,19 +261,13 @@ func caseJob(t *testing.T, c check.Case) jobkey.Job {
 			RelTol:             arch.Contract.RelTol,
 			PostActivationConv: arch.Contract.PostActivationConv,
 		},
-		HW:   hw,
+		HW: hw,
+		Op: o.Op, M: o.M, N: o.N, K: o.K,
+		Sparsity: o.Sparsity, Policy: o.Policy,
 		Seed: c.Seed,
 	}
-	switch c.Op {
-	case check.OpConv:
-		j.Op, j.Conv = jobkey.OpConv, c.CS
-	case check.OpSparse:
-		j.Op = jobkey.OpSpMM
-		j.M, j.N, j.K = c.M, c.N, c.K
-		j.Sparsity, j.Policy = c.Sparsity, c.Policy.String()
-	default:
-		j.Op = jobkey.OpGEMM
-		j.M, j.N, j.K = c.M, c.N, c.K
+	if o.Conv != nil {
+		j.Conv = *o.Conv
 	}
 	return j
 }
@@ -286,7 +279,7 @@ func caseJob(t *testing.T, c check.Case) jobkey.Job {
 // the shapes, policies and architectures alone must still separate every
 // pair.
 func TestSweepCasesHashDistinct(t *testing.T) {
-	cases := check.SweepCases()
+	cases := stonne.SweepCases()
 	if len(cases) < 96 {
 		t.Fatalf("sweep grid shrank to %d cases", len(cases))
 	}

@@ -67,7 +67,6 @@ func (r *run) Done() bool      { return r.done }
 func (r *run) Progress() int   { return len(r.state) } // len on a map does not allocate: ok
 func (r *run) Waiting() uint64 { return 0 }
 func (r *run) Draining() bool  { return r.done }
-func (r *run) Err() error      { return nil }
 func (r *run) Lookahead() uint64 {
 	return r.bound()
 }

@@ -473,6 +473,21 @@ func TestServiceJobMatchesSharedRunner(t *testing.T) {
 	}
 }
 
+// An spmm job on a composition without the sparse controller runs its pruned
+// operand as a dense GEMM. It used to answer 500 and count a failed job.
+func TestSpMMJobOnDenseArchs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, arch := range []string{"maeri", "tpu", "snapea"} {
+		body := fmt.Sprintf(`{"op":"spmm","arch":%q,"m":8,"n":8,"k":16,"sparsity":0.5}`, arch)
+		if resp, raw := postJob(t, ts, body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d: %s", arch, resp.StatusCode, raw)
+		}
+	}
+	if st := s.Snapshot(); st.Failed != 0 {
+		t.Errorf("failed = %d, want 0", st.Failed)
+	}
+}
+
 // TestConcurrentWarmClients holds many clients on eight pre-warmed shapes:
 // every response must be a byte-identical replay of its shape's first
 // result, and all but a sliver of them cache hits.

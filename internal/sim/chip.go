@@ -61,18 +61,20 @@ type ChipConfig struct {
 
 // Workload is what a chip schedules: a grid of streams (independent
 // inference requests) by stages (contiguous slices of work a stream passes
-// through in order). RunStage executes one cell on the given core's runner
-// and returns the per-op runs plus the element count of the activation
-// handed to the next stage (charged as a DRAM transfer when the next stage
-// sits on a different core).
+// through in order). RunStage executes one cell on the given core — on
+// whatever the workload built from Chip.Core(core) — and returns the per-op
+// runs plus the element count of the activation handed to the next stage
+// (charged as a DRAM transfer when the next stage sits on a different core).
 type Workload interface {
 	Streams() int
 	Stages() int
-	RunStage(stream, stage, core int, r Runner) ([]*stats.Run, int, error)
+	RunStage(stream, stage, core int) ([]*stats.Run, int, error)
 }
 
 // Chip composes N cores — each an independently configured registered Arch
-// driven by its own Kernel/Ctx per op — around a shared banked DRAM. The
+// driven by its own Kernel/Ctx per op — around a shared banked DRAM. It
+// builds no core: it wires each core's hardware description to the shared
+// memory (Core) and schedules the workload that runs on them. The
 // scheduler is event-driven at stage granularity: cores simulate their ops
 // with the usual cycle-level kernels (watchdog and fast-forward intact),
 // while the chip advances a virtual clock from stage completion to stage
@@ -83,10 +85,9 @@ type Workload interface {
 // keeps its run-private DRAM model, so its runs are byte-identical to the
 // bare-kernel path — the pin the parity tests in internal/engine enforce.
 type Chip struct {
-	cfg     ChipConfig
-	runners []Runner
-	ports   []*mem.CorePort
-	shared  *mem.SharedDRAM
+	cfg    ChipConfig
+	ports  []*mem.CorePort
+	shared *mem.SharedDRAM
 
 	// OnOp, when non-nil, observes every completed stage: the core it ran
 	// on, the (stream, stage) cell, the chip cycle it finished, and the
@@ -94,21 +95,10 @@ type Chip struct {
 	OnOp func(core, stream, stage int, endCycle uint64, runs []*stats.Run)
 }
 
-// NewChip builds the composition. build constructs core i's runner from
-// its (already shared-memory-wired) hardware configuration; nil resolves
-// each core through the architecture registry.
-func NewChip(cfg ChipConfig, build func(core int, hw config.Hardware) (Runner, error)) (*Chip, error) {
+// NewChip validates every core and builds the shared memory system.
+func NewChip(cfg ChipConfig) (*Chip, error) {
 	if len(cfg.Cores) == 0 {
 		return nil, fmt.Errorf("sim: chip needs at least one core")
-	}
-	if build == nil {
-		build = func(_ int, hw config.Hardware) (Runner, error) {
-			arch, err := Resolve(hw)
-			if err != nil {
-				return nil, err
-			}
-			return arch.Build(hw)
-		}
 	}
 	// Validate every core before anything is built from one: the shared
 	// memory system takes core 0's description on trust.
@@ -125,32 +115,30 @@ func NewChip(cfg ChipConfig, build func(core int, hw config.Hardware) (Runner, e
 		}
 		c.shared = shared
 		c.ports = make([]*mem.CorePort, len(cfg.Cores))
-	}
-	c.runners = make([]Runner, len(cfg.Cores))
-	for i := range cfg.Cores {
-		hw := cfg.Cores[i]
-		if c.shared != nil {
+		for i := range c.ports {
 			c.ports[i] = mem.NewCorePort(c.shared, i)
-			hw.SharedMem = c.ports[i]
 		}
-		r, err := build(i, hw)
-		if err != nil {
-			return nil, fmt.Errorf("sim: chip core %d: %w", i, err)
-		}
-		c.runners[i] = r
 	}
 	return c, nil
 }
 
-// Cores returns the core count.
-func (c *Chip) Cores() int { return len(c.runners) }
+// Core returns core i's hardware description, wired to its shared-memory
+// port on a multi-core chip. A 1-core chip returns it unchanged: the core
+// keeps its run-private DRAM model.
+func (c *Chip) Core(i int) config.Hardware {
+	hw := c.cfg.Cores[i]
+	if c.ports != nil {
+		hw.SharedMem = c.ports[i]
+	}
+	return hw
+}
 
 // coreOf maps a (stream, stage) cell to its core under the placement.
 func (c *Chip) coreOf(stream, stage int) int {
 	if c.cfg.Placement == PlaceBatch {
-		return stream % len(c.runners)
+		return stream % len(c.cfg.Cores)
 	}
-	return stage % len(c.runners)
+	return stage % len(c.cfg.Cores)
 }
 
 // Run schedules the workload to completion. Each iteration picks the
@@ -170,9 +158,9 @@ func (c *Chip) Run(ctx context.Context, w Workload) (*stats.ChipRun, error) {
 	if c.shared != nil {
 		banks = c.shared.Banks()
 	}
-	res := stats.NewChipRun(c.cfg.Placement.String(), len(c.runners), banks, streams)
+	res := stats.NewChipRun(c.cfg.Placement.String(), len(c.cfg.Cores), banks, streams)
 
-	coreFree := make([]float64, len(c.runners))
+	coreFree := make([]float64, len(c.cfg.Cores))
 	nextStage := make([]int, streams)
 	ready := make([]float64, streams) // earliest start of the stream's next stage
 	var makespan float64
@@ -201,7 +189,7 @@ func (c *Chip) Run(ctx context.Context, w Workload) (*stats.ChipRun, error) {
 		if c.ports != nil {
 			c.ports[core].StartOp(pickStart)
 		}
-		runs, elems, err := w.RunStage(b, s, core, c.runners[core])
+		runs, elems, err := w.RunStage(b, s, core)
 		if err != nil {
 			return nil, fmt.Errorf("sim: chip stream %d stage %d on core %d: %w", b, s, core, err)
 		}

@@ -2,24 +2,11 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/stats"
-	"repro/internal/tensor"
 )
-
-// stubRunner satisfies Runner for scheduler tests that never execute ops
-// through it (the stub workload fabricates its runs).
-type stubRunner struct{}
-
-func (stubRunner) RunGEMM(a, b *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
-	return nil, nil, fmt.Errorf("stub runner has no datapath")
-}
-func (stubRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer string) (*tensor.Tensor, *stats.Run, error) {
-	return nil, nil, fmt.Errorf("stub runner has no datapath")
-}
 
 // gridWorkload is a streams×stages grid where every stage costs a fixed
 // cycle count and hands off nothing — the pure-scheduler fixture.
@@ -30,7 +17,7 @@ type gridWorkload struct {
 
 func (w *gridWorkload) Streams() int { return w.streams }
 func (w *gridWorkload) Stages() int  { return w.stages }
-func (w *gridWorkload) RunStage(stream, stage, core int, _ Runner) ([]*stats.Run, int, error) {
+func (w *gridWorkload) RunStage(stream, stage, core int) ([]*stats.Run, int, error) {
 	return []*stats.Run{{Cycles: w.cycles}}, 0, nil
 }
 
@@ -40,8 +27,7 @@ func stubChip(t *testing.T, cores int, p Placement) *Chip {
 	for i := range hw {
 		hw[i] = config.MAERILike(64, 16)
 	}
-	chip, err := NewChip(ChipConfig{Cores: hw, Placement: p},
-		func(int, config.Hardware) (Runner, error) { return stubRunner{}, nil })
+	chip, err := NewChip(ChipConfig{Cores: hw, Placement: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,26 +74,22 @@ func TestChipBatchParallel(t *testing.T) {
 // 1-core chip leaves SharedMem nil (private DRAM, byte-identical to the
 // bare-kernel path); multi-core chips wire every core a distinct port.
 func TestChipSharedMemWiring(t *testing.T) {
-	seen := map[int]config.MemPortSource{}
-	build := func(i int, hw config.Hardware) (Runner, error) {
-		seen[i] = hw.SharedMem
-		return stubRunner{}, nil
-	}
-	if _, err := NewChip(ChipConfig{Cores: []config.Hardware{config.MAERILike(64, 16)}}, build); err != nil {
+	chip, err := NewChip(ChipConfig{Cores: []config.Hardware{config.MAERILike(64, 16)}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if seen[0] != nil {
+	if chip.Core(0).SharedMem != nil {
 		t.Errorf("1-core chip wired a shared memory source — parity with the bare kernel is broken")
 	}
-	seen = map[int]config.MemPortSource{}
 	cores := []config.Hardware{config.MAERILike(64, 16), config.MAERILike(64, 16)}
-	if _, err := NewChip(ChipConfig{Cores: cores}, build); err != nil {
+	if chip, err = NewChip(ChipConfig{Cores: cores}); err != nil {
 		t.Fatal(err)
 	}
-	if seen[0] == nil || seen[1] == nil {
-		t.Fatalf("2-core chip left a core without a shared memory port: %v", seen)
+	p0, p1 := chip.Core(0).SharedMem, chip.Core(1).SharedMem
+	if p0 == nil || p1 == nil {
+		t.Fatalf("2-core chip left a core without a shared memory port: %v, %v", p0, p1)
 	}
-	if seen[0] == seen[1] {
+	if p0 == p1 {
 		t.Errorf("cores share one port — per-core clocks would collide")
 	}
 }

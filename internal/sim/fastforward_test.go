@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -152,30 +151,6 @@ func TestKernelWaitingIdenticalAcrossSkip(t *testing.T) {
 	}
 }
 
-// An error surfacing during Advance aborts the run right after the jump,
-// with the skipped cycles already accounted — the same "abort in the
-// faulting cycle" contract the ticked loop gives Tickables.
-func TestKernelErrRaisedDuringAdvance(t *testing.T) {
-	ctx := testCtx()
-	boom := errors.New("advance fault")
-	var fatal error
-	tk := &ffTick{}
-	k := &Kernel{Ctx: ctx, Ticks: []Tickable{tk}, Ctrl: &testCtrl{
-		err:       func() error { return fatal },
-		lookahead: func() uint64 { return 50 },
-		advance:   func(uint64) { fatal = boom },
-	}}
-	if err := k.Run(); !errors.Is(err, boom) {
-		t.Fatalf("Run() = %v, want the advance fault", err)
-	}
-	if ctx.Cycles != 50 {
-		t.Errorf("Cycles = %d, want 50 (skip applied, then abort)", ctx.Cycles)
-	}
-	if tk.ticks != 0 {
-		t.Errorf("component ticked %d times during an aborted skip", tk.ticks)
-	}
-}
-
 // Skipped cycles of a draining run must land in the Drain tier of the
 // breakdown (same classification the ticked loop would give them), and the
 // skip total must surface through the trace.ff.skipped_cycles counter.
@@ -208,7 +183,7 @@ func TestKernelSkippedDrainAttribution(t *testing.T) {
 
 // Untraced runs must not grow a skip counter: the counter set stays
 // byte-identical to the ticked loop's (what the dispatch-parity goldens and
-// check.Sweep compare), and SkippedSoFar reports zero.
+// checksweep compare), and SkippedSoFar reports zero.
 func TestKernelFastForwardUntracedCounterPurity(t *testing.T) {
 	ctx := testCtx()
 	tk := &ffTick{}

@@ -30,11 +30,6 @@ type Controller interface {
 	// recorder classifies the pipeline flush that follows as drain rather
 	// than idle.
 	Draining() bool
-	// Err surfaces a fatal error. It is checked after Control and again
-	// after the fabric ticks (or the skip), so an error raised mid-cycle by
-	// a Tickable aborts the same cycle instead of leaking into the next —
-	// or being swallowed entirely when Done flips first.
-	Err() error
 	// Deadlock renders the watchdog's abort diagnostic with the run's stuck
 	// state. It runs once, at abort, never per tick.
 	Deadlock(window uint64) error
@@ -88,18 +83,12 @@ func (k *Kernel) Run() error {
 			k.Ctx.AccountSkipped(n)
 		} else {
 			c.Control()
-			if err := c.Err(); err != nil {
-				return err
-			}
 			for _, t := range k.Ticks {
 				t.Cycle()
 			}
 			n = 1
 		}
 		k.Ctx.Cycles += n
-		if err := c.Err(); err != nil {
-			return err
-		}
 		if err := k.observe(&w, n); err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,14 +21,13 @@ func (t tick) Advance(uint64)    {}
 
 // testCtrl is a scriptable Controller: every nil field answers like a
 // controller with nothing to report (never done, no progress, no wait, no
-// error, no certified steady state, a generic deadlock diagnostic).
+// certified steady state, a generic deadlock diagnostic).
 type testCtrl struct {
 	control   func()
 	done      func() bool
 	progress  func() int
 	waiting   func() uint64
 	draining  bool
-	err       func() error
 	deadlock  func(window uint64) error
 	lookahead func() uint64
 	advance   func(n uint64)
@@ -52,7 +50,6 @@ func (c *testCtrl) Done() bool        { return call(c.done) }
 func (c *testCtrl) Progress() int     { return call(c.progress) }
 func (c *testCtrl) Waiting() uint64   { return call(c.waiting) }
 func (c *testCtrl) Draining() bool    { return c.draining }
-func (c *testCtrl) Err() error        { return call(c.err) }
 func (c *testCtrl) Lookahead() uint64 { return call(c.lookahead) }
 func (c *testCtrl) Advance(n uint64) {
 	if c.advance != nil {
@@ -99,55 +96,6 @@ func TestKernelTickOrderAndCycleCount(t *testing.T) {
 		if id != i%3+1 {
 			t.Fatalf("tick %d was component %d — pipeline order broken", i, id)
 		}
-	}
-}
-
-func TestKernelErrAborts(t *testing.T) {
-	ctx := testCtx()
-	boom := errors.New("controller fault")
-	k := &Kernel{Ctx: ctx, Ctrl: &testCtrl{err: func() error { return boom }}}
-	if err := k.Run(); !errors.Is(err, boom) {
-		t.Errorf("Run() = %v, want the controller fault", err)
-	}
-	if ctx.Cycles != 0 {
-		t.Errorf("aborted before ticking, but Cycles = %d", ctx.Cycles)
-	}
-}
-
-// failingTick raises its error through the controller's Err the moment it
-// is ticked — the mid-cycle fault path.
-type failingTick struct {
-	tick
-	err  *error
-	boom error
-}
-
-func (f failingTick) Cycle() { *f.err = f.boom }
-
-// An error raised by a Tickable during the fabric ticks must abort that
-// same cycle even when Done would flip true first — the late Err check.
-// Before the fix, Run only consulted Err after Control, so a fault raised
-// mid-cycle on the final cycle was swallowed and the run reported success.
-func TestKernelErrRaisedByTickableAborts(t *testing.T) {
-	ctx := testCtx()
-	boom := errors.New("fabric fault")
-	var tickErr error
-	done := false
-	k := &Kernel{
-		Ctx:   ctx,
-		Ticks: []Tickable{failingTick{err: &tickErr, boom: boom}},
-		Ctrl: &testCtrl{
-			// Done flips after the first cycle: without the post-tick Err
-			// check the loop would exit cleanly and drop the error.
-			done: func() bool { d := done; done = true; return d },
-			err:  func() error { return tickErr },
-		},
-	}
-	if err := k.Run(); !errors.Is(err, boom) {
-		t.Errorf("Run() = %v, want the fabric fault", err)
-	}
-	if ctx.Cycles != 1 {
-		t.Errorf("Cycles = %d, want 1 (abort in the faulting cycle)", ctx.Cycles)
 	}
 }
 

@@ -158,7 +158,9 @@ func (s *Instance) ConfigureLinear(out, in, batch int) error {
 func (s *Instance) ConfigureDMM() { s.op = opDMM }
 
 // ConfigureSpMM configures a sparse matrix multiplication with the given
-// filter-scheduling policy (Table III: ConfigureSpMM).
+// filter-scheduling policy (Table III: ConfigureSpMM). Only the sparse
+// controller skips zeros and applies the policy; any other composition runs
+// the same operands as a dense GEMM, zeros included.
 func (s *Instance) ConfigureSpMM(policy SchedPolicy) {
 	s.op = opSpMM
 	s.policy = policy
@@ -238,9 +240,8 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 		if s.weights == nil {
 			return nil, nil, fmt.Errorf("stonne: SpMM requires both operands")
 		}
-		pol := s.policy
 		gA, gB = s.weights, s.inputs
-		out, run, err = s.acc.RunSpMM(gA, gB, "spmm", &pol)
+		out, run, err = s.runSpMM(gA, gB, "spmm", s.policy)
 	case opMaxPool:
 		out, run, err = s.runMaxPool()
 	default:
@@ -257,6 +258,15 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 	s.tab.Apply(run, &s.hw)
 	s.Runs = append(s.Runs, run)
 	return out, run, nil
+}
+
+// runSpMM runs A×B with A the sparse operand: on the sparse controller under
+// the filter-scheduling policy, elsewhere as a dense GEMM of the same operands.
+func (s *Instance) runSpMM(A, B *Tensor, layer string, pol SchedPolicy) (*Tensor, *Run, error) {
+	if s.acc.SupportsScheduling() {
+		return s.acc.RunSpMM(A, B, layer, &pol)
+	}
+	return s.acc.RunGEMM(A, B, layer)
 }
 
 // runMaxPool executes pooling on the fabric: the values are dnn's pooling

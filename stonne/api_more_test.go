@@ -1,6 +1,7 @@
 package stonne
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dnn"
@@ -42,6 +43,36 @@ func TestConfigureSpMMFlow(t *testing.T) {
 	}
 	if len(inst.Runs) != 3 {
 		t.Errorf("run log has %d entries", len(inst.Runs))
+	}
+}
+
+// On a composition without the sparse controller an SpMM runs its pruned
+// operand as a dense GEMM — cycles and counters equal ConfigureDMM on the same
+// operands — as the model offloader always did. It used to fail with
+// "RunSpMM requires the sparse controller".
+func TestSpMMOnDenseCompositionsRunsAsGEMM(t *testing.T) {
+	A := randAPITensor(1, 0.5, 8, 16)
+	B := randAPITensor(2, 0, 16, 8)
+	for _, hw := range []Hardware{MAERILike(64, 16), TPULike(64), SNAPEALike(64, 16)} {
+		run := func(configure func(*Instance)) *Run {
+			inst, err := CreateInstance(hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst.EnableSelfCheck()
+			configure(inst)
+			inst.ConfigureData(A, B)
+			_, r, err := inst.RunOperation()
+			if err != nil {
+				t.Fatalf("%s: %v", hw.Name, err)
+			}
+			return r
+		}
+		sp := run(func(s *Instance) { s.ConfigureSpMM(LargestFilterFirst) })
+		dmm := run((*Instance).ConfigureDMM)
+		if sp.Cycles != dmm.Cycles || !reflect.DeepEqual(sp.Counters, dmm.Counters) {
+			t.Errorf("%s: spmm %d cycles %v, dmm %d cycles %v", hw.Name, sp.Cycles, sp.Counters, dmm.Cycles, dmm.Counters)
+		}
 	}
 }
 

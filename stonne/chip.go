@@ -61,7 +61,7 @@ type chipWorkload struct {
 func (w *chipWorkload) Streams() int { return len(w.streams) }
 func (w *chipWorkload) Stages() int  { return len(w.bounds) }
 
-func (w *chipWorkload) RunStage(stream, stage, core int, _ sim.Runner) ([]*stats.Run, int, error) {
+func (w *chipWorkload) RunStage(stream, stage, core int) ([]*stats.Run, int, error) {
 	inst := w.insts[core]
 	off := &simOffloader{inst: inst, opts: w.opts, cutSafe: w.cutSafe}
 	exec := &dnn.Executor{Model: w.m, Weights: w.wts, Offload: off}
@@ -106,20 +106,15 @@ func RunModelChip(ctx context.Context, m *Model, wts *Weights, inputs []*Tensor,
 	for i := range coreHW {
 		coreHW[i] = hw
 	}
-	insts := make([]*Instance, cores)
-	chip, err := sim.NewChip(
-		sim.ChipConfig{Cores: coreHW, Banks: copts.Banks, LinkGBs: copts.LinkGBs, Placement: placement},
-		func(i int, chw config.Hardware) (sim.Runner, error) {
-			inst, err := CreateInstance(chw)
-			if err != nil {
-				return nil, err
-			}
-			insts[i] = inst
-			return inst.acc, nil
-		},
-	)
+	chip, err := sim.NewChip(sim.ChipConfig{Cores: coreHW, Banks: copts.Banks, LinkGBs: copts.LinkGBs, Placement: placement})
 	if err != nil {
 		return nil, nil, err
+	}
+	insts := make([]*Instance, cores)
+	for i := range insts {
+		if insts[i], err = CreateInstance(chip.Core(i)); err != nil {
+			return nil, nil, fmt.Errorf("stonne: chip core %d: %w", i, err)
+		}
 	}
 
 	stages := 1

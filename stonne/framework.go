@@ -101,14 +101,7 @@ func (o *simOffloader) RunLayer(l *dnn.Layer, in, w *tensor.Tensor) (*tensor.Ten
 		}
 	case dnn.Linear:
 		// out = W(Out×In) × inᵀ(In×B), reshaped to (B, Out).
-		wt := w
-		bt := tensor.Transpose(in)
-		if inst.acc.SupportsScheduling() {
-			pol := o.opts.Policy
-			out, run, err = inst.acc.RunSpMM(wt, bt, l.Name, &pol)
-		} else {
-			out, run, err = inst.acc.RunGEMM(wt, bt, l.Name)
-		}
+		out, run, err = inst.runSpMM(w, tensor.Transpose(in), l.Name, o.opts.Policy)
 		if err == nil {
 			out = tensor.Transpose(out)
 		}
@@ -117,12 +110,7 @@ func (o *simOffloader) RunLayer(l *dnn.Layer, in, w *tensor.Tensor) (*tensor.Ten
 		if err2 != nil {
 			return nil, err2
 		}
-		if inst.acc.SupportsScheduling() {
-			pol := o.opts.Policy
-			out, run, err = inst.acc.RunSpMM(a, b, l.Name, &pol)
-		} else {
-			out, run, err = inst.acc.RunGEMM(a, b, l.Name)
-		}
+		out, run, err = inst.runSpMM(a, b, l.Name, o.opts.Policy)
 	default:
 		return nil, fmt.Errorf("stonne: layer %s of kind %v cannot be offloaded", l.Name, l.Kind)
 	}

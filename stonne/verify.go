@@ -1,6 +1,7 @@
 package stonne
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/check"
@@ -32,6 +33,12 @@ var (
 	VerifyConv = check.VerifyConv
 )
 
+// errSelfCheck wraps every error verifyRun returns: the operation ran, and
+// its output either failed the tolerance or (wrong shape, nil tensor) could
+// not be compared at all. Callers tell it apart from a run the engine
+// refused.
+var errSelfCheck = errors.New("stonne: self-check")
+
 // verifyRun dispatches the configured operation to the matching
 // differential verifier. gA/gB are the exact GEMM operands handed to the
 // engine (already reshaped/transposed for linear layers).
@@ -51,11 +58,11 @@ func (s *Instance) verifyRun(out, gA, gB *Tensor) error {
 		return nil // MaxPool etc. execute natively; nothing to diff against
 	}
 	if err != nil {
-		return fmt.Errorf("stonne: self-check: %w", err)
+		return fmt.Errorf("%w: %w", errSelfCheck, err)
 	}
 	s.lastCheck = rep
 	if rerr := rep.Err(); rerr != nil {
-		return fmt.Errorf("stonne: self-check failed: %w", rerr)
+		return fmt.Errorf("%w failed: %w", errSelfCheck, rerr)
 	}
 	return nil
 }

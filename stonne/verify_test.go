@@ -1,6 +1,7 @@
 package stonne
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -119,5 +120,26 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "worst") {
 		t.Errorf("report lacks worst-offender detail: %s", rep)
+	}
+}
+
+// An output the comparison cannot read (the batched conv that once came back
+// as an N=1 tensor) leaves no report, so the error itself must say the op ran:
+// the fuzzers fail on errSelfCheck and pass every other error.
+func TestSelfCheckUncomparableOutput(t *testing.T) {
+	inst, err := CreateInstance(TPULike(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	A, B := NewTensor(4, 4), NewTensor(4, 4)
+	inst.ConfigureDMM()
+	for _, out := range []*Tensor{NewTensor(4, 3), nil} {
+		err := inst.verifyRun(out, A, B)
+		if !errors.Is(err, errSelfCheck) {
+			t.Errorf("output %v: error %v does not wrap errSelfCheck", out, err)
+		}
+		if inst.LastCheck() != nil {
+			t.Errorf("output %v: report set for an uncomparable output", out)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke vet lint lint-suppressions fmt-check loc checksweep fuzz fuzz-smoke
+.PHONY: build test race bench-smoke vet lint lint-suppressions fmt-check loc checksweep fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -56,13 +56,6 @@ test:
 # (the exp figure suite dominates the wall time).
 race:
 	$(GO) test -race -timeout 45m ./...
-
-# bench runs the testing.B ablation and raw-engine benchmarks once each;
-# host speed is measured by the benchmark in bench/ (see bench/README.md):
-#   go run -C bench . > report.json ; go run -C bench . -compare a.json b.json
-bench:
-	$(GO) test -run=XXX -bench=. -benchtime=1x .
-	$(GO) test -run=XXX -bench='BenchmarkCounters' ./internal/comp/
 
 # bench-smoke is the CI guard for bench/: every workload once at smoke size,
 # both passes, output checked and discarded — it keeps the benchmark

@@ -1,7 +1,6 @@
 // Package comp provides the primitives every simulated hardware module is
-// built from: the Component interface with its per-clock Cycle method
-// (mirroring STONNE's class diagram, Fig. 4 of the paper), bounded FIFOs,
-// data packets, and the hierarchical activity counters that feed the
+// built from: the fast-forward capability of a ticked component, bounded
+// FIFOs, data packets, and the hierarchical activity counters that feed the
 // table-based energy model.
 package comp
 
@@ -11,14 +10,6 @@ import (
 	"strings"
 	"sync"
 )
-
-// Component is any hardware module that advances one clock cycle at a time.
-// The accelerator's run loop ticks every configured component once per
-// simulated cycle in pipeline order.
-type Component interface {
-	Name() string
-	Cycle()
-}
 
 // Unbounded is the Lookahead return value meaning "steady for any horizon":
 // the component never limits a fast-forward skip; something else (another
@@ -254,21 +245,17 @@ type Packet struct {
 // FIFO is a bounded queue of packets with push/pop activity accounting.
 // A zero-capacity FIFO is unbounded (used for result collection).
 type FIFO struct {
-	name     string
 	capacity int
 	buf      []Packet
 	head     int
 
-	pushes, pops, maxOcc uint64
+	pushes, pops uint64
 }
 
 // NewFIFO returns a FIFO with the given capacity (0 = unbounded).
-func NewFIFO(name string, capacity int) *FIFO {
-	return &FIFO{name: name, capacity: capacity}
+func NewFIFO(capacity int) *FIFO {
+	return &FIFO{capacity: capacity}
 }
-
-// Name returns the FIFO's instance name.
-func (f *FIFO) Name() string { return f.name }
 
 // Len returns the current occupancy.
 func (f *FIFO) Len() int { return len(f.buf) - f.head }
@@ -286,9 +273,6 @@ func (f *FIFO) Push(p Packet) bool {
 	}
 	f.buf = append(f.buf, p)
 	f.pushes++
-	if occ := uint64(f.Len()); occ > f.maxOcc {
-		f.maxOcc = occ
-	}
 	return true
 }
 
@@ -317,21 +301,7 @@ func (f *FIFO) Peek() (p Packet, ok bool) {
 	return f.buf[f.head], true
 }
 
-// Stats reports lifetime pushes, pops and the high-water occupancy.
-func (f *FIFO) Stats() (pushes, pops, maxOccupancy uint64) {
-	return f.pushes, f.pops, f.maxOcc
+// Stats reports lifetime pushes and pops.
+func (f *FIFO) Stats() (pushes, pops uint64) {
+	return f.pushes, f.pops
 }
-
-// Lookahead implements the fast-forward capability trivially: a FIFO has no
-// clocked behaviour of its own (it changes only when pushed or popped), so
-// an empty FIFO is steady for any horizon and a non-empty one defers to the
-// component draining it.
-func (f *FIFO) Lookahead() uint64 {
-	if f.Empty() {
-		return Unbounded
-	}
-	return 0
-}
-
-// Advance implements Lookahead; a FIFO holds no per-cycle state to replay.
-func (f *FIFO) Advance(uint64) {}

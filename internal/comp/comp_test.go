@@ -37,7 +37,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestFIFOBasics(t *testing.T) {
-	f := NewFIFO("t", 2)
+	f := NewFIFO(2)
 	if !f.Empty() || f.Full() {
 		t.Fatal("fresh FIFO state wrong")
 	}
@@ -54,14 +54,13 @@ func TestFIFOBasics(t *testing.T) {
 	if !ok || p.Seq != 1 {
 		t.Fatalf("pop order wrong: %v", p)
 	}
-	pushes, pops, maxOcc := f.Stats()
-	if pushes != 2 || pops != 1 || maxOcc != 2 {
-		t.Errorf("stats %d %d %d", pushes, pops, maxOcc)
+	if pushes, pops := f.Stats(); pushes != 2 || pops != 1 {
+		t.Errorf("stats %d %d", pushes, pops)
 	}
 }
 
 func TestFIFOUnbounded(t *testing.T) {
-	f := NewFIFO("u", 0)
+	f := NewFIFO(0)
 	for i := 0; i < 1000; i++ {
 		if !f.Push(Packet{Seq: i}) {
 			t.Fatal("unbounded FIFO rejected push")
@@ -79,7 +78,7 @@ func TestFIFOUnbounded(t *testing.T) {
 // through the internal compaction path.
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		fifo := NewFIFO("p", 0)
+		fifo := NewFIFO(0)
 		nextPush, nextPop := 0, 0
 		for _, push := range ops {
 			if push {
@@ -110,7 +109,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	f := NewFIFO("c", 0)
+	f := NewFIFO(0)
 	// Interleave enough pushes/pops to trigger the head>64 compaction.
 	for i := 0; i < 500; i++ {
 		f.Push(Packet{Seq: i})

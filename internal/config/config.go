@@ -8,6 +8,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -292,6 +293,14 @@ type MemPort interface {
 type MemPortSource interface {
 	Port(c *comp.Counters) MemPort
 }
+
+// ErrRefused is wrapped by every refusal the engine or the mapper makes
+// before the first simulated cycle: an operation the configured hardware
+// does not run (an explicit tile on a rigid composition, a tile or filter
+// window wider than the fabric, a batch on SNAPEA) or operands that do not
+// match the operation's shape. Nothing was simulated, so the request is at
+// fault, not the simulator.
+var ErrRefused = errors.New("refused before simulation")
 
 // Validate reports a descriptive error for an inconsistent configuration.
 // It is the one place hardware validity is checked: every value a model

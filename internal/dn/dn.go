@@ -49,7 +49,8 @@ type Prober func(ms int, p comp.Packet) bool
 
 // Network is the common behaviour of all three DN types.
 type Network interface {
-	comp.Component
+	// Cycle moves up to the per-cycle budget of queued deliveries.
+	Cycle()
 	comp.Lookahead
 	// Offer enqueues a delivery into the injection queue; false means the
 	// queue is full and the caller must retry next cycle.
@@ -61,8 +62,6 @@ type Network interface {
 	SetSink(s Sink)
 	// SetProber wires the capacity check used for atomic multicast.
 	SetProber(p Prober)
-	// Bandwidth returns the per-cycle unique-element budget.
-	Bandwidth() int
 }
 
 // queueCap bounds the injection queue: the controller may run at most this
@@ -70,32 +69,27 @@ type Network interface {
 const queueCap = 1024
 
 type base struct {
-	name      string
 	leaves    int
 	bandwidth int
 	sink      Sink
 	probe     Prober
 	queue     []Delivery
 	head      int // consumed prefix of queue (head-indexed pop)
-	counters  *comp.Counters
 
 	// Pre-resolved counter handles shared by all DN kinds (per-cycle path).
 	cStalls, cInjections, cActive comp.Counter
 }
 
-func newBase(name string, leaves, bandwidth int, c *comp.Counters) base {
+func newBase(leaves, bandwidth int, c *comp.Counters) base {
 	return base{
-		name:        name,
 		leaves:      leaves,
 		bandwidth:   bandwidth,
-		counters:    c,
 		cStalls:     c.Counter(names.DNStallCycles),
 		cInjections: c.Counter(names.DNInjections),
 		cActive:     c.Counter(names.DNActiveCycles),
 	}
 }
 
-func (b *base) Name() string { return b.name }
 func (b *base) Offer(d Delivery) bool {
 	if len(d.Dests) == 0 {
 		return true // nothing to deliver
@@ -109,7 +103,6 @@ func (b *base) Offer(d Delivery) bool {
 func (b *base) Pending() int       { return b.qlen() }
 func (b *base) SetSink(s Sink)     { b.sink = s }
 func (b *base) SetProber(p Prober) { b.probe = p }
-func (b *base) Bandwidth() int     { return b.bandwidth }
 
 func (b *base) qlen() int { return len(b.queue) - b.head }
 
@@ -177,7 +170,7 @@ type Tree struct {
 // per-cycle unique-value bandwidth.
 func NewTree(leaves, bandwidth int, c *comp.Counters) *Tree {
 	return &Tree{
-		base:      newBase("dn.tree", leaves, bandwidth, c),
+		base:      newBase(leaves, bandwidth, c),
 		cLinkTrav: c.Counter(names.DNLinkTraversals),
 		cForwards: c.Counter(names.MNForwards),
 		stamp:     make([]uint32, 2*leaves),
@@ -258,7 +251,7 @@ type Benes struct {
 // NewBenes builds a Benes DN over `leaves` destinations.
 func NewBenes(leaves, bandwidth int, c *comp.Counters) *Benes {
 	return &Benes{
-		base:        newBase("dn.benes", leaves, bandwidth, c),
+		base:        newBase(leaves, bandwidth, c),
 		cSwitchTrav: c.Counter(names.DNSwitchTraversals),
 		levels:      2*log2ceil(leaves) + 1,
 	}
@@ -323,7 +316,7 @@ type PointToPoint struct {
 // NewPointToPoint builds the unicast DN.
 func NewPointToPoint(leaves, bandwidth int, c *comp.Counters) *PointToPoint {
 	return &PointToPoint{
-		base:      newBase("dn.popn", leaves, bandwidth, c),
+		base:      newBase(leaves, bandwidth, c),
 		cLinkTrav: c.Counter(names.DNLinkTraversals),
 	}
 }

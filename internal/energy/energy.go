@@ -210,18 +210,5 @@ func Area(hw *config.Hardware) map[string]float64 {
 }
 
 // TotalArea sums the breakdown in sorted-component order so the float
-// total is bit-identical across calls (map iteration order would perturb
-// the last bits).
-func TotalArea(hw *config.Hardware) float64 {
-	br := Area(hw)
-	keys := make([]string, 0, len(br))
-	for k := range br {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var t float64
-	for _, k := range keys {
-		t += br[k]
-	}
-	return t
-}
+// total is bit-identical across calls.
+func TotalArea(hw *config.Hardware) float64 { return stats.SumSorted(Area(hw)) }

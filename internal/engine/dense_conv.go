@@ -315,8 +315,8 @@ func (c *convSource) Next() (workItem, bool) {
 // sliding-window forwarding, using the mapper's tile choice.
 func (r *flexDenseRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer string) (*tensor.Tensor, *stats.Run, error) {
 	if cs.R*cs.S > r.hw.MSSize {
-		return nil, nil, fmt.Errorf("engine: filter window %dx%d exceeds the %d-switch fabric (fold-over-window is not supported by the dense controller)",
-			cs.R, cs.S, r.hw.MSSize)
+		return nil, nil, fmt.Errorf("engine: filter window %dx%d exceeds the %d-switch fabric (fold-over-window is not supported by the dense controller): %w",
+			cs.R, cs.S, r.hw.MSSize, config.ErrRefused)
 	}
 	tile, err := mapper.PickConv(&r.hw, cs)
 	if err != nil {
@@ -329,14 +329,11 @@ func (r *flexDenseRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, lay
 // STONNE, the tile configuration for every layer is part of the model
 // modifications (Fig. 2d); the mapper only provides a default.
 func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape, layer string, tile mapper.Tile) (*tensor.Tensor, *stats.Run, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if err := tile.Validate(cs); err != nil {
 		return nil, nil, err
 	}
 	if in.Rank() != 4 || in.Dim(0) != cs.N || in.Dim(1) != cs.C || in.Dim(2) != cs.X || in.Dim(3) != cs.Y {
-		return nil, nil, fmt.Errorf("engine: conv input %v does not match shape %+v", in.Shape(), cs)
+		return nil, nil, fmt.Errorf("engine: conv input %v does not match shape %+v: %w", in.Shape(), cs, config.ErrRefused)
 	}
 	if cs.N > 1 {
 		// The schedule streams one image at a time (T_N == 1 is enforced
@@ -345,10 +342,10 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 		return r.runConvBatched(in, w, cs, layer, tile)
 	}
 	if tile.UsedMultipliers > r.hw.MSSize {
-		return nil, nil, fmt.Errorf("engine: tile uses %d multipliers, fabric has %d", tile.UsedMultipliers, r.hw.MSSize)
+		return nil, nil, fmt.Errorf("engine: tile uses %d multipliers, fabric has %d: %w", tile.UsedMultipliers, r.hw.MSSize, config.ErrRefused)
 	}
 	if tile.TG != 1 || tile.TN != 1 {
-		return nil, nil, fmt.Errorf("engine: group/batch tile parallelism is not supported (T_G=%d, T_N=%d)", tile.TG, tile.TN)
+		return nil, nil, fmt.Errorf("engine: group/batch tile parallelism is not supported (T_G=%d, T_N=%d): %w", tile.TG, tile.TN, config.ErrRefused)
 	}
 	// Position parallelism along x is folded into the y sweep. The fold
 	// costs nothing in DN slots (on the Table V 3×3 rows a step's receptive

@@ -48,9 +48,6 @@ func New(hw config.Hardware) (*Accelerator, error) {
 	return &Accelerator{hw: hw, arch: arch, runner: runner}, nil
 }
 
-// HW returns the hardware configuration.
-func (a *Accelerator) HW() config.Hardware { return a.hw }
-
 // Arch returns the registry name of the resolved architecture.
 func (a *Accelerator) Arch() string { return a.arch.Name }
 
@@ -72,7 +69,7 @@ func (a *Accelerator) SupportsEarlyCut() bool {
 // and returns the result with per-run statistics.
 func (a *Accelerator) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor, *stats.Run, error) {
 	if A.Rank() != 2 || B.Rank() != 2 || A.Dim(1) != B.Dim(0) {
-		return nil, nil, fmt.Errorf("engine: GEMM shape mismatch %v × %v", A.Shape(), B.Shape())
+		return nil, nil, fmt.Errorf("engine: GEMM shape mismatch %v × %v: %w", A.Shape(), B.Shape(), config.ErrRefused)
 	}
 	return a.runner.RunGEMM(A, B, layer)
 }
@@ -81,7 +78,7 @@ func (a *Accelerator) RunGEMM(A, B *tensor.Tensor, layer string) (*tensor.Tensor
 // NKX'Y' output with statistics.
 func (a *Accelerator) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer string) (*tensor.Tensor, *stats.Run, error) {
 	if err := cs.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", err, config.ErrRefused)
 	}
 	return a.runner.RunConv(in, w, cs, layer)
 }
@@ -92,7 +89,7 @@ func (a *Accelerator) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer s
 func (a *Accelerator) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape, layer string, tile mapper.Tile) (*tensor.Tensor, *stats.Run, error) {
 	fr, ok := a.runner.(*flexDenseRunner)
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: explicit tiles target the flexible dense composition, have %v/%v", a.hw.Ctrl, a.hw.DN)
+		return nil, nil, fmt.Errorf("engine: explicit tiles target the flexible dense composition, have %v/%v: %w", a.hw.Ctrl, a.hw.DN, config.ErrRefused)
 	}
 	return fr.RunConvTiled(in, w, cs, layer, tile)
 }
@@ -103,7 +100,7 @@ func (a *Accelerator) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape, la
 func (a *Accelerator) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.Policy) (*tensor.Tensor, *stats.Run, error) {
 	sr, ok := a.runner.(*sparseRunner)
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: RunSpMM requires the sparse controller, have %v", a.hw.Ctrl)
+		return nil, nil, fmt.Errorf("engine: RunSpMM requires the sparse controller, have %v: %w", a.hw.Ctrl, config.ErrRefused)
 	}
 	return sr.RunSpMM(A, B, layer, policy)
 }
@@ -115,7 +112,7 @@ func (a *Accelerator) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.P
 func (a *Accelerator) RunConvScheduled(in, w *tensor.Tensor, cs tensor.ConvShape, layer string, pol sched.Policy) (*tensor.Tensor, *stats.Run, error) {
 	sr, ok := a.runner.(*sparseRunner)
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: filter scheduling requires the sparse controller, have %v", a.hw.Ctrl)
+		return nil, nil, fmt.Errorf("engine: filter scheduling requires the sparse controller, have %v: %w", a.hw.Ctrl, config.ErrRefused)
 	}
 	return sr.RunConvScheduled(in, w, cs, layer, pol)
 }

@@ -132,10 +132,10 @@ func (r *snapeaRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer 
 // comparison runs both variants on the same configuration.
 func runSNAPEAConv(hw *config.Hardware, in, w *tensor.Tensor, cs tensor.ConvShape, layer string, cut bool) (*tensor.Tensor, *stats.Run, error) {
 	if err := cs.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %w", err, config.ErrRefused)
 	}
 	if cs.N != 1 {
-		return nil, nil, fmt.Errorf("engine: SNAPEA models batch-1 inference, got N=%d", cs.N)
+		return nil, nil, fmt.Errorf("engine: SNAPEA models batch-1 inference, got N=%d: %w", cs.N, config.ErrRefused)
 	}
 	ctx := sim.NewCtx(hw)
 	filters := buildSNAPEAFilters(w, cs, true)

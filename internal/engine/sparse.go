@@ -228,7 +228,7 @@ func (r *sparseRunner) RunConv(in, w *tensor.Tensor, cs tensor.ConvShape, layer 
 // selects the filter scheduling strategy of use case 3 (nil = NS).
 func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.Policy) (*tensor.Tensor, *stats.Run, error) {
 	if A.Rank() != 2 || B.Rank() != 2 || A.Dim(1) != B.Dim(0) {
-		return nil, nil, fmt.Errorf("engine: SpMM shape mismatch %v × %v", A.Shape(), B.Shape())
+		return nil, nil, fmt.Errorf("engine: SpMM shape mismatch %v × %v: %w", A.Shape(), B.Shape(), config.ErrRefused)
 	}
 	pol := sched.NS
 	if policy != nil {

@@ -212,16 +212,3 @@ func TestTableVRunAverage(t *testing.T) {
 		t.Errorf("average |error| vs RTL = %.1f%%, budget 10%%", 100*avg)
 	}
 }
-
-// TestSumEnergyOrderIndependent pins the sorted walk behind Fig5Row's
-// TotalEnergy: 1e16+1 rounds back to 1e16 in float64, so this map sums to
-// 0 in sorted-key order but 1 in the order a, c, b — a map-iteration-order
-// walk would flip between them across runs.
-func TestSumEnergyOrderIndependent(t *testing.T) {
-	br := map[string]float64{"a": 1e16, "b": 1, "c": -1e16}
-	for i := 0; i < 50; i++ {
-		if got := sumEnergy(br); got != 0 {
-			t.Fatalf("call %d: sumEnergy = %v, want 0 (map-order drift)", i, got)
-		}
-	}
-}

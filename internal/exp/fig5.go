@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/dnn"
@@ -106,24 +105,8 @@ func fig5Run(tag string, hw config.Hardware, scale int) (Fig5Row, error) {
 		TotalArea:   energy.TotalArea(&hw),
 		Counters:    counters,
 	}
-	row.TotalEnergy = sumEnergy(row.EnergyUJ)
+	row.TotalEnergy = stats.SumSorted(row.EnergyUJ)
 	return row, nil
-}
-
-// sumEnergy totals a per-component energy map in sorted-key order: float
-// addition is order-sensitive in the last bits, and Fig. 5 rows must be
-// byte-identical across runs.
-func sumEnergy(br map[string]float64) float64 {
-	keys := make([]string, 0, len(br))
-	for k := range br {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var t float64
-	for _, k := range keys {
-		t += br[k]
-	}
-	return t
 }
 
 // onChip keeps the four components of the paper's Fig. 5b breakdown

@@ -34,6 +34,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/mapper"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -41,25 +42,21 @@ import (
 // encoding.
 type Key string
 
-// Contract mirrors sim.NumericContract without importing the registry
-// (jobkey sits below sim so both the serve layer and tests can use it
-// freely). A changed contract means the architecture's numeric behaviour
-// was re-specified, so it must change the key even when nothing else did.
-type Contract struct {
-	ExactSum           bool
-	RelTol             float64
-	PostActivationConv bool
-}
+// Contract is the architecture's numeric contract. A changed contract means
+// the architecture's numeric behaviour was re-specified, so it must change
+// the key even when nothing else did.
+type Contract = sim.NumericContract
 
 // Chip is the multi-core composition part of a job: how many cores, the
 // placement policy, and the shared-DRAM shape — the placement/banks
-// component of the cache key for chip runs.
+// component of the cache key for chip runs. It is also the "chip" object of
+// a service request; the canonical encoding reads field names, not tags.
 type Chip struct {
-	Cores     int
-	Placement string
-	Banks     int
-	LinkGBs   float64
-	Streams   int
+	Cores     int     `json:"cores,omitempty"`
+	Placement string  `json:"placement,omitempty"`
+	Banks     int     `json:"banks,omitempty"`
+	LinkGBs   float64 `json:"link_gbs,omitempty"`
+	Streams   int     `json:"streams,omitempty"`
 }
 
 // Operation names a Job accepts.

@@ -11,7 +11,7 @@ import (
 // lookup. The per-tick call surface is discovered structurally, per
 // package:
 //
-//   - Cycle() methods — the sim.Tickable / comp.Component tick callbacks;
+//   - Cycle() methods — the sim.Tickable tick callbacks;
 //   - Next() (T, bool) methods — schedule generators;
 //   - Consume(T) methods — result consumers;
 //   - Lookahead() uint64 and Advance(uint64) methods — the comp.Lookahead

@@ -24,24 +24,26 @@ type Tile struct {
 }
 
 // Validate checks internal consistency against the layer it was built for.
+// Every error wraps config.ErrRefused.
 func (t Tile) Validate(cs tensor.ConvShape) error {
-	if err := cs.Validate(); err != nil {
-		return err
-	}
+	err := cs.Validate()
 	switch {
+	case err != nil:
 	case t.TR < 1 || t.TS < 1 || t.TC < 1 || t.TG < 1 || t.TK < 1 || t.TN < 1 || t.TXp < 1 || t.TYp < 1:
-		return fmt.Errorf("mapper: tile has non-positive dimension: %+v", t)
+		err = fmt.Errorf("mapper: tile has non-positive dimension: %+v", t)
 	case t.VNSize != t.TR*t.TS*t.TC:
-		return fmt.Errorf("mapper: VNSize %d != TR·TS·TC %d", t.VNSize, t.TR*t.TS*t.TC)
+		err = fmt.Errorf("mapper: VNSize %d != TR·TS·TC %d", t.VNSize, t.TR*t.TS*t.TC)
 	case t.NumVNs != t.TG*t.TK*t.TN*t.TXp*t.TYp:
-		return fmt.Errorf("mapper: NumVNs %d != product of parallel dims %d",
+		err = fmt.Errorf("mapper: NumVNs %d != product of parallel dims %d",
 			t.NumVNs, t.TG*t.TK*t.TN*t.TXp*t.TYp)
 	case t.TR > cs.R || t.TS > cs.S || t.TC > cs.C/cs.G:
-		return fmt.Errorf("mapper: tile %+v exceeds filter dims of %+v", t, cs)
+		err = fmt.Errorf("mapper: tile %+v exceeds filter dims of %+v", t, cs)
 	case t.Folds < 1:
-		return fmt.Errorf("mapper: folds must be >= 1, got %d", t.Folds)
+		err = fmt.Errorf("mapper: folds must be >= 1, got %d", t.Folds)
+	default:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("%w: %w", err, config.ErrRefused)
 }
 
 // PickConv chooses a convolution tile for the hardware: the full filter
@@ -50,10 +52,10 @@ func (t Tile) Validate(cs tensor.ConvShape) error {
 // on parallel output positions, then parallel filters.
 func PickConv(h *config.Hardware, cs tensor.ConvShape) (Tile, error) {
 	if err := cs.Validate(); err != nil {
-		return Tile{}, err
+		return Tile{}, fmt.Errorf("%w: %w", err, config.ErrRefused)
 	}
 	if h.MSSize <= 0 {
-		return Tile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d)", h.MSSize)
+		return Tile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d): %w", h.MSSize, config.ErrRefused)
 	}
 	cg := cs.C / cs.G
 	kg := cs.K / cs.G
@@ -113,10 +115,10 @@ func GEMMShape(m, n, k int) tensor.ConvShape {
 // columns sharing a stationary row).
 func PickGEMM(h *config.Hardware, m, n, k int) (Tile, error) {
 	if m <= 0 || n <= 0 || k <= 0 {
-		return Tile{}, fmt.Errorf("mapper: non-positive GEMM dims %d×%d×%d", m, n, k)
+		return Tile{}, fmt.Errorf("mapper: non-positive GEMM dims %d×%d×%d: %w", m, n, k, config.ErrRefused)
 	}
 	if h.MSSize <= 0 {
-		return Tile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d)", h.MSSize)
+		return Tile{}, fmt.Errorf("mapper: fabric has no multiplier switches (MSSize %d): %w", h.MSSize, config.ErrRefused)
 	}
 	// The slice never exceeds the fabric, so at least one VN of each kind fits.
 	tc := min(k, h.MSSize)

@@ -104,7 +104,7 @@ func TestCorePortMirrorsPrivateCounters(t *testing.T) {
 	for _, hw := range sweepHW() {
 		pc, cc := comp.NewCounters(), comp.NewCounters()
 		var priv Port = NewDRAM(hw, pc)
-		port := NewCorePort(mustShared(t, hw, 0, 0), 0).Port(cc)
+		port := NewCorePort(mustShared(t, hw, 0, 0)).Port(cc)
 
 		// same runs one step on both ports and compares what it returns.
 		same := func(what string, step func(Port) float64) float64 {
@@ -158,9 +158,9 @@ func TestCorePortStallLookaheadExact(t *testing.T) {
 	hw := testHW()
 	s := mustShared(t, hw, 0, 0)
 	c0, c1 := comp.NewCounters(), comp.NewCounters()
-	p0 := NewCorePort(s, 0)
+	p0 := NewCorePort(s)
 	port0 := p0.Port(c0)
-	port1 := NewCorePort(s, 1).Port(c1)
+	port1 := NewCorePort(s).Port(c1)
 
 	port0.BeginPrefetch(0, 100_000)
 	before := port0.StallLookahead(0)
@@ -189,8 +189,8 @@ func TestCorePortContentionCounters(t *testing.T) {
 	hw := testHW()
 	s := mustShared(t, hw, 1, 0)
 	c0, c1 := comp.NewCounters(), comp.NewCounters()
-	port0 := NewCorePort(s, 0).Port(c0)
-	port1 := NewCorePort(s, 1).Port(c1)
+	port0 := NewCorePort(s).Port(c0)
+	port1 := NewCorePort(s).Port(c1)
 
 	port0.BeginPrefetch(0, 200_000)
 	port1.BeginPrefetch(0, 200_000)
@@ -244,7 +244,7 @@ func TestCorePortRoundingCarriesRemainders(t *testing.T) {
 	hw.DRAM.RowMissLatency = 10
 	s := mustShared(t, hw, 1, 8.0/1e0*1) // 8 B/s·1e9 → 8 elems/cycle
 	c0 := comp.NewCounters()
-	p0 := NewCorePort(s, 0)
+	p0 := NewCorePort(s)
 	port0 := p0.Port(c0)
 
 	const transfers = 1000
@@ -269,7 +269,7 @@ func TestCorePortRoundingCarriesRemainders(t *testing.T) {
 	// bank, splitting each span into fractional busy and wait parts that
 	// round independently in the broken scheme.
 	c1 := comp.NewCounters()
-	p1 := NewCorePort(s, 1)
+	p1 := NewCorePort(s)
 	port1 := p1.Port(c1)
 	for i := 0; i < transfers; i++ {
 		port0.FetchCycles(4)

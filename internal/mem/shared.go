@@ -101,7 +101,6 @@ func (s *SharedDRAM) Serve(issue float64, n int) (start, completion float64) {
 type CorePort struct {
 	window
 	shared *SharedDRAM
-	core   int
 
 	base      float64 // chip cycle of the current op's cycle zero
 	selfReady float64 // chip cycle the core's last transfer completes
@@ -118,9 +117,9 @@ type CorePort struct {
 	cICNReq, cICNBusy, cICNWait comp.Counter
 }
 
-// NewCorePort builds core's port into the shared memory system.
-func NewCorePort(s *SharedDRAM, core int) *CorePort {
-	return &CorePort{shared: s, core: core}
+// NewCorePort builds one core's port into the shared memory system.
+func NewCorePort(s *SharedDRAM) *CorePort {
+	return &CorePort{shared: s}
 }
 
 // StartOp pins the chip cycle at which the next op's cycle zero sits and
@@ -204,6 +203,3 @@ func (p *CorePort) Handoff(now float64, n int) float64 {
 	_, completion := p.shared.Serve(now, n)
 	return completion
 }
-
-// String identifies the port in diagnostics.
-func (p *CorePort) String() string { return fmt.Sprintf("core%d-port", p.core) }

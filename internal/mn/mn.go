@@ -47,9 +47,8 @@ type psum struct {
 // virtual neuron (VN) and tells the array, per VN and step, how many member
 // products to expect; ReadyVN reports VNs whose current step is complete.
 type Array struct {
-	name string
-	n    int
-	ms   []msState
+	n  int
+	ms []msState
 
 	// Pre-resolved counter handles (per-cycle hot path).
 	cMults, cActive, cWeightLoads, cReconf comp.Counter
@@ -63,7 +62,6 @@ type Array struct {
 // FIFO.
 func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 	a := &Array{
-		name:         "mn.array",
 		n:            n,
 		ms:           make([]msState, n),
 		cMults:       c.Counter(names.MNMults),
@@ -75,14 +73,11 @@ func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 		vnOf:         make([]int, n),
 	}
 	for i := range a.ms {
-		a.ms[i].in = comp.NewFIFO(fmt.Sprintf("mn.ms%d.in", i), fifoDepth)
+		a.ms[i].in = comp.NewFIFO(fifoDepth)
 		a.vnOf[i] = -1
 	}
 	return a
 }
-
-// Name implements comp.Component.
-func (a *Array) Name() string { return a.name }
 
 // ConfigureVNs assigns switches to virtual neurons. Each inner slice lists
 // the member switch indices of one VN. Reconfiguration happens between
@@ -280,7 +275,7 @@ func (a *Array) Idle() bool {
 // CollectFIFOStats folds per-switch FIFO activity into the counters.
 func (a *Array) CollectFIFOStats() {
 	for i := range a.ms {
-		pushes, pops, _ := a.ms[i].in.Stats()
+		pushes, pops := a.ms[i].in.Stats()
 		a.cFifoPushes.Add(pushes)
 		a.cFifoPops.Add(pops)
 	}

@@ -46,20 +46,6 @@ type Result struct {
 // it must always accept — the port budget is enforced by the network.
 type Sink func(r Result)
 
-// Network is the common behaviour of all reduction network types.
-type Network interface {
-	comp.Component
-	// Offer admits a job this cycle. It returns false when the input stage
-	// has no capacity left this cycle; the caller retries next cycle.
-	Offer(j Job) bool
-	// SetSink wires the output destination.
-	SetSink(s Sink)
-	// Drained reports no in-flight reductions or queued outputs.
-	Drained() bool
-	// Bandwidth returns the output elements/cycle budget.
-	Bandwidth() int
-}
-
 // Kind selects a reduction network implementation.
 type Kind int
 
@@ -106,12 +92,10 @@ type inflight struct {
 // are latency, adder accounting and accumulator presence.
 type Net struct {
 	kind       Kind
-	name       string
 	size       int // total adder inputs per cycle == MS count
 	outBW      int
 	hasAcc     bool
 	sink       Sink
-	counters   *comp.Counters
 	cycleCount uint64
 
 	// Pre-resolved counter handles (per-cycle hot path). cAdders is the
@@ -139,11 +123,9 @@ func New(kind Kind, size, outBW int, c *comp.Counters) *Net {
 	}
 	return &Net{
 		kind:          kind,
-		name:          "rn." + kind.String(),
 		size:          size,
 		outBW:         outBW,
 		hasAcc:        kind == ARTAcc || kind == FAN,
-		counters:      c,
 		cInputStalls:  c.Counter(names.RNInputStalls),
 		cAdders:       c.Counter(adders),
 		cAccAccesses:  c.Counter(names.RNAccAccesses),
@@ -155,14 +137,9 @@ func New(kind Kind, size, outBW int, c *comp.Counters) *Net {
 	}
 }
 
-// Name implements comp.Component.
-func (n *Net) Name() string { return n.name }
-
-// SetSink implements Network.
+// SetSink wires the output destination (normally the Global Buffer write
+// port).
 func (n *Net) SetSink(s Sink) { n.sink = s }
-
-// Bandwidth implements Network.
-func (n *Net) Bandwidth() int { return n.outBW }
 
 // HasAccumulator reports whether folded partial sums stay inside the
 // network (ART+ACC, FAN) instead of round-tripping through the GB.
@@ -173,10 +150,12 @@ func (n *Net) HasAccumulator() bool { return n.hasAcc }
 // operands from the multiplier network.
 func (n *Net) CanAccept(inputs int) bool { return n.inUsedThis+inputs <= n.size }
 
-// Offer implements Network: a job occupies len(Values) tree inputs in the
-// current cycle; the spatial tree can ingest `size` inputs per cycle total.
-// The Values slice is not retained — its elements are folded (in order)
-// before Offer returns, so callers may reuse the backing array.
+// Offer admits a job this cycle, or returns false when the input stage has
+// no capacity left and the caller must retry next cycle. A job occupies
+// len(Values) tree inputs in the current cycle; the spatial tree can ingest
+// `size` inputs per cycle total. The Values slice is not retained — its
+// elements are folded (in order) before Offer returns, so callers may reuse
+// the backing array.
 func (n *Net) Offer(j Job) bool {
 	need := len(j.Values)
 	if need == 0 {
@@ -293,7 +272,7 @@ func (n *Net) Cycle() {
 	}
 }
 
-// Drained implements Network.
+// Drained reports no in-flight reductions or queued outputs.
 func (n *Net) Drained() bool { return len(n.inflight) == 0 && n.outLen() == 0 }
 
 // Lookahead implements comp.Lookahead. Unlike the other fabric tiers the RN

@@ -44,21 +44,12 @@ type Request struct {
 	// Scale divides the model's spatial dimensions (model op only; 0/1
 	// runs the full-size model — expensive for the big Table I networks).
 	Scale int         `json:"scale,omitempty"`
-	Chip  ChipRequest `json:"chip,omitempty"`
+	Chip  jobkey.Chip `json:"chip,omitempty"`
 
 	// Progress streams NDJSON progress samples before the final result
 	// line. It never affects the result bytes (trace-only artifacts are
 	// scrubbed) and is not part of the cache key.
 	Progress bool `json:"progress,omitempty"`
-}
-
-// ChipRequest is the multi-core composition of a model job.
-type ChipRequest struct {
-	Cores     int     `json:"cores,omitempty"`
-	Placement string  `json:"placement,omitempty"`
-	Banks     int     `json:"banks,omitempty"`
-	LinkGBs   float64 `json:"link_gbs,omitempty"`
-	Streams   int     `json:"streams,omitempty"`
 }
 
 // Service-side bounds: a single request may not queue unbounded work.
@@ -171,12 +162,8 @@ func resolve(req Request) (*job, error) {
 	}
 
 	j.jk = jobkey.Job{
-		Arch: arch.Name,
-		Contract: jobkey.Contract{
-			ExactSum:           arch.Contract.ExactSum,
-			RelTol:             arch.Contract.RelTol,
-			PostActivationConv: arch.Contract.PostActivationConv,
-		},
+		Arch:     arch.Name,
+		Contract: arch.Contract,
 		HW:       hw,
 		Op:       j.req.Op,
 		M:        req.M,
@@ -189,13 +176,7 @@ func resolve(req Request) (*job, error) {
 		Batch:    req.Batch,
 		Model:    req.Model,
 		Scale:    req.Scale,
-		Chip: jobkey.Chip{
-			Cores:     req.Chip.Cores,
-			Placement: req.Chip.Placement,
-			Banks:     req.Chip.Banks,
-			LinkGBs:   req.Chip.LinkGBs,
-			Streams:   req.Chip.Streams,
-		},
+		Chip:     req.Chip,
 	}
 	if req.Conv != nil {
 		j.jk.Conv = *req.Conv

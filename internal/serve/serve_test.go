@@ -414,6 +414,71 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRefusedJobsAre400 pins jobs the engine or mapper refuses before the
+// first simulated cycle: the request is at fault, so they answer 400 and do
+// not count as failed. Each of them answered 500 and counted.
+func TestRefusedJobsAre400(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	const (
+		conv = `"conv":{"R":3,"S":3,"C":4,"G":1,"K":4,"N":1,"X":6,"Y":6,"Stride":1}`
+		tile = `"tile":{"TR":3,"TS":3,"TC":1,"TG":1,"TK":1,"TN":1,"TXp":1,"TYp":1,"VNSize":9,"NumVNs":1,"Folds":4,"UsedMultipliers":9}`
+	)
+	for _, tc := range []struct{ name, body, want string }{
+		{"tile on tpu", `{"op":"conv","arch":"tpu","ms":16,` + conv + `,` + tile + `}`,
+			"explicit tiles target the flexible dense composition"},
+		{"tile wider than the fabric", `{"op":"conv","arch":"maeri","ms":8,"bw":8,` + conv + `,` + tile + `}`,
+			"tile uses 9 multipliers, fabric has 8"},
+		{"batch on snapea", `{"op":"conv","arch":"snapea","ms":16,"conv":{"R":3,"S":3,"C":4,"G":1,"K":4,"N":2,"X":6,"Y":6,"Stride":1}}`,
+			"SNAPEA models batch-1 inference"},
+		{"window wider than the fabric", `{"op":"conv","arch":"maeri","ms":8,"bw":8,"conv":{"R":3,"S":5,"C":4,"G":1,"K":4,"N":1,"X":6,"Y":6,"Stride":1}}`,
+			"filter window 3x5 exceeds the 8-switch fabric"},
+	} {
+		resp, raw := postJob(t, ts, tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte(tc.want)) {
+			t.Errorf("%s: status %d (%s), want 400 naming %q", tc.name, resp.StatusCode, raw, tc.want)
+		}
+	}
+	if st := s.Snapshot(); st.Failed != 0 {
+		t.Errorf("failed = %d, want 0", st.Failed)
+	}
+
+	// Followers coalesced onto a refused leader get the leader's 400.
+	s, err := New(Config{Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+		<-release
+		return nil, fmt.Errorf("engine: does not fit: %w", config.ErrRefused)
+	}
+	ts2 := httptest.NewServer(s.Handler())
+	t.Cleanup(ts2.Close)
+	codes := make(chan int, 3)
+	for i := 0; i < 3; i++ {
+		go func() {
+			resp, err := http.Post(ts2.URL+"/jobs", "application/json", strings.NewReader(gemmBody))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	waitFor(t, "2 coalesced followers", func() bool { return s.Snapshot().Coalesced == 2 })
+	close(release)
+	for i := 0; i < 3; i++ {
+		if code := <-codes; code != http.StatusBadRequest {
+			t.Errorf("coalesced refusal: status %d, want 400", code)
+		}
+	}
+	if st := s.Snapshot(); st.Failed != 0 {
+		t.Errorf("coalesced refusal: failed = %d, want 0", st.Failed)
+	}
+}
+
 // TestServiceJobMatchesSharedRunner pins the CLI/service contract: a job's
 // run record is byte for byte what stonne.RunSeededOp — the runner behind
 // `stonne gemm|spmm|conv` — yields for the same spelling.

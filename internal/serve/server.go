@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/jobkey"
 	"repro/internal/sim"
 	"repro/internal/simpool"
@@ -70,7 +71,7 @@ type Server struct {
 	coalesced uint64 // guarded by mu; joined an identical in-flight job
 	coldRuns  uint64 // guarded by mu; executed the simulator
 	rejected  uint64 // guarded by mu; 429: queue full
-	failed    uint64 // guarded by mu; jobs that errored or were cancelled
+	failed    uint64 // guarded by mu; jobs that errored or were cancelled, refusals aside
 
 	warmLat, coldLat *latencyRing
 
@@ -212,7 +213,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if f.err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{f.err.Error()})
+			writeJSON(w, errorStatus(f.err), errorBody{f.err.Error()})
 			return
 		}
 		wait := time.Since(began)
@@ -234,7 +235,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			}{"error", err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
+		writeJSON(w, errorStatus(err), errorBody{err.Error()})
 		return
 	}
 	s.mu.Lock()
@@ -253,6 +254,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, env)
+}
+
+// errorStatus is the status of a job that failed: 400 when the engine or
+// the mapper refused it before simulating (the request asks for something
+// the hardware does not run), 500 otherwise.
+func errorStatus(err error) int {
+	if errors.Is(err, config.ErrRefused) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // joinOrLead decides, under mu, how a request that missed the cache
@@ -316,7 +327,7 @@ func (s *Server) execJob(ctx context.Context, j *job, f *flight, w http.Response
 		}
 		s.mu.Lock()
 		delete(s.inflight, j.key)
-		if err != nil {
+		if err != nil && !errors.Is(err, config.ErrRefused) {
 			s.failed++
 		}
 		s.mu.Unlock()

@@ -90,9 +90,9 @@ type Chip struct {
 	shared *mem.SharedDRAM
 
 	// OnOp, when non-nil, observes every completed stage: the core it ran
-	// on, the (stream, stage) cell, the chip cycle it finished, and the
-	// per-op runs — the hook the CLI feeds a per-core progress board from.
-	OnOp func(core, stream, stage int, endCycle uint64, runs []*stats.Run)
+	// on, the (stream, stage) cell and the chip cycle it finished — the hook
+	// the service feeds a per-core progress board from.
+	OnOp func(core, stream, stage int, endCycle uint64)
 }
 
 // NewChip validates every core and builds the shared memory system.
@@ -116,7 +116,7 @@ func NewChip(cfg ChipConfig) (*Chip, error) {
 		c.shared = shared
 		c.ports = make([]*mem.CorePort, len(cfg.Cores))
 		for i := range c.ports {
-			c.ports[i] = mem.NewCorePort(c.shared, i)
+			c.ports[i] = mem.NewCorePort(c.shared)
 		}
 	}
 	return c, nil
@@ -217,7 +217,7 @@ func (c *Chip) Run(ctx context.Context, w Workload) (*stats.ChipRun, error) {
 			makespan = end
 		}
 		if c.OnOp != nil {
-			c.OnOp(core, b, s, uint64(math.Ceil(end)), runs)
+			c.OnOp(core, b, s, uint64(math.Ceil(end)))
 		}
 	}
 	res.MakespanCycles = uint64(math.Ceil(makespan))

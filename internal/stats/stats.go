@@ -126,12 +126,13 @@ func (r *Run) TimeSeconds(clockGHz float64) float64 {
 // iteration order would make the total differ in the last bits from run
 // to run, breaking byte-identical summary files.
 func (r *Run) TotalEnergy() float64 {
-	return sumSorted(r.Energy)
+	return SumSorted(r.Energy)
 }
 
-// sumSorted adds the values of a float map in sorted-key order so the
-// result is the same every call.
-func sumSorted(m map[string]float64) float64 {
+// SumSorted adds the values of a float map in sorted-key order. Float
+// addition is order-sensitive in the last bits, so a walk in map iteration
+// order would make the total differ from call to call.
+func SumSorted(m map[string]float64) float64 {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -316,7 +317,7 @@ func (m *ModelRun) EnergyBreakdown() map[string]float64 {
 // TotalEnergy sums all components (µJ) in sorted-component order, for the
 // same determinism reason as Run.TotalEnergy.
 func (m *ModelRun) TotalEnergy() float64 {
-	return sumSorted(m.EnergyBreakdown())
+	return SumSorted(m.EnergyBreakdown())
 }
 
 // AvgUtilization is the cycle-weighted mean multiplier utilization: each

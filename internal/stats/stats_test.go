@@ -119,3 +119,16 @@ func TestModelTotalEnergyOrderIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestSumSortedOrderIndependent pins the sorted walk behind every energy
+// and area total: 1e16+1 rounds back to 1e16 in float64, so this map sums
+// to 0 in sorted-key order but 1 in the order a, c, b — a map-iteration-order
+// walk would flip between them across runs.
+func TestSumSortedOrderIndependent(t *testing.T) {
+	br := map[string]float64{"a": 1e16, "b": 1, "c": -1e16}
+	for i := 0; i < 50; i++ {
+		if got := SumSorted(br); got != 0 {
+			t.Fatalf("call %d: SumSorted = %v, want 0 (map-order drift)", i, got)
+		}
+	}
+}

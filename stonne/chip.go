@@ -134,11 +134,7 @@ func RunModelChip(ctx context.Context, m *Model, wts *Weights, inputs []*Tensor,
 	for i, in := range inputs {
 		w.streams[i] = chipStream{act: in, saved: map[string]*tensor.Tensor{}}
 	}
-	if copts.Progress != nil {
-		chip.OnOp = func(core, stream, stage int, end uint64, _ []*stats.Run) {
-			copts.Progress(core, stream, stage, end)
-		}
-	}
+	chip.OnOp = copts.Progress
 	cr, err := chip.Run(ctx, w)
 	if err != nil {
 		return nil, nil, err

@@ -62,7 +62,10 @@ func TestSourcesNextDoesNotAllocate(t *testing.T) {
 // sources built every item from fresh slices these three read 10 352, 13 434
 // and 698 B/cycle; they read 246, 762 and 25 now. Each budget is a tenth of
 // the old figure: set-up has room to grow under it, an allocation per
-// compute step does not.
+// compute step does not. The rigid runners allocate only per layer (im2col
+// operands and C; SNAPEA's filter arrays, index table and sort keys): they
+// read 47 and 15 B/cycle, and their budgets leave about a quarter on top —
+// one sort buffer per filter would put the SNAPEA row near 30.
 func TestOpAllocationBudget(t *testing.T) {
 	starved := config.MAERILike(128, 64)
 	starved.Preloaded = true
@@ -72,6 +75,8 @@ func TestOpAllocationBudget(t *testing.T) {
 	// MobileNets pw3 and SqueezeNet fire4_expand3x3 at 1/8 spatial scale.
 	pw := tensor.ConvShape{R: 1, S: 1, C: 64, G: 1, K: 128, N: 1, X: 7, Y: 7, Stride: 1}
 	ex := tensor.ConvShape{R: 3, S: 3, C: 32, G: 1, K: 128, N: 1, X: 6, Y: 6, Stride: 1, Padding: 1}
+	// AlexNet conv3 at 1/8 of its channels.
+	a3 := tensor.ConvShape{R: 3, S: 3, C: 32, G: 1, K: 48, N: 1, X: 13, Y: 13, Stride: 1, Padding: 1}
 
 	cases := []struct {
 		name   string
@@ -91,6 +96,14 @@ func TestOpAllocationBudget(t *testing.T) {
 				}
 			}
 			_, run, err := acc.RunConv(randTensor(1, 1, ex.C, ex.X, ex.Y), w, ex, "fire4_expand3x3")
+			return run, err
+		}},
+		{"mobilenets-pw/tpu", config.TPULike(256), 60, func(acc *Accelerator) (*stats.Run, error) {
+			_, run, err := acc.RunConv(randTensor(1, 1, pw.C, pw.X, pw.Y), randTensor(2, pw.K, pw.C, 1, 1), pw, "pw3")
+			return run, err
+		}},
+		{"alexnet-conv3/snapea", config.SNAPEALike(64, 64), 20, func(acc *Accelerator) (*stats.Run, error) {
+			_, run, err := acc.RunConv(randTensor(1, 1, a3.C, a3.X, a3.Y), randTensor(2, a3.K, a3.C, 3, 3), a3, "conv3")
 			return run, err
 		}},
 		{"gemm-starved/maeri", starved, 70, func(acc *Accelerator) (*stats.Run, error) {

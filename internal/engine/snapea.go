@@ -2,7 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/comp/names"
 	"repro/internal/config"
@@ -46,31 +47,60 @@ type snapeaTap struct{ r, s, delta int32 }
 // buildSNAPEAFilters gathers each filter's non-zero weights (pruned weights
 // are never mapped) with their index table. signSort applies SnaPEA's
 // compile-time reordering; without it the weights keep reference (c, r, s)
-// order.
+// order. The filters' weights and taps are capped windows of one array each.
 func buildSNAPEAFilters(w *tensor.Tensor, cs tensor.ConvShape, signSort bool) []snapeaFilter {
 	window := cs.C / cs.G * cs.R * cs.S
+	wd := w.Data()[:cs.K*window]
+	nnz := 0
+	for _, v := range wd {
+		if v != 0 {
+			nnz++
+		}
+	}
+	weights := make([]float32, 0, nnz)
+	taps := make([]snapeaTap, 0, nnz)
+	// The index table entry of every window position, decoded once per
+	// layer with running (c, r, s) counters.
+	table := make([]snapeaTap, window)
+	c, r, s := 0, 0, 0
+	for off := range table {
+		table[off] = snapeaTap{int32(r), int32(s), int32((c*cs.X+r)*cs.Y + s)}
+		s++
+		if s == cs.S {
+			s, r = 0, r+1
+			if r == cs.R {
+				r, c = 0, c+1
+			}
+		}
+	}
+	// One filter's gather order, reused across filters: the window position
+	// in the low 32 bits, under signKey when sign-sorting.
+	keys := make([]uint64, 0, window)
 	filters := make([]snapeaFilter, cs.K)
 	for k := range filters {
 		// Filter k's (c, r, s) window is contiguous.
-		row := w.Data()[k*window : (k+1)*window]
-		nnz := 0
-		for _, v := range row {
-			if v != 0 {
-				nnz++
-			}
-		}
-		f := snapeaFilter{weights: make([]float32, 0, nnz), taps: make([]snapeaTap, 0, nnz)}
+		row := wd[k*window : (k+1)*window]
+		keys = keys[:0]
 		for off, v := range row {
 			if v != 0 {
-				c, r, s := off/(cs.R*cs.S), off/cs.S%cs.R, off%cs.S
-				f.weights = append(f.weights, v)
-				f.taps = append(f.taps, snapeaTap{int32(r), int32(s), int32((c*cs.X+r)*cs.Y + s)})
+				key := uint64(off)
+				if signSort {
+					key |= signKey(v) << 32
+				}
+				keys = append(keys, key)
 			}
 		}
 		if signSort {
-			sort.Stable(signOrder(f))
+			slices.Sort(keys)
 		}
-		f.negFrom = nnz
+		lo := len(weights)
+		for _, key := range keys {
+			off := uint32(key)
+			weights = append(weights, row[off])
+			taps = append(taps, table[off])
+		}
+		hi := len(weights)
+		f := snapeaFilter{weights: weights[lo:hi:hi], taps: taps[lo:hi:hi], negFrom: hi - lo}
 		for i, v := range f.weights {
 			if v < 0 {
 				f.negFrom = i
@@ -82,25 +112,16 @@ func buildSNAPEAFilters(w *tensor.Tensor, cs tensor.ConvShape, signSort bool) []
 	return filters
 }
 
-// signOrder sorts a filter's weights with their taps: positives first
-// (descending), then negatives (most negative first) — the ordering that
-// drops the partial sum fastest once the positive mass is consumed.
-type signOrder snapeaFilter
-
-func (f signOrder) Len() int { return len(f.weights) }
-func (f signOrder) Less(a, b int) bool {
-	pa, pb := f.weights[a] > 0, f.weights[b] > 0
-	if pa != pb {
-		return pa
-	}
-	if pa {
-		return f.weights[a] > f.weights[b]
-	}
-	return f.weights[a] < f.weights[b]
-}
-func (f signOrder) Swap(a, b int) {
-	f.weights[a], f.weights[b] = f.weights[b], f.weights[a]
-	f.taps[a], f.taps[b] = f.taps[b], f.taps[a]
+// signKey ranks a weight in SnaPEA's order: positives first (descending),
+// then negatives (most negative first) — the ordering that drops the
+// partial sum fastest once the positive mass is consumed. The key is the
+// sign bit over the complemented magnitude bits, so for non-NaN weights
+// unsigned order is that order; a NaN weight has no defined place in it.
+// Callers put the weight's window position in the low 32 bits, which keeps
+// equal weights in reference order.
+func signKey(v float32) uint64 {
+	b := math.Float32bits(v)
+	return uint64(b&0x80000000 | (0x7FFFFFFF - b&0x7FFFFFFF))
 }
 
 // snapeaPE is one dot-product lane.

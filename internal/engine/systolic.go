@@ -14,8 +14,10 @@ import (
 // LMN + LRN): an output-stationary systolic array. A operands enter skewed
 // from the west and travel east, B operands enter skewed from the north and
 // travel south, and each processing element accumulates its C element in
-// place. The simulation shifts the physical registers cycle by cycle, so
-// the result is computed by the modelled datapath itself.
+// place. At full edge bandwidth nothing in that datapath depends on the
+// values, so the runner computes each PE's result as the in-order dot
+// product its register chain produces, and takes cycles and counters from
+// the per-tile closed form (SCALE-Sim's model of the same array).
 type systolicRunner struct {
 	hw config.Hardware
 }
@@ -29,12 +31,10 @@ const systolicDrainCycles = 4
 
 type systolicArray struct {
 	*sim.Ctx
-	p          int
-	a, b, acc  []float32
-	aNxt, bNxt []float32
+	p   int
+	acc []float32 // one tile's accumulators, rows×cols row-major
 
-	// Pre-resolved counter handles: injections run per edge element per
-	// cycle, the rest once per tile.
+	// Pre-resolved counter handles, charged once per tile.
 	cLinkTrav, cInjections           comp.Counter
 	cMults, cAdders, cFwds, cOutputs comp.Counter
 }
@@ -43,12 +43,10 @@ type systolicArray struct {
 // accepted: a square PE count with full edge bandwidth.
 func newSystolicArray(ctx *sim.Ctx) *systolicArray {
 	p := isqrt(ctx.HW.MSSize)
-	n := p * p
 	return &systolicArray{
-		Ctx: ctx,
-		p:   p,
-		a:   make([]float32, n), b: make([]float32, n), acc: make([]float32, n),
-		aNxt: make([]float32, n), bNxt: make([]float32, n),
+		Ctx:         ctx,
+		p:           p,
+		acc:         make([]float32, p*p),
 		cLinkTrav:   ctx.Counters.Counter(names.DNLinkTraversals),
 		cInjections: ctx.Counters.Counter(names.DNInjections),
 		cMults:      ctx.Counters.Counter(names.MNMults),
@@ -58,106 +56,60 @@ func newSystolicArray(ctx *sim.Ctx) *systolicArray {
 	}
 }
 
-// runTile streams one (P rows × P cols × K) tile and scatters the partial
-// results into C (row-major m×n), accumulating across K panels.
+// runTile runs one (P rows × P cols × kw) tile and adds its results into C
+// (row-major m×n), accumulating across K panels. PE (i, j) sees
+// A[mi0+i][k0+kk]·B[k0+kk][nj0+j] for kk = 0..kw-1, in that order, starting
+// from zero: kk outer keeps every accumulator's terms in that order and
+// reads B by row. PEs past the edge of C stream zeros and spend the cycles
+// but not the datapath events.
 func (s *systolicArray) runTile(A, B *tensor.Tensor, C []float32, m, n, k, mi0, nj0, k0, kw int) {
-	p := s.p
-	for i := range s.acc {
-		s.acc[i], s.a[i], s.b[i] = 0, 0, 0
-	}
+	rows, cols := min(s.p, m-mi0), min(s.p, n-nj0)
+	acc := s.acc[:rows*cols]
+	clear(acc)
 	ad, bd := A.Data(), B.Data()
-	streamLen := kw + 2*(p-1) + 1
-	var mults, fwds uint64
-	for t := 0; t < streamLen; t++ {
-		// Shift: west→east for A, north→south for B, then inject edges.
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				idx := i*p + j
-				if j > 0 {
-					s.aNxt[idx] = s.a[idx-1]
-				} else {
-					var v float32
-					kk := t - i
-					mi := mi0 + i
-					if kk >= 0 && kk < kw && mi < m {
-						v = ad[mi*k+k0+kk]
-						s.GB.Read(1)
-						s.cLinkTrav.Add(1)
-						s.cInjections.Add(1)
-					}
-					s.aNxt[idx] = v
-				}
-				if i > 0 {
-					s.bNxt[idx] = s.b[idx-p]
-				} else {
-					var v float32
-					kk := t - j
-					nj := nj0 + j
-					if kk >= 0 && kk < kw && nj < n {
-						v = bd[(k0+kk)*n+nj]
-						s.GB.Read(1)
-						s.cLinkTrav.Add(1)
-						s.cInjections.Add(1)
-					}
-					s.bNxt[idx] = v
-				}
-			}
-		}
-		s.a, s.aNxt = s.aNxt, s.a
-		s.b, s.bNxt = s.bNxt, s.b
-		// MAC: every PE inside its active window fires. Only PEs mapped to
-		// valid output elements toggle their datapath (energy); padded
-		// positions stream zeros and spend the cycles but not the events.
-		for i := 0; i < p; i++ {
-			if mi0+i >= m {
-				break
-			}
-			for j := 0; j < p; j++ {
-				if nj0+j >= n {
-					break
-				}
-				kk := t - i - j
-				if kk < 0 || kk >= kw {
-					continue
-				}
-				idx := i*p + j
-				s.acc[idx] += s.a[idx] * s.b[idx]
-				mults++
-				fwds += 2 // operand pass-through to east and south neighbours
+	for kk := k0; kk < k0+kw; kk++ {
+		brow := bd[kk*n+nj0:][:cols]
+		for i := 0; i < rows; i++ {
+			a := ad[(mi0+i)*k+kk]
+			arow := acc[i*cols:][:cols]
+			for j, b := range brow {
+				arow[j] += a * b
 			}
 		}
 	}
+	for i := 0; i < rows; i++ {
+		crow := C[(mi0+i)*n+nj0:][:cols]
+		for j, v := range acc[i*cols:][:cols] {
+			crow[j] += v
+		}
+	}
+
+	streamLen := kw + 2*(s.p-1) + 1
 	s.Cycles += uint64(streamLen + systolicDrainCycles)
 	if s.Rec != nil {
 		// Bulk attribution for the rigid pipeline: the whole fabric works
 		// for the tile's stream phase and flushes during the fixed drain;
 		// the memory tier also serves the drain's output write-back.
-		for _, tier := range []int{trace.TierDN, trace.TierMN, trace.TierRN} {
+		for _, tier := range [...]int{trace.TierDN, trace.TierMN, trace.TierRN} {
 			s.Rec.AddSpan(tier, trace.Busy, uint64(streamLen))
 			s.Rec.AddSpan(tier, trace.Drain, systolicDrainCycles)
 		}
 		s.Rec.AddSpan(trace.TierMem, trace.Busy, uint64(streamLen+systolicDrainCycles))
 	}
-	s.cMults.Add(mults)
-	s.cAdders.Add(mults) // in-place accumulation chain (LRN)
-	s.cFwds.Add(fwds)
-
-	// Drain valid outputs into C.
-	for i := 0; i < p; i++ {
-		mi := mi0 + i
-		if mi >= m {
-			break
-		}
-		for j := 0; j < p; j++ {
-			nj := nj0 + j
-			if nj >= n {
-				break
-			}
-			C[mi*n+nj] += s.acc[i*p+j]
-			s.GB.Write(1)
-			s.cOutputs.Add(1)
-		}
-	}
+	// Every A row and B column in range is injected once per kk from the GB;
+	// every valid PE multiplies, accumulates in place (LRN) and passes both
+	// operands on to its east and south neighbours once per kk, then drains
+	// its output to the GB.
+	injections := kw * (rows + cols)
+	macs := uint64(rows * cols * kw)
+	s.GB.Read(injections)
+	s.cLinkTrav.Add(uint64(injections))
+	s.cInjections.Add(uint64(injections))
+	s.cMults.Add(macs)
+	s.cAdders.Add(macs)
+	s.cFwds.Add(2 * macs)
+	s.GB.Write(rows * cols)
+	s.cOutputs.Add(uint64(rows * cols))
 }
 
 // sweep tiles an M×N×K GEMM over the array and returns C row-major; tiles

@@ -44,6 +44,11 @@ func DefaultExtraRoots() map[string][]string {
 			"Net.Drained",
 			"Net.HasAccumulator",
 		},
+		// The TPU runner's closed-form tile: no tick loop calls it, but it
+		// is the rigid fabric's whole per-tile cost.
+		"repro/internal/engine": {
+			"systolicArray.runTile",
+		},
 		"repro/internal/dn": {
 			"Tree.Offer",
 			"Tree.Pending",

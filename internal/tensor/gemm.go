@@ -110,28 +110,31 @@ func Im2Col(in *Tensor, cs ConvShape, g int) (*Tensor, error) {
 	xo, yo := cs.OutX(), cs.OutY()
 	rows := cs.R * cs.S * cg
 	cols := cs.N * xo * yo
-	out := New(rows, cols)
-	col := 0
-	for n := 0; n < cs.N; n++ {
-		for ox := 0; ox < xo; ox++ {
-			for oy := 0; oy < yo; oy++ {
-				row := 0
-				for c := 0; c < cg; c++ {
-					cc := g*cg + c
-					for r := 0; r < cs.R; r++ {
+	plane := cs.X * cs.Y
+	out := New(rows, cols) // zero: padding taps are never written
+	row := 0
+	for c := 0; c < cg; c++ {
+		for r := 0; r < cs.R; r++ {
+			for s := 0; s < cs.S; s++ {
+				dst := out.data[row*cols:][:cols]
+				row++
+				col := 0
+				for n := 0; n < cs.N; n++ {
+					src := in.data[(n*cs.C+g*cg+c)*plane:][:plane]
+					for ox := 0; ox < xo; ox++ {
 						ix := ox*cs.Stride + r - cs.Padding
-						for s := 0; s < cs.S; s++ {
-							iy := oy*cs.Stride + s - cs.Padding
-							var v float32
-							if ix >= 0 && ix < cs.X && iy >= 0 && iy < cs.Y {
-								v = in.At(n, cc, ix, iy)
+						if ix < 0 || ix >= cs.X {
+							col += yo
+							continue
+						}
+						for oy := 0; oy < yo; oy++ {
+							if iy := oy*cs.Stride + s - cs.Padding; iy >= 0 && iy < cs.Y {
+								dst[col] = src[ix*cs.Y+iy]
 							}
-							out.data[row*cols+col] = v
-							row++
+							col++
 						}
 					}
 				}
-				col++
 			}
 		}
 	}
@@ -150,21 +153,11 @@ func FilterMatrix(w *Tensor, cs ConvShape, g int) (*Tensor, error) {
 	if g < 0 || g >= cs.G {
 		return nil, fmt.Errorf("tensor: group %d out of range [0,%d)", g, cs.G)
 	}
-	rows := kg
+	// Group g's filters are one contiguous block of the (K, Cg, R, S) weights,
+	// already in row order.
 	cols := cs.R * cs.S * cg
-	out := New(rows, cols)
-	for kf := 0; kf < kg; kf++ {
-		kk := g*kg + kf
-		col := 0
-		for c := 0; c < cg; c++ {
-			for r := 0; r < cs.R; r++ {
-				for s := 0; s < cs.S; s++ {
-					out.data[kf*cols+col] = w.At(kk, c, r, s)
-					col++
-				}
-			}
-		}
-	}
+	out := New(kg, cols)
+	copy(out.data, w.data[g*kg*cols:(g+1)*kg*cols])
 	return out, nil
 }
 

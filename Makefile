@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke vet lint lint-suppressions fmt-check loc checksweep fuzz fuzz-smoke
+.PHONY: build test race bench-smoke vet lint lint-suppressions fmt-check loc fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -62,13 +62,6 @@ race:
 # runnable without recording CI-runner noise as a measurement.
 bench-smoke:
 	$(GO) run -C bench . -smoke -runs 1 -seconds 0.2 > /dev/null
-
-# checksweep runs every registered architecture × {gemm, conv, spmm} over
-# the edge-case shape grid through the CLI's seeded-op runner and verifies
-# each simulated output against the CPU reference under the architecture's
-# numeric contract.
-checksweep:
-	$(GO) run ./cmd/experiments checksweep
 
 # Go's native fuzzer accepts one -fuzz pattern in one package per
 # invocation, so each package:target pair gets its own run. FUZZTIME scales

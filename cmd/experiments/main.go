@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments <tablei|tablev|fig1a|fig1b|fig1c|fig5|fig6|fig7|fig9|fig9c|stalls|multicore|checksweep|all> [flags]
+//	experiments <tablei|tablev|fig1a|fig1b|fig1c|fig5|fig6|fig7|fig9|fig9c|stalls|multicore|all> [flags]
 //	experiments energy -counters run.counters [-ms 256] [-gb 108]
 //
 // Flags:
@@ -36,7 +36,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/exp"
 	"repro/internal/stats"
-	"repro/stonne"
 )
 
 func main() {
@@ -88,8 +87,6 @@ func main() {
 			return stalls(ctx, *workers, *scale)
 		case "multicore":
 			return multicore(*scale)
-		case "checksweep":
-			return checksweep()
 		case "energy":
 			return energyReport(*counterFile, *ms, *gbKB)
 		default:
@@ -113,7 +110,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: experiments <tablei|tablev|fig1a|fig1b|fig1c|fig5|fig6|fig7|fig9|fig9c|stalls|multicore|checksweep|all> [-scale N] [-models tags] [-images N] [-workers N]
+	fmt.Fprintln(os.Stderr, `usage: experiments <tablei|tablev|fig1a|fig1b|fig1c|fig5|fig6|fig7|fig9|fig9c|stalls|multicore|all> [-scale N] [-models tags] [-images N] [-workers N]
        experiments energy -counters <file> [-ms N] [-gb KB]`)
 }
 
@@ -170,16 +167,6 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// checksweep runs the differential verification sweep: every registered
-// architecture × {gemm, conv, spmm} × a grid of edge-case shapes, each run
-// through the CLI's seeded-op runner with its output compared element-wise
-// against the CPU reference under the architecture's numeric contract.
-// Exits non-zero on any mismatch.
-func checksweep() error {
-	fmt.Println("== Differential self-check sweep — all architectures vs CPU reference ==")
-	return stonne.WriteSweep(os.Stdout)
-}
-
 // multicore prints the chip scaling figure: core-count sweep under both
 // placement policies, with the contention the shared memory charges.
 func multicore(scale int) error {
@@ -199,29 +186,45 @@ func multicore(scale int) error {
 	return nil
 }
 
-// stalls prints the per-tier cycle-attribution table: MAERI under a
-// shrinking-bandwidth sweep against the rigid TPU reference. It is the
-// observability companion to fig1b — the same sweep, but showing where the
-// extra cycles go instead of just how many there are.
+// stalls prints the per-tier cycle attribution of the traced Fig. 1b points
+// (MAERI under a shrinking-bandwidth sweep) and of the Fig. 1a 16x16 points,
+// the rigid TPU reference: where Fig. 1b's extra cycles go, not just how
+// many there are.
 func stalls(ctx context.Context, workers, scale int) error {
 	fmt.Println("== Stall breakdown — 128-mult MAERI bandwidth sweep vs 16x16 TPU ==")
-	rows, err := exp.StallBreakdownPar(ctx, workers, scale)
+	maeri, err := exp.Fig1bPar(ctx, workers, scale)
 	if err != nil {
 		return err
 	}
-	busy := func(b stats.CycleBreakdown) uint64 { return b.Busy }
-	sIn := func(b stats.CycleBreakdown) uint64 { return b.StallInput }
-	sBW := func(b stats.CycleBreakdown) uint64 { return b.StallBandwidth }
+	tpu, err := exp.Fig1aPar(ctx, workers, scale)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-7s %4s %-7s %10s  %7s %8s %8s  %7s %8s %8s  %7s\n",
 		"Arch", "BW", "Layer", "Cycles",
 		"DNbusy", "DNst-in", "DNst-bw",
 		"MNbusy", "MNst-in", "MNst-bw", "MEMbusy")
-	for _, r := range rows {
-		fmt.Printf("%-7s %4d %-7s %10d  %6.1f%% %7.1f%% %7.1f%%  %6.1f%% %7.1f%% %7.1f%%  %6.1f%%\n",
-			r.Arch, r.BW, r.Layer, r.Cycles,
-			100*r.Frac("DN", busy), 100*r.Frac("DN", sIn), 100*r.Frac("DN", sBW),
-			100*r.Frac("MN", busy), 100*r.Frac("MN", sIn), 100*r.Frac("MN", sBW),
-			100*r.Frac("MEM", busy))
+	row := func(arch, bw string, r exp.Fig1Row) {
+		pct := func(v uint64) float64 {
+			if r.ST == 0 {
+				return 0
+			}
+			return 100 * (float64(v) / float64(r.ST))
+		}
+		dn, mn := r.Breakdown["DN"], r.Breakdown["MN"]
+		fmt.Printf("%-7s %4s %-7s %10d  %6.1f%% %7.1f%% %7.1f%%  %6.1f%% %7.1f%% %7.1f%%  %6.1f%%\n",
+			arch, bw, r.Layer, r.ST,
+			pct(dn.Busy), pct(dn.StallInput), pct(dn.StallBandwidth),
+			pct(mn.Busy), pct(mn.StallInput), pct(mn.StallBandwidth),
+			pct(r.Breakdown["MEM"].Busy))
+	}
+	for _, r := range maeri {
+		row("maeri", strings.TrimPrefix(r.Config, "bw="), r)
+	}
+	for _, r := range tpu {
+		if r.Config == "16x16" {
+			row("tpu", "32", r) // the 16x16 array's preset bandwidth
+		}
 	}
 	fmt.Println()
 	return nil

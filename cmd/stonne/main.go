@@ -62,12 +62,12 @@ func main() {
 	counterOut := fs.String("counters", "", "write the counter file to this path")
 	modelFile := fs.String("file", "", "JSON model description (model subcommand)")
 	weightsFile := fs.String("weights", "", "binary weights file (optional; random weights otherwise)")
-	saveWeights := fs.String("save-weights", "", "write the weights the model ran with to this path")
+	saveWeights := fs.String("save-weights", "", "write the weights the model ran with to this path (model, single-core runs only)")
 	batch := fs.Int("batch", 1, "independent runs with seeds seed..seed+batch-1 (gemm/spmm/conv)")
 	workers := fs.Int("workers", 0, "parallel simulation jobs for -batch (0 = GOMAXPROCS, 1 = serial)")
 	selfcheck := fs.Bool("selfcheck", false, "verify every simulated output against the CPU reference (gemm/spmm/conv)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON cycle trace to this file (gemm/spmm/conv)")
-	progress := fs.Bool("progress", false, "print periodic per-job progress to stderr (gemm/spmm/conv/model)")
+	progress := fs.Bool("progress", false, "print periodic per-job progress to stderr (gemm/spmm/conv; model with -cores or -streams > 1)")
 	cores := fs.Int("cores", 1, "simulated cores on the chip (model subcommand; >1 shares a banked DRAM)")
 	placement := fs.String("placement", "layer", "multi-core placement policy: layer (pipeline stages) | batch (whole streams)")
 	banks := fs.Int("banks", 0, "shared DRAM banks for multi-core runs (0 = default)")
@@ -75,6 +75,13 @@ func main() {
 	fastforward := fs.Bool("fastforward", true, "skip provably-idle cycles (bit-exact; -fastforward=false forces the fully ticked loop)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
+	}
+	chip := *cores > 1 || *streams > 1
+	if op == "model" && chip && *saveWeights != "" {
+		flagError("-save-weights is honoured only on a single-core model run (-cores and -streams 1)")
+	}
+	if op == "model" && !chip && *progress {
+		flagError("-progress on a model run needs -cores or -streams > 1")
 	}
 
 	hw, err := pickHW(*hwFile, *arch, *ms, *bw)
@@ -87,7 +94,7 @@ func main() {
 	switch op {
 	case "gemm", "spmm", "conv":
 	case "model":
-		if *cores > 1 || *streams > 1 {
+		if chip {
 			runModelChipCmd(hw, *modelFile, *weightsFile, *policy, *seed,
 				*cores, *placement, *banks, *streams, *progress)
 		} else {
@@ -407,6 +414,13 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: stonne <gemm|conv|spmm|model> [flags]
        stonne -list-archs
 run "stonne gemm -h" for the flag list`)
+}
+
+// flagError rejects a flag combination the subcommand cannot honour, with
+// the flag-parse exit status.
+func flagError(msg string) {
+	fmt.Fprintln(os.Stderr, "stonne:", msg)
+	os.Exit(2)
 }
 
 func fatal(err error) {

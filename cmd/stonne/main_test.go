@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +62,37 @@ func TestSpMMOnDenseArch(t *testing.T) {
 	if out, err := exec.Command(bin, "spmm", "-arch", "maeri", "-ms", "64", "-bw", "16",
 		"-M", "8", "-N", "8", "-K", "16", "-sparsity", "0.5", "-selfcheck").CombinedOutput(); err != nil {
 		t.Fatalf("stonne spmm -arch maeri: %v\n%s", err, out)
+	}
+}
+
+// `stonne model` exits 2 naming a flag the run would otherwise drop
+// silently: -save-weights on a chip run, -progress on a single-core run.
+func TestModelRejectsUnhonouredFlags(t *testing.T) {
+	bin := buildStonne(t)
+	dir := t.TempDir()
+	model := filepath.Join(dir, "net.json")
+	if err := os.WriteFile(model, []byte(`{"name": "net", "input_channels": 2, "input_size": 6,
+  "layers": [{"type": "conv", "name": "c1", "filters": 4, "kernel": 3}, {"type": "relu"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-save-weights", []string{"-cores", "2", "-save-weights", filepath.Join(dir, "w.bin")}},
+		{"-progress", []string{"-progress"}},
+	} {
+		t.Run(c.flag, func(t *testing.T) {
+			args := append([]string{"model", "-file", model, "-arch", "tpu"}, c.args...)
+			out, err := exec.Command(bin, args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("stonne %v: %v, want exit status 2\n%s", args, err, out)
+			}
+			if !strings.Contains(string(out), c.flag) {
+				t.Errorf("stonne %v: error does not name %s:\n%s", args, c.flag, out)
+			}
+		})
 	}
 }
 

@@ -152,7 +152,7 @@ func TestDisableFastForwardChangesNothingOnRigidRunners(t *testing.T) {
 
 // Untraced runs must match with NO exemption: fast-forward may not grow any
 // counter when tracing is off, so the full counter file stays byte-exact —
-// the invariant the dispatch-parity goldens and the checksweep rely on.
+// the invariant the dispatch-parity goldens and the self-check sweep rely on.
 func TestFastForwardUntracedCounterFileExact(t *testing.T) {
 	gemmA := randTensor(0x71, 9, 24)
 	gemmB := randTensor(0x72, 24, 7)

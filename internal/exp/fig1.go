@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mapper"
 	"repro/internal/simpool"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -20,6 +21,10 @@ type Fig1Row struct {
 	Config string  // "16x16", "bw=64", "sp=0.9", ...
 	ST     uint64  // cycle-level simulation
 	AM     float64 // analytical model
+
+	// Breakdown is the traced ST run's per-tier cycle attribution (Fig. 1a
+	// and 1b only): which tier stalls, and on what, where AM sees none.
+	Breakdown map[string]stats.CycleBreakdown
 }
 
 // RatioSTOverAM is the headline metric: how much the analytical model
@@ -65,13 +70,7 @@ func Fig1aPar(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
 }
 
 func fig1aPoint(pe int, rl RepLayer) (Fig1Row, error) {
-	hw := archHW("tpu", pe*pe, 2*pe)
-	hw.Preloaded = true
-	acc, err := engine.New(hw)
-	if err != nil {
-		return Fig1Row{}, err
-	}
-	run, err := runRepLayer(acc, rl, 0xf16a)
+	run, err := runRepLayer(archHW("tpu", pe*pe, 2*pe), rl, 0xf16a)
 	if err != nil {
 		return Fig1Row{}, fmt.Errorf("fig1a %s: %w", rl.Tag, err)
 	}
@@ -84,7 +83,7 @@ func fig1aPoint(pe int, rl RepLayer) (Fig1Row, error) {
 	if rl.Layer.Kind == dnn.Conv {
 		am *= float64(rl.Layer.Conv.G)
 	}
-	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("%dx%d", pe, pe), ST: run.Cycles, AM: am}, nil
+	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("%dx%d", pe, pe), ST: run.Cycles, AM: am, Breakdown: run.Breakdown}, nil
 }
 
 // Fig1bPar compares STONNE against the MAERI analytical model on a
@@ -106,12 +105,7 @@ func Fig1bPar(ctx context.Context, workers, scale int) ([]Fig1Row, error) {
 func fig1bPoint(bw int, rl RepLayer) (Fig1Row, error) {
 	const ms = 128
 	hw := archHW("maeri", ms, bw)
-	hw.Preloaded = true
-	acc, err := engine.New(hw)
-	if err != nil {
-		return Fig1Row{}, err
-	}
-	run, err := runRepLayer(acc, rl, 0xf16b)
+	run, err := runRepLayer(hw, rl, 0xf16b)
 	if err != nil {
 		return Fig1Row{}, fmt.Errorf("fig1b %s bw=%d: %w", rl.Tag, bw, err)
 	}
@@ -140,7 +134,7 @@ func fig1bPoint(bw int, rl RepLayer) (Fig1Row, error) {
 	if err != nil {
 		return Fig1Row{}, err
 	}
-	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("bw=%d", bw), ST: run.Cycles, AM: am}, nil
+	return Fig1Row{Layer: rl.Tag, Config: fmt.Sprintf("bw=%d", bw), ST: run.Cycles, AM: am, Breakdown: run.Breakdown}, nil
 }
 
 var fig1cSparsities = []float64{0, 0.3, 0.5, 0.7, 0.9}

@@ -47,12 +47,12 @@ func fig5Arches() []config.Hardware {
 	}
 }
 
-// fig5Job is one simulation unit: one model on one architecture. Each job
-// rebuilds its model, weights and input from fixed seeds, so jobs share no
-// mutable state and any worker count produces identical rows.
+// fig5Job is one simulation unit: one model on one architecture. The job
+// reads its shared workload and draws its input from a fixed seed, so any
+// worker count produces identical rows.
 type fig5Job struct {
-	tag string
-	hw  config.Hardware
+	wl *workload
+	hw config.Hardware
 }
 
 // Fig5Par runs the complete inference of the requested models (nil = all
@@ -61,34 +61,27 @@ type fig5Job struct {
 // results in the serial row order regardless of completion order.
 // workers <= 0 uses GOMAXPROCS; workers == 1 is exactly the serial loop.
 func Fig5Par(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row, error) {
-	if tags == nil {
-		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
+	wls, err := seededModels(tags, scale, 0xf165)
+	if err != nil {
+		return nil, err
 	}
 	var jobs []fig5Job
-	for _, tag := range tags {
+	for _, wl := range wls {
 		for _, hw := range fig5Arches() {
-			jobs = append(jobs, fig5Job{tag: tag, hw: hw})
+			jobs = append(jobs, fig5Job{wl: wl, hw: hw})
 		}
 	}
 	return simpool.Map(ctx, workers, jobs, func(_ context.Context, _ int, j fig5Job) (Fig5Row, error) {
-		return fig5Run(j.tag, j.hw, scale)
+		return fig5Run(j.wl, j.hw, scale)
 	})
 }
 
-// fig5Run simulates one (model, architecture) pair from scratch.
-func fig5Run(tag string, hw config.Hardware, scale int) (Fig5Row, error) {
-	full, err := dnn.ModelByShort(tag)
+// fig5Run simulates one (model, architecture) pair.
+func fig5Run(wl *workload, hw config.Hardware, scale int) (Fig5Row, error) {
+	input := dnn.RandomInput(wl.m, 0x1217)
+	_, mr, err := stonne.RunModel(wl.m, wl.w, input, hw, nil)
 	if err != nil {
-		return Fig5Row{}, err
-	}
-	m, w, err := seededModel(full, scale, 0xf165)
-	if err != nil {
-		return Fig5Row{}, err
-	}
-	input := dnn.RandomInput(m, 0x1217)
-	mr, err := runModelStats(m, w, input, hw)
-	if err != nil {
-		return Fig5Row{}, fmt.Errorf("fig5 %s on %s: %w", m.Name, hw.Name, err)
+		return Fig5Row{}, fmt.Errorf("fig5 %s on %s: %w", wl.m.Name, hw.Name, err)
 	}
 	counters := map[string]uint64{}
 	for _, r := range mr.Runs {
@@ -97,7 +90,7 @@ func fig5Run(tag string, hw config.Hardware, scale int) (Fig5Row, error) {
 		}
 	}
 	row := Fig5Row{
-		Model: full.Name, Arch: hw.Name, Scale: scale,
+		Model: wl.name, Arch: hw.Name, Scale: scale,
 		Cycles: mr.TotalCycles(), MACs: mr.TotalMACs(),
 		Utilization: mr.AvgUtilization(),
 		EnergyUJ:    onChip(mr.EnergyBreakdown()),
@@ -118,12 +111,4 @@ func onChip(br map[string]float64) map[string]float64 {
 		out[k] = br[k]
 	}
 	return out
-}
-
-// runModelStats offloads every compute-intensive layer onto the hardware
-// and returns the aggregated statistics (without the functional output,
-// which Fig. 5 does not need).
-func runModelStats(m *dnn.Model, w *dnn.Weights, input *stonne.Tensor, hw config.Hardware) (*stats.ModelRun, error) {
-	_, mr, err := stonne.RunModel(m, w, input, hw, nil)
-	return mr, err
 }

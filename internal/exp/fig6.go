@@ -36,7 +36,7 @@ type fig6Cell struct {
 }
 
 type fig6Job struct {
-	tag string
+	wl  *workload
 	img int
 }
 
@@ -48,29 +48,28 @@ func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error)
 	if images < 1 {
 		images = 1
 	}
-	tags := []string{"A", "S", "V", "R"}
+	wls, err := seededModels([]string{"A", "S", "V", "R"}, scale, 0xf166)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []fig6Job
-	for _, tag := range tags {
+	for _, wl := range wls {
 		for img := 0; img < images; img++ {
-			jobs = append(jobs, fig6Job{tag: tag, img: img})
+			jobs = append(jobs, fig6Job{wl: wl, img: img})
 		}
 	}
 	cells, err := simpool.Map(ctx, workers, jobs, func(_ context.Context, _ int, j fig6Job) (fig6Cell, error) {
-		return fig6Image(j.tag, scale, j.img)
+		return fig6Image(j.wl, j.img)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	var rows []Fig6Row
-	for ti, tag := range tags {
-		full, err := dnn.ModelByShort(tag)
-		if err != nil {
-			return nil, err
-		}
+	for wi, wl := range wls {
 		var agg fig6Cell
 		for img := 0; img < images; img++ {
-			c := cells[ti*images+img]
+			c := cells[wi*images+img]
 			agg.cycA += c.cycA
 			agg.cycB += c.cycB
 			agg.opsA += c.opsA
@@ -81,7 +80,7 @@ func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error)
 			agg.enB += c.enB
 		}
 		rows = append(rows, Fig6Row{
-			Model: full.Name, Scale: scale,
+			Model: wl.name, Scale: scale,
 			Speedup:    ratio(agg.cycB, agg.cycA),
 			EnergyNorm: agg.enA / agg.enB,
 			OpsNorm:    ratio(agg.opsA, agg.opsB),
@@ -92,24 +91,16 @@ func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error)
 }
 
 // fig6Image runs one model on one input image, SNAPEA and baseline.
-func fig6Image(tag string, scale, img int) (fig6Cell, error) {
+func fig6Image(wl *workload, img int) (fig6Cell, error) {
 	hw := archHW("snapea", 64, 64)
-	full, err := dnn.ModelByShort(tag)
+	input := dnn.RandomInput(wl.m, 0x100+uint64(img))
+	_, snap, err := stonne.RunModel(wl.m, wl.w, input, hw, nil)
 	if err != nil {
-		return fig6Cell{}, err
+		return fig6Cell{}, fmt.Errorf("fig6 %s snapea: %w", wl.m.Name, err)
 	}
-	m, w, err := seededModel(full, scale, 0xf166)
+	_, base, err := stonne.RunModel(wl.m, wl.w, input, hw, &stonne.RunOptions{DisableSNAPEACut: true})
 	if err != nil {
-		return fig6Cell{}, err
-	}
-	input := dnn.RandomInput(m, 0x100+uint64(img))
-	_, snap, err := stonne.RunModel(m, w, input, hw, nil)
-	if err != nil {
-		return fig6Cell{}, fmt.Errorf("fig6 %s snapea: %w", m.Name, err)
-	}
-	_, base, err := stonne.RunModel(m, w, input, hw, &stonne.RunOptions{DisableSNAPEACut: true})
-	if err != nil {
-		return fig6Cell{}, fmt.Errorf("fig6 %s baseline: %w", m.Name, err)
+		return fig6Cell{}, fmt.Errorf("fig6 %s baseline: %w", wl.m.Name, err)
 	}
 	return fig6Cell{
 		cycA: snap.TotalCycles(), cycB: base.TotalCycles(),

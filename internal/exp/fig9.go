@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/dnn"
 	"repro/internal/sched"
@@ -29,67 +31,65 @@ type Fig9Row struct {
 }
 
 type fig9Job struct {
-	tag string
+	wl  *workload
 	pol sched.Policy
 }
 
-// Fig9Par runs the requested models (nil = all seven) under NS, RDM and
-// LFF on the use-case-3 system (256 multipliers, 128 elements/cycle
-// bandwidth): one simpool job per (model, policy) run, with the NS
-// normalization a serial post-pass over the ordered rows.
-func Fig9Par(ctx context.Context, workers, scale int, tags []string) ([]Fig9Row, error) {
-	if tags == nil {
-		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
+// fig9Sweep runs each requested model (nil = all seven) under each policy
+// on the use-case-3 system (256 multipliers, 128 elements/cycle bandwidth):
+// one simpool job per (model, policy) run. runs[i][j] is model i under
+// policies[j].
+func fig9Sweep(ctx context.Context, workers, scale int, tags []string, policies []sched.Policy) (wls []*workload, runs [][]*stonne.ModelRun, err error) {
+	wls, err = seededModels(tags, scale, 0xf169)
+	if err != nil {
+		return nil, nil, err
 	}
-	policies := []sched.Policy{sched.NS, sched.RDM, sched.LFF}
 	var jobs []fig9Job
-	for _, tag := range tags {
+	for _, wl := range wls {
 		for _, pol := range policies {
-			jobs = append(jobs, fig9Job{tag: tag, pol: pol})
+			jobs = append(jobs, fig9Job{wl: wl, pol: pol})
 		}
 	}
-	rows, err := simpool.Map(ctx, workers, jobs, func(_ context.Context, _ int, j fig9Job) (Fig9Row, error) {
-		return fig9Run(j.tag, j.pol, scale)
+	mrs, err := simpool.Map(ctx, workers, jobs, func(_ context.Context, _ int, j fig9Job) (*stonne.ModelRun, error) {
+		input := dnn.RandomInput(j.wl.m, 0x919)
+		_, mr, err := stonne.RunModel(j.wl.m, j.wl.w, input, archHW("sigma", 256, 128), &stonne.RunOptions{Policy: j.pol})
+		if err != nil {
+			return nil, fmt.Errorf("fig9 %s %v: %w", j.wl.m.Name, j.pol, err)
+		}
+		return mr, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range wls {
+		runs = append(runs, mrs[i*len(policies):(i+1)*len(policies)])
+	}
+	return wls, runs, nil
+}
+
+// Fig9Par runs the requested models (nil = all seven) under NS, RDM and
+// LFF, one row per (model, policy) normalized to the model's NS run.
+func Fig9Par(ctx context.Context, workers, scale int, tags []string) ([]Fig9Row, error) {
+	policies := []sched.Policy{sched.NS, sched.RDM, sched.LFF}
+	wls, runs, err := fig9Sweep(ctx, workers, scale, tags, policies)
 	if err != nil {
 		return nil, err
 	}
-	// Normalize each policy row to its model's NS row (the first of each
-	// group — policy order inside a group is fixed).
-	var nsCycles uint64
-	var nsEnergy float64
-	for i := range rows {
-		if rows[i].Policy == sched.NS.String() {
-			nsCycles, nsEnergy = rows[i].Cycles, rows[i].EnergyUJ
+	var rows []Fig9Row
+	for i, wl := range wls {
+		ns := runs[i][0]
+		for j, mr := range runs[i] {
+			rows = append(rows, Fig9Row{
+				Model: wl.name, Policy: policies[j].String(), Scale: scale,
+				Cycles:      mr.TotalCycles(),
+				Utilization: mr.AvgUtilization(),
+				EnergyUJ:    mr.TotalEnergy(),
+				NormRuntime: float64(mr.TotalCycles()) / float64(ns.TotalCycles()),
+				NormEnergy:  mr.TotalEnergy() / ns.TotalEnergy(),
+			})
 		}
-		rows[i].NormRuntime = float64(rows[i].Cycles) / float64(nsCycles)
-		rows[i].NormEnergy = rows[i].EnergyUJ / nsEnergy
 	}
 	return rows, nil
-}
-
-// fig9Run simulates one model under one scheduling policy.
-func fig9Run(tag string, pol sched.Policy, scale int) (Fig9Row, error) {
-	hw := archHW("sigma", 256, 128)
-	full, err := dnn.ModelByShort(tag)
-	if err != nil {
-		return Fig9Row{}, err
-	}
-	m, w, err := seededModel(full, scale, 0xf169)
-	if err != nil {
-		return Fig9Row{}, err
-	}
-	input := dnn.RandomInput(m, 0x919)
-	_, mr, err := stonne.RunModel(m, w, input, hw, &stonne.RunOptions{Policy: pol})
-	if err != nil {
-		return Fig9Row{}, fmt.Errorf("fig9 %s %v: %w", m.Name, pol, err)
-	}
-	return Fig9Row{
-		Model: full.Name, Policy: pol.String(), Scale: scale,
-		Cycles:      mr.TotalCycles(),
-		Utilization: mr.AvgUtilization(),
-		EnergyUJ:    mr.TotalEnergy(),
-	}, nil
 }
 
 // Fig9cRow is one layer of the Resnets-50 sensitivity study (Fig. 9c): the
@@ -99,59 +99,34 @@ type Fig9cRow struct {
 	NormRuntime float64
 	NormEnergy  float64
 	UtilGain    float64 // LFF − NS multiplier utilization
+
+	NSCycles, LFFCycles uint64
 }
 
-// Fig9cPar runs every offloaded Resnets-50 layer under NS and LFF and
-// returns the rows sorted by sensitivity (most-improved first). The paper
-// shows 14 representative layers spanning its low/medium/high sensitivity
-// classes; callers slice the extremes. The NS and LFF full-model runs are
-// two simpool jobs (each rebuilds its own model and weights).
+// Fig9cPar takes every offloaded Resnets-50 layer of Fig. 9's NS and LFF
+// runs and returns the rows sorted by sensitivity (most-improved first).
+// The paper shows 14 representative layers spanning its low/medium/high
+// sensitivity classes; callers slice the extremes.
 func Fig9cPar(ctx context.Context, workers, scale int) ([]Fig9cRow, error) {
-	mrs, err := simpool.Map(ctx, workers, []sched.Policy{sched.NS, sched.LFF},
-		func(_ context.Context, _ int, pol sched.Policy) (*stonne.ModelRun, error) {
-			hw := archHW("sigma", 256, 128)
-			m, w, err := seededModel(dnn.ResNet50(), scale, 0xf169)
-			if err != nil {
-				return nil, err
-			}
-			input := dnn.RandomInput(m, 0x919)
-			_, mr, err := stonne.RunModel(m, w, input, hw, &stonne.RunOptions{Policy: pol})
-			if err != nil {
-				return nil, fmt.Errorf("fig9c %v: %w", pol, err)
-			}
-			return mr, nil
-		})
+	_, runs, err := fig9Sweep(ctx, workers, scale, []string{"R"}, []sched.Policy{sched.NS, sched.LFF})
 	if err != nil {
 		return nil, err
 	}
-
-	runs := map[string][2]*stonne.Run{} // layer -> [NS, LFF]
-	for pi, mr := range mrs {
-		for _, r := range mr.Runs {
-			pair := runs[r.Layer]
-			pair[pi] = r
-			runs[r.Layer] = pair
+	ns, lff := runs[0][0].Runs, runs[0][1].Runs
+	rows := make([]Fig9cRow, len(ns))
+	for i, n := range ns {
+		l := lff[i]
+		rows[i] = Fig9cRow{
+			Layer:       n.Layer,
+			NormRuntime: float64(l.Cycles) / float64(n.Cycles),
+			NormEnergy:  l.TotalEnergy() / n.TotalEnergy(),
+			UtilGain:    l.Utilization - n.Utilization,
+			NSCycles:    n.Cycles,
+			LFFCycles:   l.Cycles,
 		}
 	}
-	var rows []Fig9cRow
-	for layer, pair := range runs {
-		ns, lff := pair[0], pair[1]
-		if ns == nil || lff == nil || ns.Cycles == 0 {
-			continue
-		}
-		rows = append(rows, Fig9cRow{
-			Layer:       layer,
-			NormRuntime: float64(lff.Cycles) / float64(ns.Cycles),
-			NormEnergy:  lff.TotalEnergy() / ns.TotalEnergy(),
-			UtilGain:    lff.Utilization - ns.Utilization,
-		})
-	}
-	sort.Slice(rows, func(a, b int) bool {
-		//lint:ignore floatcmp sort tie-break: exact inequality only decides whether to fall through to the Layer key, so no tolerance is wanted
-		if rows[a].NormRuntime != rows[b].NormRuntime {
-			return rows[a].NormRuntime < rows[b].NormRuntime
-		}
-		return rows[a].Layer < rows[b].Layer
+	slices.SortFunc(rows, func(a, b Fig9cRow) int {
+		return cmp.Or(cmp.Compare(a.NormRuntime, b.NormRuntime), strings.Compare(a.Layer, b.Layer))
 	})
 	return rows, nil
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // RepLayer is one of the eight representative layers of Figure 1,
@@ -71,10 +72,16 @@ func RepresentativeLayers(scale int) ([]RepLayer, error) {
 	return out, nil
 }
 
-// runRepLayer simulates one representative layer on acc: a convolution on
-// its convOperands, any other layer as the GEMM of its layerOperands drawn
-// from gemmSeed.
-func runRepLayer(acc *engine.Accelerator, rl RepLayer, gemmSeed uint64) (*stats.Run, error) {
+// runRepLayer simulates one representative layer, traced and from preloaded
+// buffers, on hw: a convolution on its convOperands, any other layer as the
+// GEMM of its layerOperands drawn from gemmSeed.
+func runRepLayer(hw config.Hardware, rl RepLayer, gemmSeed uint64) (*stats.Run, error) {
+	hw.Preloaded = true
+	hw.Trace = &trace.Config{}
+	acc, err := engine.New(hw)
+	if err != nil {
+		return nil, err
+	}
 	if rl.Layer.Kind == dnn.Conv {
 		in, w := convOperands(&rl.Layer)
 		_, run, err := acc.RunConv(in, w, rl.Layer.Conv, rl.Tag)
@@ -151,6 +158,37 @@ func seededModel(full *dnn.Model, scale int, seed uint64) (*dnn.Model, *dnn.Weig
 		return nil, nil, err
 	}
 	return m, w, nil
+}
+
+// workload is one seeded zoo model of a figure. A figure builds each of its
+// workloads once, before its simpool jobs start, and the jobs share it
+// read-only: no run writes a model or its weights
+// (TestRunModelLeavesWeightsUnchanged).
+type workload struct {
+	name string // the Table I name, without the scale suffix
+	m    *dnn.Model
+	w    *dnn.Weights
+}
+
+// seededModels builds the workload of each model tag (nil = all seven of
+// Table I), in order.
+func seededModels(tags []string, scale int, seed uint64) ([]*workload, error) {
+	if tags == nil {
+		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
+	}
+	wls := make([]*workload, len(tags))
+	for i, tag := range tags {
+		full, err := dnn.ModelByShort(tag)
+		if err != nil {
+			return nil, err
+		}
+		m, w, err := seededModel(full, scale, seed)
+		if err != nil {
+			return nil, err
+		}
+		wls[i] = &workload{name: full.Name, m: m, w: w}
+	}
+	return wls, nil
 }
 
 // archHW resolves a preset from the architecture registry. The experiment

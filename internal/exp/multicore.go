@@ -42,34 +42,31 @@ var MulticoreCores = []int{1, 2, 4}
 // pipeline. Rows come out grouped by placement, core counts ascending,
 // with Speedup normalized inside each placement group.
 func Multicore(scale int) ([]MulticoreRow, error) {
-	full, err := dnn.ModelByShort("M")
+	wls, err := seededModels([]string{"M"}, scale, 0xf165)
 	if err != nil {
 		return nil, err
 	}
-	m, w, err := seededModel(full, scale, 0xf165)
-	if err != nil {
-		return nil, err
-	}
+	wl := wls[0]
 	hw := archHW("tpu", 256, 32)
 
 	maxCores := MulticoreCores[len(MulticoreCores)-1]
 	streams := 2 * maxCores
 	inputs := make([]*stonne.Tensor, streams)
 	for i := range inputs {
-		inputs[i] = dnn.RandomInput(m, 0x1217+uint64(i))
+		inputs[i] = dnn.RandomInput(wl.m, 0x1217+uint64(i))
 	}
 
 	var rows []MulticoreRow
 	for _, placement := range []string{"layer", "batch"} {
 		var base float64
 		for _, cores := range MulticoreCores {
-			_, cr, err := stonne.RunModelChip(context.Background(), m, w, inputs, hw,
+			_, cr, err := stonne.RunModelChip(context.Background(), wl.m, wl.w, inputs, hw,
 				stonne.ChipOptions{Cores: cores, Placement: placement}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("multicore %d-core %s: %w", cores, placement, err)
 			}
 			row := MulticoreRow{
-				Model: full.Name, Arch: hw.Name, Scale: scale,
+				Model: wl.name, Arch: hw.Name, Scale: scale,
 				Cores: cores, Placement: placement, Streams: streams,
 				MakespanCycles: cr.MakespanCycles,
 				SerialCycles:   cr.Total.Cycles,

@@ -2,16 +2,17 @@ package exp
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 )
 
-// The tentpole guarantee: fanning experiment jobs across a simpool must
-// not change a single simulated number. Fig5 exercises the full stack
-// (conv + gemm lowering, all three fabrics, energy model), so we run it
-// serially and with several workers and require the rows to match
-// bit-for-bit — cycles, MACs, utilization, and the complete per-model
-// counter snapshots.
+// Fanning experiment jobs across a simpool must not change a single
+// simulated number. Fig5 exercises the full stack (conv + gemm lowering, all
+// three fabrics, energy model) with each model's workload shared by its
+// three jobs, so we run it serially and with 4 and GOMAXPROCS workers and
+// require the rows to match bit-for-bit — cycles, MACs, utilization, energy
+// and the complete per-model counter snapshots.
 func TestFig5SerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig5 runs in -short mode")
@@ -45,6 +46,9 @@ func TestFig5SerialParallelEquivalence(t *testing.T) {
 			if s.Utilization != p.Utilization {
 				t.Errorf("workers=%d %s/%s: utilization %v != %v", workers, s.Model, s.Arch, p.Utilization, s.Utilization)
 			}
+			if !sameEnergy(s, p) {
+				t.Errorf("workers=%d %s/%s: energy differs", workers, s.Model, s.Arch)
+			}
 			if !reflect.DeepEqual(s.Counters, p.Counters) {
 				t.Errorf("workers=%d %s/%s: counter snapshots differ", workers, s.Model, s.Arch)
 				for k, v := range s.Counters {
@@ -73,14 +77,27 @@ func TestFig5SerialDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EnergyUJ folds a float map in Go's randomized iteration order (a
-	// seed behavior), so determinism is pinned on the integer results and
-	// the counter snapshots.
+	// The energy fold runs in sorted key order (stats.SumSorted), so the
+	// float results are pinned bit-for-bit too.
 	for i := range a {
 		if a[i].Cycles != b[i].Cycles || a[i].MACs != b[i].MACs ||
-			a[i].Utilization != b[i].Utilization ||
+			a[i].Utilization != b[i].Utilization || !sameEnergy(a[i], b[i]) ||
 			!reflect.DeepEqual(a[i].Counters, b[i].Counters) {
 			t.Errorf("row %d (%s/%s): two serial Fig5 runs differ", i, a[i].Model, a[i].Arch)
 		}
 	}
+}
+
+// sameEnergy reports whether two rows carry bit-identical energy totals and
+// breakdowns.
+func sameEnergy(a, b Fig5Row) bool {
+	if math.Float64bits(a.TotalEnergy) != math.Float64bits(b.TotalEnergy) || len(a.EnergyUJ) != len(b.EnergyUJ) {
+		return false
+	}
+	for k, v := range a.EnergyUJ {
+		if w, ok := b.EnergyUJ[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
 }

@@ -47,7 +47,7 @@ type Ctx struct {
 
 	// cFFSkipped counts fast-forwarded cycles on traced runs. It is only
 	// resolved (and only ever touched) when tracing is enabled, so untraced
-	// runs — the dispatch-parity goldens, the checksweep, every counter-file
+	// runs — the dispatch-parity goldens, the self-check sweep, every counter-file
 	// comparison — see byte-identical counter sets with and without
 	// fast-forward.
 	cFFSkipped comp.Counter

@@ -183,7 +183,7 @@ func TestKernelSkippedDrainAttribution(t *testing.T) {
 
 // Untraced runs must not grow a skip counter: the counter set stays
 // byte-identical to the ticked loop's (what the dispatch-parity goldens and
-// checksweep compare), and SkippedSoFar reports zero.
+// the self-check sweep compare), and SkippedSoFar reports zero.
 func TestKernelFastForwardUntracedCounterPurity(t *testing.T) {
 	ctx := testCtx()
 	tk := &ffTick{}

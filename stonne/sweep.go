@@ -2,7 +2,6 @@ package stonne
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/dnn"
 	"repro/internal/sim"
@@ -149,7 +148,7 @@ var sweepSparsities = []float64{0, 0.5, 0.9, 1}
 // SweepCases enumerates the full differential grid — every registered
 // architecture × {gemm, conv, spmm} × the shape grids — without running
 // anything. Cases are deterministic: the operand seed derives from the case
-// position. WriteSweep executes them; the jobkey canonicalization tests reuse
+// position. TestSweep executes them; the jobkey canonicalization tests reuse
 // the same list as a corpus of semantically distinct jobs.
 func SweepCases() []Case {
 	var out []Case
@@ -176,32 +175,4 @@ func SweepCases() []Case {
 		}
 	}
 	return out
-}
-
-// WriteSweep runs every SweepCases case, streams a one-line verdict per case
-// to w and returns an error if any case failed — the checksweep CLI exit
-// status.
-func WriteSweep(w io.Writer) error {
-	failed := 0
-	cases := SweepCases()
-	for _, c := range cases {
-		rep, err := c.Run()
-		switch {
-		case err != nil:
-			failed++
-			fmt.Fprintf(w, "FAIL %s: %v\n", c, err)
-		case !rep.OK():
-			failed++
-			fmt.Fprintf(w, "%s\n", rep)
-		case rep.Tol.Exact:
-			fmt.Fprintf(w, "ok   %s (ulp %d)\n", c, rep.MaxULP)
-		default:
-			fmt.Fprintf(w, "ok   %s (max %.2f× allowed)\n", c, rep.MaxExcess)
-		}
-	}
-	fmt.Fprintf(w, "checksweep: %d cases, %d failed\n", len(cases), failed)
-	if failed > 0 {
-		return fmt.Errorf("checksweep: %d of %d cases failed", failed, len(cases))
-	}
-	return nil
 }

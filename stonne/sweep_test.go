@@ -38,17 +38,24 @@ func TestRandomCasesPass(t *testing.T) {
 	}
 }
 
-// TestSweep is the in-tree copy of the checksweep CLI gate: every
-// registered architecture × workload kind × shape grid must verify.
+// TestSweep is the differential self-check gate: every registered
+// architecture × workload kind × shape grid must verify against the CPU
+// reference. Run with -v for each case's margin.
 func TestSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
 	for _, c := range SweepCases() {
-		if rep, err := c.Run(); err != nil {
+		rep, err := c.Run()
+		switch {
+		case err != nil:
 			t.Errorf("%v", err)
-		} else if !rep.OK() {
+		case !rep.OK():
 			t.Errorf("%s: %s", c, rep)
+		case rep.Tol.Exact:
+			t.Logf("ok   %s (ulp %d)", c, rep.MaxULP)
+		default:
+			t.Logf("ok   %s (max %.2f× allowed)", c, rep.MaxExcess)
 		}
 	}
 }

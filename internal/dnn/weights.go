@@ -3,7 +3,7 @@ package dnn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -43,6 +43,16 @@ func (r *RNG) Normal() float64 {
 // Weights holds every trained tensor of a model keyed by layer name.
 type Weights struct {
 	ByLayer map[string]*tensor.Tensor
+}
+
+// LayerNames returns the keys of ByLayer in sorted order.
+func (w *Weights) LayerNames() []string {
+	names := make([]string, 0, len(w.ByLayer))
+	for name := range w.ByLayer {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // InitWeights generates deterministic He-initialized weights for every
@@ -107,7 +117,8 @@ func hashName(s string) uint64 {
 // Prune applies unstructured magnitude pruning (Zhu & Gupta style) to every
 // weighted layer so that the global weight sparsity of the model reaches the
 // target ratio in [0,1). Per-layer ratios equal the global ratio, matching
-// the uniform unstructured scheme the paper cites.
+// the uniform unstructured scheme the paper cites. Layers are pruned in name
+// order, so a model with several bad layers always reports the same one.
 func (w *Weights) Prune(target float64) error {
 	if target < 0 || target >= 1 {
 		return fmt.Errorf("dnn: pruning target %.2f out of [0,1)", target)
@@ -115,33 +126,62 @@ func (w *Weights) Prune(target float64) error {
 	if target == 0 {
 		return nil
 	}
-	for name, t := range w.ByLayer {
-		if err := pruneTensor(t, target); err != nil {
+	hist := new([1 << 16]uint32)
+	for _, name := range w.LayerNames() {
+		if err := pruneTensor(w.ByLayer[name], target, hist); err != nil {
 			return fmt.Errorf("dnn: pruning %s: %w", name, err)
 		}
 	}
 	return nil
 }
 
-func pruneTensor(t *tensor.Tensor, target float64) error {
+// magKey orders float32 values by magnitude: for non-NaN a and b,
+// magKey(a) <= magKey(b) exactly when |a| <= |b|. ±0 share key 0,
+// subnormals sit below the normals, and +Inf is the largest non-NaN key.
+func magKey(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
+const infKey = 0x7f800000 // magKey(±Inf); every larger key is a NaN
+
+// pruneTensor zeroes the drop = round(target·n) smallest-magnitude values of
+// t, but never all n. The threshold is the drop-th smallest magKey, found by
+// a two-pass radix select: one histogram over the key's high 16 bits picks
+// the threshold's bucket, a second over the low 16 bits of that bucket's
+// keys picks the threshold itself; hist is overwritten. Ties at the threshold
+// are zeroed in index order until drop values are gone. A NaN weight is an
+// error, reported before anything is written.
+func pruneTensor(t *tensor.Tensor, target float64, hist *[1 << 16]uint32) error {
 	d := t.Data()
 	n := len(d)
-	drop := int(math.Round(target * float64(n)))
-	if drop == 0 {
+	drop := min(int(math.Round(target*float64(n))), n-1)
+	clear(hist[:])
+	for i, v := range d {
+		k := magKey(v)
+		if k > infKey {
+			return fmt.Errorf("NaN weight at index %d", i)
+		}
+		hist[k>>16]++
+	}
+	if drop <= 0 {
 		return nil
 	}
-	if drop >= n {
-		drop = n - 1 // never prune a layer to fully zero
+	rank := uint32(drop) // the threshold is the rank-th smallest key from bucket hi on
+	hi := uint32(0)
+	for ; rank > hist[hi]; hi++ {
+		rank -= hist[hi]
 	}
-	mags := make([]float64, n)
-	for i, v := range d {
-		mags[i] = math.Abs(float64(v))
+	clear(hist[:])
+	for _, v := range d {
+		if k := magKey(v); k>>16 == hi {
+			hist[k&0xffff]++
+		}
 	}
-	sort.Float64s(mags)
-	threshold := mags[drop-1]
-	zeroed := 0
-	for i, v := range d {
-		if math.Abs(float64(v)) <= threshold && zeroed < drop {
+	lo := uint32(0)
+	for ; rank > hist[lo]; lo++ {
+		rank -= hist[lo]
+	}
+	threshold := hi<<16 | lo
+	for i, zeroed := 0, 0; zeroed < drop; i++ {
+		if magKey(d[i]) <= threshold {
 			d[i] = 0
 			zeroed++
 		}

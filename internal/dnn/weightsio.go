@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -31,11 +30,7 @@ func (ws *Weights) Save(w io.Writer) error {
 	if _, err := bw.WriteString(weightsMagic); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(ws.ByLayer))
-	for name := range ws.ByLayer {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := ws.LayerNames()
 	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
 	if err := writeU32(weightsVersion); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 	"strings"
@@ -379,4 +380,82 @@ func weightDigests(w *dnn.Weights) map[string][sha256.Size]byte {
 		out[name] = sha256.Sum256(b)
 	}
 	return out
+}
+
+// prunedWeightPins is the SHA-256 of the pruned weights (modelDigest) of
+// every (model, seed) pair a figure builds through seededModel at
+// testScale: Fig. 5 (and multicore), Fig. 6, Fig. 7 and Fig. 9. The values
+// come from the sort-based prune that internal/dnn keeps as its test
+// oracle; any change to weight synthesis or pruning moves them.
+var prunedWeightPins = []struct {
+	seed uint64
+	pins map[string]string // model tag → hex digest
+}{
+	{0xf165, map[string]string{ // Fig. 5, multicore
+		"M":   "104752d3a1451f19e5dea2ba0f998df1a7ffbee1a7cfa95261ef44498a454ef2",
+		"S":   "5a804cb2efa070339c1f9928046bd421935e9d456ca79719c4eb6890aabc4f95",
+		"A":   "de0c0dda41dc914b26146066346c968a31ad66ee6f5be2f98a50f6c4edeba63a",
+		"R":   "0e2b72674497bca20e1d2d09f1bb909dac75c1f4a293826c5b8349d55df6d102",
+		"V":   "0f8d8538054a8952d233b63e055dc9eb0ecffa19b4a96a6bc38d4fac20e16428",
+		"S-M": "2769cf9f7b23663b96e428bf63a2307b6dd22aed9819e91cc25b85a049ee7ac0",
+		"B":   "3331193696da5a00fc2eddb4e54fc28116c0e82a33831046f253855086f01e47",
+	}},
+	{0xf166, map[string]string{ // Fig. 6
+		"S": "e8c07e09d8ba8731e102069e557364ef63101b2d649ada3c4f069028040c1171",
+		"A": "0f973af7d77fbce6eba40f7807015af4db83967117a0225053bd06960194e599",
+		"R": "3335a7af17514124507965152305ba91f94e87fd5c963a8b60e0b069c353e993",
+		"V": "7acdcf1e7253813610a6ba96b1e22b323c367bb6b9246b3553016fb9633a7f61",
+	}},
+	{0xf167, map[string]string{ // Fig. 7
+		"M":   "aecfc98e1f8f82d69385cba9906c8e9c84b5b3e3265532beec5ea9f4adcb45c4",
+		"S":   "2c597b4da6e469758c28f4fb1fc232e80a164389c97a867d51bf39b3b95a9ade",
+		"A":   "7ca76be8db4091b476294c8b0a1f5f9617604155418e1caa5f12dfd0c988b038",
+		"R":   "bb855d23d46a2b8cdced901567bbf60fa62580799b64d61a03c2d82c64fd34f4",
+		"V":   "7cebb063e0286c40fdbefed6e3fae9890a83697c96e81424045f01ff65f08321",
+		"S-M": "0601ebe31560e48af465960755e04c74d222342e4630c5b2b70818fa26897c08",
+		"B":   "f210140a3539381872f5cec01e4c6314ba023b1d200d40ef6d37e2a20e6b9567",
+	}},
+	{0xf169, map[string]string{ // Fig. 9
+		"M":   "cd6ea611dac132bd85c13fd26ce8464a8da00d08aba69c15508ed279cd37fdcf",
+		"S":   "7f7bb37bbb3a7e06374e82ee7d811d21b05fca7d87a2cd531b62c967f3483208",
+		"A":   "8da42aa599b1523d24f7e401947d2c9964233d4207733b07eadb469e6f1ae8bb",
+		"R":   "c320771f7481047c0b796adf1ebbb02a55425add36e89d5d4974319e22df7ba0",
+		"V":   "54f4bfb3b27e3d9d345ca56b19cc79a9cde635b02d7d03f2c158ae9c6e0a8708",
+		"S-M": "eda1659a7094373cb228a1816d04f4923a8f6c4eadc1f5e0cfb38c6d51804dd1",
+		"B":   "d70c5d9050b7b6b9ffd5efe360c74a7cf150cb7f4389651ce64896f7465375a2",
+	}},
+}
+
+func TestPrunedWeightDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full model builds in -short mode")
+	}
+	for _, p := range prunedWeightPins {
+		for _, full := range dnn.AllModels() {
+			want, ok := p.pins[full.Short]
+			if !ok {
+				continue
+			}
+			_, w, err := seededModel(full, testScale, p.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := modelDigest(w); got != want {
+				t.Errorf("%s @ %#x: pruned weights digest %s, want %s", full.Short, p.seed, got, want)
+			}
+		}
+	}
+}
+
+// modelDigest folds weightDigests in layer-name order into one hex digest.
+func modelDigest(w *dnn.Weights) string {
+	layers := weightDigests(w)
+	h := sha256.New()
+	for _, name := range w.LayerNames() {
+		d := layers[name]
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+		h.Write(d[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

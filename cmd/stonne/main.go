@@ -17,10 +17,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/simpool"
 	"repro/internal/trace"
@@ -62,7 +64,7 @@ func main() {
 	counterOut := fs.String("counters", "", "write the counter file to this path")
 	modelFile := fs.String("file", "", "JSON model description (model subcommand)")
 	weightsFile := fs.String("weights", "", "binary weights file (optional; random weights otherwise)")
-	saveWeights := fs.String("save-weights", "", "write the weights the model ran with to this path (model, single-core runs only)")
+	saveWeights := fs.String("save-weights", "", "write the weights the model ran with to this path (model subcommand)")
 	batch := fs.Int("batch", 1, "independent runs with seeds seed..seed+batch-1 (gemm/spmm/conv)")
 	workers := fs.Int("workers", 0, "parallel simulation jobs for -batch (0 = GOMAXPROCS, 1 = serial)")
 	selfcheck := fs.Bool("selfcheck", false, "verify every simulated output against the CPU reference (gemm/spmm/conv)")
@@ -77,9 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 	chip := *cores > 1 || *streams > 1
-	if op == "model" && chip && *saveWeights != "" {
-		flagError("-save-weights is honoured only on a single-core model run (-cores and -streams 1)")
-	}
 	if op == "model" && !chip && *progress {
 		flagError("-progress on a model run needs -cores or -streams > 1")
 	}
@@ -94,11 +93,26 @@ func main() {
 	switch op {
 	case "gemm", "spmm", "conv":
 	case "model":
+		m, w := loadModelAndWeights(*modelFile, *weightsFile, *seed)
+		pol, err := stonne.ParsePolicy(*policy)
+		if err != nil {
+			fatal(err)
+		}
+		var summary jsonWriter
 		if chip {
-			runModelChipCmd(hw, *modelFile, *weightsFile, *policy, *seed,
-				*cores, *placement, *banks, *streams, *progress)
+			summary = runModelChipCmd(hw, m, w, pol, *seed, *cores, *placement, *banks, *streams, *progress)
 		} else {
-			runModelCmd(hw, *modelFile, *weightsFile, *saveWeights, *policy, *seed)
+			summary = runModelCmd(hw, m, w, pol, *seed)
+		}
+		if *jsonOut != "" {
+			if err := writeJSON(summary, *jsonOut); err != nil {
+				fatal(err)
+			}
+		}
+		if *saveWeights != "" {
+			if err := w.SaveFile(*saveWeights); err != nil {
+				fatal(err)
+			}
 		}
 		return
 	default:
@@ -130,10 +144,10 @@ func main() {
 	sink := newTraceSink(*traceOut != "", *progress)
 	runs, err := simpool.Map(context.Background(), *workers, seeds,
 		func(_ context.Context, i int, sd uint64) (*stonne.Run, error) {
+			label := fmt.Sprintf("run %d (seed %d)", i, sd)
 			h := hw
-			if cfg := sink.configFor(fmt.Sprintf("run %d (seed %d)", i, sd)); cfg != nil {
-				h.Trace = cfg
-			}
+			sink.instrument(&h, label)
+			defer sink.board.Finish(label)
 			// Each run builds its own simulator instance, so batched runs
 			// share nothing.
 			inst, err := stonne.CreateInstance(h)
@@ -179,7 +193,9 @@ func main() {
 }
 
 // traceSink collects completed run traces and live progress samples from
-// concurrently executing jobs. Both hooks are invoked from pool worker
+// concurrently executing jobs. The two are separate hooks: -trace turns on
+// cycle attribution, -progress only the kernel's progress hook, so a
+// display flag never changes a result. Both are invoked from pool worker
 // goroutines, so all state is mutex-guarded.
 type traceSink struct {
 	collect  bool
@@ -195,34 +211,28 @@ func newTraceSink(collect, progress bool) *traceSink {
 	return &traceSink{collect: collect, progress: progress, board: simpool.NewBoard()}
 }
 
-// configFor builds the per-job trace configuration, or nil when neither
-// tracing nor progress reporting is enabled (leaving the run untraced).
-func (s *traceSink) configFor(label string) *trace.Config {
-	if !s.collect && !s.progress {
-		return nil
-	}
-	cfg := &trace.Config{Label: label}
+// instrument installs the run's hooks on h: a trace configuration when
+// traces are collected, a progress hook reporting under label when
+// progress is shown. With neither, h stays untouched.
+func (s *traceSink) instrument(h *stonne.Hardware, label string) {
 	if s.collect {
-		cfg.OnComplete = s.complete
+		h.Trace = &trace.Config{Label: label, OnComplete: s.complete}
 	}
 	if s.progress {
-		cfg.ProgressEvery = 4096
-		cfg.OnProgress = s.onProgress
+		h.Progress = &config.ProgressHook{Report: func(p config.Progress) { s.onProgress(label, p) }}
 	}
-	return cfg
 }
 
 func (s *traceSink) complete(rt *trace.RunTrace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.traces = append(s.traces, rt)
-	s.board.Finish(rt.Label)
 }
 
 // onProgress updates the board and prints a throttled status line (at most
 // twice per second, regardless of how many jobs report).
-func (s *traceSink) onProgress(p trace.Progress) {
-	s.board.Update(p.Label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
+func (s *traceSink) onProgress(label string, p config.Progress) {
+	s.board.Update(label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if now := time.Now(); now.Sub(s.lastPrint) >= 500*time.Millisecond {
@@ -285,13 +295,19 @@ func batchPath(path string, i, batch int) string {
 	return fmt.Sprintf("%s.%d", path, i)
 }
 
-func writeJSON(run *stonne.Run, path string) error {
+// jsonWriter is a result with a JSON summary: a run, a model run or a
+// chip run.
+type jsonWriter interface {
+	WriteJSON(io.Writer) error
+}
+
+func writeJSON(v jsonWriter, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return run.WriteJSON(f)
+	return v.WriteJSON(f)
 }
 
 func pickHW(file, arch string, ms, bw int) (stonne.Hardware, error) {
@@ -316,7 +332,7 @@ func listArchs() {
 
 // loadModelAndWeights resolves the model/weights flags shared by the
 // single-core and chip model runs.
-func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Model, *stonne.Weights, *stonne.Tensor) {
+func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Model, *stonne.Weights) {
 	if modelFile == "" {
 		fatal(fmt.Errorf("the subcommand needs -file <model.json>"))
 	}
@@ -339,17 +355,13 @@ func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Mo
 			fatal(err)
 		}
 	}
-	return m, w, stonne.RandomInput(m, seed+1)
+	return m, w
 }
 
-// runModelCmd runs a full model from a description file, layer by layer.
-func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy string, seed uint64) {
-	m, w, input := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := stonne.ParsePolicy(policy)
-	if err != nil {
-		fatal(err)
-	}
-	out, mr, err := stonne.RunModel(m, w, input, hw, &stonne.RunOptions{Policy: pol})
+// runModelCmd runs a full model from a description file, layer by layer,
+// and returns its summary.
+func runModelCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol stonne.SchedPolicy, seed uint64) *stonne.ModelRun {
+	out, mr, err := stonne.RunModel(m, w, stonne.RandomInput(m, seed+1), hw, &stonne.RunOptions{Policy: pol})
 	if err != nil {
 		fatal(err)
 	}
@@ -361,23 +373,15 @@ func runModelCmd(hw stonne.Hardware, modelFile, weightsFile, saveWeights, policy
 	}
 	fmt.Printf("\ntotal: %d cycles, %.3f µJ, output shape %v\n",
 		mr.TotalCycles(), mr.TotalEnergy(), out.Shape())
-	if saveWeights != "" {
-		if err := w.SaveFile(saveWeights); err != nil {
-			fatal(err)
-		}
-	}
+	return mr
 }
 
 // runModelChipCmd runs -streams inferences of the model on a simulated
-// chip of -cores cores sharing a banked DRAM, and prints the chip-level
-// summary: per-core load, contention, makespan, and throughput.
-func runModelChipCmd(hw stonne.Hardware, modelFile, weightsFile, policy string, seed uint64,
-	cores int, placement string, banks, streams int, progress bool) {
-	m, w, _ := loadModelAndWeights(modelFile, weightsFile, seed)
-	pol, err := stonne.ParsePolicy(policy)
-	if err != nil {
-		fatal(err)
-	}
+// chip of -cores cores sharing a banked DRAM, prints the chip-level
+// summary — per-core load, contention, makespan, and throughput — and
+// returns it.
+func runModelChipCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol stonne.SchedPolicy, seed uint64,
+	cores int, placement string, banks, streams int, progress bool) *stonne.ChipRun {
 	if streams < 1 {
 		streams = 1
 	}
@@ -408,6 +412,7 @@ func runModelChipCmd(hw stonne.Hardware, modelFile, weightsFile, policy string, 
 		cr.MakespanCycles, cr.Total.Cycles, cr.ICNWaitCycles())
 	fmt.Printf("throughput: %.3f streams/Mcycle, output shape %v\n",
 		cr.Throughput(), outs[0].Shape())
+	return cr
 }
 
 func usage() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -8,6 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/stonne"
 )
 
 // TestTraceDemo is the smoke check for the observability layer: the real
@@ -65,21 +71,154 @@ func TestSpMMOnDenseArch(t *testing.T) {
 	}
 }
 
-// `stonne model` exits 2 naming a flag the run would otherwise drop
-// silently: -save-weights on a chip run, -progress on a single-core run.
-func TestModelRejectsUnhonouredFlags(t *testing.T) {
+// A display flag never changes a result: with -progress, stdout and every
+// -json, -counters and Chrome-trace file are byte-identical to the run
+// without it — on each op, on a batch, and on a traced run.
+func TestProgressNeverChangesResults(t *testing.T) {
 	bin := buildStonne(t)
-	dir := t.TempDir()
+	small := []string{"-ms", "64", "-bw", "16"}
+	for _, c := range []struct {
+		name  string
+		args  []string
+		files []string // result files the run writes
+	}{
+		{"gemm", []string{"gemm", "-M", "64", "-N", "64", "-K", "256"}, []string{"j.json", "c.cnt"}},
+		{"spmm", []string{"spmm", "-arch", "sigma", "-M", "64", "-N", "64", "-K", "256"}, []string{"j.json", "c.cnt"}},
+		{"conv", []string{"conv", "-R", "3", "-S", "3", "-C", "16", "-Kf", "16", "-X", "16", "-Y", "16"}, []string{"j.json", "c.cnt"}},
+		{"batch", []string{"gemm", "-M", "64", "-N", "64", "-K", "256", "-batch", "2"},
+			[]string{"j.json.0", "j.json.1", "c.cnt.0", "c.cnt.1"}},
+		{"trace", []string{"gemm", "-M", "64", "-N", "64", "-K", "256", "-trace", "t.json"},
+			[]string{"j.json", "c.cnt", "t.json"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(extra ...string) (dir string, stdout, stderr []byte) {
+				dir = t.TempDir()
+				args := append(append(append(c.args, small...), "-json", "j.json", "-counters", "c.cnt"), extra...)
+				cmd := exec.Command(bin, args...)
+				cmd.Dir = dir
+				var out, errOut bytes.Buffer
+				cmd.Stdout, cmd.Stderr = &out, &errOut
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("stonne %v: %v\n%s", args, err, errOut.Bytes())
+				}
+				return dir, out.Bytes(), errOut.Bytes()
+			}
+			plainDir, plainOut, _ := run()
+			progDir, progOut, progErr := run("-progress")
+			if !bytes.Contains(progErr, []byte("progress: ")) {
+				t.Fatalf("-progress printed no progress line:\n%s", progErr)
+			}
+			if !bytes.Equal(plainOut, progOut) {
+				t.Errorf("stdout differs with -progress:\n%s\nvs\n%s", plainOut, progOut)
+			}
+			for _, f := range c.files {
+				plain, err := os.ReadFile(filepath.Join(plainDir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := os.ReadFile(filepath.Join(progDir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(plain, prog) {
+					t.Errorf("%s differs with -progress (%d vs %d bytes)", f, len(plain), len(prog))
+				}
+			}
+		})
+	}
+}
+
+// The progress board counts a run done under its progress label when its
+// job returns, traced or not — never under the label of its trace.
+func TestTraceSinkMarksRunsDone(t *testing.T) {
+	for _, collect := range []bool{false, true} {
+		s := newTraceSink(collect, true)
+		for _, label := range []string{"run 0 (seed 1)", "run 1 (seed 2)"} {
+			var h stonne.Hardware
+			s.instrument(&h, label)
+			h.Progress.Report(config.Progress{Cycles: 4096})
+			if collect {
+				h.Trace.OnComplete(&trace.RunTrace{Label: label + ": MAERI-like GEMM dmm"})
+			}
+			s.board.Finish(label)
+		}
+		if got := s.board.Summary(); got != "2/2 done" {
+			t.Errorf("traced %v: board %q, want 2/2 done", collect, got)
+		}
+	}
+}
+
+// writeNet writes a two-conv model with half its weights pruned, so its
+// cycles and MACs depend on the weights it runs with.
+func writeNet(t *testing.T, dir string) string {
+	t.Helper()
 	model := filepath.Join(dir, "net.json")
-	if err := os.WriteFile(model, []byte(`{"name": "net", "input_channels": 2, "input_size": 6,
-  "layers": [{"type": "conv", "name": "c1", "filters": 4, "kernel": 3}, {"type": "relu"}]}`), 0o644); err != nil {
+	if err := os.WriteFile(model, []byte(`{"name": "net", "input_channels": 2, "input_size": 6, "sparsity": 0.5,
+  "layers": [{"type": "conv", "name": "c1", "filters": 4, "kernel": 3}, {"type": "relu"},
+    {"type": "conv", "name": "c2", "filters": 4, "kernel": 3}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return model
+}
+
+// `stonne model` writes its summary with -json — the per-layer ModelRun on
+// one core, the ChipRun on a chip — and saves the weights it ran with on
+// either: the file a chip run saves reproduces the single-core per-layer
+// cycles and MACs when passed back with -weights.
+func TestModelWritesJSONAndSavesWeights(t *testing.T) {
+	bin := buildStonne(t)
+	dir := t.TempDir()
+	model := writeNet(t, dir)
+	stonneModel := func(args ...string) {
+		t.Helper()
+		args = append([]string{"model", "-file", model, "-arch", "sigma"}, args...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("stonne %v: %v\n%s", args, err, out)
+		}
+	}
+	decode := func(name string, v any) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, v); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	weights := filepath.Join(dir, "w.bin")
+	stonneModel("-json", filepath.Join(dir, "single.json"))
+	stonneModel("-cores", "2", "-save-weights", weights, "-json", filepath.Join(dir, "chip.json"))
+	stonneModel("-weights", weights, "-json", filepath.Join(dir, "replay.json"))
+
+	var single, replay stats.ModelRun
+	var chip stats.ChipRun
+	decode("single.json", &single)
+	decode("chip.json", &chip)
+	decode("replay.json", &replay)
+	if len(single.Runs) != 2 || len(replay.Runs) != 2 {
+		t.Fatalf("per-layer runs: single %d, replay %d, want 2 each", len(single.Runs), len(replay.Runs))
+	}
+	for i, r := range single.Runs {
+		if r.Cycles == 0 || r.Cycles != replay.Runs[i].Cycles || r.MACs != replay.Runs[i].MACs {
+			t.Errorf("layer %s: single %d cycles %d MACs, replayed weights %d cycles %d MACs",
+				r.Layer, r.Cycles, r.MACs, replay.Runs[i].Cycles, replay.Runs[i].MACs)
+		}
+	}
+	if chip.Cores != 2 || len(chip.PerCore) != 2 || chip.MakespanCycles == 0 {
+		t.Errorf("chip summary: %d cores, %d per-core runs, makespan %d", chip.Cores, len(chip.PerCore), chip.MakespanCycles)
+	}
+}
+
+// `stonne model` exits 2 naming a flag the run would otherwise drop
+// silently: -progress on a single-core run.
+func TestModelRejectsUnhonouredFlags(t *testing.T) {
+	bin := buildStonne(t)
+	model := writeNet(t, t.TempDir())
 	for _, c := range []struct {
 		flag string
 		args []string
 	}{
-		{"-save-weights", []string{"-cores", "2", "-save-weights", filepath.Join(dir, "w.bin")}},
 		{"-progress", []string{"-progress"}},
 	} {
 		t.Run(c.flag, func(t *testing.T) {

@@ -243,10 +243,15 @@ type Hardware struct {
 	DRAM DRAM
 
 	// Trace enables cycle attribution for runs on this configuration
-	// (per-tier busy/stall breakdowns, Chrome trace export, periodic
-	// progress callbacks). Nil disables tracing at zero per-cycle cost.
-	// It is runtime-only state carrying callbacks and is never serialized.
+	// (per-tier busy/stall breakdowns and Chrome trace export). Nil
+	// disables tracing at zero per-cycle cost. It is runtime-only state
+	// carrying callbacks and is never serialized.
 	Trace *trace.Config `json:"-"`
+
+	// Progress, when non-nil, receives the run's live metrics at a fixed
+	// cycle period (sim.ProgressPeriod). It is display only: a run reports
+	// the same result with or without it. Runtime-only, never serialized.
+	Progress *ProgressHook `json:"-"`
 
 	// SharedMem, when non-nil, replaces the run-private DRAM model with a
 	// port into a chip-shared memory system (sim.Chip): each new run
@@ -292,6 +297,21 @@ type MemPort interface {
 // the timing state underneath is shared.
 type MemPortSource interface {
 	Port(c *comp.Counters) MemPort
+}
+
+// Progress is one live-metrics sample of a running simulation.
+type Progress struct {
+	Cycles    uint64
+	Outputs   int     // completed outputs so far
+	Occupancy float64 // multiplier busy fraction so far, in [0,1]
+	Skipped   uint64  // cycles the kernel fast-forwarded instead of ticking
+}
+
+// ProgressHook is the kernel's live-progress callback. Report runs on the
+// simulating goroutine; a hook shared by concurrent runs must synchronize
+// inside it. It carries no label: a caller that needs one closes over it.
+type ProgressHook struct {
+	Report func(Progress)
 }
 
 // ErrRefused is wrapped by every refusal the engine or the mapper makes

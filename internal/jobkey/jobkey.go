@@ -18,8 +18,8 @@
 //     picked up automatically by reflection), the operation shape, the
 //     explicit tile if any, the data seed, and the chip composition.
 //
-// Runtime-only fields tagged `json:"-"` (trace hooks, shared-memory ports)
-// are excluded: they carry callbacks, not semantics.
+// Runtime-only fields tagged `json:"-"` (trace and progress hooks,
+// shared-memory ports) are excluded: they carry callbacks, not semantics.
 package jobkey
 
 import (
@@ -121,8 +121,8 @@ func (j Job) Normalize() Job {
 	}
 	// Fast-forward is bit-exact (pinned by the fastforward-vs-ticked
 	// differential sweep), so a run with it disabled produces the same
-	// bytes: erase the knob. Trace and SharedMem are runtime-only and are
-	// already excluded from the encoding by their json:"-" tags.
+	// bytes: erase the knob. Trace, Progress and SharedMem are runtime-only
+	// and are already excluded from the encoding by their json:"-" tags.
 	j.HW.DisableFastForward = false
 
 	switch j.Op {

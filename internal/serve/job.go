@@ -12,7 +12,6 @@ import (
 	"repro/internal/simpool"
 	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/stonne"
 )
 
@@ -47,8 +46,8 @@ type Request struct {
 	Chip  jobkey.Chip `json:"chip,omitempty"`
 
 	// Progress streams NDJSON progress samples before the final result
-	// line. It never affects the result bytes (trace-only artifacts are
-	// scrubbed) and is not part of the cache key.
+	// line. It never affects the result bytes (the kernel's progress hook
+	// is display only) and is not part of the cache key.
 	Progress bool `json:"progress,omitempty"`
 }
 
@@ -114,7 +113,6 @@ func resolve(req Request) (*job, error) {
 	// The service is the paper's user-interface mode: operands are
 	// generated from the seed and start preloaded in the Global Buffer.
 	hw.Preloaded = true
-	hw.Trace = nil
 	arch, err := sim.Resolve(hw)
 	if err != nil {
 		return nil, err
@@ -256,13 +254,9 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 			hw := j.jk.HW
 			if progress != nil {
 				label := fmt.Sprintf("%.8s/run%d", j.key, i)
-				hw.Trace = &trace.Config{
-					Label:         label,
-					ProgressEvery: 4096,
-					OnProgress: func(p trace.Progress) {
-						progress(p.Label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
-					},
-				}
+				hw.Progress = &config.ProgressHook{Report: func(p config.Progress) {
+					progress(label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
+				}}
 			}
 			inst, rerr := stonne.CreateInstance(hw)
 			if rerr != nil {
@@ -272,7 +266,7 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 			if rerr != nil {
 				return runOut{}, rerr
 			}
-			return runOut{run: scrubRun(run), sum: tensorSum(out)}, nil
+			return runOut{run: run, sum: tensorSum(out)}, nil
 		})
 	if err != nil {
 		return err
@@ -320,28 +314,6 @@ func executeModel(ctx context.Context, j *job, res *Result, progress progressFn)
 		res.OutputSums = append(res.OutputSums, tensorSum(o))
 	}
 	return nil
-}
-
-// scrubRun strips trace-only artifacts (the cycle breakdown and trace.*
-// counters) from a run so progress-streamed and untraced executions of the
-// same job marshal byte-identically — the differential suite pins every
-// remaining field as byte-exact.
-func scrubRun(r *stats.Run) *stats.Run {
-	if r == nil {
-		return nil
-	}
-	s := *r
-	s.Breakdown = nil
-	if len(r.Counters) > 0 {
-		s.Counters = make(map[string]uint64, len(r.Counters))
-		for k, v := range r.Counters {
-			if strings.HasPrefix(k, "trace.") {
-				continue
-			}
-			s.Counters[k] = v
-		}
-	}
-	return &s
 }
 
 // tensorSum is the float64 checksum of a functional output.

@@ -101,9 +101,9 @@ func TestRepeatJobIsByteIdenticalCacheHit(t *testing.T) {
 	}
 }
 
-// TestProgressRunMatchesUntracedBytes pins the trace-scrubbing contract:
-// a progress-streamed execution caches the same bytes as an untraced one,
-// so either can serve the other's hits.
+// TestProgressRunMatchesUntracedBytes pins that progress is display only:
+// a progress-streamed execution caches the same bytes as a plain one, so
+// either can serve the other's hits.
 func TestProgressRunMatchesUntracedBytes(t *testing.T) {
 	_, ts1 := newTestServer(t, Config{Workers: 1})
 	_, ts2 := newTestServer(t, Config{Workers: 1})
@@ -136,6 +136,41 @@ func TestProgressRunMatchesUntracedBytes(t *testing.T) {
 	}
 	if !bytes.Equal(final.Result, plain.Result) {
 		t.Errorf("progress run result differs from untraced run:\n%s\nvs\n%s", final.Result, plain.Result)
+	}
+}
+
+// GET /progress lists only jobs in flight: a progress-streamed job's labels
+// leave the board when its flight settles, so after three sequential jobs
+// (two op batches and a two-core model) the board is empty.
+func TestProgressBoardForgetsSettledJobs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	samples := 0
+	for _, body := range []string{
+		`{"op":"gemm","arch":"maeri","ms":16,"bw":16,"m":16,"n":16,"k":256,"seed":3,"batch":2,"progress":true}`,
+		`{"op":"conv","arch":"maeri","ms":16,"bw":16,"conv":{"R":3,"S":3,"C":4,"G":1,"K":4,"N":1,"X":12,"Y":12,"Stride":1},"progress":true}`,
+		`{"op":"model","model":"S","scale":16,"chip":{"cores":2},"progress":true}`,
+	} {
+		resp, raw := postJob(t, ts, body)
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if resp.StatusCode != http.StatusOK || !strings.Contains(lines[len(lines)-1], `"type":"result"`) {
+			t.Fatalf("%s: status %d:\n%s", body, resp.StatusCode, raw)
+		}
+		samples += len(lines) - 1
+	}
+	if samples == 0 {
+		t.Fatal("no job streamed a progress sample")
+	}
+	resp, err := http.Get(ts.URL + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var board map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&board); err != nil {
+		t.Fatal(err)
+	}
+	if len(board) != 0 {
+		t.Errorf("GET /progress lists settled jobs: %v", board)
 	}
 }
 

@@ -343,7 +343,9 @@ func (s *Server) execJob(ctx context.Context, j *job, f *flight, w http.Response
 	queueWait = time.Since(waitStart)
 	var progress progressFn
 	if j.req.Progress {
-		progress = s.streamProgress(w)
+		var forget func()
+		progress, forget = s.streamProgress(w)
+		defer forget()
 	}
 	simStart := time.Now()
 	res, err := s.run(ctx, j, progress)
@@ -371,14 +373,15 @@ type progressLine struct {
 // streamProgress returns a progressFn that mirrors samples onto the shared
 // board (for GET /progress) and streams them to this response, throttled
 // to one line per label per 100ms so a fast simulation cannot flood the
-// connection.
-func (s *Server) streamProgress(w http.ResponseWriter) progressFn {
+// connection, and a forget func that drops the job's labels from the board
+// once the job has settled, so GET /progress lists only jobs in flight.
+func (s *Server) streamProgress(w http.ResponseWriter) (progressFn, func()) {
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	var mu sync.Mutex
 	last := make(map[string]time.Time)
 	enc := json.NewEncoder(w)
-	return func(label string, cycles uint64, outputs int, occupancy float64, skipped uint64) {
+	report := func(label string, cycles uint64, outputs int, occupancy float64, skipped uint64) {
 		s.board.Update(label, cycles, outputs, occupancy, skipped)
 		mu.Lock()
 		defer mu.Unlock()
@@ -395,6 +398,16 @@ func (s *Server) streamProgress(w http.ResponseWriter) progressFn {
 			flusher.Flush()
 		}
 	}
+	forget := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		// A label's first sample is always written, so last holds every
+		// label the job reported.
+		for label := range last {
+			s.board.Forget(label)
+		}
+	}
+	return report, forget
 }
 
 // Stats is the GET /stats payload. The latency summaries cover successful

@@ -34,6 +34,10 @@ type Ctx struct {
 	// compositions drive the same method set.
 	DRAM   mem.Port
 	Cycles uint64
+	// skipped counts the cycles the kernel fast-forwarded instead of
+	// ticking, on every run: the progress hook reports it whether or not
+	// the run is traced.
+	skipped uint64
 
 	// Rec is the per-run cycle-attribution recorder, nil unless the
 	// hardware configuration enables tracing. Runners attribute through it
@@ -45,11 +49,11 @@ type Ctx struct {
 	// instead of string-keyed lookups.
 	cMults, cGBReads, cGBWrites comp.Counter
 
-	// cFFSkipped counts fast-forwarded cycles on traced runs. It is only
-	// resolved (and only ever touched) when tracing is enabled, so untraced
-	// runs — the dispatch-parity goldens, the self-check sweep, every counter-file
-	// comparison — see byte-identical counter sets with and without
-	// fast-forward.
+	// cFFSkipped charges fast-forwarded cycles to the counter set on traced
+	// runs. It is only resolved (and only ever touched) when tracing is
+	// enabled, so untraced runs — the dispatch-parity goldens, the
+	// self-check sweep, every counter-file comparison — see byte-identical
+	// counter sets with and without fast-forward.
 	cFFSkipped comp.Counter
 }
 
@@ -82,23 +86,18 @@ func NewCtx(hw *config.Hardware) *Ctx {
 	return ctx
 }
 
-// AccountSkipped records n fast-forwarded cycles. The counter exists only
-// on traced runs (see cFFSkipped); untraced runs keep their counter set
-// identical to the ticked loop's, which is what the parity goldens pin.
+// AccountSkipped records n fast-forwarded cycles. The counter is charged
+// only on traced runs (see cFFSkipped); untraced runs keep their counter
+// set identical to the ticked loop's, which is what the parity goldens pin.
 func (c *Ctx) AccountSkipped(n uint64) {
+	c.skipped += n
 	if c.Rec != nil {
 		c.cFFSkipped.Add(n)
 	}
 }
 
-// SkippedSoFar returns the cycles fast-forward has skipped so far (zero on
-// untraced runs, which do not account skips).
-func (c *Ctx) SkippedSoFar() uint64 {
-	if c.Rec == nil {
-		return 0
-	}
-	return c.cFFSkipped.Value()
-}
+// SkippedSoFar returns the cycles fast-forward has skipped so far.
+func (c *Ctx) SkippedSoFar() uint64 { return c.skipped }
 
 // UtilizationSoFar is the multiplier busy fraction up to the current cycle,
 // used by the periodic progress hook.

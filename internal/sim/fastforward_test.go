@@ -183,7 +183,8 @@ func TestKernelSkippedDrainAttribution(t *testing.T) {
 
 // Untraced runs must not grow a skip counter: the counter set stays
 // byte-identical to the ticked loop's (what the dispatch-parity goldens and
-// the self-check sweep compare), and SkippedSoFar reports zero.
+// the self-check sweep compare). SkippedSoFar still counts the skip, which
+// the progress hook reports on untraced runs too.
 func TestKernelFastForwardUntracedCounterPurity(t *testing.T) {
 	ctx := testCtx()
 	tk := &ffTick{}
@@ -194,8 +195,8 @@ func TestKernelFastForwardUntracedCounterPurity(t *testing.T) {
 	if ctx.Cycles != 100 || tk.ticks != 0 {
 		t.Fatalf("Cycles=%d ticks=%d, want a pure 100-cycle skip", ctx.Cycles, tk.ticks)
 	}
-	if got := ctx.SkippedSoFar(); got != 0 {
-		t.Errorf("SkippedSoFar = %d on an untraced run, want 0", got)
+	if got := ctx.SkippedSoFar(); got != 100 {
+		t.Errorf("SkippedSoFar = %d on an untraced run, want 100", got)
 	}
 	if _, ok := ctx.Counters.Snapshot()[names.TraceFFSkippedCycles]; ok {
 		t.Errorf("untraced run grew a %s counter", names.TraceFFSkippedCycles)
@@ -239,38 +240,69 @@ func TestKernelFastForwardDisabledByConfig(t *testing.T) {
 	}
 }
 
-// The periodic progress callback must fire at exactly the same cycles with
-// and without fast-forward: skips are capped at the next emission point.
+// The progress hook must fire at exactly the same cycles, with the same
+// outputs and occupancy, with and without fast-forward: skips are capped at
+// the next multiple of ProgressPeriod. The wait spans several periods, so a
+// skip is capped more than once.
 func TestKernelFastForwardProgressEmissionParity(t *testing.T) {
-	run := func(disable bool) []uint64 {
-		var fired []uint64
+	const periods = 5
+	run := func(disable bool) []config.Progress {
+		var fired []config.Progress
 		hw := config.MAERILike(16, 8)
 		hw.Preloaded = true
 		hw.DisableFastForward = disable
-		hw.Trace = &trace.Config{
-			Label:         "parity",
-			ProgressEvery: 8,
-			OnProgress:    func(p trace.Progress) { fired = append(fired, p.Cycles) },
-		}
+		hw.Progress = &config.ProgressHook{Report: func(p config.Progress) { fired = append(fired, p) }}
 		ctx := NewCtx(&hw)
 		tk := &ffTick{}
 		var advanced uint64
-		if err := wakeKernel(ctx, 50, tk, &advanced).Run(); err != nil {
+		if err := wakeKernel(ctx, periods*ProgressPeriod+50, tk, &advanced).Run(); err != nil {
 			t.Fatal(err)
 		}
 		return fired
 	}
 	ticked := run(true)
 	ff := run(false)
-	if len(ticked) != len(ff) {
-		t.Fatalf("emission count diverged: ticked %v, fast-forward %v", ticked, ff)
+	if len(ticked) != periods || len(ff) != periods {
+		t.Fatalf("emission count: ticked %d, fast-forward %d, want %d", len(ticked), len(ff), periods)
 	}
 	for i := range ticked {
-		if ticked[i] != ff[i] {
-			t.Fatalf("emission cycles diverged: ticked %v, fast-forward %v", ticked, ff)
+		want := uint64(i+1) * ProgressPeriod
+		tp, fp := ticked[i], ff[i]
+		if tp.Cycles != want || fp.Cycles != want || tp.Outputs != fp.Outputs || tp.Occupancy != fp.Occupancy {
+			t.Errorf("emission %d: ticked %+v, fast-forward %+v, want cycle %d", i, tp, fp, want)
+		}
+		// The ticked loop skips nothing; the idle wait is skipped whole.
+		if tp.Skipped != 0 || fp.Skipped != want {
+			t.Errorf("emission %d skipped: ticked %d, fast-forward %d, want 0/%d", i, tp.Skipped, fp.Skipped, want)
 		}
 	}
-	if len(ticked) != 6 || ticked[0] != 8 {
-		t.Errorf("unexpected emission schedule: %v", ticked)
+}
+
+// Progress gating: the hook fires only on multiples of ProgressPeriod, on
+// an untraced run, and its sample carries the run's live metrics.
+func TestKernelProgressHook(t *testing.T) {
+	hw := config.MAERILike(16, 8)
+	hw.Preloaded = true
+	var got []config.Progress
+	hw.Progress = &config.ProgressHook{Report: func(p config.Progress) { got = append(got, p) }}
+	ctx := NewCtx(&hw)
+	if ctx.Rec != nil {
+		t.Fatal("a progress hook turned cycle attribution on")
+	}
+	const end = 2*ProgressPeriod + 100
+	k := &Kernel{Ctx: ctx, Ticks: []Tickable{&ffTick{}}, Ctrl: &testCtrl{
+		done:     func() bool { return ctx.Cycles >= end },
+		progress: func() int { return int(ctx.Cycles / 2) },
+	}}
+	ctx.Counters.Add(names.MNMults, 16*ProgressPeriod/4) // a quarter busy by the first sample
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d samples, want 2: %+v", len(got), got)
+	}
+	first := config.Progress{Cycles: ProgressPeriod, Outputs: ProgressPeriod / 2, Occupancy: 0.25}
+	if got[0] != first || got[1].Cycles != 2*ProgressPeriod {
+		t.Errorf("samples %+v, want the first %+v and the second at cycle %d", got, first, 2*ProgressPeriod)
 	}
 }

@@ -1,6 +1,13 @@
 package sim
 
-import "repro/internal/comp"
+import (
+	"repro/internal/comp"
+	"repro/internal/config"
+)
+
+// ProgressPeriod is the interval, in simulated cycles, at which a run with
+// a progress hook (config.Hardware.Progress) reports its live metrics.
+const ProgressPeriod = 4096
 
 // Controller is the one seam between a pipelined composition and the cycle
 // loop that runs it: the composition's memory controller, as the kernel
@@ -53,14 +60,15 @@ type Kernel struct {
 }
 
 // Run executes the cycle loop to completion (or watchdog abort). When the
-// context carries a cycle recorder, every cycle is attributed per tier; a
-// nil recorder costs one pointer check per step.
+// context carries a cycle recorder, every cycle is attributed per tier;
+// when the hardware carries a progress hook, it fires every ProgressPeriod
+// cycles. Either one, absent, costs one pointer check per step.
 //
 // Whenever the controller and every Tickable report a nonzero Lookahead
 // bound, the loop jumps min(bounds) cycles at once, replaying counters and
 // trace attribution in closed form. Fast-forward is bit-exact, not
 // approximate — the jump is additionally capped so the deadlock watchdog
-// and the periodic progress callback fire at exactly the cycles the ticked
+// and the progress hook fire at exactly the cycles the ticked
 // loop would have fired them, and the differential tests in internal/engine
 // pin ticked and fast-forwarded runs identical in cycles, counters and
 // breakdowns. Ctx.HW.DisableFastForward forces the ticked loop, the
@@ -105,7 +113,7 @@ type watch struct {
 
 // observe is the bookkeeping after a step of n cycles has been applied and
 // Ctx.Cycles advanced: a tick is the n == 1 case of a skip. It resets the
-// watchdog on forward motion, attributes the step to the recorder, emits
+// watchdog on forward motion, attributes the step to the recorder, reports
 // due progress and aborts a run that stopped moving.
 func (k *Kernel) observe(w *watch, n uint64) error {
 	// A skip is never progress: the steady-state certificate guarantees
@@ -128,9 +136,12 @@ func (k *Kernel) observe(w *watch, n uint64) error {
 	}
 	if rec := k.Ctx.Rec; rec != nil {
 		rec.TickN(n, k.Ctrl.Draining())
-		if rec.ProgressDue(k.Ctx.Cycles) {
-			rec.EmitProgress(k.Ctx.Cycles, state, k.Ctx.UtilizationSoFar(), k.Ctx.SkippedSoFar())
-		}
+	}
+	if p := k.Ctx.HW.Progress; p != nil && k.Ctx.Cycles%ProgressPeriod == 0 {
+		p.Report(config.Progress{
+			Cycles: k.Ctx.Cycles, Outputs: state,
+			Occupancy: k.Ctx.UtilizationSoFar(), Skipped: k.Ctx.SkippedSoFar(),
+		})
 	}
 	if k.Ctx.Cycles-w.lastProgress > DeadlockWindow {
 		return k.Ctrl.Deadlock(DeadlockWindow)
@@ -146,8 +157,8 @@ func (k *Kernel) observe(w *watch, n uint64) error {
 //   - the deadlock watchdog aborts after its check at cycle
 //     lastProgress + DeadlockWindow + 1, so a skip never jumps past that
 //     cycle (and the post-skip check fires there, identically);
-//   - the periodic progress callback fires at every multiple of the
-//     configured period, so a skip never jumps past the next multiple.
+//   - the progress hook fires at every multiple of ProgressPeriod, so a
+//     skip never jumps past the next multiple.
 func (k *Kernel) skipBound(lastProgress uint64) uint64 {
 	n := k.Ctrl.Lookahead()
 	if n == 0 {
@@ -165,8 +176,8 @@ func (k *Kernel) skipBound(lastProgress uint64) uint64 {
 	if dead := lastProgress + DeadlockWindow + 1 - k.Ctx.Cycles; n > dead {
 		n = dead
 	}
-	if every := k.Ctx.Rec.ProgressPeriod(); every > 0 {
-		if due := every - k.Ctx.Cycles%every; n > due {
+	if k.Ctx.HW.Progress != nil {
+		if due := ProgressPeriod - k.Ctx.Cycles%ProgressPeriod; n > due {
 			n = due
 		}
 	}

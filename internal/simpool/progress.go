@@ -2,6 +2,7 @@ package simpool
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,7 +21,7 @@ type JobProgress struct {
 
 // Board aggregates periodic progress samples from a batch of concurrent
 // simulation jobs into one coherent view. Jobs report through Update (safe
-// from any worker goroutine — the trace layer's OnProgress hook feeds it
+// from any worker goroutine — the kernel's progress hook feeds it
 // directly) and the driver reads a consistent snapshot whenever it wants to
 // render live status. The board never blocks reporters beyond a mutex.
 type Board struct {
@@ -60,6 +61,15 @@ func (b *Board) Finish(label string) {
 		b.order = append(b.order, label)
 	}
 	jp.Done = true
+}
+
+// Forget drops the named job from the board, so a long-lived board holds
+// only the jobs still in flight.
+func (b *Board) Forget(label string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.jobs, label)
+	b.order = slices.DeleteFunc(b.order, func(l string) bool { return l == label })
 }
 
 // Snapshot returns a copy of every job's latest state, keyed by label.

@@ -132,6 +132,22 @@ func TestBoardUpdatesAndSummary(t *testing.T) {
 	}
 }
 
+// Forget drops a job from the snapshot and the summary alike; forgetting
+// an unknown job is a no-op.
+func TestBoardForget(t *testing.T) {
+	b := NewBoard()
+	b.Update("job 0", 100, 1, 0, 0)
+	b.Update("job 1", 200, 2, 0, 0)
+	b.Forget("job 0")
+	b.Forget("job 9")
+	if snap := b.Snapshot(); len(snap) != 1 || snap["job 1"].Cycles != 200 {
+		t.Errorf("snapshot after Forget: %v", snap)
+	}
+	if s := b.Summary(); s != "0/1 done; running: job 1@200cyc" {
+		t.Errorf("summary after Forget: %q", s)
+	}
+}
+
 // The board is driven concurrently by pool workers; exercise that shape so
 // the race detector covers it.
 func TestBoardConcurrent(t *testing.T) {

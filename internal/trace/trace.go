@@ -4,9 +4,10 @@
 // not just how many cycles it took but where they went. This is the
 // information analytical models lack (Section I/V of the paper: SCALE-Sim
 // style formulas err by up to 4x precisely because they cannot see pipeline
-// stalls under bandwidth pressure), surfaced three ways: per-tier totals on
-// stats.Run, Chrome trace_event JSON for Perfetto, and periodic progress
-// callbacks for live sweep monitoring.
+// stalls under bandwidth pressure), surfaced two ways: per-tier totals on
+// stats.Run and Chrome trace_event JSON for Perfetto. Live progress is not
+// attribution and is not here: it is the kernel's own hook
+// (config.Hardware.Progress), so asking for it never turns tracing on.
 //
 // The recorder piggybacks on the activity counters the hardware modules
 // already maintain: each tier is classified by the per-cycle delta of a
@@ -96,19 +97,6 @@ type Config struct {
 	// are assembled. Callers aggregating traces across parallel jobs must
 	// synchronize inside the callback.
 	OnComplete func(*RunTrace)
-	// ProgressEvery, when positive, invokes OnProgress every that-many
-	// simulated cycles with the run's live metrics.
-	ProgressEvery int
-	OnProgress    func(Progress)
-}
-
-// Progress is one periodic live-metrics sample of a running simulation.
-type Progress struct {
-	Label     string
-	Cycles    uint64
-	Outputs   int     // completed outputs so far
-	Occupancy float64 // multiplier busy fraction so far, in [0,1]
-	Skipped   uint64  // cycles the kernel fast-forwarded instead of ticking
 }
 
 // Span is one contiguous stretch of cycles attributed to a single class
@@ -366,32 +354,6 @@ func (r *Recorder) AddSpanAll(cl Class, n uint64) {
 	for ti := range r.tiers {
 		r.tiers[ti].add(cl, n)
 	}
-}
-
-// ProgressDue reports whether a progress callback should fire at cycles.
-func (r *Recorder) ProgressDue(cycles uint64) bool {
-	return r != nil && r.cfg.ProgressEvery > 0 && r.cfg.OnProgress != nil &&
-		cycles%uint64(r.cfg.ProgressEvery) == 0
-}
-
-// ProgressPeriod returns the configured progress-callback period in cycles,
-// or zero when no periodic callback will fire. The kernel's fast-forward
-// path caps skips at the next period multiple so callbacks fire at exactly
-// the cycles the ticked loop would have fired them.
-func (r *Recorder) ProgressPeriod() uint64 {
-	if r == nil || r.cfg.ProgressEvery <= 0 || r.cfg.OnProgress == nil {
-		return 0
-	}
-	return uint64(r.cfg.ProgressEvery)
-}
-
-// EmitProgress invokes the configured progress callback. skipped is the
-// run's cumulative fast-forwarded cycle count (zero on ticked runs).
-func (r *Recorder) EmitProgress(cycles uint64, outputs int, occupancy float64, skipped uint64) {
-	if r == nil || r.cfg.OnProgress == nil {
-		return
-	}
-	r.cfg.OnProgress(Progress{Label: r.cfg.Label, Cycles: cycles, Outputs: outputs, Occupancy: occupancy, Skipped: skipped})
 }
 
 // Finalize flushes partial span windows, assembles the RunTrace, and hands

@@ -115,46 +115,9 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Tick(true)
 	r.AddSpan(TierDN, Busy, 5)
 	r.AddSpanAll(Idle, 5)
-	r.EmitProgress(1, 2, 0.5, 0)
 	r.TickN(3, false)
-	if r.ProgressPeriod() != 0 {
-		t.Error("nil recorder reports a progress period")
-	}
-	if r.ProgressDue(100) {
-		t.Error("nil recorder claims progress is due")
-	}
 	if rt := r.Finalize("x"); rt != nil {
 		t.Errorf("nil recorder produced a trace: %v", rt)
-	}
-}
-
-// Progress gating: fires only on multiples of ProgressEvery and only when a
-// callback is installed; the sample carries the label and metrics.
-func TestProgressHook(t *testing.T) {
-	cs := comp.NewCounters()
-	var got []Progress
-	r := NewRecorder(cs, &Config{
-		Label: "job 3", ProgressEvery: 100,
-		OnProgress: func(p Progress) { got = append(got, p) },
-	})
-	if r.ProgressDue(150) {
-		t.Error("due at a non-multiple")
-	}
-	if !r.ProgressDue(200) {
-		t.Error("not due at a multiple")
-	}
-	r.EmitProgress(200, 42, 0.25, 7)
-	if len(got) != 1 || got[0].Label != "job 3" || got[0].Cycles != 200 ||
-		got[0].Outputs != 42 || got[0].Occupancy != 0.25 || got[0].Skipped != 7 {
-		t.Errorf("sample: %+v", got)
-	}
-	if r.ProgressPeriod() != 100 {
-		t.Errorf("progress period: %d", r.ProgressPeriod())
-	}
-
-	noCB := NewRecorder(cs, &Config{ProgressEvery: 100})
-	if noCB.ProgressDue(200) {
-		t.Error("due without a callback installed")
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "result cache bound (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist cached results here; restarts serve repeats warm (empty = memory only)")
 	diskEntries := flag.Int("disk-entries", 0, "persistent cache entry bound (0 = default)")
-	batchWorkers := flag.Int("batch-workers", 1, "simpool fan-out inside one batched job")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight jobs")
 	flag.Parse()
 
@@ -51,7 +50,6 @@ func main() {
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
 		DiskEntries:  *diskEntries,
-		BatchWorkers: *batchWorkers,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stonned:", err)

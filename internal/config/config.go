@@ -353,6 +353,9 @@ func (h *Hardware) Validate() error {
 			h.BytesPerElement, h.DRAM.RowBytes)
 	case h.DRAM.RowMissLatency < 0:
 		return fmt.Errorf("config: DRAM.RowMissLatency must not be negative, got %d", h.DRAM.RowMissLatency)
+	case h.DRAMElemsPerCycle() < MinDRAMElemsPerCycle:
+		return fmt.Errorf("config: DRAM rate (DRAM.BandwidthGBs·DRAM.Modules / ClockGHz / BytesPerElement) is %g elements per cycle, below the floor %g",
+			h.DRAMElemsPerCycle(), MinDRAMElemsPerCycle)
 	case h.Ctrl == SparseCtrl && h.MN != DisabledMN:
 		return fmt.Errorf("config: the sparse controller requires the disabled multiplier network (got %v)", h.MN)
 	case h.Ctrl == DenseCtrl && h.DN == BenesDN:
@@ -375,6 +378,30 @@ func (h *Hardware) Validate() error {
 
 // positiveFinite reports x > 0 with NaN and +Inf refused.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// MinDRAMElemsPerCycle is the slowest DRAM Validate accepts. A transfer of
+// n elements costs n / rate cycles, so at this floor even 10^12 elements
+// cost 10^18 cycles: no rate Validate passes overflows a uint64 cycle count.
+const MinDRAMElemsPerCycle = 1e-6
+
+// DRAMElemsPerCycle is the rate the memory model streams at. Cached results
+// and the parity goldens depend on this floating-point operation order.
+func (h *Hardware) DRAMElemsPerCycle() float64 {
+	bytesPerSec := h.DRAM.BandwidthGBs * 1e9 * float64(h.DRAM.Modules)
+	cyclesPerSec := h.ClockGHz * 1e9
+	bytesPerCycle := bytesPerSec / cyclesPerSec
+	return bytesPerCycle / float64(h.BytesPerElement)
+}
+
+// DRAMLink returns the description a chip's shared DRAM link is timed from:
+// gbs > 0 replaces h's modules with one link of gbs GB/s, gbs <= 0 keeps
+// them. The error is Validate's, so an override obeys the rate floor too.
+func (h Hardware) DRAMLink(gbs float64) (Hardware, error) {
+	if gbs > 0 || math.IsNaN(gbs) {
+		h.DRAM.BandwidthGBs, h.DRAM.Modules = gbs, 1
+	}
+	return h, h.Validate()
+}
 
 // defaultDRAM mirrors the paper's use-case system: two 256 GB/s HBM2
 // modules.

@@ -66,6 +66,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"DRAM.RowBytes", func(h *Hardware) { h.DRAM.RowBytes = 0 }},
 		{"DRAM.RowBytes", func(h *Hardware) { h.BytesPerElement, h.DRAM.RowBytes = 4, 3 }}, // row smaller than an element
 		{"DRAM.RowMissLatency", func(h *Hardware) { h.DRAM.RowMissLatency = -1 }},
+		// Every factor positive and finite, the rate they give below the
+		// floor: a transfer's cycle count would overflow uint64.
+		{"DRAM rate", func(h *Hardware) { h.DRAM.BandwidthGBs = 1e-300 }},
+		{"DRAM rate", func(h *Hardware) { h.ClockGHz = 1e300 }},
+		{"DRAM rate", func(h *Hardware) { h.BytesPerElement, h.DRAM.RowBytes = 1<<30, 1<<30 }},
 	}
 	for i, tc := range cases {
 		hw := MAERILike(128, 32)

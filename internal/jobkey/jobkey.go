@@ -23,6 +23,7 @@
 package jobkey
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -85,8 +86,9 @@ type Job struct {
 	M, N, K int
 	// Conv is the convolution shape (OpConv only).
 	Conv tensor.ConvShape
-	// Sparsity and Policy parameterize OpSpMM: the fraction of zeros pruned
-	// into the stationary operand and the filter-scheduling policy name.
+	// Sparsity is the fraction of zeros pruned into the stationary operand
+	// (OpSpMM only). Policy is the filter-scheduling policy name (OpSpMM and
+	// OpModel: a model's sparse layers run under it).
 	Sparsity float64
 	Policy   string
 	// Tile, when non-nil, is an explicit dense-controller tile overriding
@@ -96,7 +98,8 @@ type Job struct {
 	// Seed derives the deterministic random operand data.
 	Seed uint64
 	// Batch runs seeds Seed..Seed+Batch-1 as independent jobs whose runs
-	// are all part of the result.
+	// are all part of the result (gemm/spmm/conv; a model job runs one
+	// inference per chip stream).
 	Batch int
 
 	// Model is the built-in model short tag (OpModel only).
@@ -113,27 +116,27 @@ type Job struct {
 // fields that cannot affect this operation's result zeroed, and
 // result-neutral knobs erased. Two requests that spell the same job
 // differently normalize to identical values — the collision half of the
-// canonicalization contract.
+// canonicalization contract. It is the one statement of which fields each
+// op reads: a runner given the normalized job reads nothing else, so a
+// field erased here cannot change a result.
 func (j Job) Normalize() Job {
 	j.Op = strings.ToLower(strings.TrimSpace(j.Op))
-	if j.Batch < 1 {
-		j.Batch = 1
-	}
+	j.Batch = max(j.Batch, 1)
 	// Fast-forward is bit-exact (pinned by the fastforward-vs-ticked
 	// differential sweep), so a run with it disabled produces the same
 	// bytes: erase the knob. Trace, Progress and SharedMem are runtime-only
 	// and are already excluded from the encoding by their json:"-" tags.
 	j.HW.DisableFastForward = false
 
-	switch j.Op {
-	case OpSpMM:
-		j.Policy = strings.ToUpper(strings.TrimSpace(j.Policy))
-		if j.Policy == "" {
-			j.Policy = "NS"
-		}
-	default:
-		// Scheduling policy only steers the sparse controller.
-		j.Sparsity, j.Policy = 0, ""
+	// Scheduling policy steers the sparse controller: an spmm's, and the
+	// sparse layers of a model (whose sparsity is its Table I value).
+	if j.Op == OpSpMM || j.Op == OpModel {
+		j.Policy = cmp.Or(strings.ToUpper(strings.TrimSpace(j.Policy)), "NS")
+	} else {
+		j.Policy = ""
+	}
+	if j.Op != OpSpMM {
+		j.Sparsity = 0
 	}
 	if j.Op != OpConv {
 		j.Conv = tensor.ConvShape{}
@@ -146,34 +149,24 @@ func (j Job) Normalize() Job {
 		j.Model = ""
 		j.Scale = 0
 		j.Chip = Chip{}
-	} else {
-		if j.Scale < 1 {
-			j.Scale = 1
-		}
-		if j.Chip.Cores < 1 {
-			j.Chip.Cores = 1
-		}
-		if j.Chip.Streams < 1 {
-			j.Chip.Streams = 1
-		}
-		if j.Chip.Cores == 1 {
-			// A 1-core chip builds no shared memory system at all: the
-			// placement, bank count and link override have no effect.
-			j.Chip.Placement, j.Chip.Banks, j.Chip.LinkGBs = "", 0, 0
-		} else {
-			if j.Chip.Placement == "" {
-				j.Chip.Placement = "layer"
-			}
-			if j.Chip.Banks <= 0 {
-				j.Chip.Banks = mem.DefaultBanks
-			}
-			if j.Chip.LinkGBs <= 0 {
-				j.Chip.LinkGBs = 0 // canonical "derive from the configuration"
-			}
-		}
-		// Model runs take their shapes from the model description.
-		j.M, j.N, j.K = 0, 0, 0
+		return j
 	}
+	// A model job runs one inference per chip stream; batch is unread.
+	j.Batch = 1
+	j.Scale = max(j.Scale, 1)
+	j.Chip.Cores = max(j.Chip.Cores, 1)
+	j.Chip.Streams = max(j.Chip.Streams, 1)
+	if j.Chip.Cores == 1 {
+		// A 1-core chip builds no shared memory system at all: the
+		// placement, bank count and link override have no effect.
+		j.Chip.Placement, j.Chip.Banks, j.Chip.LinkGBs = "", 0, 0
+		return j
+	}
+	j.Chip.Placement = cmp.Or(j.Chip.Placement, "layer")
+	if j.Chip.Banks <= 0 {
+		j.Chip.Banks = mem.DefaultBanks
+	}
+	j.Chip.LinkGBs = max(j.Chip.LinkGBs, 0) // 0: derive from the configuration
 	return j
 }
 

@@ -227,6 +227,54 @@ func TestChipNormalization(t *testing.T) {
 	}
 }
 
+// TestModelNormalization pins which fields a model job reads: the
+// scheduling policy is live (its sparse layers run under it, the Fig. 9
+// use case) with "" meaning NS, and batch is dead (a model job runs one
+// inference per chip stream). The canonical text carries both, so a key
+// written while the policy was erased never matches.
+func TestModelNormalization(t *testing.T) {
+	base := jobkey.Job{
+		Arch: "sigma", HW: config.SIGMALike(64, 16),
+		Op: jobkey.OpModel, Model: "S", Scale: 16, Seed: 3,
+	}
+	k0, err := base.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := base.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"job.Batch=1\n", "job.Policy=\"NS\"\n", "job.Sparsity=0\n"} {
+		if !strings.Contains(canon, want) {
+			t.Errorf("model canonical encoding missing %q:\n%s", want, canon)
+		}
+	}
+	same := map[string]func(*jobkey.Job){
+		"explicit NS": func(j *jobkey.Job) { j.Policy = "NS" },
+		"policy case": func(j *jobkey.Job) { j.Policy = " ns " },
+		"batch":       func(j *jobkey.Job) { j.Batch = 4 },
+		"sparsity":    func(j *jobkey.Job) { j.Sparsity = 0.5 },
+	}
+	for name, mutate := range same {
+		v := base
+		mutate(&v)
+		if k, _ := v.Hash(); k != k0 {
+			t.Errorf("%s changed the model key", name)
+		}
+	}
+	for _, pol := range []string{"LFF", "RDM"} {
+		v := base
+		v.Policy = pol
+		if k, _ := v.Hash(); k == k0 {
+			t.Errorf("policy %s collides with NS", pol)
+		}
+	}
+	if n := base.Normalize(); n.Normalize() != n {
+		t.Error("Normalize is not idempotent on a model job")
+	}
+}
+
 // TestRejectsUnknownOp pins strictness: junk never hashes.
 func TestRejectsUnknownOp(t *testing.T) {
 	j := gemmJob()

@@ -34,15 +34,11 @@ type timing struct {
 	rowMiss       int
 }
 
-// newTiming derives per-cycle element bandwidth from the configured modules
-// and clock. Cached results and the parity goldens depend on this
-// floating-point operation order.
+// newTiming takes the per-cycle element bandwidth and row shape from a
+// validated description.
 func newTiming(h *config.Hardware) timing {
-	bytesPerSec := h.DRAM.BandwidthGBs * 1e9 * float64(h.DRAM.Modules)
-	cyclesPerSec := h.ClockGHz * 1e9
-	bytesPerCycle := bytesPerSec / cyclesPerSec
 	return timing{
-		elemsPerCycle: bytesPerCycle / float64(h.BytesPerElement),
+		elemsPerCycle: h.DRAMElemsPerCycle(),
 		rowElems:      h.DRAM.RowBytes / h.BytesPerElement,
 		rowMiss:       h.DRAM.RowMissLatency,
 	}

@@ -216,11 +216,12 @@ func mustShared(t *testing.T, hw *config.Hardware, banks int, linkGBs float64) *
 	return s
 }
 
-// TestSharedLinkMustBeFinite pins the one input NewSharedDRAM owns: the
-// link override is not a hardware field, so config.Hardware.Validate — the
-// owner of everything else the model divides by — never sees it.
+// TestSharedLinkMustBeFinite pins the link override's check: the override
+// is not a hardware field, so NewSharedDRAM passes the description it times
+// the link from through config.Hardware.Validate — the owner of everything
+// the model divides by, the rate floor included.
 func TestSharedLinkMustBeFinite(t *testing.T) {
-	for _, link := range []float64{math.NaN(), math.Inf(1)} {
+	for _, link := range []float64{math.NaN(), math.Inf(1), 1e-300} {
 		if _, err := NewSharedDRAM(testHW(), 0, link); err == nil {
 			t.Errorf("link override %g GB/s accepted", link)
 		}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -48,20 +47,17 @@ type SharedDRAM struct {
 // parameters, which must have passed config.Hardware.Validate. banks <= 0
 // uses DefaultBanks; linkGBs <= 0 keeps the configured modules, matching
 // what a private DRAM would deliver, and a positive linkGBs replaces them
-// with one link of that bandwidth.
+// with one link of that bandwidth (config.Hardware.DRAMLink: the link passes
+// Validate, rate floor included).
 func NewSharedDRAM(h *config.Hardware, banks int, linkGBs float64) (*SharedDRAM, error) {
 	if banks <= 0 {
 		banks = DefaultBanks
 	}
-	if math.IsNaN(linkGBs) || math.IsInf(linkGBs, 1) {
-		return nil, fmt.Errorf("mem: shared DRAM link bandwidth must be finite, got %g GB/s", linkGBs)
+	link, err := h.DRAMLink(linkGBs)
+	if err != nil {
+		return nil, fmt.Errorf("mem: shared DRAM link of %g GB/s: %w", linkGBs, err)
 	}
-	if linkGBs > 0 {
-		link := *h
-		link.DRAM.BandwidthGBs, link.DRAM.Modules = linkGBs, 1
-		h = &link
-	}
-	return &SharedDRAM{timing: newTiming(h), bankFree: make([]float64, banks)}, nil
+	return &SharedDRAM{timing: newTiming(&link), bankFree: make([]float64, banks)}, nil
 }
 
 // Banks returns the configured bank count.

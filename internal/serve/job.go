@@ -1,15 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/config"
 	"repro/internal/jobkey"
 	"repro/internal/mapper"
 	"repro/internal/sim"
-	"repro/internal/simpool"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/stonne"
@@ -51,11 +50,16 @@ type Request struct {
 	Progress bool `json:"progress,omitempty"`
 }
 
-// Service-side bounds: a single request may not queue unbounded work.
+// Service-side bounds: a single request may not queue unbounded work or
+// ask for an unbounded allocation.
 const (
 	maxBatch   = 1024
 	maxStreams = 256
 	maxCores   = 64
+	maxBanks   = 1024
+	// maxFabric bounds the multiplier count (ms or hw.MSSize): 16× the
+	// 64×64 array of Fig. 1a.
+	maxFabric = 1 << 16
 	// maxJobBytes bounds a POST /jobs body: about 1000x the largest legal
 	// request (a full hardware description plus a conv shape and a tile).
 	maxJobBytes = 1 << 20
@@ -66,42 +70,39 @@ const (
 	defaultBW = 16
 )
 
-// job is a resolved, validated, content-addressed request.
+// job is a resolved, validated, content-addressed request. The runners read
+// the normalized jk and what resolve derived from it, never the request, so
+// what jk's key covers is what the result depends on.
 type job struct {
-	key   jobkey.Key
-	jk    jobkey.Job // also the one copy of the resolved hardware and arch name
-	req   Request
-	op    stonne.CheckedOp   // gemm/spmm/conv: the runner shared with the stonne CLI
-	pol   stonne.SchedPolicy // model op only
-	model *stonne.Model      // resolved, scaled model (model op only)
+	key      jobkey.Key
+	jk       jobkey.Job       // normalized: the one copy of the resolved hardware, arch and op
+	op       stonne.CheckedOp // gemm/spmm/conv: the runner shared with the stonne CLI
+	model    *stonne.Model    // resolved, scaled model (model op only)
+	progress bool
 }
 
-// resolve turns a wire request into a runnable job: presets and defaults
-// applied, operands validated, and the content address computed from the
-// fully resolved values (so every spelling of the same job lands on the
-// same key).
+// resolve turns a wire request into a runnable job: presets applied, the
+// job normalized once, every field it keeps validated, and the content
+// address computed from those values (so every spelling of the same job
+// lands on the same key). Everything it refuses is refused before the job
+// takes an admission slot.
 func resolve(req Request) (*job, error) {
-	j := &job{req: req}
-	j.req.Op = strings.ToLower(strings.TrimSpace(req.Op))
-
+	// The fabric size sizes the multiplier array and feeds the presets'
+	// arithmetic: bound it before anything is built from it.
+	size := req.MS
+	if req.HW != nil {
+		size = req.HW.MSSize
+	}
+	if size > maxFabric {
+		return nil, fmt.Errorf("fabric size %d exceeds the limit %d", size, maxFabric)
+	}
 	var hw config.Hardware
+	var err error
 	if req.HW != nil {
 		hw = *req.HW
 	} else {
-		name := req.Arch
-		if name == "" {
-			name = "maeri"
-		}
-		ms, bw := req.MS, req.BW
-		if ms <= 0 {
-			ms = defaultMS
-		}
-		if bw <= 0 {
-			bw = defaultBW
-		}
-		var err error
-		hw, err = sim.PresetHW(name, ms, bw)
-		if err != nil {
+		ms, bw := cmp.Or(max(req.MS, 0), defaultMS), cmp.Or(max(req.BW, 0), defaultBW)
+		if hw, err = sim.PresetHW(cmp.Or(req.Arch, "maeri"), ms, bw); err != nil {
 			return nil, err
 		}
 	}
@@ -118,71 +119,79 @@ func resolve(req Request) (*job, error) {
 		return nil, err
 	}
 
-	if req.Batch < 0 || req.Batch > maxBatch {
-		return nil, fmt.Errorf("batch %d out of range [0,%d]", req.Batch, maxBatch)
+	raw := jobkey.Job{
+		Arch: arch.Name, Contract: arch.Contract, HW: hw,
+		Op: req.Op, M: req.M, N: req.N, K: req.K,
+		Sparsity: req.Sparsity, Policy: req.Policy, Tile: req.Tile,
+		Seed: req.Seed, Batch: req.Batch,
+		Model: req.Model, Scale: req.Scale, Chip: req.Chip,
 	}
-
-	switch j.req.Op {
+	if req.Conv != nil {
+		raw.Conv = *req.Conv
+	}
+	j := &job{jk: raw.Normalize(), progress: req.Progress}
+	n := &j.jk
+	if n.Batch > maxBatch {
+		return nil, fmt.Errorf("batch %d exceeds the limit %d", n.Batch, maxBatch)
+	}
+	switch n.Op {
 	case jobkey.OpGEMM, jobkey.OpSpMM, jobkey.OpConv:
-		j.op, err = stonne.SeededOp{
-			Op: j.req.Op, M: req.M, N: req.N, K: req.K,
-			Conv: req.Conv, Tile: req.Tile,
-			Sparsity: req.Sparsity, Policy: req.Policy,
-		}.Check()
-		if err != nil {
+		op := stonne.SeededOp{
+			Op: n.Op, M: n.M, N: n.N, K: n.K, Tile: n.Tile,
+			Sparsity: n.Sparsity, Policy: n.Policy,
+		}
+		if n.Op == jobkey.OpConv {
+			op.Conv = &n.Conv
+		}
+		if j.op, err = op.Check(); err != nil {
 			return nil, err
 		}
 	case jobkey.OpModel:
-		full, merr := stonne.ModelByShort(req.Model)
-		if merr != nil {
-			return nil, merr
-		}
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		if j.model, err = stonne.ScaleSpatial(full, scale); err != nil {
+		if err := checkModel(j); err != nil {
 			return nil, err
 		}
-		if j.pol, err = stonne.ParsePolicy(req.Policy); err != nil {
-			return nil, err
-		}
-		if req.Chip.Cores > maxCores {
-			return nil, fmt.Errorf("cores %d exceeds the limit %d", req.Chip.Cores, maxCores)
-		}
-		if req.Chip.Streams > maxStreams {
-			return nil, fmt.Errorf("streams %d exceeds the limit %d", req.Chip.Streams, maxStreams)
-		}
-	case "":
-		return nil, fmt.Errorf("request has no op")
 	default:
-		return nil, fmt.Errorf("unknown op %q (want gemm, conv, spmm or model)", j.req.Op)
-	}
-
-	j.jk = jobkey.Job{
-		Arch:     arch.Name,
-		Contract: arch.Contract,
-		HW:       hw,
-		Op:       j.req.Op,
-		M:        req.M,
-		N:        req.N,
-		K:        req.K,
-		Sparsity: req.Sparsity,
-		Policy:   req.Policy,
-		Tile:     req.Tile,
-		Seed:     req.Seed,
-		Batch:    req.Batch,
-		Model:    req.Model,
-		Scale:    req.Scale,
-		Chip:     req.Chip,
-	}
-	if req.Conv != nil {
-		j.jk.Conv = *req.Conv
+		return nil, fmt.Errorf("unknown op %q (want gemm, conv, spmm or model)", n.Op)
 	}
 	if j.key, err = j.jk.Hash(); err != nil {
 		return nil, err
 	}
 	return j, nil
+}
+
+// checkModel validates a normalized model job and resolves its scaled model
+// into j.model: the policy, and the chip composition the scheduler and the
+// shared DRAM will be built from.
+func checkModel(j *job) error {
+	n := &j.jk
+	full, err := stonne.ModelByShort(n.Model)
+	if err != nil {
+		return err
+	}
+	if j.model, err = stonne.ScaleSpatial(full, n.Scale); err != nil {
+		return err
+	}
+	if _, err := stonne.ParsePolicy(n.Policy); err != nil {
+		return err
+	}
+	c := n.Chip
+	switch {
+	case c.Cores > maxCores:
+		return fmt.Errorf("cores %d exceeds the limit %d", c.Cores, maxCores)
+	case c.Streams > maxStreams:
+		return fmt.Errorf("streams %d exceeds the limit %d", c.Streams, maxStreams)
+	case c.Banks > maxBanks:
+		return fmt.Errorf("banks %d exceeds the limit %d", c.Banks, maxBanks)
+	}
+	if c.Cores > 1 {
+		if _, err := sim.ParsePlacement(c.Placement); err != nil {
+			return err
+		}
+		if _, err := n.HW.DRAMLink(c.LinkGBs); err != nil {
+			return fmt.Errorf("chip link_gbs: %w", err)
+		}
+	}
+	return nil
 }
 
 // Result is the cached payload of one job: everything deterministic about
@@ -213,16 +222,15 @@ type Result struct {
 // progressFn observes one live progress sample of a running job.
 type progressFn func(label string, cycles uint64, outputs int, occupancy float64, skipped uint64)
 
-// execute runs the resolved job to completion. batchWorkers bounds the
-// simpool fan-out of one batched request; progress, when non-nil, receives
-// periodic samples.
-func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn) (*Result, error) {
-	res := &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}
+// execute runs the resolved job to completion; progress, when non-nil,
+// receives periodic samples.
+func execute(ctx context.Context, j *job, progress progressFn) (*Result, error) {
+	res := &Result{Key: j.key, Op: j.jk.Op, Arch: j.jk.Arch}
 	var err error
-	if j.req.Op == jobkey.OpModel {
+	if j.jk.Op == jobkey.OpModel {
 		err = executeModel(ctx, j, res, progress)
 	} else {
-		err = executeOp(ctx, j, res, batchWorkers, progress)
+		err = executeOp(ctx, j, res, progress)
 	}
 	if err != nil {
 		return nil, err
@@ -236,45 +244,34 @@ func execute(ctx context.Context, j *job, batchWorkers int, progress progressFn)
 	return res, nil
 }
 
-// executeOp fans a gemm/spmm/conv batch out over simpool, one independent
-// instance per seed, through the runner the stonne CLI uses — a service job
-// and a CLI run of the same spelling share a result.
-func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progress progressFn) error {
-	batch := j.jk.Normalize().Batch
-	seeds := make([]uint64, batch)
-	for i := range seeds {
-		seeds[i] = j.req.Seed + uint64(i)
-	}
-	type runOut struct {
-		run *stats.Run
-		sum float64
-	}
-	outs, err := simpool.Map(ctx, batchWorkers, seeds,
-		func(_ context.Context, i int, sd uint64) (runOut, error) {
-			hw := j.jk.HW
-			if progress != nil {
-				label := fmt.Sprintf("%.8s/run%d", j.key, i)
-				hw.Progress = &config.ProgressHook{Report: func(p config.Progress) {
-					progress(label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
-				}}
-			}
-			inst, rerr := stonne.CreateInstance(hw)
-			if rerr != nil {
-				return runOut{}, rerr
-			}
-			out, run, rerr := inst.RunSeededOp(j.op, sd)
-			if rerr != nil {
-				return runOut{}, rerr
-			}
-			return runOut{run: run, sum: tensorSum(out)}, nil
-		})
-	if err != nil {
-		return err
-	}
-	res.Seeds = seeds
-	for _, o := range outs {
-		res.Runs = append(res.Runs, o.run)
-		res.OutputSums = append(res.OutputSums, o.sum)
+// executeOp runs a gemm/spmm/conv batch serially, one independent instance
+// per seed, through the runner the stonne CLI uses — a service job and a CLI
+// run of the same spelling share a result. Batches never fan out inside a
+// job, so the server's worker bound is the only parallelism.
+func executeOp(ctx context.Context, j *job, res *Result, progress progressFn) error {
+	for i := 0; i < j.jk.Batch; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		seed := j.jk.Seed + uint64(i)
+		hw := j.jk.HW
+		if progress != nil {
+			label := fmt.Sprintf("%.8s/run%d", j.key, i)
+			hw.Progress = &config.ProgressHook{Report: func(p config.Progress) {
+				progress(label, p.Cycles, p.Outputs, p.Occupancy, p.Skipped)
+			}}
+		}
+		inst, err := stonne.CreateInstance(hw)
+		if err != nil {
+			return err
+		}
+		out, run, err := inst.RunSeededOp(j.op, seed)
+		if err != nil {
+			return err
+		}
+		res.Seeds = append(res.Seeds, seed)
+		res.Runs = append(res.Runs, run)
+		res.OutputSums = append(res.OutputSums, tensorSum(out))
 	}
 	return nil
 }
@@ -283,15 +280,19 @@ func executeOp(ctx context.Context, j *job, res *Result, batchWorkers int, progr
 // chip is byte-identical to the flat model runner), with seeded weights
 // pruned to the model's Table I sparsity and one seeded input per stream.
 func executeModel(ctx context.Context, j *job, res *Result, progress progressFn) error {
+	pol, err := stonne.ParsePolicy(j.jk.Policy)
+	if err != nil {
+		return err
+	}
 	m := j.model
-	w := stonne.InitWeights(m, j.req.Seed)
+	w := stonne.InitWeights(m, j.jk.Seed)
 	if err := w.Prune(m.Sparsity); err != nil {
 		return err
 	}
-	chip := j.jk.Normalize().Chip
+	chip := j.jk.Chip
 	inputs := make([]*stonne.Tensor, chip.Streams)
 	for i := range inputs {
-		inputs[i] = stonne.RandomInput(m, j.req.Seed+1+uint64(i))
+		inputs[i] = stonne.RandomInput(m, j.jk.Seed+1+uint64(i))
 	}
 	copts := stonne.ChipOptions{
 		Cores:     chip.Cores,
@@ -305,7 +306,7 @@ func executeModel(ctx context.Context, j *job, res *Result, progress progressFn)
 			progress(fmt.Sprintf("%s/core%d", prefix, core), endCycle, stream+1, 0, 0)
 		}
 	}
-	outs, cr, err := stonne.RunModelChip(ctx, m, w, inputs, j.jk.HW, copts, &stonne.RunOptions{Policy: j.pol})
+	outs, cr, err := stonne.RunModelChip(ctx, m, w, inputs, j.jk.HW, copts, &stonne.RunOptions{Policy: pol})
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,7 @@ func stubServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch, TotalCycles: uint64(len(j.key))}, nil
+		return &Result{Key: j.key, Op: j.jk.Op, Arch: j.jk.Arch, TotalCycles: uint64(len(j.key))}, nil
 	}
 	return s
 }

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,7 +203,7 @@ func TestAdmissionControl(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
+		return &Result{Key: j.key, Op: j.jk.Op, Arch: j.jk.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -253,7 +256,7 @@ func TestCoalescing(t *testing.T) {
 		runCount++
 		mu.Unlock()
 		<-release
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
+		return &Result{Key: j.key, Op: j.jk.Op, Arch: j.jk.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -308,7 +311,7 @@ func TestPanickingJobDoesNotPoisonItsKey(t *testing.T) {
 		if calls.Add(1) == 1 {
 			panic("integer divide by zero")
 		}
-		return &Result{Key: j.key, Op: j.req.Op, Arch: j.jk.Arch}, nil
+		return &Result{Key: j.key, Op: j.jk.Op, Arch: j.jk.Arch}, nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -374,9 +377,41 @@ func TestLeaderPublishedBetweenProbes(t *testing.T) {
 	}
 }
 
+// badBodies are the requests TestBadRequests refuses by name, and part of
+// FuzzResolve's seed corpus.
+var badBodies = map[string]string{
+	"unknown op":    `{"op":"matmul","m":8,"n":8,"k":8}`,
+	"no dims":       `{"op":"gemm","arch":"maeri"}`,
+	"unknown field": `{"op":"gemm","m":8,"n":8,"k":8,"bogus":1}`,
+	"unknown arch":  `{"op":"gemm","arch":"nope","m":8,"n":8,"k":8}`,
+	"batch limit":   `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"batch":999999}`,
+	"bad sparsity":  `{"op":"spmm","arch":"sigma","m":8,"n":8,"k":8,"sparsity":1.5}`,
+	"bad policy":    `{"op":"spmm","arch":"sigma","m":8,"n":8,"k":8,"policy":"FIFO"}`,
+	"conv no shape": `{"op":"conv","arch":"maeri"}`,
+	"bad model":     `{"op":"model","arch":"maeri","model":"ZZZ"}`,
+	// A preset at an impossible fabric size is the client's mistake, not
+	// a failed run: no slot taken, nothing counted as failed.
+	"preset ms not 2^k": `{"op":"gemm","arch":"maeri","ms":100,"m":8,"n":8,"k":8}`,
+	"tpu ms not square": `{"op":"gemm","arch":"tpu","ms":128,"m":8,"n":8,"k":8}`,
+	"trailing garbage":  `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8} trailing garbage`,
+	"second json value": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8}{"op":"x"}`,
+	"body over the cap": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"policy":"` + strings.Repeat("x", maxJobBytes) + `"}`,
+	// A placement the chip scheduler does not know failed after admission
+	// (500, counted); banks and fabric size reach allocations, and the TPU
+	// preset's square root counted to an unbounded ms without returning; a
+	// link of 1e-300 GB/s kept the job simulating past any test timeout.
+	"placement diagonal": `{"op":"model","arch":"maeri","ms":64,"model":"A","scale":32,"chip":{"cores":2,"placement":"diagonal"}}`,
+	"placement LAYER":    `{"op":"model","arch":"maeri","ms":64,"model":"A","scale":32,"chip":{"cores":2,"placement":"LAYER"}}`,
+	"banks over 1024":    `{"op":"model","arch":"maeri","ms":64,"model":"A","scale":32,"chip":{"cores":2,"banks":1025}}`,
+	"link 1e-300 GB/s":   `{"op":"model","arch":"maeri","ms":64,"model":"A","scale":32,"chip":{"cores":2,"link_gbs":1e-300}}`,
+	"ms over 2^16":       `{"op":"gemm","arch":"maeri","ms":131072,"m":8,"n":8,"k":8}`,
+	"tpu ms MaxInt":      `{"op":"gemm","arch":"tpu","ms":9223372036854775807,"m":8,"n":8,"k":8}`,
+}
+
 // TestBadRequests pins the 400 surface: junk op, missing dims, unknown
-// fields, unknown arch and over-limit batch all fail fast with an error
-// body instead of reaching the simulator.
+// fields, unknown arch, an unknown placement, and sizes or rates over the
+// service's bounds all fail fast with an error body instead of reaching
+// the simulator.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	expect400 := func(name, body, wantInError string) {
@@ -393,24 +428,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error body %s, want an error naming %q", name, raw, wantInError)
 		}
 	}
-	for name, body := range map[string]string{
-		"unknown op":    `{"op":"matmul","m":8,"n":8,"k":8}`,
-		"no dims":       `{"op":"gemm","arch":"maeri"}`,
-		"unknown field": `{"op":"gemm","m":8,"n":8,"k":8,"bogus":1}`,
-		"unknown arch":  `{"op":"gemm","arch":"nope","m":8,"n":8,"k":8}`,
-		"batch limit":   `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"batch":999999}`,
-		"bad sparsity":  `{"op":"spmm","arch":"sigma","m":8,"n":8,"k":8,"sparsity":1.5}`,
-		"bad policy":    `{"op":"spmm","arch":"sigma","m":8,"n":8,"k":8,"policy":"FIFO"}`,
-		"conv no shape": `{"op":"conv","arch":"maeri"}`,
-		"bad model":     `{"op":"model","arch":"maeri","model":"ZZZ"}`,
-		// A preset at an impossible fabric size is the client's mistake, not
-		// a failed run: no slot taken, nothing counted as failed.
-		"preset ms not 2^k": `{"op":"gemm","arch":"maeri","ms":100,"m":8,"n":8,"k":8}`,
-		"tpu ms not square": `{"op":"gemm","arch":"tpu","ms":128,"m":8,"n":8,"k":8}`,
-		"trailing garbage":  `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8} trailing garbage`,
-		"second json value": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8}{"op":"x"}`,
-		"body over the cap": `{"op":"gemm","arch":"maeri","m":8,"n":8,"k":8,"policy":"` + strings.Repeat("x", maxJobBytes) + `"}`,
-	} {
+	for name, body := range badBodies {
 		expect400(name, body, "")
 	}
 
@@ -424,6 +442,9 @@ func TestBadRequests(t *testing.T) {
 		"ClockGHz":            func(h *config.Hardware) { h.ClockGHz = 0 },
 		"DRAM.Modules":        func(h *config.Hardware) { h.DRAM.Modules = 0 },
 		"DRAM.RowMissLatency": func(h *config.Hardware) { h.DRAM.RowMissLatency = -1 },
+		// Every factor valid, the rate they give so low a cycle count
+		// overflows: the job simulated past any test timeout.
+		"DRAM rate": func(h *config.Hardware) { h.DRAM.BandwidthGBs = 1e-300 },
 	} {
 		hw := config.MAERILike(16, 16)
 		mutate(&hw)
@@ -443,10 +464,85 @@ func TestBadRequests(t *testing.T) {
 	}
 	stale := `{"AccumulationBuffer":true,` + strings.TrimPrefix(string(desc), "{")
 	expect400("hw with a removed key", `{"op":"gemm","m":8,"n":8,"k":8,"hw":`+stale+`}`, `"AccumulationBuffer"`)
+	huge, err := json.Marshal(config.MAERILike(2*maxFabric, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect400("hw over the fabric bound", `{"op":"gemm","m":8,"n":8,"k":8,"hw":`+string(huge)+`}`, "fabric size")
 
 	if st := s.Snapshot(); st.Failed != 0 || st.ColdRuns != 0 {
 		t.Errorf("bad requests reached the simulator: failed=%d cold_runs=%d, want 0/0", st.Failed, st.ColdRuns)
 	}
+}
+
+// FuzzResolve drives job JSON through the handler's decoder and resolve to
+// a key. resolve must never panic, and a job it accepts must keep exactly
+// what it hashed: the stored job is already normalized (normalizing it
+// again changes neither its canonical text nor its key) and the key is its
+// hash. Seeds: the refused bodies above and every job of the example
+// traces.
+func FuzzResolve(f *testing.F) {
+	for _, body := range badBodies {
+		if len(body) <= maxJobBytes {
+			f.Add([]byte(body))
+		}
+	}
+	traces, err := filepath.Glob("../../examples/traces/*.json")
+	if err != nil || len(traces) == 0 {
+		f.Fatalf("example traces: %v (%d files)", err, len(traces))
+	}
+	for _, path := range traces {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		tr, err := ParseTrace(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var jobs []Request
+		for _, r := range tr.Requests {
+			jobs = append(jobs, r.Job)
+		}
+		for _, sc := range tr.Scenarios {
+			jobs = append(jobs, sc.Job)
+		}
+		for _, req := range jobs {
+			body, err := json.Marshal(req)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxJobBytes {
+			return // the handler's reader stops there
+		}
+		j, err := decodeJob(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		canon, err := j.jk.Canonical()
+		if err != nil {
+			t.Fatalf("accepted job does not encode: %v", err)
+		}
+		key, err := j.jk.Hash()
+		if err != nil || key != j.key {
+			t.Fatalf("stored key %s, hash of the stored job %s (%v)", j.key, key, err)
+		}
+		again := j.jk.Normalize()
+		if !reflect.DeepEqual(again, j.jk) {
+			t.Fatalf("stored job is not normalized:\n%+v\n%+v", j.jk, again)
+		}
+		canon2, err := again.Canonical()
+		if err != nil || canon2 != canon {
+			t.Fatalf("normalizing again changed the canonical text (%v):\n%s\n%s", err, canon, canon2)
+		}
+		if key2, err := again.Hash(); err != nil || key2 != key {
+			t.Fatalf("normalizing again changed the key: %s vs %s (%v)", key, key2, err)
+		}
+	})
 }
 
 // TestRefusedJobsAre400 pins jobs the engine or mapper refuses before the
@@ -644,7 +740,7 @@ func TestConcurrentWarmClients(t *testing.T) {
 
 // TestBatchJob runs a small batch and checks one run per seed comes back.
 func TestBatchJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, BatchWorkers: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	_, raw := postJob(t, ts,
 		`{"op":"gemm","arch":"maeri","ms":16,"bw":16,"m":8,"n":8,"k":16,"seed":5,"batch":3}`)
 	var env Envelope
@@ -803,5 +899,57 @@ func TestEnvelopeTimingSplit(t *testing.T) {
 	}
 	if warm.SimMs > 0 || warm.QueueMs > 0 {
 		t.Errorf("warm hit reports timing %g/%g, want 0/0", warm.QueueMs, warm.SimMs)
+	}
+}
+
+// postEnvelope posts body, requires a 200 and decodes the envelope and its
+// result.
+func postEnvelope(t *testing.T, ts *httptest.Server, body string) (Envelope, Result) {
+	t.Helper()
+	resp, raw := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", body, resp.StatusCode, raw)
+	}
+	var env Envelope
+	var res Result
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	return env, res
+}
+
+// TestModelPolicyIsPartOfTheKey pins the Fig. 9 use case through the
+// service: a SIGMA model job runs its sparse layers under the requested
+// filter-scheduling policy, so NS and LFF are two results under two keys.
+// The key used to erase the policy of every op but spmm while the runner
+// read it, and an LFF job posted after NS was served NS's 30 845 cycles
+// warm.
+func TestModelPolicyIsPartOfTheKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("model simulation in -short mode")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const body = `{"op":"model","arch":"sigma","ms":64,"bw":16,"model":"S","scale":16,"seed":3,%s}`
+	ns, nsRes := postEnvelope(t, ts, fmt.Sprintf(body, `"policy":"NS"`))
+	lff, lffRes := postEnvelope(t, ts, fmt.Sprintf(body, `"policy":"LFF"`))
+	if ns.Cached || nsRes.TotalCycles != 30845 {
+		t.Errorf("NS: cached=%v total_cycles=%d, want a cold 30845", ns.Cached, nsRes.TotalCycles)
+	}
+	if lff.Cached || lff.Key == ns.Key || lffRes.TotalCycles != 30771 {
+		t.Errorf("LFF after NS: cached=%v same key=%v total_cycles=%d, want a cold 30771 under its own key",
+			lff.Cached, lff.Key == ns.Key, lffRes.TotalCycles)
+	}
+	// Spellings of one policy share its key; a model job ignores batch.
+	for spelling, want := range map[string]jobkey.Key{
+		`"policy":"lff"`:            lff.Key,
+		`"batch":4`:                 ns.Key,
+		`"policy":" ns ","batch":2`: ns.Key,
+	} {
+		if env, _ := postEnvelope(t, ts, fmt.Sprintf(body, spelling)); !env.Cached || env.Key != want {
+			t.Errorf("%s: cached=%v key=%s, want a hit on %s", spelling, env.Cached, env.Key, want)
+		}
 	}
 }

@@ -35,9 +35,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the result cache; <= 0 uses DefaultCacheEntries.
 	CacheEntries int
-	// BatchWorkers bounds the simpool fan-out inside one batched job;
-	// <= 0 runs each batch serially (1), keeping the worker bound global.
-	BatchWorkers int
 	// CacheDir, when non-empty, backs the result cache with a persistent
 	// disk tier: results survive process restarts (the jobkey content
 	// addresses are stable across processes) and memory eviction.
@@ -84,14 +81,7 @@ type Server struct {
 // cannot be opened.
 func New(cfg Config) (*Server, error) {
 	workers := simpool.Workers(cfg.Workers, 1<<30)
-	queue := cfg.QueueDepth
-	if queue < 0 {
-		queue = 0
-	}
-	batchWorkers := cfg.BatchWorkers
-	if batchWorkers <= 0 {
-		batchWorkers = 1
-	}
+	queue := max(cfg.QueueDepth, 0)
 	s := &Server{
 		cfg:      cfg,
 		cache:    NewCache(cfg.CacheEntries),
@@ -110,9 +100,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cache.SetDisk(disk)
 	}
-	s.run = func(ctx context.Context, j *job, progress progressFn) (*Result, error) {
-		return execute(ctx, j, batchWorkers, progress)
-	}
+	s.run = execute
 	return s, nil
 }
 
@@ -161,18 +149,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a job description"})
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeJSON(w, http.StatusBadRequest, errorBody{"request body has data after the job description"})
-		return
-	}
-	j, err := resolve(req)
+	j, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
@@ -226,7 +203,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	body, queueWait, simTime, err := s.execJob(r.Context(), j, f, w)
 	if err != nil {
-		if j.req.Progress {
+		if j.progress {
 			// Progress lines may already be on the wire: the status is
 			// committed, so the error goes out as a final NDJSON line.
 			_ = json.NewEncoder(w).Encode(struct {
@@ -246,7 +223,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Cached: false, Key: j.key,
 		QueueMs: durMs(queueWait), SimMs: durMs(simTime), Result: body,
 	}
-	if j.req.Progress {
+	if j.progress {
 		_ = json.NewEncoder(w).Encode(struct {
 			Type string `json:"type"`
 			Envelope
@@ -254,6 +231,21 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, env)
+}
+
+// decodeJob reads one job description, strictly (no unknown field, nothing
+// after the one JSON value), and resolves it.
+func decodeJob(body io.Reader) (*job, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("request body has data after the job description")
+	}
+	return resolve(req)
 }
 
 // errorStatus is the status of a job that failed: 400 when the engine or
@@ -304,19 +296,14 @@ func (s *Server) replyWarm(w http.ResponseWriter, k jobkey.Key, body []byte, beg
 //
 // The flight is settled in a defer, so no way out of the run — an error, a
 // cancelled wait, a panic — can leave the key in the in-flight table with
-// followers parked on a channel nobody will close. A panicking simulation is
-// contained here for both job kinds: a model job panics on this goroutine,
-// an op batch inside simpool, which hands the panic back as a *PanicError.
-// Clients are told the panic value; the stack goes to stderr.
+// followers parked on a channel nobody will close. A panicking simulation
+// runs on this goroutine, whatever its op, and is contained here: clients
+// are told the panic value; the stack goes to stderr.
 func (s *Server) execJob(ctx context.Context, j *job, f *flight, w http.ResponseWriter) (body []byte, queueWait, simTime time.Duration, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &simpool.PanicError{Value: v, Stack: debug.Stack()}
-		}
-		var pe *simpool.PanicError
-		if errors.As(err, &pe) {
-			fmt.Fprintf(os.Stderr, "serve: job %s panicked: %v\n%s", j.key, pe.Value, pe.Stack)
-			err = fmt.Errorf("job panicked: %v", pe.Value)
+			fmt.Fprintf(os.Stderr, "serve: job %s panicked: %v\n%s", j.key, v, debug.Stack())
+			err = fmt.Errorf("job panicked: %v", v)
 		}
 		f.body, f.err = body, err
 		// Publish to the cache BEFORE dropping the in-flight entry: a request
@@ -342,7 +329,7 @@ func (s *Server) execJob(ctx context.Context, j *job, f *flight, w http.Response
 	}
 	queueWait = time.Since(waitStart)
 	var progress progressFn
-	if j.req.Progress {
+	if j.progress {
 		var forget func()
 		progress, forget = s.streamProgress(w)
 		defer forget()

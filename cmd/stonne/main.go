@@ -87,6 +87,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *hwFile == "" {
+		// A preset is built from -ms and -bw alone: a size it cannot take
+		// (over config.MaxMSSize, not a power of two) is a bad flag value.
+		if err := hw.Validate(); err != nil {
+			flagError(fmt.Sprintf("-arch %s -ms %d -bw %d: %v", *arch, *ms, *bw, err))
+		}
+	}
 	hw.Preloaded = true // user-interface mode runs from preloaded buffers
 	hw.DisableFastForward = !*fastforward
 

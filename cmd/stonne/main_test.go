@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -232,6 +234,29 @@ func TestModelRejectsUnhonouredFlags(t *testing.T) {
 				t.Errorf("stonne %v: error does not name %s:\n%s", args, c.flag, out)
 			}
 		})
+	}
+}
+
+// A preset at a fabric size config.Validate refuses is a bad -ms value:
+// exit 2 at once, naming the limit. At MaxInt the TPU preset's square root
+// used to count up to an overflow and never return.
+func TestPresetSizeOutOfBoundExitsTwo(t *testing.T) {
+	bin := buildStonne(t)
+	for _, args := range [][]string{
+		{"gemm", "-arch", "tpu", "-ms", "9223372036854775807", "-M", "8", "-N", "8", "-K", "8"},
+		{"gemm", "-arch", "maeri", "-ms", "131072", "-M", "8", "-N", "8", "-K", "8"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		late := ctx.Err()
+		cancel()
+		var exit *exec.ExitError
+		if late != nil || !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("stonne %v: %v (deadline: %v), want exit status 2 within 10 s\n%s", args, err, late, out)
+		}
+		if !strings.Contains(string(out), "fabric size limit 65536") {
+			t.Errorf("stonne %v: error does not name the limit:\n%s", args, out)
+		}
 	}
 }
 

@@ -242,36 +242,46 @@ type Packet struct {
 	Last bool
 }
 
-// FIFO is a bounded queue of packets with push/pop activity accounting.
-// A zero-capacity FIFO is unbounded (used for result collection).
+// FIFO is a fixed-capacity ring of packets with push/pop activity
+// accounting. Its storage is the slice it is made over and never grows: a
+// push past capacity is refused, which is how a full operand queue
+// back-pressures the network.
 type FIFO struct {
-	capacity int
-	buf      []Packet
-	head     int
+	buf     []Packet // the ring; len(buf) is the capacity
+	head, n int
 
 	pushes, pops uint64
 }
 
-// NewFIFO returns a FIFO with the given capacity (0 = unbounded).
-func NewFIFO(capacity int) *FIFO {
-	return &FIFO{capacity: capacity}
+// NewFIFO returns an empty FIFO over buf, whose length (at least 1) is its
+// capacity; a fabric cuts every switch's ring from one allocation.
+func NewFIFO(buf []Packet) FIFO {
+	if len(buf) == 0 {
+		panic("comp: a FIFO needs a capacity of at least 1")
+	}
+	return FIFO{buf: buf}
 }
 
 // Len returns the current occupancy.
-func (f *FIFO) Len() int { return len(f.buf) - f.head }
+func (f *FIFO) Len() int { return f.n }
 
 // Full reports whether a push would be rejected.
-func (f *FIFO) Full() bool { return f.capacity > 0 && f.Len() >= f.capacity }
+func (f *FIFO) Full() bool { return f.n == len(f.buf) }
 
 // Empty reports whether the FIFO holds no packets.
-func (f *FIFO) Empty() bool { return f.Len() == 0 }
+func (f *FIFO) Empty() bool { return f.n == 0 }
 
 // Push enqueues p; it returns false (and drops nothing) when full.
 func (f *FIFO) Push(p Packet) bool {
 	if f.Full() {
 		return false
 	}
-	f.buf = append(f.buf, p)
+	i := f.head + f.n
+	if i >= len(f.buf) {
+		i -= len(f.buf)
+	}
+	f.buf[i] = p
+	f.n++
 	f.pushes++
 	return true
 }
@@ -283,13 +293,11 @@ func (f *FIFO) Pop() (p Packet, ok bool) {
 	}
 	p = f.buf[f.head]
 	f.head++
-	f.pops++
-	// Compact occasionally so the backing array does not grow unboundedly.
-	if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
+	if f.head == len(f.buf) {
 		f.head = 0
 	}
+	f.n--
+	f.pops++
 	return p, true
 }
 

@@ -37,7 +37,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestFIFOBasics(t *testing.T) {
-	f := NewFIFO(2)
+	f := NewFIFO(make([]Packet, 2))
 	if !f.Empty() || f.Full() {
 		t.Fatal("fresh FIFO state wrong")
 	}
@@ -59,31 +59,21 @@ func TestFIFOBasics(t *testing.T) {
 	}
 }
 
-func TestFIFOUnbounded(t *testing.T) {
-	f := NewFIFO(0)
-	for i := 0; i < 1000; i++ {
-		if !f.Push(Packet{Seq: i}) {
-			t.Fatal("unbounded FIFO rejected push")
-		}
-	}
-	if f.Full() {
-		t.Error("unbounded FIFO reports full")
-	}
-	if f.Len() != 1000 {
-		t.Errorf("len %d", f.Len())
-	}
-}
-
-// Property: a FIFO preserves order and never loses packets, including
-// through the internal compaction path.
+// Property: a FIFO preserves order and never loses an accepted packet; a
+// push is refused exactly when the ring is full.
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		fifo := NewFIFO(0)
+		fifo := NewFIFO(make([]Packet, 8))
 		nextPush, nextPop := 0, 0
 		for _, push := range ops {
 			if push {
-				fifo.Push(Packet{Seq: nextPush})
-				nextPush++
+				full := nextPush-nextPop == 8
+				if fifo.Push(Packet{Seq: nextPush}) == full {
+					return false
+				}
+				if !full {
+					nextPush++
+				}
 			} else if p, ok := fifo.Pop(); ok {
 				if p.Seq != nextPop {
 					return false
@@ -108,25 +98,56 @@ func TestFIFOOrderProperty(t *testing.T) {
 	}
 }
 
-func TestFIFOCompaction(t *testing.T) {
-	f := NewFIFO(0)
-	// Interleave enough pushes/pops to trigger the head>64 compaction.
-	for i := 0; i < 500; i++ {
-		f.Push(Packet{Seq: i})
-	}
-	for i := 0; i < 400; i++ {
-		p, ok := f.Pop()
-		if !ok || p.Seq != i {
-			t.Fatalf("pop %d: %v %v", i, p, ok)
+// TestFIFORingWraps drives small rings around many times against a slice
+// oracle: every pop returns the oracle's head, Len/Full/Empty agree with it
+// after every burst, and the push/pop Stats count exactly the accepted
+// operations.
+func TestFIFORingWraps(t *testing.T) {
+	for _, capacity := range []int{1, 2, 4} {
+		f := NewFIFO(make([]Packet, capacity))
+		var oracle []int
+		var pushes, pops uint64
+		seq := 0
+		// Push bursts and pop bursts of varying length: bursts longer than
+		// the capacity hit Full and Empty, and the head keeps moving round.
+		for round := 0; round < 100*capacity; round++ {
+			for i := 0; i < 1+round%(capacity+2); i++ {
+				ok := f.Push(Packet{Seq: seq})
+				if ok != (len(oracle) < capacity) {
+					t.Fatalf("cap %d: push %d accepted = %v with %d queued", capacity, seq, ok, len(oracle))
+				}
+				if ok {
+					oracle = append(oracle, seq)
+					pushes++
+				}
+				seq++
+			}
+			for i := 0; i < 1+(round*7)%(capacity+2); i++ {
+				p, ok := f.Pop()
+				if ok != (len(oracle) > 0) {
+					t.Fatalf("cap %d: pop ok = %v with %d queued", capacity, ok, len(oracle))
+				}
+				if ok {
+					if p.Seq != oracle[0] {
+						t.Fatalf("cap %d: popped %d, want %d", capacity, p.Seq, oracle[0])
+					}
+					oracle = oracle[1:]
+					pops++
+				}
+			}
+			if f.Len() != len(oracle) || f.Full() != (len(oracle) == capacity) || f.Empty() != (len(oracle) == 0) {
+				t.Fatalf("cap %d round %d: Len/Full/Empty %d/%v/%v, oracle holds %d",
+					capacity, round, f.Len(), f.Full(), f.Empty(), len(oracle))
+			}
+			if p, ok := f.Peek(); ok != (len(oracle) > 0) || ok && p.Seq != oracle[0] {
+				t.Fatalf("cap %d round %d: peek %v %v, oracle %v", capacity, round, p, ok, oracle)
+			}
 		}
-	}
-	for i := 500; i < 600; i++ {
-		f.Push(Packet{Seq: i})
-	}
-	for i := 400; i < 600; i++ {
-		p, ok := f.Pop()
-		if !ok || p.Seq != i {
-			t.Fatalf("post-compaction pop %d: %v %v", i, p, ok)
+		if gotPush, gotPop := f.Stats(); gotPush != pushes || gotPop != pops {
+			t.Errorf("cap %d: stats %d/%d, want %d/%d", capacity, gotPush, gotPop, pushes, pops)
+		}
+		if pops < uint64(10*capacity) {
+			t.Errorf("cap %d: only %d pops, the ring never wrapped many times", capacity, pops)
 		}
 	}
 }

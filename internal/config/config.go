@@ -330,6 +330,8 @@ func (h *Hardware) Validate() error {
 	switch {
 	case h.MSSize <= 0:
 		return fmt.Errorf("config: MSSize must be positive, got %d", h.MSSize)
+	case h.MSSize > MaxMSSize:
+		return fmt.Errorf("config: MSSize %d exceeds the fabric size limit %d", h.MSSize, MaxMSSize)
 	case h.MSSize&(h.MSSize-1) != 0:
 		return fmt.Errorf("config: MSSize must be a power of two (tree fabrics), got %d", h.MSSize)
 	case h.DNBandwidth <= 0:
@@ -375,6 +377,11 @@ func (h *Hardware) Validate() error {
 	}
 	return nil
 }
+
+// MaxMSSize bounds the multiplier count Validate accepts: 16× the 64×64
+// array of Fig. 1a. The fabric allocates per-switch state up front, so the
+// bound keeps one description from asking for an unbounded allocation.
+const MaxMSSize = 1 << 16
 
 // positiveFinite reports x > 0 with NaN and +Inf refused.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
@@ -438,7 +445,7 @@ func TPULike(pes int) Hardware {
 	h.Ctrl = DenseCtrl
 	h.Dataflow = OutputStationary
 	h.DNBandwidth = pes // full bandwidth, as the architecture requires
-	h.RNBandwidth = isqrt(pes)
+	h.RNBandwidth = ISqrt(pes)
 	return h
 }
 
@@ -511,10 +518,21 @@ func ReadFile(path string) (Hardware, error) {
 	return h, nil
 }
 
-func isqrt(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
+// ISqrt returns ⌊√n⌋ (0 for n ≤ 0): the edge of a square systolic array
+// of n PEs. It takes one step per two bits of n and never forms a product
+// that could overflow, so any int answers at once.
+func ISqrt(n int) int {
+	if n <= 0 {
+		return 0
 	}
-	return r
+	x, r := uint64(n), uint64(0)
+	for bit := uint64(1) << ((bits.Len64(x) - 1) &^ 1); bit != 0; bit >>= 2 {
+		if x >= r+bit {
+			x -= r + bit
+			r = r>>1 + bit
+		} else {
+			r >>= 1
+		}
+	}
+	return int(r)
 }

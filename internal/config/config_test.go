@@ -49,6 +49,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"MSSize", func(h *Hardware) { *h = Hardware{} }},
 		{"MSSize", func(h *Hardware) { h.MSSize = 0 }},
 		{"MSSize", func(h *Hardware) { h.MSSize = 100 }}, // not a power of two
+		{"MSSize", func(h *Hardware) { h.MSSize = 2 * MaxMSSize }},
+		{"MSSize", func(h *Hardware) { h.MSSize = math.MaxInt }},
 		{"DNBandwidth", func(h *Hardware) { h.DNBandwidth = 0 }},
 		{"RNBandwidth", func(h *Hardware) { h.RNBandwidth = -1 }},
 		{"GBSizeKB", func(h *Hardware) { h.GBSizeKB = 0 }},
@@ -208,5 +210,42 @@ func TestStringers(t *testing.T) {
 	}
 	if FmtBitmap.String() != "bitmap" || FmtCSR.String() != "csr" {
 		t.Error("format strings")
+	}
+}
+
+// TestISqrt holds ISqrt to the definition r² ≤ n < (r+1)² — checked in
+// uint64, where (r+1)² cannot overflow — over every small n, around every
+// power of two and perfect square near the top of the int range, and at
+// MaxInt, where the counting loop it replaced never returned.
+func TestISqrt(t *testing.T) {
+	check := func(n int) {
+		r := ISqrt(n)
+		if n <= 0 {
+			if r != 0 {
+				t.Fatalf("ISqrt(%d) = %d, want 0", n, r)
+			}
+			return
+		}
+		u, ur := uint64(n), uint64(r)
+		if ur*ur > u || (ur+1)*(ur+1) <= u {
+			t.Fatalf("ISqrt(%d) = %d", n, r)
+		}
+	}
+	for n := -2; n <= 1<<14; n++ {
+		check(n)
+	}
+	for e := 0; e < 63; e++ {
+		for _, d := range []int{-1, 0, 1} {
+			check(1<<e + d)
+		}
+	}
+	for _, s := range []int{3037000499, 3037000498, 1 << 31, 1<<31 - 1, 46341} {
+		check(s*s - 1)
+		check(s * s)
+		check(s*s + 1)
+	}
+	check(math.MaxInt)
+	if got := ISqrt(math.MaxInt); got != 3037000499 {
+		t.Errorf("ISqrt(MaxInt) = %d, want 3037000499", got)
 	}
 }

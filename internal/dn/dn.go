@@ -35,17 +35,23 @@ type Delivery struct {
 	// sliding-window reuse): it keeps its place in the delivery order but
 	// consumes no GB read bandwidth.
 	Forward bool
+	// Edges is the Steiner edge count of Dests on a tree network (see
+	// Steiner): the links one multicast of the value toggles. The schedule
+	// counts it once per destination table, when it builds the table, and
+	// the tree charges it per delivered value; other networks ignore it.
+	Edges int32
 }
 
-// Sink receives a packet at a multiplier switch; it returns false when the
-// switch cannot accept (operand FIFO full), which back-pressures the
-// network.
-type Sink func(ms int, p comp.Packet) bool
-
-// Prober reports whether a switch could accept a packet right now without
-// delivering it — needed because a multicast must land atomically on every
-// destination (a partial retry would duplicate packets).
-type Prober func(ms int, p comp.Packet) bool
+// Sink is the destination array of a network (normally the multiplier
+// network).
+type Sink interface {
+	// DeliverAll hands p to every switch of dests, or to none: false means
+	// some destination cannot accept it now (operand FIFO full, shadow
+	// register still pending), which back-pressures the network. A multicast
+	// must land atomically — a partial delivery retried next cycle would
+	// duplicate the packet where it already landed.
+	DeliverAll(dests []int, p comp.Packet) bool
+}
 
 // Network is the common behaviour of all three DN types.
 type Network interface {
@@ -57,11 +63,8 @@ type Network interface {
 	Offer(d Delivery) bool
 	// Pending reports queued plus in-flight deliveries.
 	Pending() int
-	// SetSink wires the destination array (normally the multiplier
-	// network).
+	// SetSink wires the destination array.
 	SetSink(s Sink)
-	// SetProber wires the capacity check used for atomic multicast.
-	SetProber(p Prober)
 }
 
 // queueCap bounds the injection queue: the controller may run at most this
@@ -69,20 +72,19 @@ type Network interface {
 const queueCap = 1024
 
 type base struct {
-	leaves    int
 	bandwidth int
 	sink      Sink
-	probe     Prober
-	queue     []Delivery
-	head      int // consumed prefix of queue (head-indexed pop)
+	// queue is the injection queue, a ring holding n deliveries from head.
+	// It doubles when full, up to queueCap, and is never copied down.
+	queue   []Delivery
+	head, n int
 
 	// Pre-resolved counter handles shared by all DN kinds (per-cycle path).
 	cStalls, cInjections, cActive comp.Counter
 }
 
-func newBase(leaves, bandwidth int, c *comp.Counters) base {
+func newBase(bandwidth int, c *comp.Counters) base {
 	return base{
-		leaves:      leaves,
 		bandwidth:   bandwidth,
 		cStalls:     c.Counter(names.DNStallCycles),
 		cInjections: c.Counter(names.DNInjections),
@@ -94,24 +96,37 @@ func (b *base) Offer(d Delivery) bool {
 	if len(d.Dests) == 0 {
 		return true // nothing to deliver
 	}
-	if b.qlen() >= queueCap {
-		return false
+	if b.n == len(b.queue) {
+		if b.n >= queueCap {
+			return false
+		}
+		b.grow()
 	}
-	b.queue = append(b.queue, d)
+	i := b.head + b.n
+	if i >= len(b.queue) {
+		i -= len(b.queue)
+	}
+	b.queue[i] = d
+	b.n++
 	return true
 }
-func (b *base) Pending() int       { return b.qlen() }
-func (b *base) SetSink(s Sink)     { b.sink = s }
-func (b *base) SetProber(p Prober) { b.probe = p }
+func (b *base) Pending() int   { return b.n }
+func (b *base) SetSink(s Sink) { b.sink = s }
 
-func (b *base) qlen() int { return len(b.queue) - b.head }
+// grow doubles the full ring (16 slots at first, queueCap at most),
+// unrolling it to start at slot 0.
+func (b *base) grow() {
+	q := make([]Delivery, min(max(2*len(b.queue), 16), queueCap))
+	copy(q[copy(q, b.queue[b.head:]):], b.queue[:b.head])
+	b.queue, b.head = q, 0
+}
 
 // Lookahead implements comp.Lookahead for every DN kind: with an empty
 // injection queue a distribution network's Cycle is a pure no-op (no
 // deliveries, no counters), so an idle network never bounds a fast-forward
 // skip; with queued work it must tick.
 func (b *base) Lookahead() uint64 {
-	if b.qlen() == 0 {
+	if b.n == 0 {
 		return comp.Unbounded
 	}
 	return 0
@@ -121,35 +136,15 @@ func (b *base) Lookahead() uint64 {
 // state, so skipped cycles replay as nothing at all.
 func (b *base) Advance(uint64) {}
 
-// qpop removes the head delivery without giving up the queue's backing
-// array. The consumed slot is left as it is: its Dests is a table of the
-// operation, which the slot neither owns nor can outlive.
+// qpop removes the head delivery. The consumed slot is left as it is: its
+// Dests is a table of the operation, which the slot neither owns nor can
+// outlive.
 func (b *base) qpop() {
 	b.head++
-	if b.head > 64 && b.head*2 >= len(b.queue) {
-		n := copy(b.queue, b.queue[b.head:])
-		b.queue = b.queue[:n]
+	if b.head == len(b.queue) {
 		b.head = 0
 	}
-}
-
-func (b *base) deliverAll(d Delivery) bool {
-	// All-or-nothing multicast: probe every destination first, then
-	// deliver — a partial delivery retried next cycle would duplicate
-	// packets at the destinations that already accepted.
-	if b.probe != nil {
-		for _, ms := range d.Dests {
-			if !b.probe(ms, d.Pkt) {
-				return false
-			}
-		}
-	}
-	for _, ms := range d.Dests {
-		if !b.sink(ms, d.Pkt) {
-			return false
-		}
-	}
-	return true
+	b.n--
 }
 
 // Tree is the MAERI binary distribution tree. One traversal serves an
@@ -159,21 +154,16 @@ type Tree struct {
 	base
 	cLinkTrav comp.Counter
 	cForwards comp.Counter
-	// stamp marks tree nodes visited during the current Steiner-edge
-	// count (generation-tagged to avoid clearing between deliveries —
-	// this count runs once per delivered value).
-	stamp    []uint32
-	stampGen uint32
 }
 
 // NewTree builds a tree DN over `leaves` multiplier switches with the given
-// per-cycle unique-value bandwidth.
+// per-cycle unique-value bandwidth. The tree's shape enters only through the
+// Steiner edge counts its deliveries carry (Delivery.Edges).
 func NewTree(leaves, bandwidth int, c *comp.Counters) *Tree {
 	return &Tree{
-		base:      newBase(leaves, bandwidth, c),
+		base:      newBase(bandwidth, c),
 		cLinkTrav: c.Counter(names.DNLinkTraversals),
 		cForwards: c.Counter(names.MNForwards),
-		stamp:     make([]uint32, 2*leaves),
 	}
 }
 
@@ -186,9 +176,9 @@ func NewTree(leaves, bandwidth int, c *comp.Counters) *Tree {
 // sliding-window forwarding at the validation tile.)
 func (t *Tree) Cycle() {
 	n := 0
-	for n < t.bandwidth && t.qlen() > 0 {
+	for n < t.bandwidth && t.n > 0 {
 		d := t.queue[t.head]
-		if !t.deliverAll(d) {
+		if !t.sink.DeliverAll(d.Dests, d.Pkt) {
 			t.cStalls.Add(1)
 			break // head-of-line blocking until the MN drains
 		}
@@ -199,33 +189,43 @@ func (t *Tree) Cycle() {
 			continue
 		}
 		t.cInjections.Add(1)
-		t.cLinkTrav.Add(uint64(t.steinerEdges(d.Dests)))
+		t.cLinkTrav.Add(uint64(d.Edges))
 	}
 	if n > 0 {
 		t.cActive.Add(1)
 	}
 }
 
-// steinerEdges counts the distinct edges of the complete binary tree
-// covered by the union of the root-to-leaf paths of the destination set —
-// the wires a single multicast toggles. Visited nodes are marked with a
-// per-call generation stamp, so the hot path allocates nothing.
-func (t *Tree) steinerEdges(dests []int) int {
-	if len(dests) == 0 {
-		return 0
+// Steiner counts the links of a tree network that a multicast toggles: the
+// distinct edges of the complete binary tree over leaves switches covered by
+// the union of the root-to-leaf paths of the destination set. A schedule
+// keeps one while it builds its destination tables and records each table's
+// count on the deliveries that use it (Delivery.Edges).
+type Steiner struct {
+	leaves int
+	// stamp marks the nodes visited by the current count, tagged with a
+	// per-count generation so no count clears it.
+	stamp []uint32
+	gen   uint32
+}
+
+// NewSteiner returns a counter for a tree over leaves switches.
+func NewSteiner(leaves int) *Steiner {
+	return &Steiner{leaves: leaves, stamp: make([]uint32, 2*leaves)}
+}
+
+// Edges returns the Steiner edge count of dests.
+func (s *Steiner) Edges(dests []int) int32 {
+	s.gen++
+	if s.gen == 0 { // wrapped: reset all stamps once
+		clear(s.stamp)
+		s.gen = 1
 	}
-	t.stampGen++
-	if t.stampGen == 0 { // wrapped: reset all stamps once
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
-		t.stampGen = 1
-	}
-	edges := 0
+	var edges int32
 	for _, d := range dests {
-		node := t.leaves + d // heap numbering: leaves occupy [leaves, 2*leaves)
-		for node > 1 && t.stamp[node] != t.stampGen {
-			t.stamp[node] = t.stampGen
+		node := s.leaves + d // heap numbering: leaves occupy [leaves, 2*leaves)
+		for node > 1 && s.stamp[node] != s.gen {
+			s.stamp[node] = s.gen
 			edges++ // each newly covered node contributes its parent edge
 			node /= 2
 		}
@@ -251,7 +251,7 @@ type Benes struct {
 // NewBenes builds a Benes DN over `leaves` destinations.
 func NewBenes(leaves, bandwidth int, c *comp.Counters) *Benes {
 	return &Benes{
-		base:        newBase(leaves, bandwidth, c),
+		base:        newBase(bandwidth, c),
 		cSwitchTrav: c.Counter(names.DNSwitchTraversals),
 		levels:      2*log2ceil(leaves) + 1,
 	}
@@ -261,18 +261,10 @@ func NewBenes(leaves, bandwidth int, c *comp.Counters) *Benes {
 // fan-out across cycles.
 func (b *Benes) Cycle() {
 	n := 0
-	for n < b.bandwidth && b.qlen() > 0 {
+	for n < b.bandwidth && b.n > 0 {
 		d := b.queue[b.head]
 		for b.partial < len(d.Dests) && n < b.bandwidth {
-			ms := d.Dests[b.partial]
-			if b.probe != nil && !b.probe(ms, d.Pkt) {
-				b.cStalls.Add(1)
-				if n > 0 {
-					b.cActive.Add(1)
-				}
-				return
-			}
-			if !b.sink(ms, d.Pkt) {
+			if !b.sink.DeliverAll(d.Dests[b.partial:b.partial+1], d.Pkt) {
 				b.cStalls.Add(1)
 				if n > 0 {
 					b.cActive.Add(1)
@@ -316,7 +308,7 @@ type PointToPoint struct {
 // NewPointToPoint builds the unicast DN.
 func NewPointToPoint(leaves, bandwidth int, c *comp.Counters) *PointToPoint {
 	return &PointToPoint{
-		base:      newBase(leaves, bandwidth, c),
+		base:      newBase(bandwidth, c),
 		cLinkTrav: c.Counter(names.DNLinkTraversals),
 	}
 }
@@ -325,11 +317,10 @@ func NewPointToPoint(leaves, bandwidth int, c *comp.Counters) *PointToPoint {
 // one unicast per destination.
 func (p *PointToPoint) Cycle() {
 	n := 0
-	for n < p.bandwidth && p.qlen() > 0 {
+	for n < p.bandwidth && p.n > 0 {
 		d := p.queue[p.head]
 		for p.partial < len(d.Dests) && n < p.bandwidth {
-			ms := d.Dests[p.partial]
-			if !p.sink(ms, d.Pkt) {
+			if !p.sink.DeliverAll(d.Dests[p.partial:p.partial+1], d.Pkt) {
 				p.cStalls.Add(1)
 				if n > 0 {
 					p.cActive.Add(1)

@@ -4,11 +4,14 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/comp"
+	"repro/internal/comp/names"
 )
 
-// collector is a sink that records deliveries and can simulate fullness.
+// collector is a Sink that records deliveries and can simulate fullness:
+// a delivery naming a rejecting switch lands nowhere.
 type collector struct {
 	got     map[int][]comp.Packet
 	rejects map[int]bool
@@ -18,15 +21,17 @@ func newCollector() *collector {
 	return &collector{got: map[int][]comp.Packet{}, rejects: map[int]bool{}}
 }
 
-func (c *collector) sink(ms int, p comp.Packet) bool {
-	if c.rejects[ms] {
-		return false
+func (c *collector) DeliverAll(dests []int, p comp.Packet) bool {
+	for _, ms := range dests {
+		if c.rejects[ms] {
+			return false
+		}
 	}
-	c.got[ms] = append(c.got[ms], p)
+	for _, ms := range dests {
+		c.got[ms] = append(c.got[ms], p)
+	}
 	return true
 }
-
-func (c *collector) probe(ms int, p comp.Packet) bool { return !c.rejects[ms] }
 
 func (c *collector) count() int {
 	n := 0
@@ -40,8 +45,7 @@ func TestTreeMulticastSingleCycle(t *testing.T) {
 	ctr := comp.NewCounters()
 	tree := NewTree(16, 4, ctr)
 	col := newCollector()
-	tree.SetSink(col.sink)
-	tree.SetProber(col.probe)
+	tree.SetSink(col)
 	// One multicast to 8 destinations = one bandwidth slot.
 	tree.Offer(Delivery{Pkt: comp.Packet{Value: 1}, Dests: []int{0, 1, 2, 3, 4, 5, 6, 7}})
 	tree.Cycle()
@@ -57,7 +61,7 @@ func TestTreeBandwidthLimit(t *testing.T) {
 	ctr := comp.NewCounters()
 	tree := NewTree(16, 2, ctr)
 	col := newCollector()
-	tree.SetSink(col.sink)
+	tree.SetSink(col)
 	for i := 0; i < 5; i++ {
 		tree.Offer(Delivery{Pkt: comp.Packet{Seq: i}, Dests: []int{i}})
 	}
@@ -77,8 +81,7 @@ func TestTreeBackpressureIsAtomic(t *testing.T) {
 	tree := NewTree(8, 4, ctr)
 	col := newCollector()
 	col.rejects[3] = true
-	tree.SetSink(col.sink)
-	tree.SetProber(col.probe)
+	tree.SetSink(col)
 	tree.Offer(Delivery{Pkt: comp.Packet{Value: 9}, Dests: []int{1, 3, 5}})
 	tree.Cycle()
 	// Nothing may be delivered: destination 3 is full and multicast is
@@ -97,28 +100,28 @@ func TestTreeBackpressureIsAtomic(t *testing.T) {
 }
 
 func TestSteinerEdges(t *testing.T) {
-	tree := NewTree(16, 4, comp.NewCounters())
+	st := NewSteiner(16)
 	// Full broadcast over N leaves covers all 2N-2 edges.
 	all := make([]int, 16)
 	for i := range all {
 		all[i] = i
 	}
-	if got := tree.steinerEdges(all); got != 30 {
+	if got := st.Edges(all); got != 30 {
 		t.Errorf("broadcast edges = %d, want 30", got)
 	}
 	// A single leaf is one root-to-leaf path: log2(N) edges.
-	if got := tree.steinerEdges([]int{5}); got != 4 {
+	if got := st.Edges([]int{5}); got != 4 {
 		t.Errorf("unicast edges = %d, want 4", got)
 	}
-	if got := tree.steinerEdges(nil); got != 0 {
+	if got := st.Edges(nil); got != 0 {
 		t.Errorf("empty multicast edges = %d", got)
 	}
 	// Two sibling leaves share all edges except the last level.
-	if got := tree.steinerEdges([]int{0, 1}); got != 5 {
+	if got := st.Edges([]int{0, 1}); got != 5 {
 		t.Errorf("sibling pair edges = %d, want 5", got)
 	}
 	// Repeat with the same generation machinery: results stay stable.
-	if got := tree.steinerEdges(all); got != 30 {
+	if got := st.Edges(all); got != 30 {
 		t.Errorf("stamped recount = %d, want 30", got)
 	}
 }
@@ -127,7 +130,7 @@ func TestBenesPerDestinationBandwidth(t *testing.T) {
 	ctr := comp.NewCounters()
 	bn := NewBenes(16, 4, ctr)
 	col := newCollector()
-	bn.SetSink(col.sink)
+	bn.SetSink(col)
 	// One delivery with 6 destinations needs 2 cycles at bw=4: the gather
 	// reads one operand per participating switch.
 	bn.Offer(Delivery{Pkt: comp.Packet{Value: 2}, Dests: []int{0, 1, 2, 3, 4, 5}})
@@ -145,7 +148,7 @@ func TestPointToPointUnicastCost(t *testing.T) {
 	ctr := comp.NewCounters()
 	pp := NewPointToPoint(16, 3, ctr)
 	col := newCollector()
-	pp.SetSink(col.sink)
+	pp.SetSink(col)
 	pp.Offer(Delivery{Pkt: comp.Packet{}, Dests: []int{0, 1, 2, 3, 4}})
 	pp.Cycle()
 	if col.count() != 3 {
@@ -196,7 +199,7 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 		kinds := []string{"TN", "BN", "PoPN"}
 		n, _ := New(kinds[int(kindPick)%3], 8, 2, ctr)
 		col := newCollector()
-		n.SetSink(col.sink)
+		n.SetSink(col)
 		s := uint64(seed)*2654435761 + 7
 		next := func(m int) int {
 			s ^= s << 13
@@ -238,5 +241,68 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTreeChargesDeliveryEdges: the tree charges each injected value the
+// Steiner edge count its schedule recorded on the delivery, and a value
+// riding the forwarding links none. The count travels in the Delivery's
+// padding, so a delivery stays one 64-byte cache line.
+func TestTreeChargesDeliveryEdges(t *testing.T) {
+	ctr := comp.NewCounters()
+	tree := NewTree(16, 4, ctr)
+	tree.SetSink(newCollector())
+	half := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	edges := NewSteiner(16).Edges(half)
+	if edges != 15 { // 8 leaf edges, then 4, 2 and 1 above them
+		t.Fatalf("Steiner edges of half the leaves = %d, want 15", edges)
+	}
+	tree.Offer(Delivery{Dests: half, Edges: edges})
+	tree.Offer(Delivery{Dests: []int{9}, Forward: true, Edges: 4})
+	tree.Cycle()
+	if got := ctr.Get(names.DNLinkTraversals); got != 15 {
+		t.Errorf("%s = %d, want 15", names.DNLinkTraversals, got)
+	}
+	if got := ctr.Get(names.MNForwards); got != 1 {
+		t.Errorf("%s = %d, want 1", names.MNForwards, got)
+	}
+	if size := unsafe.Sizeof(Delivery{}); size != 64 {
+		t.Errorf("Delivery is %d bytes, want 64", size)
+	}
+}
+
+// TestQueueRingGrowsInOrder: the injection queue is a ring that doubles
+// when full; growing while wrapped must keep the deliveries in offer order.
+func TestQueueRingGrowsInOrder(t *testing.T) {
+	tree := NewTree(8, 1, comp.NewCounters())
+	col := newCollector()
+	tree.SetSink(col)
+	seq := 0
+	offer := func(n int) {
+		for i := 0; i < n; i++ {
+			if !tree.Offer(Delivery{Pkt: comp.Packet{Seq: seq}, Dests: []int{0}}) {
+				t.Fatalf("offer %d refused below the cap", seq)
+			}
+			seq++
+		}
+	}
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			tree.Cycle()
+		}
+	}
+	offer(12)
+	cycle(7) // head mid-ring
+	offer(9) // wraps, then fills the 16-slot ring and grows
+	cycle(5)
+	offer(40) // wraps again and grows to 64
+	cycle(seq)
+	if tree.Pending() != 0 || len(col.got[0]) != seq {
+		t.Fatalf("delivered %d of %d, %d pending", len(col.got[0]), seq, tree.Pending())
+	}
+	for i, p := range col.got[0] {
+		if p.Seq != i {
+			t.Fatalf("delivery %d carries seq %d: the ring reordered", i, p.Seq)
+		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 func allocConvSource() *convSource {
 	cs := tensor.ConvShape{R: 3, S: 3, C: 6, G: 1, K: 8, N: 1, X: 16, Y: 17, Stride: 1, Padding: 1}
 	in, w := randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
-	return newConvSource(in, w, cs, convTile(cs, 4, 3, 1, 4, 2), true)
+	tile := convTile(cs, 4, 3, 1, 4, 2)
+	return newConvSource(in, w, cs, tile, true, fabricFor(tile))
 }
 
 func allocSigmaSource(t *testing.T) *sigmaSource {
@@ -59,13 +60,17 @@ func TestSourcesNextDoesNotAllocate(t *testing.T) {
 // TestOpAllocationBudget bounds what a whole operation allocates per
 // simulated cycle, everything included: fabric construction, destination
 // tables, round packing, FIFOs, counters, the output tensor. When the
-// sources built every item from fresh slices these three read 10 352, 13 434
-// and 698 B/cycle; they read 246, 762 and 25 now. Each budget is a tenth of
-// the old figure: set-up has room to grow under it, an allocation per
-// compute step does not. The rigid runners allocate only per layer (im2col
-// operands and C; SNAPEA's filter arrays, index table and sort keys): they
-// read 47 and 15 B/cycle, and their budgets leave about a quarter on top —
-// one sort buffer per filter would put the SNAPEA row near 30.
+// sources built every item from fresh slices the three flexible rows read
+// 10 352, 13 434 and 698 B/cycle; with destination tables and item buffers
+// they read 246, 762 and 25; with the operand FIFOs as rings cut from one
+// allocation, fixed psum latches and flat SIGMA round tables they read 86,
+// 337 and 9.2 now. Each budget leaves about half on top of that: set-up has
+// a little room to grow under it; operand FIFOs that grow with traffic
+// again, or an allocation per compute step, do not. The rigid runners
+// allocate only per layer (im2col operands and C; SNAPEA's filter arrays,
+// index table and sort keys): they read 47 and 15 B/cycle, and their budgets
+// leave about a quarter on top — one sort buffer per filter would put the
+// SNAPEA row near 30.
 func TestOpAllocationBudget(t *testing.T) {
 	starved := config.MAERILike(128, 64)
 	starved.Preloaded = true
@@ -84,11 +89,11 @@ func TestOpAllocationBudget(t *testing.T) {
 		budget float64 // bytes per simulated cycle
 		run    func(acc *Accelerator) (*stats.Run, error)
 	}{
-		{"mobilenets-pw/maeri", config.MAERILike(128, 64), 1000, func(acc *Accelerator) (*stats.Run, error) {
+		{"mobilenets-pw/maeri", config.MAERILike(128, 64), 130, func(acc *Accelerator) (*stats.Run, error) {
 			_, run, err := acc.RunConv(randTensor(1, 1, pw.C, pw.X, pw.Y), randTensor(2, pw.K, pw.C, 1, 1), pw, "pw3")
 			return run, err
 		}},
-		{"squeezenet-expand/sigma", config.SIGMALike(128, 64), 1300, func(acc *Accelerator) (*stats.Run, error) {
+		{"squeezenet-expand/sigma", config.SIGMALike(128, 64), 500, func(acc *Accelerator) (*stats.Run, error) {
 			w := randTensor(2, ex.K, ex.C, 3, 3)
 			for i, d := 0, w.Data(); i < len(d); i++ {
 				if i%10 < 7 {
@@ -106,7 +111,7 @@ func TestOpAllocationBudget(t *testing.T) {
 			_, run, err := acc.RunConv(randTensor(1, 1, a3.C, a3.X, a3.Y), randTensor(2, a3.K, a3.C, 3, 3), a3, "conv3")
 			return run, err
 		}},
-		{"gemm-starved/maeri", starved, 70, func(acc *Accelerator) (*stats.Run, error) {
+		{"gemm-starved/maeri", starved, 14, func(acc *Accelerator) (*stats.Run, error) {
 			_, run, err := acc.RunGEMM(randTensor(1, 16, 1024), randTensor(2, 1024, 16), "starved")
 			return run, err
 		}},
@@ -182,7 +187,7 @@ func TestSharedTablesSurviveFullQueue(t *testing.T) {
 
 	cs := tensor.ConvShape{R: 3, S: 3, C: 6, G: 1, K: 8, N: 1, X: 12, Y: 13, Stride: 1, Padding: 1}
 	in, w := randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
-	conv := newConvSource(in, w, cs, convTile(cs, 2, 2, 1, 3, 3), true)
+	conv := newConvSource(in, w, cs, convTile(cs, 2, 2, 1, 3, 3), true, maeri.MSSize)
 	wantConv, err := tensor.Conv2D(in, w, cs)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +223,7 @@ func TestSharedTablesSurviveFullQueue(t *testing.T) {
 		for ci := range members {
 			members[ci] = rounds[i].clusters[ci].members
 		}
-		sigmaTables = append(sigmaTables, rounds[i].kDests, members)
+		sigmaTables = append(sigmaTables, [][]int{rounds[i].dests}, members)
 	}
 
 	cases := []struct {

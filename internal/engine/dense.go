@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -80,7 +81,10 @@ type flexRun struct {
 	issued   bool // some deliveries of cur already offered
 	srcDone  bool
 
-	pending     [][]jobSpec // per-VN FIFO of expected reductions
+	pending [][]jobSpec // per-VN FIFO of expected reductions
+	// pendingVNs has bit vn set while pending[vn] is non-empty: Control
+	// visits only those VNs, in ascending order.
+	pendingVNs  []uint64
 	pendingJobs int
 	// readsPerDest: the Benes gather fetches one GB operand per
 	// destination; tree/systolic fabrics read a multicast value once.
@@ -140,6 +144,7 @@ func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 		rnet:        rn.New(rkind, hw.MSSize, hw.RNBandwidth, ctx.Counters),
 		src:         o.src,
 		pending:     make([][]jobSpec, numVNs),
+		pendingVNs:  make([]uint64, (numVNs+63)/64),
 		out:         make([]float32, outLen),
 		sumOut:      o.sumOut,
 		cReloadWait: ctx.Counters.Counter(names.CtrlReloadWaitCycles),
@@ -151,8 +156,7 @@ func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 		f.expected = outLen
 	}
 	f.readsPerDest = hw.DN == config.BenesDN
-	f.dnet.SetSink(f.marr.Deliver)
-	f.dnet.SetProber(f.marr.CanDeliver)
+	f.dnet.SetSink(f.marr)
 	f.rnet.SetSink(f.Consume)
 	if o.vns != nil {
 		if err := f.marr.ConfigureVNs(o.vns); err != nil {
@@ -193,34 +197,39 @@ func (f *flexRun) Consume(r rn.Result) {
 // Control is the memory controller's per-clock behaviour: fire ready
 // reductions, then issue as much of the schedule as the DN accepts.
 func (f *flexRun) Control() {
-	// 1. Fire ready virtual neurons into the reduction network.
-	for vn := range f.pending {
-		q := f.pending[vn]
-		if len(q) == 0 {
-			continue
+	// 1. Fire ready virtual neurons into the reduction network, visiting the
+	// VNs with pending jobs in ascending order (the order the RN's input
+	// budget is spent in).
+	for wi, w := range f.pendingVNs {
+		for ; w != 0; w &= w - 1 {
+			vn := wi<<6 | bits.TrailingZeros64(w)
+			q := f.pending[vn]
+			j := q[0]
+			var ready bool
+			if j.Members != nil {
+				ready = f.marr.ReadyMembers(j.Members, j.Seq, j.Expect)
+			} else {
+				ready = f.marr.ReadyVN(vn, j.Seq, j.Expect)
+			}
+			if !ready || !f.rnet.CanAccept(j.Expect) {
+				continue
+			}
+			members := j.Members
+			if members == nil {
+				members = f.marr.VNs()[vn]
+			}
+			// The RN folds Values before Offer returns, so the scratch buffer
+			// is free to reuse for the next VN in the same cycle.
+			f.valBuf, _ = f.marr.AppendPop(f.valBuf[:0], members, j.Seq)
+			f.rnet.Offer(rn.Job{VN: vn, Seq: j.Seq, Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
+			// Copy-down pop keeps the per-VN queue's backing array.
+			nq := copy(q, q[1:])
+			f.pending[vn] = q[:nq]
+			f.pendingJobs--
+			if nq == 0 {
+				f.pendingVNs[vn>>6] &^= 1 << (vn & 63)
+			}
 		}
-		j := q[0]
-		var ready bool
-		if j.Members != nil {
-			ready = f.marr.ReadyMembers(j.Members, j.Seq, j.Expect)
-		} else {
-			ready = f.marr.ReadyVN(vn, j.Seq, j.Expect)
-		}
-		if !ready || !f.rnet.CanAccept(j.Expect) {
-			continue
-		}
-		members := j.Members
-		if members == nil {
-			members = f.marr.VNs()[vn]
-		}
-		// The RN folds Values before Offer returns, so the scratch buffer is
-		// free to reuse for the next VN in the same cycle.
-		f.valBuf, _ = f.marr.AppendPop(f.valBuf[:0], members, j.Seq)
-		f.rnet.Offer(rn.Job{VN: vn, Seq: j.Seq, Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
-		// Copy-down pop keeps the per-VN queue's backing array.
-		nq := copy(q, q[1:])
-		f.pending[vn] = q[:nq]
-		f.pendingJobs--
 	}
 
 	// 2. Issue schedule items.
@@ -265,6 +274,9 @@ func (f *flexRun) Control() {
 			f.issued = true
 		}
 		for _, j := range f.cur.Jobs {
+			if len(f.pending[j.VN]) == 0 {
+				f.pendingVNs[j.VN>>6] |= 1 << (j.VN & 63)
+			}
 			//lint:ignore hotpathalloc one append per job at work-item hand-off (amortized), and retireJobs pops by re-slicing so the backing array is reused at steady state
 			f.pending[j.VN] = append(f.pending[j.VN], j)
 			f.pendingJobs++

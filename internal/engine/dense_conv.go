@@ -40,8 +40,10 @@ type convSource struct {
 	forwarding bool
 
 	// wDests[kk·VNSize+p] is where weight element p of filter kk lands: its
-	// TYp position replicas.
+	// TYp position replicas; wEdges[kk·VNSize+p] is that set's Steiner edge
+	// count (dn.Delivery.Edges).
 	wDests [][]int
+	wEdges []int32
 	// steps holds the compute-step shapes, indexed by whether the fold's
 	// channel slice, the group's position count and the block's filter
 	// count are full (0) or the tail (1); a shape the layer never reaches
@@ -75,9 +77,12 @@ type convSlot struct {
 	// forwarding links can supply it.
 	fwd   bool
 	dests []int
+	edges int32 // Steiner edge count of dests
 }
 
-func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool) *convSource {
+// newConvSource schedules the convolution on tile t of a fabric of leaves
+// switches (the tree the Steiner edge counts are taken on).
+func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool, leaves int) *convSource {
 	c := &convSource{
 		in: in.Data(), w: w, cs: cs, t: t,
 		cg: cs.C / cs.G, kg: cs.K / cs.G,
@@ -97,14 +102,19 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 	}
 	c.panels = ceilDiv(totalGroups, c.panelGroups)
 
+	steiner := dn.NewSteiner(leaves)
 	c.wDests = destTable(t.TK*t.VNSize, t.TYp, func(e, ty int) int { return c.ms(e/t.VNSize, ty, e%t.VNSize) })
+	c.wEdges = make([]int32, len(c.wDests))
+	for e, dests := range c.wDests {
+		c.wEdges[e] = steiner.Edges(dests)
+	}
 	// Only the last group of a row and the last filter block can be short.
 	for fold := 0; fold < c.folds; fold++ {
 		for _, grp := range [2]int{0, c.groupsPerRow - 1} {
 			for _, mb := range [2]int{0, c.mblocks() - 1} {
 				cw, tys, kks := c.foldChannels(fold), c.groupPositions(grp), c.blockFilters(mb)
 				if shape := c.shape(cw, tys, kks); cw > 0 && *shape == nil {
-					*shape = c.buildShape(cw, tys, kks)
+					*shape = c.buildShape(cw, tys, kks, steiner)
 				}
 			}
 		}
@@ -175,8 +185,8 @@ func tail(n, full int) int {
 // buildShape derives one step shape the way a step would be scheduled from
 // scratch: walk the (ty, p) members in order, give every input element its
 // slot the first time it is needed, and add the member's kks filter replicas
-// to that slot's destinations.
-func (c *convSource) buildShape(cw, tys, kks int) []convSlot {
+// to that slot's destinations; then count each slot's Steiner edges.
+func (c *convSource) buildShape(cw, tys, kks int, steiner *dn.Steiner) []convSlot {
 	t := c.t
 	cols := (tys-1)*c.cs.Stride + t.TS  // columns of the step's receptive field
 	slotOf := make([]int, cw*t.TR*cols) // element → 1 + its slot; 0 = not needed yet
@@ -195,6 +205,9 @@ func (c *convSource) buildShape(cw, tys, kks int) []convSlot {
 				s.dests = append(s.dests, c.ms(kk, ty, p))
 			}
 		}
+	}
+	for i := range slots {
+		slots[i].edges = steiner.Edges(slots[i].dests)
 	}
 	return slots
 }
@@ -219,14 +232,15 @@ func (c *convSource) Next() (workItem, bool) {
 			kfull := c.g*c.kg + c.mb*t.TK + kk
 			for p := 0; p < vw; p++ {
 				tc, tr, ts := c.decode(p)
-				dests := c.wDests[kk*t.VNSize+p]
-				nr += copy(c.reload[nr:], dests)
+				e := kk*t.VNSize + p
+				nr += copy(c.reload[nr:], c.wDests[e])
 				c.deliv[nd] = dn.Delivery{
 					Pkt: comp.Packet{
 						Value: c.w.At(kfull, c.fold*t.TC+tc, tr, ts),
 						Kind:  comp.WeightPkt,
 					},
-					Dests: dests,
+					Dests: c.wDests[e],
+					Edges: c.wEdges[e],
 				}
 				nd++
 			}
@@ -268,6 +282,7 @@ func (c *convSource) Next() (workItem, bool) {
 				Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
 				Dests:   s.dests,
 				Forward: sameRow && s.fwd,
+				Edges:   s.edges,
 			}
 			nd++
 		}
@@ -344,6 +359,10 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 	if tile.UsedMultipliers > r.hw.MSSize {
 		return nil, nil, fmt.Errorf("engine: tile uses %d multipliers, fabric has %d: %w", tile.UsedMultipliers, r.hw.MSSize, config.ErrRefused)
 	}
+	// The VNs occupy NumVNs·VNSize switches whatever UsedMultipliers says.
+	if tile.NumVNs > r.hw.MSSize/tile.VNSize {
+		return nil, nil, fmt.Errorf("engine: tile lays out %d VNs of %d switches, fabric has %d: %w", tile.NumVNs, tile.VNSize, r.hw.MSSize, config.ErrRefused)
+	}
 	if tile.TG != 1 || tile.TN != 1 {
 		return nil, nil, fmt.Errorf("engine: group/batch tile parallelism is not supported (T_G=%d, T_N=%d): %w", tile.TG, tile.TN, config.ErrRefused)
 	}
@@ -356,7 +375,7 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 		tile.TYp *= tile.TXp
 		tile.TXp = 1
 	}
-	src := newConvSource(in, w, cs, tile, r.hw.MN == config.LinearMN)
+	src := newConvSource(in, w, cs, tile, r.hw.MN == config.LinearMN, r.hw.MSSize)
 	m, n, k := cs.GEMMDims()
 	return runFlex(sim.NewCtx(&r.hw), flexOp{
 		op: "CONV", layer: layer, m: m, n: n, k: k,
@@ -429,7 +448,7 @@ func (r *flexDenseRunner) gemmWS(A, B *tensor.Tensor, layer string) (*tensor.Ten
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := gemmConvSource(A, B, tile)
+	src, err := gemmConvSource(A, B, tile, r.hw.MSSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -445,7 +464,8 @@ func (r *flexDenseRunner) gemmWS(A, B *tensor.Tensor, layer string) (*tensor.Ten
 // k×1×n image. Reshape shares the data, so nothing is copied, and the output
 // index (filter·n + position) is already the row-major m×n result. A 1×1
 // window shares no column with its neighbour, so nothing is forwarded.
-func gemmConvSource(A, B *tensor.Tensor, t mapper.Tile) (*convSource, error) {
+// leaves is the fabric size, as for newConvSource.
+func gemmConvSource(A, B *tensor.Tensor, t mapper.Tile, leaves int) (*convSource, error) {
 	m, k := A.Dim(0), A.Dim(1)
 	n := B.Dim(1)
 	w, err := A.Reshape(m, k, 1, 1)
@@ -456,7 +476,7 @@ func gemmConvSource(A, B *tensor.Tensor, t mapper.Tile) (*convSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConvSource(in, w, mapper.GEMMShape(m, n, k), t, false), nil
+	return newConvSource(in, w, mapper.GEMMShape(m, n, k), t, false, leaves), nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

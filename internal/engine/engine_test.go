@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -310,6 +311,23 @@ func TestDispatchErrors(t *testing.T) {
 	bad := randMat(t, 61, 3, 5, 0)
 	if _, _, err := acc.RunGEMM(A, bad, "x"); err == nil {
 		t.Error("mismatched GEMM dims accepted")
+	}
+}
+
+// A user tile whose VNs lay out more switches than the fabric has is a
+// refusal before the first cycle, whatever its UsedMultipliers field says:
+// the schedule's destination tables would index past the fabric.
+func TestTileWiderThanFabricIsRefused(t *testing.T) {
+	acc, err := New(config.MAERILike(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := tensor.ConvShape{R: 3, S: 3, C: 4, G: 1, K: 4, N: 1, X: 6, Y: 6, Stride: 1}
+	tile := convTile(cs, 1, 4, 1, 2, 4) // 8 VNs of 9 switches
+	tile.UsedMultipliers = 9
+	in, w := randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
+	if _, _, err := acc.RunConvTiled(in, w, cs, "wide", tile); !errors.Is(err, config.ErrRefused) {
+		t.Errorf("RunConvTiled = %v, want a refusal", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -31,15 +32,17 @@ import (
 // previous step's generation can ride the forwarding links.
 type refConvSource struct {
 	*convSource
+	steiner        *dn.Steiner
 	inT            *tensor.Tensor
 	seen           []uint32
 	slot           []int32
 	coordW, coordH int
 }
 
-func newRefConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool) *refConvSource {
+func newRefConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool, leaves int) *refConvSource {
 	r := &refConvSource{
-		convSource: newConvSource(in, w, cs, t, forwarding),
+		convSource: newConvSource(in, w, cs, t, forwarding, leaves),
+		steiner:    dn.NewSteiner(leaves),
 		inT:        in,
 		coordH:     cs.X + 2*cs.Padding,
 		coordW:     cs.Y + 2*cs.Padding,
@@ -80,6 +83,7 @@ func (c *refConvSource) Next() (workItem, bool) {
 						Kind:  comp.WeightPkt,
 					},
 					Dests: dests,
+					Edges: c.steiner.Edges(dests),
 				})
 			}
 		}
@@ -144,6 +148,9 @@ func (c *refConvSource) Next() (workItem, bool) {
 		}
 	}
 	c.prevOx = ox
+	for i := range item.Deliveries {
+		item.Deliveries[i].Edges = c.steiner.Edges(item.Deliveries[i].Dests)
+	}
 
 	for kk := 0; kk < t.TK; kk++ {
 		if c.mb*t.TK+kk >= c.kg {
@@ -207,10 +214,12 @@ type refGEMMSource struct {
 	phase               int
 	seq                 int
 	exhausted           bool
+	steiner             *dn.Steiner
 }
 
-func newRefGEMMSource(A, B *tensor.Tensor, kslice, tm, tn int) *refGEMMSource {
-	g := &refGEMMSource{A: A, B: B, m: A.Dim(0), n: B.Dim(1), k: A.Dim(1), kslice: kslice, tm: tm, tn: tn}
+func newRefGEMMSource(A, B *tensor.Tensor, kslice, tm, tn, leaves int) *refGEMMSource {
+	g := &refGEMMSource{A: A, B: B, m: A.Dim(0), n: B.Dim(1), k: A.Dim(1), kslice: kslice, tm: tm, tn: tn,
+		steiner: dn.NewSteiner(leaves)}
 	g.panelCols = max(sim.MaxAccEntries/tm, tn)
 	g.panelCols -= g.panelCols % tn
 	g.panelCols = min(g.panelCols, g.n)
@@ -257,6 +266,7 @@ func (g *refGEMMSource) Next() (workItem, bool) {
 				item.Deliveries = append(item.Deliveries, dn.Delivery{
 					Pkt:   comp.Packet{Value: g.A.At(mi, k0+p), Kind: comp.WeightPkt},
 					Dests: dests,
+					Edges: g.steiner.Edges(dests),
 				})
 			}
 		}
@@ -289,6 +299,7 @@ func (g *refGEMMSource) Next() (workItem, bool) {
 			item.Deliveries = append(item.Deliveries, dn.Delivery{
 				Pkt:   comp.Packet{Value: g.B.At(k0+p, nj), Kind: comp.InputPkt, Seq: seq},
 				Dests: dests,
+				Edges: g.steiner.Edges(dests),
 			})
 		}
 		for i := 0; i < g.tm; i++ {
@@ -325,8 +336,12 @@ func (g *refGEMMSource) Next() (workItem, bool) {
 }
 
 // refSigmaSource is the pre-buffer SIGMA builder; it regroups each round's
-// switches by k itself instead of reading the round's kDests.
-type refSigmaSource struct{ *sigmaSource }
+// switches by k itself instead of reading the round's kGroups, maps switches
+// to clusters itself, and counts every delivery's Steiner edges afresh.
+type refSigmaSource struct {
+	*sigmaSource
+	steiner *dn.Steiner
+}
 
 func (s refSigmaSource) Next() (workItem, bool) {
 	if s.exhausted {
@@ -339,9 +354,11 @@ func (s refSigmaSource) Next() (workItem, bool) {
 		item := workItem{Prefetch: r.used}
 		for _, cl := range r.clusters {
 			for p, v := range cl.vals {
+				dests := []int{cl.msBase + p}
 				item.Deliveries = append(item.Deliveries, dn.Delivery{
 					Pkt:   comp.Packet{Value: v, Kind: comp.WeightPkt, Gen: gen},
-					Dests: []int{cl.msBase + p},
+					Dests: dests,
+					Edges: s.steiner.Edges(dests),
 				})
 			}
 		}
@@ -352,12 +369,14 @@ func (s refSigmaSource) Next() (workItem, bool) {
 
 	var kOrder []int32
 	kDests := map[int32][]int{}
-	for _, cl := range r.clusters {
+	clusterOfMS := map[int]int{}
+	for ci, cl := range r.clusters {
 		for p, k := range cl.ks {
 			if _, seen := kDests[k]; !seen {
 				kOrder = append(kOrder, k)
 			}
 			kDests[k] = append(kDests[k], cl.msBase+p)
+			clusterOfMS[cl.msBase+p] = ci
 		}
 	}
 
@@ -375,9 +394,10 @@ func (s refSigmaSource) Next() (workItem, bool) {
 		item.Deliveries = append(item.Deliveries, dn.Delivery{
 			Pkt:   comp.Packet{Value: bv, Kind: comp.InputPkt, Seq: seq, Gen: gen},
 			Dests: dests,
+			Edges: s.steiner.Edges(dests),
 		})
 		for _, ms := range dests {
-			expect[r.clusterOfMS[ms]]++
+			expect[clusterOfMS[ms]]++
 		}
 	}
 	for ci, cl := range r.clusters {
@@ -429,7 +449,7 @@ func assertSameSchedule(t *testing.T, got, want source) (items int) {
 		}
 		for i, gd := range g.Deliveries {
 			wd := w.Deliveries[i]
-			if gd.Pkt != wd.Pkt || gd.Forward != wd.Forward || !slices.Equal(gd.Dests, wd.Dests) {
+			if gd.Pkt != wd.Pkt || gd.Forward != wd.Forward || gd.Edges != wd.Edges || !slices.Equal(gd.Dests, wd.Dests) {
 				t.Fatalf("item %d delivery %d: %+v, want %+v", items, i, gd, wd)
 			}
 		}
@@ -457,6 +477,12 @@ func assertSameSchedule(t *testing.T, got, want source) (items int) {
 			}
 		}
 	}
+}
+
+// fabricFor is the smallest tree fabric (a power of two) that holds tile's
+// switches: the leaves the schedule oracles count Steiner edges on.
+func fabricFor(tile mapper.Tile) int {
+	return 1 << bits.Len(uint(tile.NumVNs*tile.VNSize-1))
 }
 
 // convTile builds a user tile over the whole R×S window the way a
@@ -541,11 +567,12 @@ func TestScheduleConvMatchesReference(t *testing.T) {
 				}
 				in := randTensor(11, 1, cs.C, cs.X, cs.Y)
 				w := randTensor(12, cs.K, cs.C/cs.G, cs.R, cs.S)
-				src := newConvSource(in, w, cs, tile, forwarding)
+				leaves := fabricFor(tile)
+				src := newConvSource(in, w, cs, tile, forwarding, leaves)
 				if tc.name == "multi-panel" && src.panels < 2 {
 					t.Fatalf("case has %d panel", src.panels)
 				}
-				if n := assertSameSchedule(t, src, newRefConvSource(in, w, cs, tile, forwarding)); n == 0 {
+				if n := assertSameSchedule(t, src, newRefConvSource(in, w, cs, tile, forwarding, leaves)); n == 0 {
 					t.Fatal("empty schedule")
 				}
 			})
@@ -571,12 +598,14 @@ func TestScheduleConvShapeCount(t *testing.T) {
 	}
 	cs := tensor.ConvShape{R: 3, S: 3, C: 5, G: 1, K: 7, N: 1, X: 9, Y: 10, Stride: 1, Padding: 1}
 	in, w := randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
-	if n := count(newConvSource(in, w, cs, convTile(cs, 2, 3, 1, 3, 3), true)); n != 8 {
+	tile := convTile(cs, 2, 3, 1, 3, 3)
+	if n := count(newConvSource(in, w, cs, tile, true, fabricFor(tile))); n != 8 {
 		t.Errorf("all-tails layer built %d step shapes, want 8", n)
 	}
 	cs.C, cs.K = 4, 6
 	in, w = randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
-	if n := count(newConvSource(in, w, cs, convTile(cs, 2, 3, 1, 5, 2), true)); n != 1 {
+	tile = convTile(cs, 2, 3, 1, 5, 2)
+	if n := count(newConvSource(in, w, cs, tile, true, fabricFor(tile))); n != 1 {
 		t.Errorf("evenly tiled layer built %d step shapes, want 1", n)
 	}
 }
@@ -612,20 +641,20 @@ func (c gemmCase) userTile() *mapper.Tile {
 	return &t
 }
 
-// gemmSchedule builds the schedule of A×B on tile t, returning it with the VN
-// membership it programs.
-type gemmSchedule func(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error)
+// gemmSchedule builds the schedule of A×B on tile t of a fabric of leaves
+// switches, returning it with the VN membership it programs.
+type gemmSchedule func(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error)
 
-func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error) {
-	src, err := gemmConvSource(A, B, t)
+func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error) {
+	src, err := gemmConvSource(A, B, t, leaves)
 	if err != nil {
 		return nil, nil, err
 	}
 	return src, src.vns(), nil
 }
 
-func refGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile) (source, [][]int, error) {
-	src := newRefGEMMSource(A, B, t.TC, t.TK, t.TYp)
+func refGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error) {
+	src := newRefGEMMSource(A, B, t.TC, t.TK, t.TYp, leaves)
 	return src, src.vns(), nil
 }
 
@@ -641,11 +670,12 @@ func TestScheduleGEMMMatchesReference(t *testing.T) {
 			if ut := tc.userTile(); ut != nil {
 				tile = *ut
 			}
-			src, err := gemmConvSource(A, B, tile)
+			leaves := fabricFor(tile)
+			src, err := gemmConvSource(A, B, tile, leaves)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefGEMMSource(A, B, tile.TC, tile.TK, tile.TYp)
+			ref := newRefGEMMSource(A, B, tile.TC, tile.TK, tile.TYp, leaves)
 			if tc.wantPanel && (src.panels < 3 || tc.n%ref.panelCols == 0) {
 				t.Fatalf("case does not end in a tail panel: %d panels of %d columns", src.panels, ref.panelCols)
 			}
@@ -676,7 +706,7 @@ func runGEMMWith(hw config.Hardware, A, B *tensor.Tensor, tile *mapper.Tile, bui
 	if tile != nil {
 		t = *tile
 	}
-	src, vns, err := build(A, B, t)
+	src, vns, err := build(A, B, t, hw.MSSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -795,7 +825,8 @@ func TestScheduleSigmaMatchesReference(t *testing.T) {
 				t.Fatalf("%d rounds, want at least %d", len(rounds), tc.wantRounds)
 			}
 			src := newSigmaSource(rounds, B)
-			if n := assertSameSchedule(t, src, refSigmaSource{newSigmaSource(rounds, B)}); n == 0 {
+			ref := refSigmaSource{newSigmaSource(rounds, B), dn.NewSteiner(tc.capacity)}
+			if n := assertSameSchedule(t, src, ref); n == 0 {
 				t.Fatal("empty schedule")
 			}
 		})

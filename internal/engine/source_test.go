@@ -81,7 +81,7 @@ func TestGEMMSourceScheduleInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := gemmConvSource(A, B, tile)
+		src, err := gemmConvSource(A, B, tile, hw.MSSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestConvSourceScheduleInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := newConvSource(in, w, cs, tile, true)
+		src := newConvSource(in, w, cs, tile, true, hw.MSSize)
 		items := drainSource(t, src, 1_000_000)
 		checkScheduleInvariants(t, items, cs.K*cs.OutX()*cs.OutY())
 	}
@@ -133,7 +133,7 @@ func TestConvSourceForwardingOnlyWithinRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := newConvSource(in, w, cs, tile, true)
+	src := newConvSource(in, w, cs, tile, true, hw.MSSize)
 	items := drainSource(t, src, 100000)
 	var forwarded, total int
 	for _, item := range items {
@@ -155,7 +155,7 @@ func TestConvSourceForwardingOnlyWithinRows(t *testing.T) {
 	}
 
 	// With forwarding disabled, nothing is marked Forward.
-	src2 := newConvSource(in, w, cs, tile, false)
+	src2 := newConvSource(in, w, cs, tile, false, hw.MSSize)
 	for _, item := range drainSource(t, src2, 100000) {
 		for _, d := range item.Deliveries {
 			if d.Forward {

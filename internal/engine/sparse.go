@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -33,10 +34,12 @@ type sigmaCluster struct {
 	msBase int
 	ks     []int32   // k index per member switch
 	vals   []float32 // stationary value per member switch
-	// members is the switch-index set [msBase, msBase+len(ks)), built once
-	// at round construction; jobs share it and the stationary load unicasts
-	// to its one-element sub-slices.
+	// members is the switch-index set [msBase, msBase+len(ks)), a window of
+	// one identity table all rounds share; jobs share it and the stationary
+	// load unicasts to its one-element sub-slices. edges is the matching
+	// window of the per-switch unicast Steiner edge counts.
 	members []int
+	edges   []int32
 }
 
 // sigmaRound precomputes, per distinct k in the round, the member switches
@@ -44,12 +47,16 @@ type sigmaCluster struct {
 type sigmaRound struct {
 	clusters []sigmaCluster
 	used     int
-	// kOrder lists the round's distinct k values in first-use order and
-	// kDests[i] the switches holding kOrder[i].
-	kOrder []int32
-	kDests [][]int
-	// clusterOfMS maps switch → cluster index for expectation counting.
-	clusterOfMS []int
+	// kGroups lists the round's distinct k values in first-use order, each
+	// with the switches holding it, a window of dests.
+	kGroups []kGroup
+	dests   []int // the groups' switches back to back: used entries
+}
+
+// kGroup is one distinct k of a round: dests[start:end] hold a stationary
+// element of it, and edges is that set's Steiner edge count.
+type kGroup struct {
+	k, start, end, edges int32
 }
 
 type sigmaSource struct {
@@ -67,64 +74,102 @@ type sigmaSource struct {
 	deliv  []dn.Delivery
 	jobs   []jobSpec
 	expect []int
+	// clusterOfMS maps the current round's switches to their cluster index
+	// for expectation counting; it is filled at each round's load.
+	clusterOfMS []int
 
 	exhausted bool
 }
 
 func newSigmaSource(rounds []sigmaRound, B *tensor.Tensor) *sigmaSource {
 	s := &sigmaSource{rounds: rounds, B: B, n: B.Dim(1)}
-	var delivs, clusters int
+	var delivs, clusters, used int
 	for i := range rounds {
-		delivs = max(delivs, rounds[i].used, len(rounds[i].kOrder))
+		delivs = max(delivs, rounds[i].used, len(rounds[i].kGroups))
 		clusters = max(clusters, len(rounds[i].clusters))
+		used = max(used, rounds[i].used)
 	}
 	s.deliv = make([]dn.Delivery, delivs)
 	s.jobs = make([]jobSpec, clusters)
 	s.expect = make([]int, clusters)
+	s.clusterOfMS = make([]int, used)
 	return s
 }
 
+// buildSigmaRounds packs the non-zeros of A into rounds of clusters on a
+// fabric of capacity switches (the tree the Steiner edge counts are taken
+// on).
 func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, seed uint64) []sigmaRound {
 	nnz := make([]int, A.Rows)
 	for i := 0; i < A.Rows; i++ {
 		nnz[i] = A.RowNNZ(i)
 	}
 	packed := sched.Pack(nnz, capacity, policy, seed)
-	rounds := make([]sigmaRound, 0, len(packed))
-	for _, r := range packed {
-		sr := sigmaRound{clusterOfMS: make([]int, capacity)}
-		for i := range sr.clusterOfMS {
-			sr.clusterOfMS[i] = -1
-		}
-		kIndex := map[int32]int{} // k → its position in kOrder
+
+	// Every cluster's members and unicast edge counts are windows of these
+	// two per-switch tables.
+	steiner := dn.NewSteiner(capacity)
+	ident := make([]int, capacity)
+	leafEdges := make([]int32, capacity)
+	for ms := range ident {
+		ident[ms] = ms
+		leafEdges[ms] = steiner.Edges(ident[ms : ms+1])
+	}
+	// kPos[k] is 1 + k's position in the round's groups (0: not yet seen);
+	// each round resets the entries it set.
+	kPos := make([]int32, A.Cols)
+	var groups []kGroup
+	rounds := make([]sigmaRound, len(packed))
+	for ri, r := range packed {
+		sr := &rounds[ri]
+		sr.clusters = make([]sigmaCluster, len(r))
 		base := 0
 		for ci, chunk := range r {
 			idx, vals := A.Row(chunk.Row)
-			cl := sigmaCluster{
-				row:    chunk.Row,
-				msBase: base,
-				ks:     idx[chunk.Start : chunk.Start+chunk.Len],
-				vals:   vals[chunk.Start : chunk.Start+chunk.Len],
+			n := chunk.Len
+			sr.clusters[ci] = sigmaCluster{
+				row:     chunk.Row,
+				msBase:  base,
+				ks:      idx[chunk.Start : chunk.Start+n],
+				vals:    vals[chunk.Start : chunk.Start+n],
+				members: ident[base : base+n : base+n],
+				edges:   leafEdges[base : base+n : base+n],
 			}
-			cl.members = make([]int, len(cl.ks))
-			for p, k := range cl.ks {
-				ms := base + p
-				cl.members[p] = ms
-				ki, seen := kIndex[k]
-				if !seen {
-					ki = len(sr.kOrder)
-					kIndex[k] = ki
-					sr.kOrder = append(sr.kOrder, k)
-					sr.kDests = append(sr.kDests, nil)
+			for _, k := range sr.clusters[ci].ks {
+				if kPos[k] == 0 {
+					groups = append(groups, kGroup{k: k})
+					kPos[k] = int32(len(groups))
 				}
-				sr.kDests[ki] = append(sr.kDests[ki], ms)
-				sr.clusterOfMS[ms] = ci
+				groups[kPos[k]-1].end++ // a count until the layout below
 			}
-			base += len(cl.ks)
-			sr.clusters = append(sr.clusters, cl)
+			base += n
 		}
 		sr.used = base
-		rounds = append(rounds, sr)
+
+		// Lay the groups out back to back, then fill each in ascending
+		// switch order.
+		var off int32
+		for i := range groups {
+			count := groups[i].end
+			groups[i].start, groups[i].end = off, off
+			off += count
+		}
+		sr.dests = make([]int, base)
+		for ci := range sr.clusters {
+			cl := &sr.clusters[ci]
+			for p, k := range cl.ks {
+				g := &groups[kPos[k]-1]
+				sr.dests[g.end] = cl.msBase + p
+				g.end++
+			}
+		}
+		for i := range groups {
+			g := &groups[i]
+			g.edges = steiner.Edges(sr.dests[g.start:g.end])
+			kPos[g.k] = 0
+		}
+		sr.kGroups = slices.Clone(groups)
+		groups = groups[:0]
 	}
 	return rounds
 }
@@ -150,8 +195,10 @@ func (s *sigmaSource) Next() (workItem, bool) {
 				s.deliv[nd] = dn.Delivery{
 					Pkt:   comp.Packet{Value: v, Kind: comp.WeightPkt, Gen: gen},
 					Dests: cl.members[p : p+1 : p+1],
+					Edges: cl.edges[p],
 				}
 				nd++
+				s.clusterOfMS[cl.msBase+p] = ci
 			}
 		}
 		s.phase = 1
@@ -170,19 +217,20 @@ func (s *sigmaSource) Next() (workItem, bool) {
 	}
 	bd := s.B.Data()
 	nd, nj := 0, 0
-	for ki, k := range r.kOrder {
-		bv := bd[int(k)*s.n+j]
+	for _, g := range r.kGroups {
+		bv := bd[int(g.k)*s.n+j]
 		if bv == 0 {
 			continue // streaming sparsity: never delivered, never multiplied
 		}
-		dests := r.kDests[ki]
+		dests := r.dests[g.start:g.end:g.end]
 		s.deliv[nd] = dn.Delivery{
 			Pkt:   comp.Packet{Value: bv, Kind: comp.InputPkt, Seq: seq, Gen: gen},
 			Dests: dests,
+			Edges: g.edges,
 		}
 		nd++
 		for _, ms := range dests {
-			expect[r.clusterOfMS[ms]]++
+			expect[s.clusterOfMS[ms]]++
 		}
 	}
 	for ci := range r.clusters {

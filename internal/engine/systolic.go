@@ -42,7 +42,7 @@ type systolicArray struct {
 // newSystolicArray sizes the array for a configuration config.Validate
 // accepted: a square PE count with full edge bandwidth.
 func newSystolicArray(ctx *sim.Ctx) *systolicArray {
-	p := isqrt(ctx.HW.MSSize)
+	p := config.ISqrt(ctx.HW.MSSize)
 	return &systolicArray{
 		Ctx:         ctx,
 		p:           p,
@@ -199,12 +199,4 @@ func lowerConv(in, w *tensor.Tensor, cs tensor.ConvShape, gemm func(g int, fm, c
 		}
 	}
 	return out, nil
-}
-
-func isqrt(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }

@@ -135,7 +135,8 @@ func (j Job) Normalize() Job {
 	} else {
 		j.Policy = ""
 	}
-	if j.Op != OpSpMM {
+	if j.Op != OpSpMM || j.Sparsity == 0 {
+		// Also canonicalises -0, which prunes like 0 but prints as "-0".
 		j.Sparsity = 0
 	}
 	if j.Op != OpConv {

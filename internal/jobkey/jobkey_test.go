@@ -1,6 +1,7 @@
 package jobkey_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -272,6 +273,31 @@ func TestModelNormalization(t *testing.T) {
 	}
 	if n := base.Normalize(); n.Normalize() != n {
 		t.Error("Normalize is not idempotent on a model job")
+	}
+}
+
+// TestNegativeZeroSparsity: an spmm spelled "sparsity":-0 prunes exactly
+// what "sparsity":0 does, so both must land on one key — the canonical text
+// printed the negative zero as -0 and hashed the two apart.
+func TestNegativeZeroSparsity(t *testing.T) {
+	base := jobkey.Job{
+		Arch: "sigma", HW: config.SIGMALike(64, 16),
+		Op: jobkey.OpSpMM, M: 8, N: 8, K: 8, Seed: 1,
+	}
+	neg := base
+	neg.Sparsity = math.Copysign(0, -1)
+	if !math.Signbit(neg.Sparsity) {
+		t.Fatal("test setup: sparsity is not a negative zero")
+	}
+	k0, err := base.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := neg.Hash(); err != nil || k != k0 {
+		t.Errorf("sparsity -0 hashes to %v (%v), 0 to %v", k, err, k0)
+	}
+	if math.Signbit(neg.Normalize().Sparsity) {
+		t.Error("Normalize kept the negative zero")
 	}
 }
 

@@ -26,11 +26,12 @@ func DefaultExtraRoots() map[string][]string {
 			"CorePort.AdvanceStall",
 		},
 		// Fired from the controller's per-cycle VN scan and from the DN's
-		// per-cycle delivery sink/prober callbacks.
+		// per-cycle delivery sink.
 		"repro/internal/mn": {
 			"Array.AppendPop",
 			"Array.ReadyVN",
 			"Array.ReadyMembers",
+			"Array.DeliverAll",
 			"Array.Deliver",
 			"Array.CanDeliver",
 			"Array.QuiescentSet",

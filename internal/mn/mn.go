@@ -13,6 +13,7 @@ package mn
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -33,8 +34,9 @@ type msState struct {
 	shadowGen uint32
 	hasShadow bool
 
-	in    *comp.FIFO
-	psums []psum // latched products awaiting reduction, in step order
+	in     comp.FIFO            // operand ring, cut from the array's one allocation
+	latch  [psumLatchDepth]psum // latched products awaiting reduction, in step order
+	nlatch int                  // occupied prefix of latch
 }
 
 type psum struct {
@@ -49,6 +51,11 @@ type psum struct {
 type Array struct {
 	n  int
 	ms []msState
+	// busy is the set of switches holding work (a queued operand or a
+	// latched psum), one bit per switch, and nbusy its size: Cycle visits
+	// only these, in ascending order, and Idle is nbusy == 0.
+	busy  []uint64
+	nbusy int
 
 	// Pre-resolved counter handles (per-cycle hot path).
 	cMults, cActive, cWeightLoads, cReconf comp.Counter
@@ -64,6 +71,7 @@ func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 	a := &Array{
 		n:            n,
 		ms:           make([]msState, n),
+		busy:         make([]uint64, (n+63)/64),
 		cMults:       c.Counter(names.MNMults),
 		cActive:      c.Counter(names.MNActiveCycles),
 		cWeightLoads: c.Counter(names.MNWeightLoads),
@@ -72,8 +80,9 @@ func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 		cFifoPops:    c.Counter(names.MNFifoPops),
 		vnOf:         make([]int, n),
 	}
+	ring := make([]comp.Packet, n*fifoDepth)
 	for i := range a.ms {
-		a.ms[i].in = comp.NewFIFO(fifoDepth)
+		a.ms[i].in = comp.NewFIFO(ring[i*fifoDepth : (i+1)*fifoDepth : (i+1)*fifoDepth])
 		a.vnOf[i] = -1
 	}
 	return a
@@ -105,8 +114,8 @@ func (a *Array) ConfigureVNs(vns [][]int) error {
 // VNs returns the current VN membership table.
 func (a *Array) VNs() [][]int { return a.vnMembers }
 
-// CanDeliver is the dn.Prober: it reports whether Deliver would accept the
-// packet right now, without side effects.
+// CanDeliver reports whether Deliver would accept the packet right now,
+// without side effects.
 func (a *Array) CanDeliver(ms int, p comp.Packet) bool {
 	s := &a.ms[ms]
 	switch p.Kind {
@@ -120,8 +129,9 @@ func (a *Array) CanDeliver(ms int, p comp.Packet) bool {
 	}
 }
 
-// Deliver is the dn.Sink: weights land in the stationary register, inputs
-// in the operand FIFO. It returns false when the operand FIFO is full.
+// Deliver hands one switch a packet: weights land in the stationary
+// register, inputs in the operand FIFO. It returns false, and changes
+// nothing, exactly when CanDeliver is false.
 func (a *Array) Deliver(ms int, p comp.Packet) bool {
 	s := &a.ms[ms]
 	switch p.Kind {
@@ -146,8 +156,34 @@ func (a *Array) Deliver(ms int, p comp.Packet) bool {
 		a.cWeightLoads.Add(1)
 		return true
 	default:
-		return s.in.Push(p)
+		if !s.in.Push(p) {
+			return false
+		}
+		if w, bit := &a.busy[ms>>6], uint64(1)<<(ms&63); *w&bit == 0 {
+			*w |= bit
+			a.nbusy++
+		}
+		return true
 	}
+}
+
+// DeliverAll is the dn.Sink: it delivers p to every switch of dests or, when
+// any of them cannot accept it now, to none. Destination sets hold each
+// switch once, so after every probe passes no Deliver is refused.
+func (a *Array) DeliverAll(dests []int, p comp.Packet) bool {
+	if len(dests) > 1 {
+		for _, ms := range dests {
+			if !a.CanDeliver(ms, p) {
+				return false
+			}
+		}
+	}
+	for _, ms := range dests {
+		if !a.Deliver(ms, p) {
+			return false
+		}
+	}
+	return true
 }
 
 // Cycle fires every switch that has a stationary operand, a queued input
@@ -156,31 +192,12 @@ func (a *Array) Deliver(ms int, p comp.Packet) bool {
 // has not arrived yet, the switch stalls.
 func (a *Array) Cycle() {
 	fired := 0
-	for i := range a.ms {
-		s := &a.ms[i]
-		if len(s.psums) >= psumLatchDepth {
-			continue
-		}
-		p, ok := s.in.Peek()
-		if !ok {
-			continue
-		}
-		if p.Gen != s.curGen {
-			if !s.hasShadow || s.shadowGen != p.Gen {
-				continue // waiting for this generation's stationary value
+	for wi, w := range a.busy {
+		for ; w != 0; w &= w - 1 {
+			if a.fire(wi<<6 | bits.TrailingZeros64(w)) {
+				fired++
 			}
-			s.stationary = s.shadow
-			s.hasStat = true
-			s.curGen = p.Gen
-			s.hasShadow = false
 		}
-		if !s.hasStat {
-			continue
-		}
-		s.in.Pop()
-		//lint:ignore hotpathalloc latch depth is capped at psumLatchDepth (checked above) and pops copy down in place, so the backing array stops growing after the first few cycles
-		s.psums = append(s.psums, psum{value: s.stationary * p.Value, seq: p.Seq, last: p.Last})
-		fired++
 	}
 	if fired > 0 {
 		a.cMults.Add(uint64(fired))
@@ -188,11 +205,38 @@ func (a *Array) Cycle() {
 	}
 }
 
+// fire runs switch i's multiplier for one cycle and reports whether it
+// produced a product.
+func (a *Array) fire(i int) bool {
+	s := &a.ms[i]
+	if s.nlatch >= psumLatchDepth {
+		return false
+	}
+	p, ok := s.in.Peek()
+	if !ok {
+		return false
+	}
+	if p.Gen != s.curGen {
+		if !s.hasShadow || s.shadowGen != p.Gen {
+			return false // waiting for this generation's stationary value
+		}
+		s.stationary = s.shadow
+		s.hasStat = true
+		s.curGen = p.Gen
+		s.hasShadow = false
+	}
+	if !s.hasStat {
+		return false
+	}
+	s.in.Pop()
+	s.latch[s.nlatch] = psum{value: s.stationary * p.Value, seq: p.Seq, last: p.Last}
+	s.nlatch++
+	return true
+}
+
 // Lookahead implements comp.Lookahead: an idle array (no queued operands,
 // no latched psums) fires nothing and touches no counter, so its Cycle is a
-// pure no-op for any horizon; any in-flight work means it must tick. The
-// Idle scan is O(switches), which is why the kernel probes the controller's
-// cheap bound first and reaches this only in candidate steady states.
+// pure no-op for any horizon; any in-flight work means it must tick.
 func (a *Array) Lookahead() uint64 {
 	if a.Idle() {
 		return comp.Unbounded
@@ -218,8 +262,8 @@ func (a *Array) ReadyVN(vn, seq, expect int) bool {
 func (a *Array) ReadyMembers(members []int, seq, expect int) bool {
 	count := 0
 	for _, ms := range members {
-		ps := a.ms[ms].psums
-		if len(ps) > 0 && ps[0].seq == seq {
+		s := &a.ms[ms]
+		if s.nlatch > 0 && s.latch[0].seq == seq {
 			count++
 		}
 	}
@@ -234,15 +278,15 @@ func (a *Array) AppendPop(dst []float32, members []int, seq int) (values []float
 	values = dst
 	for _, ms := range members {
 		s := &a.ms[ms]
-		if len(s.psums) > 0 && s.psums[0].seq == seq {
+		if s.nlatch > 0 && s.latch[0].seq == seq {
 			//lint:ignore hotpathalloc dst is the caller's reusable scratch buffer (reset to len 0 each cycle), so this append reallocates only until it reaches steady-state capacity
-			values = append(values, s.psums[0].value)
-			last = last || s.psums[0].last
-			// Copy-down pop keeps the latch's backing array (depth ≤
-			// psumLatchDepth), so the following append reuses it instead of
-			// reallocating every multiply.
-			n := copy(s.psums, s.psums[1:])
-			s.psums = s.psums[:n]
+			values = append(values, s.latch[0].value)
+			last = last || s.latch[0].last
+			s.nlatch = copy(s.latch[:], s.latch[1:s.nlatch])
+			if s.nlatch == 0 && s.in.Empty() {
+				a.busy[ms>>6] &^= 1 << (ms & 63)
+				a.nbusy--
+			}
 		}
 	}
 	return values, last
@@ -253,8 +297,7 @@ func (a *Array) AppendPop(dst []float32, members []int, seq int) (values []float
 // stationary register.
 func (a *Array) QuiescentSet(set []int) bool {
 	for _, ms := range set {
-		s := &a.ms[ms]
-		if !s.in.Empty() || len(s.psums) > 0 {
+		if a.busy[ms>>6]&(1<<(ms&63)) != 0 {
 			return false
 		}
 	}
@@ -262,15 +305,7 @@ func (a *Array) QuiescentSet(set []int) bool {
 }
 
 // Idle reports whether no switch holds queued inputs or latched psums.
-func (a *Array) Idle() bool {
-	for i := range a.ms {
-		s := &a.ms[i]
-		if !s.in.Empty() || len(s.psums) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (a *Array) Idle() bool { return a.nbusy == 0 }
 
 // CollectFIFOStats folds per-switch FIFO activity into the counters.
 func (a *Array) CollectFIFOStats() {

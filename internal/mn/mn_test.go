@@ -1,6 +1,7 @@
 package mn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/comp"
@@ -225,4 +226,86 @@ func TestQuiescentSet(t *testing.T) {
 	if !a.QuiescentSet([]int{0}) {
 		t.Error("not quiescent after drain")
 	}
+}
+
+// state is everything a refused DeliverAll must leave alone: every
+// counter, each switch's queue, FIFO statistics and registers, and the
+// busy set.
+func state(a *Array, c *comp.Counters) string {
+	return fmt.Sprintf("%v %d %v", c.Snapshot(), a.nbusy, a.ms)
+}
+
+// TestDeliverAllIsAtomic: a multicast lands on every destination or on
+// none. One destination with a full operand FIFO, or with a shadow
+// register its queued inputs still need, refuses the packet for all of
+// them — no switch receives it and no counter moves — and once that switch
+// drains, the same delivery lands everywhere exactly once.
+func TestDeliverAllIsAtomic(t *testing.T) {
+	t.Run("full FIFO", func(t *testing.T) {
+		a, c := newTestArray(t, 4)
+		for i := 0; i < 4; i++ {
+			if !a.Deliver(2, comp.Packet{Kind: comp.InputPkt, Seq: i}) {
+				t.Fatal("setup: push refused below capacity")
+			}
+		}
+		before := state(a, c)
+		in := comp.Packet{Value: 5, Kind: comp.InputPkt, Seq: 9}
+		if a.DeliverAll([]int{0, 1, 2, 3}, in) {
+			t.Fatal("multicast accepted with destination 2 full")
+		}
+		if after := state(a, c); after != before {
+			t.Errorf("refused multicast changed state:\n before %s\n after  %s", before, after)
+		}
+		if got := queued(a); got != 4 {
+			t.Errorf("%d operands queued, want only switch 2's 4", got)
+		}
+		// Drain switch 2 (stationary, multiply, pop its products) and retry.
+		a.Deliver(2, comp.Packet{Value: 1, Kind: comp.WeightPkt})
+		if err := a.ConfigureVNs([][]int{{2}}); err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < 4; seq++ {
+			a.Cycle()
+			pop(a, 0, seq)
+		}
+		if !a.DeliverAll([]int{0, 1, 2, 3}, in) {
+			t.Fatal("multicast refused after the full switch drained")
+		}
+		for ms := range a.ms {
+			if n := a.ms[ms].in.Len(); n != 1 {
+				t.Errorf("switch %d holds %d operands, want 1", ms, n)
+			}
+		}
+	})
+	t.Run("pending shadow", func(t *testing.T) {
+		a, c := newTestArray(t, 3)
+		// Switch 1's generation-1 shadow still has a queued input to
+		// promote it: a generation-2 weight may not overwrite it yet.
+		a.Deliver(1, comp.Packet{Value: 3, Kind: comp.WeightPkt, Gen: 1})
+		a.Deliver(1, comp.Packet{Value: 2, Kind: comp.InputPkt, Gen: 1})
+		before := state(a, c)
+		w := comp.Packet{Value: 7, Kind: comp.WeightPkt, Gen: 2}
+		if a.DeliverAll([]int{0, 1, 2}, w) {
+			t.Fatal("weight multicast accepted over a pending shadow")
+		}
+		if after := state(a, c); after != before {
+			t.Errorf("refused multicast changed state:\n before %s\n after  %s", before, after)
+		}
+		for _, ms := range []int{0, 2} {
+			if a.ms[ms].hasShadow {
+				t.Errorf("switch %d received the refused weight", ms)
+			}
+		}
+		if err := a.ConfigureVNs([][]int{{1}}); err != nil {
+			t.Fatal(err)
+		}
+		a.Cycle() // promotes the shadow and multiplies
+		pop(a, 0, 0)
+		if !a.DeliverAll([]int{0, 1, 2}, w) {
+			t.Fatal("weight multicast refused after the shadow was promoted")
+		}
+		if got := c.Get("mn.weight_loads"); got != 4 {
+			t.Errorf("mn.weight_loads = %d, want 4: the setup load and one per destination", got)
+		}
+	})
 }

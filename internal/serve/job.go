@@ -57,9 +57,6 @@ const (
 	maxStreams = 256
 	maxCores   = 64
 	maxBanks   = 1024
-	// maxFabric bounds the multiplier count (ms or hw.MSSize): 16× the
-	// 64×64 array of Fig. 1a.
-	maxFabric = 1 << 16
 	// maxJobBytes bounds a POST /jobs body: about 1000x the largest legal
 	// request (a full hardware description plus a conv shape and a tile).
 	maxJobBytes = 1 << 20
@@ -87,15 +84,6 @@ type job struct {
 // lands on the same key). Everything it refuses is refused before the job
 // takes an admission slot.
 func resolve(req Request) (*job, error) {
-	// The fabric size sizes the multiplier array and feeds the presets'
-	// arithmetic: bound it before anything is built from it.
-	size := req.MS
-	if req.HW != nil {
-		size = req.HW.MSSize
-	}
-	if size > maxFabric {
-		return nil, fmt.Errorf("fabric size %d exceeds the limit %d", size, maxFabric)
-	}
 	var hw config.Hardware
 	var err error
 	if req.HW != nil {
@@ -106,8 +94,9 @@ func resolve(req Request) (*job, error) {
 			return nil, err
 		}
 	}
-	// A preset at an impossible fabric size is as much a bad request as a
-	// bad explicit description: reject it here, before it takes a slot.
+	// A preset at an impossible fabric size (config.MaxMSSize bounds it) is
+	// as much a bad request as a bad explicit description: reject it here,
+	// before it takes a slot.
 	if err := hw.Validate(); err != nil {
 		return nil, fmt.Errorf("hw: %w", err)
 	}

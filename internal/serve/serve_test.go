@@ -406,6 +406,13 @@ var badBodies = map[string]string{
 	"link 1e-300 GB/s":   `{"op":"model","arch":"maeri","ms":64,"model":"A","scale":32,"chip":{"cores":2,"link_gbs":1e-300}}`,
 	"ms over 2^16":       `{"op":"gemm","arch":"maeri","ms":131072,"m":8,"n":8,"k":8}`,
 	"tpu ms MaxInt":      `{"op":"gemm","arch":"tpu","ms":9223372036854775807,"m":8,"n":8,"k":8}`,
+	// Operands are allocated from the request's dims before the first
+	// cycle: a few bytes of JSON asked for tens of GB.
+	"gemm operands over 2^24": `{"op":"gemm","arch":"maeri","m":100000,"n":100000,"k":100000}`,
+	"spmm dims MaxInt":        `{"op":"spmm","arch":"sigma","m":9223372036854775807,"n":9223372036854775807,"k":2}`,
+	"conv input over 2^24":    `{"op":"conv","arch":"maeri","conv":{"R":1,"S":1,"C":1,"G":1,"K":1,"N":1,"X":8192,"Y":8192,"Stride":1}}`,
+	"conv filters over 2^24":  `{"op":"conv","arch":"maeri","conv":{"R":3,"S":3,"C":4096,"G":1,"K":4096,"N":1,"X":3,"Y":3,"Stride":1}}`,
+	"conv output over 2^24":   `{"op":"conv","arch":"maeri","conv":{"R":1,"S":1,"C":1,"G":1,"K":4096,"N":1,"X":64,"Y":128,"Stride":1}}`,
 }
 
 // TestBadRequests pins the 400 surface: junk op, missing dims, unknown
@@ -464,7 +471,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	stale := `{"AccumulationBuffer":true,` + strings.TrimPrefix(string(desc), "{")
 	expect400("hw with a removed key", `{"op":"gemm","m":8,"n":8,"k":8,"hw":`+stale+`}`, `"AccumulationBuffer"`)
-	huge, err := json.Marshal(config.MAERILike(2*maxFabric, 16))
+	huge, err := json.Marshal(config.MAERILike(2*config.MaxMSSize, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,17 @@ func ToCSR(t *Tensor) (*CSRMatrix, error) {
 	}
 	rows, cols := t.Dim(0), t.Dim(1)
 	m := &CSRMatrix{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+	// Count first, so the index and value arrays are allocated once, at
+	// their exact size (an all-zero matrix keeps them nil).
+	nnz := 0
+	for _, v := range t.data[:rows*cols] {
+		if v != 0 {
+			nnz++
+		}
+	}
+	if nnz > 0 {
+		m.ColIdx, m.Vals = make([]int32, 0, nnz), make([]float32, 0, nnz)
+	}
 	for i := 0; i < rows; i++ {
 		for j := 0; j < cols; j++ {
 			if v := t.data[i*cols+j]; v != 0 {

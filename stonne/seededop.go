@@ -2,6 +2,7 @@ package stonne
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dnn"
@@ -54,6 +55,15 @@ func (o SeededOp) Check() (CheckedOp, error) {
 		if o.M <= 0 || o.N <= 0 || o.K <= 0 {
 			return CheckedOp{}, fmt.Errorf("%s needs positive m, n, k (got %d, %d, %d)", o.Op, o.M, o.N, o.K)
 		}
+		if err := checkElems("MK operand", o.M, o.K); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("KN operand", o.K, o.N); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("MN output", o.M, o.N); err != nil {
+			return CheckedOp{}, err
+		}
 		if o.Op == "spmm" {
 			if !(o.Sparsity >= 0 && o.Sparsity <= 1) {
 				return CheckedOp{}, fmt.Errorf("sparsity %g out of [0,1]", o.Sparsity)
@@ -67,7 +77,17 @@ func (o SeededOp) Check() (CheckedOp, error) {
 		if o.Conv == nil {
 			return CheckedOp{}, fmt.Errorf("conv needs a conv shape")
 		}
-		if err := o.Conv.Validate(); err != nil {
+		cs := o.Conv
+		if err := cs.Validate(); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("conv input", cs.N, cs.C, cs.X, cs.Y); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("conv filters", cs.K, cs.C/cs.G, cs.R, cs.S); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("conv output", cs.N, cs.K, cs.OutX(), cs.OutY()); err != nil {
 			return CheckedOp{}, err
 		}
 		if o.Tile != nil {
@@ -79,6 +99,27 @@ func (o SeededOp) Check() (CheckedOp, error) {
 		return CheckedOp{}, fmt.Errorf("unknown seeded op %q (want gemm, spmm or conv)", o.Op)
 	}
 	return CheckedOp{op: o, pol: pol}, nil
+}
+
+// maxOperandElems bounds every operand and the output of a seeded op, in
+// elements: 1<<24 float32 values are 64 MiB each, far past any operation of
+// the paper, and a bound a single request cannot get round by asking for
+// tens of GB.
+const maxOperandElems = 1 << 24
+
+// checkElems refuses an operand whose positive dims multiply to more than
+// maxOperandElems. It compares before it multiplies, so no product
+// overflows; only the error keeps a copy of dims, so an accepted op
+// allocates nothing here.
+func checkElems(what string, dims ...int) error {
+	n := 1
+	for _, d := range dims {
+		if d > maxOperandElems/n {
+			return fmt.Errorf("%s %v exceeds the limit of %d elements", what, slices.Clone(dims), maxOperandElems)
+		}
+		n *= d
+	}
+	return nil
 }
 
 // RunSeededOp derives the operands of a checked op from seed and simulates

@@ -29,6 +29,14 @@ func TestSeededOpCheck(t *testing.T) {
 		{"conv no shape", SeededOp{Op: "conv"}, false},
 		{"conv bad tile", SeededOp{Op: "conv", Conv: conv, Tile: &Tile{}}, false},
 		{"unknown op", SeededOp{Op: "matmul", M: 4, N: 4, K: 8}, false},
+		// Operands and outputs over 1<<24 elements are refused before
+		// anything is allocated, the products compared without overflow.
+		{"gemm MK over the limit", SeededOp{Op: "gemm", M: 1 << 13, N: 1, K: 1<<11 + 1}, false},
+		{"gemm MN over the limit", SeededOp{Op: "gemm", M: 1 << 12, N: 1<<12 + 1, K: 1}, false},
+		{"spmm dims MaxInt", SeededOp{Op: "spmm", M: math.MaxInt, N: math.MaxInt, K: 2}, false},
+		{"conv input over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 1, S: 1, C: 2, G: 1, K: 1, N: 1, X: 4096, Y: 2049, Stride: 4096}}, false},
+		{"conv filters over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 2, S: 2, C: 2048, G: 1, K: 2049, N: 1, X: 2, Y: 2, Stride: 1}}, false},
+		{"conv output over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 1, S: 1, C: 1, G: 1, K: 1 << 10, N: 1, X: 1 << 7, Y: 1<<7 + 1, Stride: 1}}, false},
 	} {
 		checked, err := tc.op.Check()
 		if (err == nil) != tc.ok {

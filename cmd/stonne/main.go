@@ -100,16 +100,16 @@ func main() {
 	switch op {
 	case "gemm", "spmm", "conv":
 	case "model":
-		m, w := loadModelAndWeights(*modelFile, *weightsFile, *seed)
+		sm, w := loadModelAndWeights(*modelFile, *weightsFile, *seed)
 		pol, err := stonne.ParsePolicy(*policy)
 		if err != nil {
 			fatal(err)
 		}
 		var summary jsonWriter
 		if chip {
-			summary = runModelChipCmd(hw, m, w, pol, *seed, *cores, *placement, *banks, *streams, *progress)
+			summary = runModelChipCmd(hw, sm, w, pol, *cores, *placement, *banks, *streams, *progress)
 		} else {
-			summary = runModelCmd(hw, m, w, pol, *seed)
+			summary = runModelCmd(hw, sm, w, pol)
 		}
 		if *jsonOut != "" {
 			if err := writeJSON(summary, *jsonOut); err != nil {
@@ -338,8 +338,9 @@ func listArchs() {
 }
 
 // loadModelAndWeights resolves the model/weights flags shared by the
-// single-core and chip model runs.
-func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Model, *stonne.Weights) {
+// single-core and chip model runs: the seeded model draws its weights from
+// seed (unless a weights file is given) and stream i's input from seed+1+i.
+func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (stonne.SeededModel, *stonne.Weights) {
 	if modelFile == "" {
 		fatal(fmt.Errorf("the subcommand needs -file <model.json>"))
 	}
@@ -347,28 +348,27 @@ func loadModelAndWeights(modelFile, weightsFile string, seed uint64) (*stonne.Mo
 	if err != nil {
 		fatal(err)
 	}
+	sm := stonne.SeededModel{Model: m, Seed: seed, InputSeed: seed + 1}
 	var w *stonne.Weights
 	if weightsFile != "" {
 		w, err = stonne.LoadWeightsFile(weightsFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := stonne.CheckWeights(m, w); err != nil {
-			fatal(err)
+		if err == nil {
+			err = stonne.CheckWeights(m, w)
 		}
 	} else {
-		w = stonne.InitWeights(m, seed)
-		if err := w.Prune(m.Sparsity); err != nil {
-			fatal(err)
-		}
+		w, err = sm.Weights()
 	}
-	return m, w
+	if err != nil {
+		fatal(err)
+	}
+	return sm, w
 }
 
 // runModelCmd runs a full model from a description file, layer by layer,
 // and returns its summary.
-func runModelCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol stonne.SchedPolicy, seed uint64) *stonne.ModelRun {
-	out, mr, err := stonne.RunModel(m, w, stonne.RandomInput(m, seed+1), hw, &stonne.RunOptions{Policy: pol})
+func runModelCmd(hw stonne.Hardware, sm stonne.SeededModel, w *stonne.Weights, pol stonne.SchedPolicy) *stonne.ModelRun {
+	m := sm.Model
+	out, mr, err := stonne.RunModel(m, w, sm.Input(0), hw, &stonne.RunOptions{Policy: pol})
 	if err != nil {
 		fatal(err)
 	}
@@ -387,15 +387,9 @@ func runModelCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol sto
 // chip of -cores cores sharing a banked DRAM, prints the chip-level
 // summary — per-core load, contention, makespan, and throughput — and
 // returns it.
-func runModelChipCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol stonne.SchedPolicy, seed uint64,
+func runModelChipCmd(hw stonne.Hardware, sm stonne.SeededModel, w *stonne.Weights, pol stonne.SchedPolicy,
 	cores int, placement string, banks, streams int, progress bool) *stonne.ChipRun {
-	if streams < 1 {
-		streams = 1
-	}
-	inputs := make([]*stonne.Tensor, streams)
-	for i := range inputs {
-		inputs[i] = stonne.RandomInput(m, seed+1+uint64(i))
-	}
+	m := sm.Model
 	copts := stonne.ChipOptions{Cores: cores, Placement: placement, Banks: banks}
 	if progress {
 		board := simpool.NewBoard()
@@ -405,7 +399,7 @@ func runModelChipCmd(hw stonne.Hardware, m *stonne.Model, w *stonne.Weights, pol
 		}
 		defer fmt.Fprintln(os.Stderr)
 	}
-	outs, cr, err := stonne.RunModelChip(context.Background(), m, w, inputs, hw, copts, &stonne.RunOptions{Policy: pol})
+	outs, cr, err := stonne.RunModelChip(context.Background(), m, w, sm.Inputs(max(streams, 1)), hw, copts, &stonne.RunOptions{Policy: pol})
 	if err != nil {
 		fatal(err)
 	}

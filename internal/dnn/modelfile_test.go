@@ -124,6 +124,43 @@ func TestParseModelErrors(t *testing.T) {
 	}
 }
 
+// FuzzParseModel drives bytes through the `stonne model -file` front end:
+// ParseModel must never panic, and every conv layer of a model it accepts
+// must be a valid conv shape. Seeds: the lenet of ParseModel's doc comment,
+// the two-conv net of the CLI tests and this file's examples.
+func FuzzParseModel(f *testing.F) {
+	f.Add([]byte(`{
+  "name": "lenet", "input_channels": 1, "input_size": 28,
+  "sparsity": 0.5,
+  "layers": [
+    {"type": "conv", "name": "c1", "filters": 8, "kernel": 5, "pad": 2},
+    {"type": "relu"},
+    {"type": "maxpool", "window": 2, "stride": 2},
+    {"type": "conv", "name": "c2", "filters": 16, "kernel": 3, "pad": 1, "save": "skip"},
+    {"type": "relu"},
+    {"type": "linear", "name": "fc", "out": 10},
+    {"type": "softmax"}
+  ]
+}`))
+	f.Add([]byte(`{"name": "net", "input_channels": 2, "input_size": 6, "sparsity": 0.5,
+  "layers": [{"type": "conv", "name": "c1", "filters": 4, "kernel": 3}, {"type": "relu"},
+    {"type": "conv", "name": "c2", "filters": 4, "kernel": 3}]}`))
+	f.Add([]byte(lenetJSON))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := ParseModel(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		for i := range m.Layers {
+			if l := &m.Layers[i]; l.Kind == Conv {
+				if err := l.Conv.Validate(); err != nil {
+					t.Fatalf("accepted conv layer %s: %v", l.Name, err)
+				}
+			}
+		}
+	})
+}
+
 func TestLoadModelFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "net.json")

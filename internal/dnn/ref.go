@@ -201,16 +201,8 @@ func GEMMOperands(l *Layer, act *tensor.Tensor) (a, b *tensor.Tensor, err error)
 }
 
 func pseudoActivation(key string, rows, cols int) *tensor.Tensor {
-	rng := NewRNG(hashName(key))
 	t := tensor.New(rows, cols)
-	d := t.Data()
-	for i := range d {
-		v := rng.Normal()
-		if v < 0 {
-			v = 0
-		}
-		d[i] = float32(v)
-	}
+	FillNormal(NewRNG(hashName(key)), t.Data(), true)
 	return t
 }
 

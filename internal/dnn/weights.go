@@ -40,6 +40,20 @@ func (r *RNG) Normal() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// FillNormal overwrites d with standard normal draws from rng, one per
+// element in index order; with relu, negative draws become 0 (post-ReLU
+// activation statistics). It writes every seeded operand stream but the
+// weights, so a stream is fixed by its seed, its length and relu.
+func FillNormal(rng *RNG, d []float32, relu bool) {
+	for i := range d {
+		v := rng.Normal()
+		if relu && v < 0 {
+			v = 0
+		}
+		d[i] = float32(v)
+	}
+}
+
 // Weights holds every trained tensor of a model keyed by layer name.
 type Weights struct {
 	ByLayer map[string]*tensor.Tensor
@@ -202,13 +216,6 @@ func RandomInput(m *Model, seed uint64) *tensor.Tensor {
 	} else {
 		t = tensor.New(1, m.InputC, m.InputXY, m.InputXY)
 	}
-	d := t.Data()
-	for i := range d {
-		v := rng.Normal()
-		if v < 0 {
-			v = 0 // mimic post-ReLU input statistics
-		}
-		d[i] = float32(v)
-	}
+	FillNormal(rng, t.Data(), true)
 	return t
 }

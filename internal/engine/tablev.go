@@ -75,12 +75,7 @@ func maeriConvShape(row TableVRow) (tensor.ConvShape, error) {
 // bw 128; TPU: 16×16 full bandwidth) and returns the run statistics.
 func RunTableVRow(row TableVRow) (*stats.Run, error) {
 	rng := dnn.NewRNG(0xab1e + uint64(row.M*row.N*row.K))
-	fill := func(t *tensor.Tensor) {
-		d := t.Data()
-		for i := range d {
-			d[i] = float32(rng.Normal())
-		}
-	}
+	fill := func(t *tensor.Tensor) { dnn.FillNormal(rng, t.Data(), false) }
 	switch row.Design {
 	case "MAERI":
 		hw := config.MAERILike(32, 4)

@@ -328,7 +328,7 @@ func TestRunModelLeavesWeightsUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full model runs in -short mode")
 	}
-	wls, err := seededModels([]string{"S", "M"}, testScale, 0xf165)
+	wls, err := seededModels([]string{"S", "M"}, testScale, 0xf165, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRunModelLeavesWeightsUnchanged(t *testing.T) {
 		}
 	}
 	_, err = simpool.Map(ctx, 0, jobs, func(_ context.Context, _ int, j job) (*stonne.ModelRun, error) {
-		_, mr, err := stonne.RunModel(j.wl.m, j.wl.w, dnn.RandomInput(j.wl.m, 1), j.hw, j.opts)
+		_, mr, err := stonne.RunModel(j.wl.Model, j.wl.w, j.wl.Input(0), j.hw, j.opts)
 		return mr, err
 	})
 	if err != nil {
@@ -383,7 +383,7 @@ func weightDigests(w *dnn.Weights) map[string][sha256.Size]byte {
 }
 
 // prunedWeightPins is the SHA-256 of the pruned weights (modelDigest) of
-// every (model, seed) pair a figure builds through seededModel at
+// every (model, seed) pair a figure builds through seededModels at
 // testScale: Fig. 5 (and multicore), Fig. 6, Fig. 7 and Fig. 9. The values
 // come from the sort-based prune that internal/dnn keeps as its test
 // oracle; any change to weight synthesis or pruning moves them.
@@ -436,7 +436,11 @@ func TestPrunedWeightDigests(t *testing.T) {
 			if !ok {
 				continue
 			}
-			_, w, err := seededModel(full, testScale, p.seed)
+			m, err := dnn.ScaleSpatial(full, testScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := stonne.SeededModel{Model: m, Seed: p.seed}.Weights()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,6 +449,76 @@ func TestPrunedWeightDigests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// inputPins is the SHA-256 of the inputs (inputDigest) each figure draws
+// at testScale: inputs 0 to streams-1 of the seeded model whose input seed
+// is seed. An input depends on the model's name and input shape only, so a
+// change to input synthesis or to a figure's input seed moves them.
+var inputPins = []struct {
+	seed    uint64
+	streams int
+	pins    map[string]string // model tag → hex digest
+}{
+	{0x1217, 1, map[string]string{ // Fig. 5
+		"M":   "deade0c8ea6b111d7f967b51f57342b9fd88913e1b94bbc4fe2de9ee54c4b09a",
+		"S":   "25dd8a17a388ba7024ed02c6a0e8198b33a5af77f4e71b69e20fd8030e308145",
+		"A":   "767375b335a9c47151b0bf5ef786153da795b0d80ae99f9db132b689468cd572",
+		"R":   "baee949b25c7d2bd817ef38ef55a3ff1265180493aef1d2b96c6e7aba389bdc5",
+		"V":   "82c56020f91649bb8453ce1335a136fb54865e4daa9a60254547295e9822a19e",
+		"S-M": "e98a2f7f9b4b14c4afb8e024b58c492e6829665bc0a77f81cc72afdf8f3364f0",
+		"B":   "2a0ce2073c87717b93fb00f3985390cea4f324049939b177f0aef406d99e96e9",
+	}},
+	{0x1217, 8, map[string]string{ // multicore
+		"M": "4e2d1b8020b5784c94e238ee34420dc3c1a09c93ef447def143f0e8126e0e5a6",
+	}},
+	{0x100, 2, map[string]string{ // Fig. 6, images 0 and 1
+		"S": "051cd083f3a180aa62f05ace067866a461b54c39996c798a298f53fe72a74cea",
+		"A": "6c024af364591909ab7fff8301c8b926bf55ea1579e09aa059909391f9252308",
+		"R": "7ebe5d982801832720d617ec4b7b28048dec5eb2334c29c1ca889b4bfc9415f5",
+		"V": "abd773d7ab4fb9b6214ecc7a2cb4d1853beb4e0363dc17d029d741d750293e3c",
+	}},
+	{0x919, 1, map[string]string{ // Fig. 9
+		"M":   "18f2934070bc8b42691e4f0258c869ca190197b56c469457fe24e95e8e5a640f",
+		"S":   "c61c30a69f08952bf17c8776bdd07e1df41ff58d9afe89031d164b478ed37e79",
+		"A":   "a2e2ec0024061c5cd0fe63c808a59d08546a9687d3794fa62bdbd7449c5d9305",
+		"R":   "73a83afb1a9a8ff771284672c32b3cce622faa265c3ba1736c5389b67f3c7722",
+		"V":   "821532988ae32131fff907c1366c13d15b53aa35a771673f697b2901b464082d",
+		"S-M": "906c27b13590a168da3547cc8e2b744e45e3c463483f705a5f7f3f72b3cc5b8d",
+		"B":   "31309f7f3411ed938c4cd8154633bc38fef0b2eb30878a48a8dcfb3b9d211f4b",
+	}},
+}
+
+func TestInputDigests(t *testing.T) {
+	for _, p := range inputPins {
+		for _, full := range dnn.AllModels() {
+			want, ok := p.pins[full.Short]
+			if !ok {
+				continue
+			}
+			m, err := dnn.ScaleSpatial(full, testScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := stonne.SeededModel{Model: m, InputSeed: p.seed}.Inputs(p.streams)
+			if got := inputDigest(inputs); got != want {
+				t.Errorf("%s @ %#x×%d: input digest %s, want %s", full.Short, p.seed, p.streams, got, want)
+			}
+		}
+	}
+}
+
+// inputDigest hashes the float32 bits of each input in order.
+func inputDigest(inputs []*stonne.Tensor) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, in := range inputs {
+		for _, v := range in.Data() {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // modelDigest folds weightDigests in layer-name order into one hex digest.

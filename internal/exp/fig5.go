@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/simpool"
 	"repro/internal/stats"
@@ -48,8 +47,8 @@ func fig5Arches() []config.Hardware {
 }
 
 // fig5Job is one simulation unit: one model on one architecture. The job
-// reads its shared workload and draws its input from a fixed seed, so any
-// worker count produces identical rows.
+// reads its shared workload and draws the workload's input 0, so any worker
+// count produces identical rows.
 type fig5Job struct {
 	wl *workload
 	hw config.Hardware
@@ -61,7 +60,7 @@ type fig5Job struct {
 // results in the serial row order regardless of completion order.
 // workers <= 0 uses GOMAXPROCS; workers == 1 is exactly the serial loop.
 func Fig5Par(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row, error) {
-	wls, err := seededModels(tags, scale, 0xf165)
+	wls, err := seededModels(tags, scale, 0xf165, 0x1217)
 	if err != nil {
 		return nil, err
 	}
@@ -78,10 +77,9 @@ func Fig5Par(ctx context.Context, workers, scale int, tags []string) ([]Fig5Row,
 
 // fig5Run simulates one (model, architecture) pair.
 func fig5Run(wl *workload, hw config.Hardware, scale int) (Fig5Row, error) {
-	input := dnn.RandomInput(wl.m, 0x1217)
-	_, mr, err := stonne.RunModel(wl.m, wl.w, input, hw, nil)
+	_, mr, err := stonne.RunModel(wl.Model, wl.w, wl.Input(0), hw, nil)
 	if err != nil {
-		return Fig5Row{}, fmt.Errorf("fig5 %s on %s: %w", wl.m.Name, hw.Name, err)
+		return Fig5Row{}, fmt.Errorf("fig5 %s on %s: %w", wl.Model.Name, hw.Name, err)
 	}
 	counters := map[string]uint64{}
 	for _, r := range mr.Runs {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dnn"
 	"repro/internal/simpool"
 	"repro/stonne"
 )
@@ -48,7 +47,7 @@ func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error)
 	if images < 1 {
 		images = 1
 	}
-	wls, err := seededModels([]string{"A", "S", "V", "R"}, scale, 0xf166)
+	wls, err := seededModels([]string{"A", "S", "V", "R"}, scale, 0xf166, 0x100)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +92,14 @@ func Fig6Par(ctx context.Context, workers, scale, images int) ([]Fig6Row, error)
 // fig6Image runs one model on one input image, SNAPEA and baseline.
 func fig6Image(wl *workload, img int) (fig6Cell, error) {
 	hw := archHW("snapea", 64, 64)
-	input := dnn.RandomInput(wl.m, 0x100+uint64(img))
-	_, snap, err := stonne.RunModel(wl.m, wl.w, input, hw, nil)
+	input := wl.Input(img)
+	_, snap, err := stonne.RunModel(wl.Model, wl.w, input, hw, nil)
 	if err != nil {
-		return fig6Cell{}, fmt.Errorf("fig6 %s snapea: %w", wl.m.Name, err)
+		return fig6Cell{}, fmt.Errorf("fig6 %s snapea: %w", wl.Model.Name, err)
 	}
-	_, base, err := stonne.RunModel(wl.m, wl.w, input, hw, &stonne.RunOptions{DisableSNAPEACut: true})
+	_, base, err := stonne.RunModel(wl.Model, wl.w, input, hw, &stonne.RunOptions{DisableSNAPEACut: true})
 	if err != nil {
-		return fig6Cell{}, fmt.Errorf("fig6 %s baseline: %w", wl.m.Name, err)
+		return fig6Cell{}, fmt.Errorf("fig6 %s baseline: %w", wl.Model.Name, err)
 	}
 	return fig6Cell{
 		cycA: snap.TotalCycles(), cycB: base.TotalCycles(),

@@ -32,11 +32,15 @@ type fig7Pair struct {
 }
 
 // Fig7Par computes both panels at the given scale and the Table I sparsity
-// ratios, over a 256-switch fabric. One simpool job per model.
+// ratios, over a 256-switch fabric. One simpool job per model, which also
+// builds the model's weights: no other job reads them.
 func Fig7Par(ctx context.Context, workers, scale int) ([]Fig7aRow, []Fig7bRow, error) {
-	models := dnn.AllModels()
-	pairs, err := simpool.Map(ctx, workers, models, func(_ context.Context, _ int, full *dnn.Model) (fig7Pair, error) {
-		return fig7Model(full, scale)
+	pairs, err := simpool.Map(ctx, workers, dnn.AllModels(), func(_ context.Context, _ int, full *dnn.Model) (fig7Pair, error) {
+		wls, err := seededModels([]string{full.Short}, scale, 0xf167, 0) // weights only
+		if err != nil {
+			return fig7Pair{}, err
+		}
+		return fig7Model(wls[0]), nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -49,12 +53,9 @@ func Fig7Par(ctx context.Context, workers, scale int) ([]Fig7aRow, []Fig7bRow, e
 	return aRows, bRows, nil
 }
 
-func fig7Model(full *dnn.Model, scale int) (fig7Pair, error) {
+func fig7Model(wl *workload) fig7Pair {
 	const capacity = 256
-	m, w, err := seededModel(full, scale, 0xf167)
-	if err != nil {
-		return fig7Pair{}, err
-	}
+	m, w := wl.Model, wl.w
 	var sumFilters, layerCount float64
 	var first []int
 	for i := range m.Layers {
@@ -84,9 +85,9 @@ func fig7Model(full *dnn.Model, scale int) (fig7Pair, error) {
 		avg = sumFilters / layerCount
 	}
 	return fig7Pair{
-		a: Fig7aRow{Model: full.Name, AvgFilters: avg},
-		b: Fig7bRow{Model: full.Name, Sizes: first},
-	}, nil
+		a: Fig7aRow{Model: wl.name, AvgFilters: avg},
+		b: Fig7bRow{Model: wl.name, Sizes: first},
+	}
 }
 
 // filterNNZ returns the non-zero count of each filter (row of the GEMM

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/dnn"
 	"repro/internal/sched"
 	"repro/internal/simpool"
 	"repro/stonne"
@@ -40,7 +39,7 @@ type fig9Job struct {
 // one simpool job per (model, policy) run. runs[i][j] is model i under
 // policies[j].
 func fig9Sweep(ctx context.Context, workers, scale int, tags []string, policies []sched.Policy) (wls []*workload, runs [][]*stonne.ModelRun, err error) {
-	wls, err = seededModels(tags, scale, 0xf169)
+	wls, err = seededModels(tags, scale, 0xf169, 0x919)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -51,10 +50,9 @@ func fig9Sweep(ctx context.Context, workers, scale int, tags []string, policies 
 		}
 	}
 	mrs, err := simpool.Map(ctx, workers, jobs, func(_ context.Context, _ int, j fig9Job) (*stonne.ModelRun, error) {
-		input := dnn.RandomInput(j.wl.m, 0x919)
-		_, mr, err := stonne.RunModel(j.wl.m, j.wl.w, input, archHW("sigma", 256, 128), &stonne.RunOptions{Policy: j.pol})
+		_, mr, err := stonne.RunModel(j.wl.Model, j.wl.w, j.wl.Input(0), archHW("sigma", 256, 128), &stonne.RunOptions{Policy: j.pol})
 		if err != nil {
-			return nil, fmt.Errorf("fig9 %s %v: %w", j.wl.m.Name, j.pol, err)
+			return nil, fmt.Errorf("fig9 %s %v: %w", j.wl.Model.Name, j.pol, err)
 		}
 		return mr, nil
 	})

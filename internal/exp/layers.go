@@ -15,6 +15,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/stonne"
 )
 
 // RepLayer is one of the eight representative layers of Figure 1,
@@ -101,17 +102,9 @@ func convOperands(l *dnn.Layer) (in, w *tensor.Tensor) {
 	cs := l.Conv
 	rng := dnn.NewRNG(0xc04 + uint64(cs.K*cs.C*cs.X))
 	in = tensor.New(1, cs.C, cs.X, cs.Y)
-	for i, d := 0, in.Data(); i < len(d); i++ {
-		v := rng.Normal()
-		if v < 0 {
-			v = 0
-		}
-		d[i] = float32(v)
-	}
+	dnn.FillNormal(rng, in.Data(), true)
 	w = tensor.New(cs.K, cs.C/cs.G, cs.R, cs.S)
-	for i, d := 0, w.Data(); i < len(d); i++ {
-		d[i] = float32(rng.Normal())
-	}
+	dnn.FillNormal(rng, w.Data(), false)
 	return in, w
 }
 
@@ -122,22 +115,14 @@ func layerOperands(l *dnn.Layer, sparsity float64, seed uint64) (A, B *tensor.Te
 	m, n, k := l.GEMMDims()
 	rng := dnn.NewRNG(seed)
 	A = tensor.New(m, k)
-	for i, d := 0, A.Data(); i < len(d); i++ {
-		d[i] = float32(rng.Normal())
-	}
+	dnn.FillNormal(rng, A.Data(), false)
 	if sparsity > 0 {
 		if err := pruneDense(A, sparsity); err != nil {
 			return nil, nil, err
 		}
 	}
 	B = tensor.New(k, n)
-	for i, d := 0, B.Data(); i < len(d); i++ {
-		v := rng.Normal()
-		if v < 0 {
-			v = 0 // post-ReLU activation statistics
-		}
-		d[i] = float32(v)
-	}
+	dnn.FillNormal(rng, B.Data(), true)
 	return A, B, nil
 }
 
@@ -146,33 +131,21 @@ func pruneDense(t *tensor.Tensor, target float64) error {
 	return w.Prune(target)
 }
 
-// seededModel scales a zoo model and draws its weights from seed, pruned to
-// the model's Table I sparsity — the workload of every model figure.
-func seededModel(full *dnn.Model, scale int, seed uint64) (*dnn.Model, *dnn.Weights, error) {
-	m, err := dnn.ScaleSpatial(full, scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := dnn.InitWeights(m, seed)
-	if err := w.Prune(m.Sparsity); err != nil {
-		return nil, nil, err
-	}
-	return m, w, nil
-}
-
-// workload is one seeded zoo model of a figure. A figure builds each of its
-// workloads once, before its simpool jobs start, and the jobs share it
-// read-only: no run writes a model or its weights
+// workload is one seeded zoo model of a figure, with its weights drawn. A
+// figure builds each of its workloads once, and the simpool jobs that read
+// it share it read-only: no run writes a model or its weights
 // (TestRunModelLeavesWeightsUnchanged).
 type workload struct {
 	name string // the Table I name, without the scale suffix
-	m    *dnn.Model
-	w    *dnn.Weights
+	stonne.SeededModel
+	w *dnn.Weights
 }
 
 // seededModels builds the workload of each model tag (nil = all seven of
-// Table I), in order.
-func seededModels(tags []string, scale int, seed uint64) ([]*workload, error) {
+// Table I), in order: the zoo model at the spatial scale, its weights drawn
+// from seed and its inputs from inputSeed on. One (seed, inputSeed) pair is
+// a figure's whole recipe.
+func seededModels(tags []string, scale int, seed, inputSeed uint64) ([]*workload, error) {
 	if tags == nil {
 		tags = []string{"M", "S", "A", "R", "V", "S-M", "B"}
 	}
@@ -182,11 +155,16 @@ func seededModels(tags []string, scale int, seed uint64) ([]*workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, w, err := seededModel(full, scale, seed)
+		m, err := dnn.ScaleSpatial(full, scale)
 		if err != nil {
 			return nil, err
 		}
-		wls[i] = &workload{name: full.Name, m: m, w: w}
+		sm := stonne.SeededModel{Model: m, Seed: seed, InputSeed: inputSeed}
+		w, err := sm.Weights()
+		if err != nil {
+			return nil, err
+		}
+		wls[i] = &workload{name: full.Name, SeededModel: sm, w: w}
 	}
 	return wls, nil
 }

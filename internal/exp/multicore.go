@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dnn"
 	"repro/stonne"
 )
 
@@ -42,7 +41,7 @@ var MulticoreCores = []int{1, 2, 4}
 // pipeline. Rows come out grouped by placement, core counts ascending,
 // with Speedup normalized inside each placement group.
 func Multicore(scale int) ([]MulticoreRow, error) {
-	wls, err := seededModels([]string{"M"}, scale, 0xf165)
+	wls, err := seededModels([]string{"M"}, scale, 0xf165, 0x1217) // Fig. 5's recipe
 	if err != nil {
 		return nil, err
 	}
@@ -51,16 +50,13 @@ func Multicore(scale int) ([]MulticoreRow, error) {
 
 	maxCores := MulticoreCores[len(MulticoreCores)-1]
 	streams := 2 * maxCores
-	inputs := make([]*stonne.Tensor, streams)
-	for i := range inputs {
-		inputs[i] = dnn.RandomInput(wl.m, 0x1217+uint64(i))
-	}
+	inputs := wl.Inputs(streams)
 
 	var rows []MulticoreRow
 	for _, placement := range []string{"layer", "batch"} {
 		var base float64
 		for _, cores := range MulticoreCores {
-			_, cr, err := stonne.RunModelChip(context.Background(), wl.m, wl.w, inputs, hw,
+			_, cr, err := stonne.RunModelChip(context.Background(), wl.Model, wl.w, inputs, hw,
 				stonne.ChipOptions{Cores: cores, Placement: placement}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("multicore %d-core %s: %w", cores, placement, err)

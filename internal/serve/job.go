@@ -266,23 +266,20 @@ func executeOp(ctx context.Context, j *job, res *Result, progress progressFn) er
 }
 
 // executeModel runs a model job through the chip composition (a 1-core
-// chip is byte-identical to the flat model runner), with seeded weights
-// pruned to the model's Table I sparsity and one seeded input per stream.
+// chip is byte-identical to the flat model runner) on the job's seeded
+// model: weights from seed, stream i's input from seed+1+i, as `stonne
+// model` draws them.
 func executeModel(ctx context.Context, j *job, res *Result, progress progressFn) error {
 	pol, err := stonne.ParsePolicy(j.jk.Policy)
 	if err != nil {
 		return err
 	}
-	m := j.model
-	w := stonne.InitWeights(m, j.jk.Seed)
-	if err := w.Prune(m.Sparsity); err != nil {
+	sm := stonne.SeededModel{Model: j.model, Seed: j.jk.Seed, InputSeed: j.jk.Seed + 1}
+	w, err := sm.Weights()
+	if err != nil {
 		return err
 	}
 	chip := j.jk.Chip
-	inputs := make([]*stonne.Tensor, chip.Streams)
-	for i := range inputs {
-		inputs[i] = stonne.RandomInput(m, j.jk.Seed+1+uint64(i))
-	}
 	copts := stonne.ChipOptions{
 		Cores:     chip.Cores,
 		Placement: chip.Placement,
@@ -295,7 +292,7 @@ func executeModel(ctx context.Context, j *job, res *Result, progress progressFn)
 			progress(fmt.Sprintf("%s/core%d", prefix, core), endCycle, stream+1, 0, 0)
 		}
 	}
-	outs, cr, err := stonne.RunModelChip(ctx, m, w, inputs, j.jk.HW, copts, &stonne.RunOptions{Policy: pol})
+	outs, cr, err := stonne.RunModelChip(ctx, sm.Model, w, sm.Inputs(chip.Streams), j.jk.HW, copts, &stonne.RunOptions{Policy: pol})
 	if err != nil {
 		return err
 	}

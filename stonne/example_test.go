@@ -63,11 +63,12 @@ func ExampleRunModel() {
 	if err := model.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	weights := stonne.InitWeights(model, 2024)
-	if err := weights.Prune(model.Sparsity); err != nil {
+	sm := stonne.SeededModel{Model: model, Seed: 2024, InputSeed: 7}
+	weights, err := sm.Weights() // pruned to model.Sparsity
+	if err != nil {
 		log.Fatal(err)
 	}
-	input := stonne.RandomInput(model, 7)
+	input := sm.Input(0)
 
 	simulated, mr, err := stonne.RunModel(model, weights, input, stonne.MAERILike(128, 64), nil)
 	if err != nil {

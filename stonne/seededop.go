@@ -55,13 +55,13 @@ func (o SeededOp) Check() (CheckedOp, error) {
 		if o.M <= 0 || o.N <= 0 || o.K <= 0 {
 			return CheckedOp{}, fmt.Errorf("%s needs positive m, n, k (got %d, %d, %d)", o.Op, o.M, o.N, o.K)
 		}
-		if err := checkElems("MK operand", o.M, o.K); err != nil {
+		if err := checkElems("MK operand", maxOperandElems, o.M, o.K); err != nil {
 			return CheckedOp{}, err
 		}
-		if err := checkElems("KN operand", o.K, o.N); err != nil {
+		if err := checkElems("KN operand", maxOperandElems, o.K, o.N); err != nil {
 			return CheckedOp{}, err
 		}
-		if err := checkElems("MN output", o.M, o.N); err != nil {
+		if err := checkElems("MN output", maxOperandElems, o.M, o.N); err != nil {
 			return CheckedOp{}, err
 		}
 		if o.Op == "spmm" {
@@ -81,13 +81,16 @@ func (o SeededOp) Check() (CheckedOp, error) {
 		if err := cs.Validate(); err != nil {
 			return CheckedOp{}, err
 		}
-		if err := checkElems("conv input", cs.N, cs.C, cs.X, cs.Y); err != nil {
+		if err := checkElems("conv input", maxOperandElems, cs.N, cs.C, cs.X, cs.Y); err != nil {
 			return CheckedOp{}, err
 		}
-		if err := checkElems("conv filters", cs.K, cs.C/cs.G, cs.R, cs.S); err != nil {
+		if err := checkElems("conv filters", maxOperandElems, cs.K, cs.C/cs.G, cs.R, cs.S); err != nil {
 			return CheckedOp{}, err
 		}
-		if err := checkElems("conv output", cs.N, cs.K, cs.OutX(), cs.OutY()); err != nil {
+		if err := checkElems("conv output", maxOperandElems, cs.N, cs.K, cs.OutX(), cs.OutY()); err != nil {
+			return CheckedOp{}, err
+		}
+		if err := checkElems("conv lowering", maxLoweringElems, cs.C/cs.G, cs.R, cs.S, cs.N, cs.OutX(), cs.OutY()); err != nil {
 			return CheckedOp{}, err
 		}
 		if o.Tile != nil {
@@ -107,15 +110,21 @@ func (o SeededOp) Check() (CheckedOp, error) {
 // tens of GB.
 const maxOperandElems = 1 << 24
 
+// maxLoweringElems bounds a conv's im2col lowering, (C/G·R·S) × (N·X'·Y')
+// elements per group: the matrix sigma, tpu and snapea build, and the
+// per-filter MAC count every fabric walks. It sits above maxOperandElems
+// because the lowering of a full-size Table I layer does (VGG-16 conv1_2:
+// 28 901 376 elements).
+const maxLoweringElems = 1 << 26
+
 // checkElems refuses an operand whose positive dims multiply to more than
-// maxOperandElems. It compares before it multiplies, so no product
-// overflows; only the error keeps a copy of dims, so an accepted op
-// allocates nothing here.
-func checkElems(what string, dims ...int) error {
+// limit. It compares before it multiplies, so no product overflows; only
+// the error keeps a copy of dims, so an accepted op allocates nothing here.
+func checkElems(what string, limit int, dims ...int) error {
 	n := 1
 	for _, d := range dims {
-		if d > maxOperandElems/n {
-			return fmt.Errorf("%s %v exceeds the limit of %d elements", what, slices.Clone(dims), maxOperandElems)
+		if d > limit/n {
+			return fmt.Errorf("%s %v exceeds the limit of %d elements", what, slices.Clone(dims), limit)
 		}
 		n *= d
 	}
@@ -129,22 +138,20 @@ func checkElems(what string, dims ...int) error {
 func (s *Instance) RunSeededOp(c CheckedOp, seed uint64) (*Tensor, *Run, error) {
 	op := c.op
 	rng := dnn.NewRNG(seed)
-	randTensor := func(shape ...int) *Tensor {
+	randTensor := func(relu bool, shape ...int) *Tensor {
 		t := NewTensor(shape...)
-		for i, d := 0, t.Data(); i < len(d); i++ {
-			d[i] = float32(rng.Normal())
-		}
+		dnn.FillNormal(rng, t.Data(), relu)
 		return t
 	}
 	switch op.Op {
 	case "gemm":
 		s.ConfigureDMM()
-		s.ConfigureData(randTensor(op.M, op.K), randTensor(op.K, op.N))
+		s.ConfigureData(randTensor(false, op.M, op.K), randTensor(false, op.K, op.N))
 	case "spmm":
 		s.ConfigureSpMM(c.pol)
-		A := randTensor(op.M, op.K)
+		A := randTensor(false, op.M, op.K)
 		pruneTo(A, op.Sparsity)
-		s.ConfigureData(A, randTensor(op.K, op.N))
+		s.ConfigureData(A, randTensor(false, op.K, op.N))
 	case "conv":
 		cs := *op.Conv
 		if err := s.ConfigureCONV(cs); err != nil {
@@ -153,20 +160,46 @@ func (s *Instance) RunSeededOp(c CheckedOp, seed uint64) (*Tensor, *Run, error) 
 		if op.Tile != nil {
 			s.ConfigureTile(*op.Tile)
 		}
-		w := randTensor(cs.K, cs.C/cs.G, cs.R, cs.S)
-		in := NewTensor(cs.N, cs.C, cs.X, cs.Y)
-		for i, d := 0, in.Data(); i < len(d); i++ {
-			v := rng.Normal()
-			if v < 0 {
-				v = 0
-			}
-			d[i] = float32(v)
-		}
-		s.ConfigureData(w, in)
+		w := randTensor(false, cs.K, cs.C/cs.G, cs.R, cs.S)
+		s.ConfigureData(w, randTensor(true, cs.N, cs.C, cs.X, cs.Y))
 	default: // the zero CheckedOp: Check never ran
 		return nil, nil, fmt.Errorf("seeded op %q was not checked", op.Op)
 	}
 	return s.RunOperation()
+}
+
+// SeededModel is one model workload of the user-interface mode (Fig. 2):
+// the model with the seeds of its weights and of its inputs. It is the one
+// model builder behind `stonne model`, the stonned model job and every
+// model figure, so the same three values give the same tensors everywhere.
+type SeededModel struct {
+	Model     *Model
+	Seed      uint64 // weights: InitWeights(Model, Seed)
+	InputSeed uint64 // input i: RandomInput(Model, InputSeed+i)
+}
+
+// Weights draws the model's weights and prunes them to its Table I
+// sparsity.
+func (s SeededModel) Weights() (*Weights, error) {
+	w := dnn.InitWeights(s.Model, s.Seed)
+	if err := w.Prune(s.Model.Sparsity); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Input draws input i: stream i of a chip run, image i of a sweep.
+func (s SeededModel) Input(i int) *Tensor {
+	return dnn.RandomInput(s.Model, s.InputSeed+uint64(i))
+}
+
+// Inputs draws inputs 0 to n-1.
+func (s SeededModel) Inputs(n int) []*Tensor {
+	ins := make([]*Tensor, n)
+	for i := range ins {
+		ins[i] = s.Input(i)
+	}
+	return ins
 }
 
 // pruneTo zeroes each element with probability sparsity, drawn from a fixed

@@ -3,6 +3,8 @@ package stonne
 import (
 	"math"
 	"testing"
+
+	"repro/internal/dnn"
 )
 
 // The CLI and the service used to keep their own copies of these checks and
@@ -37,10 +39,14 @@ func TestSeededOpCheck(t *testing.T) {
 		{"conv input over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 1, S: 1, C: 2, G: 1, K: 1, N: 1, X: 4096, Y: 2049, Stride: 4096}}, false},
 		{"conv filters over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 2, S: 2, C: 2048, G: 1, K: 2049, N: 1, X: 2, Y: 2, Stride: 1}}, false},
 		{"conv output over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 1, S: 1, C: 1, G: 1, K: 1 << 10, N: 1, X: 1 << 7, Y: 1<<7 + 1, Stride: 1}}, false},
+		// Input, filters and output in bounds; the im2col lowering is
+		// about 9·10^12 elements, over 1<<26.
+		{"conv lowering over the limit", SeededOp{Op: "conv", Conv: &ConvShape{R: 1000, S: 1000, C: 1, G: 1, K: 1, N: 1, X: 4000, Y: 4000, Stride: 1}}, false},
 	} {
 		checked, err := tc.op.Check()
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Check() = %v, want ok=%v", tc.name, err, tc.ok)
+			continue // never run an op a bound should have refused
 		}
 		// The runner takes only what Check returned, and a failed Check
 		// returns nothing runnable, so no caller can skip the checks.
@@ -50,6 +56,22 @@ func TestSeededOpCheck(t *testing.T) {
 		}
 		if _, _, rerr := inst.RunSeededOp(checked, 1); (rerr == nil) != tc.ok {
 			t.Errorf("%s: RunSeededOp() = %v, want ok=%v", tc.name, rerr, tc.ok)
+		}
+	}
+}
+
+// The conv bounds sit above the paper's workloads: every conv layer of the
+// seven Table I models, unscaled, passes Check.
+func TestTableIConvsPassCheck(t *testing.T) {
+	for _, m := range AllModels() {
+		for i := range m.Layers {
+			l := &m.Layers[i]
+			if l.Kind != dnn.Conv {
+				continue
+			}
+			if _, err := (SeededOp{Op: "conv", Conv: &l.Conv}).Check(); err != nil {
+				t.Errorf("%s/%s: %v", m.Name, l.Name, err)
+			}
 		}
 	}
 }

@@ -204,8 +204,6 @@ type PacketKind uint8
 const (
 	WeightPkt PacketKind = iota
 	InputPkt
-	PsumPkt
-	OutputPkt
 )
 
 func (k PacketKind) String() string {
@@ -214,32 +212,31 @@ func (k PacketKind) String() string {
 		return "weight"
 	case InputPkt:
 		return "input"
-	case PsumPkt:
-		return "psum"
-	case OutputPkt:
-		return "output"
 	default:
 		return fmt.Sprintf("PacketKind(%d)", int(k))
 	}
 }
 
-// Packet is one element in flight through the fabric.
+// Packet is one element in flight through the fabric: 16 bytes, so a
+// distribution-network delivery and an operand FIFO slot stay small.
 type Packet struct {
 	Value float32
-	Kind  PacketKind
-	// VN identifies the virtual neuron / cluster the value belongs to.
-	VN int
-	// Seq is the element's position within its dot product or stream.
-	Seq int
+	// Seq is the compute step the element belongs to. It counts steps
+	// modulo 2³²: a switch's psum is matched to its reduction by equality
+	// on Seq alone, which stays exact after the counter wraps because the
+	// steps in flight at once — queued in the distribution network (at most
+	// its 1024-delivery injection queue), in operand FIFOs and psum latches,
+	// and awaiting reduction — span a window many orders of magnitude below
+	// 2³², so two live steps never share a value.
+	Seq uint32
 	// Gen is the stationary-configuration generation. A weight packet with
 	// Gen != 0 lands in the switch's shadow register; an input packet with
 	// Gen != 0 promotes the matching shadow to the live stationary before
 	// multiplying — SIGMA-style double-buffered reconfiguration that lets
 	// consecutive rounds pipeline. Gen 0 is the barrier-synchronized dense
 	// path.
-	Gen uint32
-	// Last marks the final contribution to an accumulation.
-	Last bool
+	Gen  uint32
+	Kind PacketKind
 }
 
 // FIFO is a fixed-capacity ring of packets with push/pop activity

@@ -64,7 +64,7 @@ func TestFIFOBasics(t *testing.T) {
 func TestFIFOOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
 		fifo := NewFIFO(make([]Packet, 8))
-		nextPush, nextPop := 0, 0
+		var nextPush, nextPop uint32
 		for _, push := range ops {
 			if push {
 				full := nextPush-nextPop == 8
@@ -105,9 +105,9 @@ func TestFIFOOrderProperty(t *testing.T) {
 func TestFIFORingWraps(t *testing.T) {
 	for _, capacity := range []int{1, 2, 4} {
 		f := NewFIFO(make([]Packet, capacity))
-		var oracle []int
+		var oracle []uint32
 		var pushes, pops uint64
-		seq := 0
+		var seq uint32
 		// Push bursts and pop bursts of varying length: bursts longer than
 		// the capacity hit Full and Empty, and the head keeps moving round.
 		for round := 0; round < 100*capacity; round++ {
@@ -154,7 +154,7 @@ func TestFIFORingWraps(t *testing.T) {
 
 func TestPacketKindString(t *testing.T) {
 	for k, want := range map[PacketKind]string{
-		WeightPkt: "weight", InputPkt: "input", PsumPkt: "psum", OutputPkt: "output",
+		WeightPkt: "weight", InputPkt: "input", InputPkt + 1: "PacketKind(2)",
 	} {
 		if k.String() != want {
 			t.Errorf("%v", k)

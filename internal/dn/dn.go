@@ -22,13 +22,15 @@ import (
 // Delivery is one unique value read from the Global Buffer this cycle,
 // fanned out to a set of multiplier-switch destinations. Multicast is a
 // single delivery with many destinations; the network decides what that
-// costs in bandwidth and link energy.
+// costs in bandwidth and link energy. It is 48 bytes: the injection queue
+// and the sources' item buffers hold it by value.
 type Delivery struct {
 	Pkt comp.Packet
-	// Dests is a read-only destination table of the operation being run:
-	// the schedule builds each distinct set once, many deliveries (queued
-	// ones included) may share one, and it outlives them all — so no network
-	// writes through it, and copying a Delivery copies only the reference.
+	// Dests is a read-only destination table of the operation being run,
+	// never empty: the schedule builds each distinct set once, many
+	// deliveries (queued ones included) may share one, and it outlives them
+	// all — so no network writes through it, and copying a Delivery copies
+	// only the reference.
 	Dests []int
 	// Forward marks a value that travels over the multiplier network's
 	// forwarding links instead of the distribution tree (Linear MN
@@ -58,9 +60,10 @@ type Network interface {
 	// Cycle moves up to the per-cycle budget of queued deliveries.
 	Cycle()
 	comp.Lookahead
-	// Offer enqueues a delivery into the injection queue; false means the
-	// queue is full and the caller must retry next cycle.
-	Offer(d Delivery) bool
+	// OfferAll copies the longest prefix of ds that fits into the injection
+	// queue and returns its length; the caller offers the rest again next
+	// cycle.
+	OfferAll(ds []Delivery) int
 	// Pending reports queued plus in-flight deliveries.
 	Pending() int
 	// SetSink wires the destination array.
@@ -79,7 +82,10 @@ type base struct {
 	queue   []Delivery
 	head, n int
 
-	// Pre-resolved counter handles shared by all DN kinds (per-cycle path).
+	// Pre-resolved counter handles shared by all DN kinds. Each Cycle sums
+	// its events locally and adds them once, at the end of the call: the
+	// trace recorder reads counters only between cycles, so it sees the
+	// same per-cycle deltas as from one Add per event.
 	cStalls, cInjections, cActive comp.Counter
 }
 
@@ -92,23 +98,28 @@ func newBase(bandwidth int, c *comp.Counters) base {
 	}
 }
 
-func (b *base) Offer(d Delivery) bool {
-	if len(d.Dests) == 0 {
-		return true // nothing to deliver
-	}
-	if b.n == len(b.queue) {
-		if b.n >= queueCap {
-			return false
+func (b *base) OfferAll(ds []Delivery) int {
+	offered := 0
+	for offered < len(ds) {
+		if b.n == len(b.queue) {
+			if b.n >= queueCap {
+				break
+			}
+			b.grow()
 		}
-		b.grow()
+		// Copy into the free run that starts at the tail: up to the end of
+		// the ring, or up to the head once the tail has wrapped.
+		tail := b.head + b.n
+		end := len(b.queue)
+		if tail >= end {
+			tail -= end
+			end = b.head
+		}
+		k := copy(b.queue[tail:end], ds[offered:])
+		b.n += k
+		offered += k
 	}
-	i := b.head + b.n
-	if i >= len(b.queue) {
-		i -= len(b.queue)
-	}
-	b.queue[i] = d
-	b.n++
-	return true
+	return offered
 }
 func (b *base) Pending() int   { return b.n }
 func (b *base) SetSink(s Sink) { b.sink = s }
@@ -116,6 +127,7 @@ func (b *base) SetSink(s Sink) { b.sink = s }
 // grow doubles the full ring (16 slots at first, queueCap at most),
 // unrolling it to start at slot 0.
 func (b *base) grow() {
+	//lint:ignore hotpathalloc the ring doubles only when full and stops at queueCap, so a run allocates it at most seven times
 	q := make([]Delivery, min(max(2*len(b.queue), 16), queueCap))
 	copy(q[copy(q, b.queue[b.head:]):], b.queue[:b.head])
 	b.queue, b.head = q, 0
@@ -175,21 +187,33 @@ func NewTree(leaves, bandwidth int, c *comp.Counters) *Tree {
 // counts of Table V, which show no cycle-level benefit from
 // sliding-window forwarding at the validation tile.)
 func (t *Tree) Cycle() {
-	n := 0
-	for n < t.bandwidth && t.n > 0 {
-		d := t.queue[t.head]
+	var n, injections, links, forwards uint64
+	stalled := false
+	for n < uint64(t.bandwidth) && t.n > 0 {
+		d := &t.queue[t.head]
 		if !t.sink.DeliverAll(d.Dests, d.Pkt) {
-			t.cStalls.Add(1)
+			stalled = true
 			break // head-of-line blocking until the MN drains
 		}
-		t.qpop()
 		n++
 		if d.Forward {
-			t.cForwards.Add(uint64(len(d.Dests)))
-			continue
+			forwards += uint64(len(d.Dests))
+		} else {
+			injections++
+			links += uint64(d.Edges)
 		}
-		t.cInjections.Add(1)
-		t.cLinkTrav.Add(uint64(d.Edges))
+		t.qpop()
+	}
+	// Dests is never empty, so a forwarded delivery always adds to forwards.
+	if injections > 0 {
+		t.cInjections.Add(injections)
+		t.cLinkTrav.Add(links)
+	}
+	if forwards > 0 {
+		t.cForwards.Add(forwards)
+	}
+	if stalled {
+		t.cStalls.Add(1)
 	}
 	if n > 0 {
 		t.cActive.Add(1)
@@ -260,16 +284,15 @@ func NewBenes(leaves, bandwidth int, c *comp.Counters) *Benes {
 // Cycle serves up to bandwidth destination deliveries, splitting a wide
 // fan-out across cycles.
 func (b *Benes) Cycle() {
-	n := 0
-	for n < b.bandwidth && b.n > 0 {
-		d := b.queue[b.head]
-		for b.partial < len(d.Dests) && n < b.bandwidth {
+	var n, hops uint64
+	stalled := false
+deliver:
+	for n < uint64(b.bandwidth) && b.n > 0 {
+		d := &b.queue[b.head]
+		for b.partial < len(d.Dests) && n < uint64(b.bandwidth) {
 			if !b.sink.DeliverAll(d.Dests[b.partial:b.partial+1], d.Pkt) {
-				b.cStalls.Add(1)
-				if n > 0 {
-					b.cActive.Add(1)
-				}
-				return
+				stalled = true
+				break deliver
 			}
 			// Replication happens inside the network: the first copy of a
 			// value traverses all levels; further copies of the same
@@ -277,19 +300,25 @@ func (b *Benes) Cycle() {
 			// half. Mapping more clusters simultaneously widens fan-outs
 			// and saves these hops — the DN energy gain the scheduling
 			// study reports.
-			hops := b.levels
 			if b.partial > 0 {
-				hops = (b.levels + 1) / 2
+				hops += uint64((b.levels + 1) / 2)
+			} else {
+				hops += uint64(b.levels)
 			}
 			b.partial++
 			n++
-			b.cInjections.Add(1)
-			b.cSwitchTrav.Add(uint64(hops))
 		}
 		if b.partial == len(d.Dests) {
 			b.qpop()
 			b.partial = 0
 		}
+	}
+	if n > 0 {
+		b.cInjections.Add(n)
+		b.cSwitchTrav.Add(hops)
+	}
+	if stalled {
+		b.cStalls.Add(1)
 	}
 	if n > 0 {
 		b.cActive.Add(1)
@@ -316,26 +345,30 @@ func NewPointToPoint(leaves, bandwidth int, c *comp.Counters) *PointToPoint {
 // Cycle sends up to bandwidth unicasts, splitting multicast deliveries into
 // one unicast per destination.
 func (p *PointToPoint) Cycle() {
-	n := 0
-	for n < p.bandwidth && p.n > 0 {
-		d := p.queue[p.head]
-		for p.partial < len(d.Dests) && n < p.bandwidth {
+	var n uint64
+	stalled := false
+deliver:
+	for n < uint64(p.bandwidth) && p.n > 0 {
+		d := &p.queue[p.head]
+		for p.partial < len(d.Dests) && n < uint64(p.bandwidth) {
 			if !p.sink.DeliverAll(d.Dests[p.partial:p.partial+1], d.Pkt) {
-				p.cStalls.Add(1)
-				if n > 0 {
-					p.cActive.Add(1)
-				}
-				return
+				stalled = true
+				break deliver
 			}
 			p.partial++
 			n++
-			p.cInjections.Add(1)
-			p.cLinkTrav.Add(1)
 		}
 		if p.partial == len(d.Dests) {
 			p.qpop()
 			p.partial = 0
 		}
+	}
+	if n > 0 {
+		p.cInjections.Add(n)
+		p.cLinkTrav.Add(n)
+	}
+	if stalled {
+		p.cStalls.Add(1)
 	}
 	if n > 0 {
 		p.cActive.Add(1)

@@ -33,6 +33,9 @@ func (c *collector) DeliverAll(dests []int, p comp.Packet) bool {
 	return true
 }
 
+// offer offers one delivery and reports whether the queue took it.
+func offer(n Network, d Delivery) bool { return n.OfferAll([]Delivery{d}) == 1 }
+
 func (c *collector) count() int {
 	n := 0
 	for _, ps := range c.got {
@@ -47,7 +50,7 @@ func TestTreeMulticastSingleCycle(t *testing.T) {
 	col := newCollector()
 	tree.SetSink(col)
 	// One multicast to 8 destinations = one bandwidth slot.
-	tree.Offer(Delivery{Pkt: comp.Packet{Value: 1}, Dests: []int{0, 1, 2, 3, 4, 5, 6, 7}})
+	offer(tree, Delivery{Pkt: comp.Packet{Value: 1}, Dests: []int{0, 1, 2, 3, 4, 5, 6, 7}})
 	tree.Cycle()
 	if col.count() != 8 {
 		t.Fatalf("multicast delivered %d, want 8", col.count())
@@ -63,7 +66,7 @@ func TestTreeBandwidthLimit(t *testing.T) {
 	col := newCollector()
 	tree.SetSink(col)
 	for i := 0; i < 5; i++ {
-		tree.Offer(Delivery{Pkt: comp.Packet{Seq: i}, Dests: []int{i}})
+		offer(tree, Delivery{Pkt: comp.Packet{Seq: uint32(i)}, Dests: []int{i}})
 	}
 	tree.Cycle()
 	if col.count() != 2 {
@@ -82,7 +85,7 @@ func TestTreeBackpressureIsAtomic(t *testing.T) {
 	col := newCollector()
 	col.rejects[3] = true
 	tree.SetSink(col)
-	tree.Offer(Delivery{Pkt: comp.Packet{Value: 9}, Dests: []int{1, 3, 5}})
+	offer(tree, Delivery{Pkt: comp.Packet{Value: 9}, Dests: []int{1, 3, 5}})
 	tree.Cycle()
 	// Nothing may be delivered: destination 3 is full and multicast is
 	// all-or-nothing (a partial retry would duplicate packets).
@@ -133,7 +136,7 @@ func TestBenesPerDestinationBandwidth(t *testing.T) {
 	bn.SetSink(col)
 	// One delivery with 6 destinations needs 2 cycles at bw=4: the gather
 	// reads one operand per participating switch.
-	bn.Offer(Delivery{Pkt: comp.Packet{Value: 2}, Dests: []int{0, 1, 2, 3, 4, 5}})
+	offer(bn, Delivery{Pkt: comp.Packet{Value: 2}, Dests: []int{0, 1, 2, 3, 4, 5}})
 	bn.Cycle()
 	if col.count() != 4 {
 		t.Fatalf("cycle 1 delivered %d, want 4", col.count())
@@ -149,7 +152,7 @@ func TestPointToPointUnicastCost(t *testing.T) {
 	pp := NewPointToPoint(16, 3, ctr)
 	col := newCollector()
 	pp.SetSink(col)
-	pp.Offer(Delivery{Pkt: comp.Packet{}, Dests: []int{0, 1, 2, 3, 4}})
+	offer(pp, Delivery{Pkt: comp.Packet{}, Dests: []int{0, 1, 2, 3, 4}})
 	pp.Cycle()
 	if col.count() != 3 {
 		t.Fatalf("bw=3 delivered %d", col.count())
@@ -178,16 +181,22 @@ func TestOfferQueueCap(t *testing.T) {
 	tree := NewTree(8, 1, ctr)
 	accepted := 0
 	for i := 0; i < queueCap+10; i++ {
-		if tree.Offer(Delivery{Pkt: comp.Packet{}, Dests: []int{0}}) {
+		if offer(tree, Delivery{Pkt: comp.Packet{}, Dests: []int{0}}) {
 			accepted++
 		}
 	}
 	if accepted != queueCap {
 		t.Errorf("accepted %d, want %d", accepted, queueCap)
 	}
-	// Empty destination lists are accepted and dropped.
-	if !tree.Offer(Delivery{}) {
-		t.Error("empty delivery rejected")
+	// A bulk offer takes the prefix that fits: one slot frees per cycle.
+	tree.SetSink(newCollector())
+	tree.Cycle()
+	tree.Cycle()
+	if got := tree.OfferAll(make([]Delivery, 5)); got != 2 {
+		t.Errorf("bulk offer into 2 free slots took %d", got)
+	}
+	if got := tree.OfferAll(nil); got != 0 {
+		t.Errorf("empty bulk offer took %d", got)
 	}
 }
 
@@ -219,7 +228,7 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 				dl = append(dl, d)
 			}
 			sort.Ints(dl) // fixed dest order: keeps the property run deterministic per seed
-			n.Offer(Delivery{Pkt: comp.Packet{Seq: i}, Dests: dl})
+			offer(n, Delivery{Pkt: comp.Packet{Seq: uint32(i)}, Dests: dl})
 			total += nd
 		}
 		for c := 0; c < 200 && n.Pending() > 0; c++ {
@@ -231,10 +240,10 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 		for _, ps := range col.got {
 			last := -1
 			for _, p := range ps {
-				if p.Seq <= last {
+				if int(p.Seq) <= last {
 					return false // out of order or duplicate
 				}
-				last = p.Seq
+				last = int(p.Seq)
 			}
 		}
 		return true
@@ -246,8 +255,9 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 
 // TestTreeChargesDeliveryEdges: the tree charges each injected value the
 // Steiner edge count its schedule recorded on the delivery, and a value
-// riding the forwarding links none. The count travels in the Delivery's
-// padding, so a delivery stays one 64-byte cache line.
+// riding the forwarding links none. A delivery is a 16-byte packet, the
+// destination table's slice header, the count and the forward flag: 48
+// bytes.
 func TestTreeChargesDeliveryEdges(t *testing.T) {
 	ctr := comp.NewCounters()
 	tree := NewTree(16, 4, ctr)
@@ -257,8 +267,8 @@ func TestTreeChargesDeliveryEdges(t *testing.T) {
 	if edges != 15 { // 8 leaf edges, then 4, 2 and 1 above them
 		t.Fatalf("Steiner edges of half the leaves = %d, want 15", edges)
 	}
-	tree.Offer(Delivery{Dests: half, Edges: edges})
-	tree.Offer(Delivery{Dests: []int{9}, Forward: true, Edges: 4})
+	offer(tree, Delivery{Dests: half, Edges: edges})
+	offer(tree, Delivery{Dests: []int{9}, Forward: true, Edges: 4})
 	tree.Cycle()
 	if got := ctr.Get(names.DNLinkTraversals); got != 15 {
 		t.Errorf("%s = %d, want 15", names.DNLinkTraversals, got)
@@ -266,42 +276,52 @@ func TestTreeChargesDeliveryEdges(t *testing.T) {
 	if got := ctr.Get(names.MNForwards); got != 1 {
 		t.Errorf("%s = %d, want 1", names.MNForwards, got)
 	}
-	if size := unsafe.Sizeof(Delivery{}); size != 64 {
-		t.Errorf("Delivery is %d bytes, want 64", size)
+	if size := unsafe.Sizeof(comp.Packet{}); size != 16 {
+		t.Errorf("Packet is %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(Delivery{}); size != 48 {
+		t.Errorf("Delivery is %d bytes, want 48", size)
 	}
 }
 
 // TestQueueRingGrowsInOrder: the injection queue is a ring that doubles
-// when full; growing while wrapped must keep the deliveries in offer order.
+// when full; bulk offers that wrap, fill and grow it must keep the
+// deliveries in offer order.
 func TestQueueRingGrowsInOrder(t *testing.T) {
 	tree := NewTree(8, 1, comp.NewCounters())
 	col := newCollector()
 	tree.SetSink(col)
-	seq := 0
-	offer := func(n int) {
-		for i := 0; i < n; i++ {
-			if !tree.Offer(Delivery{Pkt: comp.Packet{Seq: seq}, Dests: []int{0}}) {
-				t.Fatalf("offer %d refused below the cap", seq)
-			}
-			seq++
+	var seq uint32
+	offerN := func(n int) {
+		ds := make([]Delivery, n)
+		for i := range ds {
+			ds[i] = Delivery{Pkt: comp.Packet{Seq: seq + uint32(i)}, Dests: []int{0}}
 		}
+		if got := tree.OfferAll(ds); got != n {
+			t.Fatalf("offered %d from seq %d, %d taken below the cap", n, seq, got)
+		}
+		seq += uint32(n)
 	}
 	cycle := func(n int) {
 		for i := 0; i < n; i++ {
 			tree.Cycle()
 		}
 	}
-	offer(12)
-	cycle(7) // head mid-ring
-	offer(9) // wraps, then fills the 16-slot ring and grows
+	offerN(12)
+	cycle(7)  // head mid-ring
+	offerN(9) // wraps, then fills the 16-slot ring and grows
 	cycle(5)
-	offer(40) // wraps again and grows to 64
-	cycle(seq)
-	if tree.Pending() != 0 || len(col.got[0]) != seq {
+	offerN(40) // wraps again and grows to 64
+	for i := 0; i < 6; i++ {
+		cycle(3)
+		offerN(1)
+	}
+	cycle(int(seq))
+	if tree.Pending() != 0 || len(col.got[0]) != int(seq) {
 		t.Fatalf("delivered %d of %d, %d pending", len(col.got[0]), seq, tree.Pending())
 	}
 	for i, p := range col.got[0] {
-		if p.Seq != i {
+		if p.Seq != uint32(i) {
 			t.Fatalf("delivery %d carries seq %d: the ring reordered", i, p.Seq)
 		}
 	}

@@ -57,6 +57,66 @@ func TestSourcesNextDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// MobileNets pw3 and SqueezeNet fire4_expand3x3 at 1/8 spatial scale: the
+// flexible fabrics' rows of TestOpAllocationBudget and BenchmarkFabric.
+var (
+	mobilenetsPW     = tensor.ConvShape{R: 1, S: 1, C: 64, G: 1, K: 128, N: 1, X: 7, Y: 7, Stride: 1}
+	squeezenetExpand = tensor.ConvShape{R: 3, S: 3, C: 32, G: 1, K: 128, N: 1, X: 6, Y: 6, Stride: 1, Padding: 1}
+)
+
+// squeezenetExpandWeights draws squeezenetExpand's filters at the model's
+// 70 % weight sparsity.
+func squeezenetExpandWeights() *tensor.Tensor {
+	ex := squeezenetExpand
+	w := randTensor(2, ex.K, ex.C, ex.R, ex.S)
+	for i, d := 0, w.Data(); i < len(d); i++ {
+		if i%10 < 7 {
+			d[i] = 0
+		}
+	}
+	return w
+}
+
+// BenchmarkFabric times whole convolutions on the two flexible fabrics and
+// reports host time and allocated bytes per simulated cycle — the
+// component-level view of what bench's model-flex workload measures end to
+// end: go test ./internal/engine -run '^$' -bench Fabric.
+func BenchmarkFabric(b *testing.B) {
+	pw, ex := mobilenetsPW, squeezenetExpand
+	for _, bc := range []struct {
+		name string
+		hw   config.Hardware
+		cs   tensor.ConvShape
+		w    *tensor.Tensor
+	}{
+		{"maeri-conv", config.MAERILike(128, 64), pw, randTensor(2, pw.K, pw.C, pw.R, pw.S)},
+		{"sigma-conv", config.SIGMALike(128, 64), ex, squeezenetExpandWeights()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc, err := New(bc.hw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := randTensor(1, 1, bc.cs.C, bc.cs.X, bc.cs.Y)
+			var cycles uint64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, run, err := acc.RunConv(in, bc.w, bc.cs, "fabric")
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += run.Cycles
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/sim-cycle")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(cycles), "B/sim-cycle")
+		})
+	}
+}
+
 // TestOpAllocationBudget bounds what a whole operation allocates per
 // simulated cycle, everything included: fabric construction, destination
 // tables, round packing, FIFOs, counters, the output tensor. When the
@@ -64,9 +124,12 @@ func TestSourcesNextDoesNotAllocate(t *testing.T) {
 // 10 352, 13 434 and 698 B/cycle; with destination tables and item buffers
 // they read 246, 762 and 25; with the operand FIFOs as rings cut from one
 // allocation, fixed psum latches and flat SIGMA round tables they read 86,
-// 337 and 9.2 now. Each budget leaves about half on top of that: set-up has
-// a little room to grow under it; operand FIFOs that grow with traffic
-// again, or an allocation per compute step, do not. The rigid runners
+// 337 and 9.2 when written down, and 47, 192 and 5.4 when re-measured
+// later. With 16-byte packets (48-byte deliveries in the DN ring), step
+// deliveries built once per shape and VNs held as switch runs they read
+// 38.5, 187 and 4.6 now. Each budget leaves about half on top of that:
+// set-up has a little room to grow under it; operand FIFOs that grow with
+// traffic again, or an allocation per compute step, do not. The rigid runners
 // allocate only per layer (im2col operands and C; SNAPEA's filter arrays,
 // index table and sort keys): they read 47 and 15 B/cycle, and their budgets
 // leave about a quarter on top — one sort buffer per filter would put the
@@ -77,9 +140,7 @@ func TestOpAllocationBudget(t *testing.T) {
 	starved.DRAM.BandwidthGBs = 0.25
 	starved.DRAM.Modules = 1
 
-	// MobileNets pw3 and SqueezeNet fire4_expand3x3 at 1/8 spatial scale.
-	pw := tensor.ConvShape{R: 1, S: 1, C: 64, G: 1, K: 128, N: 1, X: 7, Y: 7, Stride: 1}
-	ex := tensor.ConvShape{R: 3, S: 3, C: 32, G: 1, K: 128, N: 1, X: 6, Y: 6, Stride: 1, Padding: 1}
+	pw, ex := mobilenetsPW, squeezenetExpand
 	// AlexNet conv3 at 1/8 of its channels.
 	a3 := tensor.ConvShape{R: 3, S: 3, C: 32, G: 1, K: 48, N: 1, X: 13, Y: 13, Stride: 1, Padding: 1}
 
@@ -89,18 +150,12 @@ func TestOpAllocationBudget(t *testing.T) {
 		budget float64 // bytes per simulated cycle
 		run    func(acc *Accelerator) (*stats.Run, error)
 	}{
-		{"mobilenets-pw/maeri", config.MAERILike(128, 64), 130, func(acc *Accelerator) (*stats.Run, error) {
+		{"mobilenets-pw/maeri", config.MAERILike(128, 64), 58, func(acc *Accelerator) (*stats.Run, error) {
 			_, run, err := acc.RunConv(randTensor(1, 1, pw.C, pw.X, pw.Y), randTensor(2, pw.K, pw.C, 1, 1), pw, "pw3")
 			return run, err
 		}},
-		{"squeezenet-expand/sigma", config.SIGMALike(128, 64), 500, func(acc *Accelerator) (*stats.Run, error) {
-			w := randTensor(2, ex.K, ex.C, 3, 3)
-			for i, d := 0, w.Data(); i < len(d); i++ {
-				if i%10 < 7 {
-					d[i] = 0 // the model's 70 % weight sparsity
-				}
-			}
-			_, run, err := acc.RunConv(randTensor(1, 1, ex.C, ex.X, ex.Y), w, ex, "fire4_expand3x3")
+		{"squeezenet-expand/sigma", config.SIGMALike(128, 64), 280, func(acc *Accelerator) (*stats.Run, error) {
+			_, run, err := acc.RunConv(randTensor(1, 1, ex.C, ex.X, ex.Y), squeezenetExpandWeights(), ex, "fire4_expand3x3")
 			return run, err
 		}},
 		{"mobilenets-pw/tpu", config.TPULike(256), 60, func(acc *Accelerator) (*stats.Run, error) {
@@ -111,7 +166,7 @@ func TestOpAllocationBudget(t *testing.T) {
 			_, run, err := acc.RunConv(randTensor(1, 1, a3.C, a3.X, a3.Y), randTensor(2, a3.K, a3.C, 3, 3), a3, "conv3")
 			return run, err
 		}},
-		{"gemm-starved/maeri", starved, 14, func(acc *Accelerator) (*stats.Run, error) {
+		{"gemm-starved/maeri", starved, 7, func(acc *Accelerator) (*stats.Run, error) {
 			_, run, err := acc.RunGEMM(randTensor(1, 16, 1024), randTensor(2, 1024, 16), "starved")
 			return run, err
 		}},
@@ -209,10 +264,10 @@ func TestSharedTablesSurviveFullQueue(t *testing.T) {
 	var convSteps, sigmaTables [][][]int
 	for _, a := range conv.steps {
 		for _, b := range a {
-			for _, slots := range b {
-				dests := make([][]int, len(slots))
-				for i := range slots {
-					dests[i] = slots[i].dests
+			for _, step := range b {
+				dests := make([][]int, len(step.deliv))
+				for i := range step.deliv {
+					dests[i] = step.deliv[i].Dests
 				}
 				convSteps = append(convSteps, dests)
 			}
@@ -235,7 +290,7 @@ func TestSharedTablesSurviveFullQueue(t *testing.T) {
 	}{
 		{"conv", maeri, flexOp{op: "CONV", src: conv, vns: conv.vns(), outShape: []int{1, cs.K, conv.xo, conv.yo}},
 			append(convSteps, conv.wDests), wantConv},
-		{"sigma", sigma, flexOp{op: "SpMM", src: spmm, sumOut: true, outShape: []int{20, 300}},
+		{"sigma", sigma, flexOp{op: "SpMM", src: spmm, rounds: spmm.roundVNs(), sumOut: true, outShape: []int{20, 300}},
 			sigmaTables, wantSpMM},
 	}
 	for _, tc := range cases {

@@ -16,15 +16,47 @@ import (
 )
 
 // jobSpec describes one reduction the controller expects to fire: virtual
-// neuron VN will have Expect products tagged with step Seq, reducing into
-// output element OutIdx; Last marks the final fold of that output.
+// neuron VN of stationary generation Gen will have Expect products tagged
+// with step Seq, reducing into output element OutIdx; Last marks the final
+// fold of that output.
 type jobSpec struct {
-	VN, Seq, Expect, OutIdx int
-	Last                    bool
-	// Members, when non-nil, is the snapshot of the VN's switch set at
-	// schedule time — required when cluster shapes change between rounds
-	// (sparse controller). Nil falls back to the configured VN table.
-	Members []int
+	OutIdx     int
+	VN, Expect int32
+	Seq, Gen   uint32
+	Last       bool
+}
+
+// jobQueue is one VN's FIFO of expected reductions: a ring holding n jobs
+// from head, doubled when full and never copied down.
+type jobQueue struct {
+	buf     []jobSpec
+	head, n int
+}
+
+func (q *jobQueue) push(j jobSpec) {
+	if q.n == len(q.buf) {
+		//lint:ignore hotpathalloc the ring doubles only when full, so a queue allocates O(log n) times over a run and not at all at steady state
+		buf := make([]jobSpec, max(2*len(q.buf), 4))
+		copy(buf[copy(buf, q.buf[q.head:]):], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = j
+	q.n++
+}
+
+// front returns the oldest job; the queue must not be empty.
+func (q *jobQueue) front() *jobSpec { return &q.buf[q.head] }
+
+func (q *jobQueue) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
 }
 
 // workItem is one schedulable unit: a weight (re)load or one compute step.
@@ -81,7 +113,9 @@ type flexRun struct {
 	issued   bool // some deliveries of cur already offered
 	srcDone  bool
 
-	pending [][]jobSpec // per-VN FIFO of expected reductions
+	// pending[vn] is VN vn's FIFO of expected reductions; the VN is armed
+	// with the step of its front job (mn.Array.Arm).
+	pending []jobQueue
 	// pendingVNs has bit vn set while pending[vn] is non-empty: Control
 	// visits only those VNs, in ascending order.
 	pendingVNs  []uint64
@@ -143,7 +177,7 @@ func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 		marr:        mn.NewArray(hw.MSSize, hw.FIFODepth, ctx.Counters),
 		rnet:        rn.New(rkind, hw.MSSize, hw.RNBandwidth, ctx.Counters),
 		src:         o.src,
-		pending:     make([][]jobSpec, numVNs),
+		pending:     make([]jobQueue, numVNs),
 		pendingVNs:  make([]uint64, (numVNs+63)/64),
 		out:         make([]float32, outLen),
 		sumOut:      o.sumOut,
@@ -162,6 +196,9 @@ func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 		if err := f.marr.ConfigureVNs(o.vns); err != nil {
 			return nil, err
 		}
+	}
+	if err := f.marr.ConfigureRounds(o.rounds); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -203,31 +240,23 @@ func (f *flexRun) Control() {
 	for wi, w := range f.pendingVNs {
 		for ; w != 0; w &= w - 1 {
 			vn := wi<<6 | bits.TrailingZeros64(w)
-			q := f.pending[vn]
-			j := q[0]
-			var ready bool
-			if j.Members != nil {
-				ready = f.marr.ReadyMembers(j.Members, j.Seq, j.Expect)
-			} else {
-				ready = f.marr.ReadyVN(vn, j.Seq, j.Expect)
-			}
-			if !ready || !f.rnet.CanAccept(j.Expect) {
+			q := &f.pending[vn]
+			j := q.front()
+			expect := int(j.Expect)
+			if !f.marr.ReadyVN(vn, expect) || !f.rnet.CanAccept(expect) {
 				continue
-			}
-			members := j.Members
-			if members == nil {
-				members = f.marr.VNs()[vn]
 			}
 			// The RN folds Values before Offer returns, so the scratch buffer
 			// is free to reuse for the next VN in the same cycle.
-			f.valBuf, _ = f.marr.AppendPop(f.valBuf[:0], members, j.Seq)
-			f.rnet.Offer(rn.Job{VN: vn, Seq: j.Seq, Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
-			// Copy-down pop keeps the per-VN queue's backing array.
-			nq := copy(q, q[1:])
-			f.pending[vn] = q[:nq]
+			f.valBuf = f.marr.AppendPop(f.valBuf[:0], vn, j.Gen, j.Seq)
+			f.rnet.Offer(rn.Job{VN: vn, Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
+			q.pop()
 			f.pendingJobs--
-			if nq == 0 {
+			if q.n == 0 {
 				f.pendingVNs[vn>>6] &^= 1 << (vn & 63)
+			} else {
+				next := q.front()
+				f.marr.Arm(vn, next.Gen, next.Seq)
 			}
 		}
 	}
@@ -257,29 +286,38 @@ func (f *flexRun) Control() {
 		if f.cur.Prefetch > 0 && !f.issued {
 			f.DRAM.BeginPrefetch(float64(f.Cycles), f.cur.Prefetch)
 		}
-		for f.curDeliv < len(f.cur.Deliveries) {
-			d := f.cur.Deliveries[f.curDeliv]
-			if !f.dnet.Offer(d) {
-				f.issued = true
-				return // DN injection queue full; resume next cycle
-			}
-			if !d.Forward {
-				if f.readsPerDest {
-					f.GB.Read(len(d.Dests))
-				} else {
-					f.GB.Read(1)
+		if rest := f.cur.Deliveries[f.curDeliv:]; len(rest) > 0 {
+			f.issued = true
+			n := f.dnet.OfferAll(rest)
+			f.curDeliv += n
+			// Every accepted value not riding the forwarding links is read
+			// from the Global Buffer: once per multicast on a tree, once per
+			// destination through the Benes gather.
+			reads := 0
+			for i := range rest[:n] {
+				if d := &rest[i]; !d.Forward {
+					if f.readsPerDest {
+						reads += len(d.Dests)
+					} else {
+						reads++
+					}
 				}
 			}
-			f.curDeliv++
-			f.issued = true
+			if reads > 0 {
+				f.GB.Read(reads)
+			}
+			if n < len(rest) {
+				return // DN injection queue full; resume next cycle
+			}
 		}
 		for _, j := range f.cur.Jobs {
-			if len(f.pending[j.VN]) == 0 {
-				f.pendingVNs[j.VN>>6] |= 1 << (j.VN & 63)
-			}
-			//lint:ignore hotpathalloc one append per job at work-item hand-off (amortized), and retireJobs pops by re-slicing so the backing array is reused at steady state
-			f.pending[j.VN] = append(f.pending[j.VN], j)
+			q := &f.pending[j.VN]
+			q.push(j)
 			f.pendingJobs++
+			if q.n == 1 {
+				f.pendingVNs[j.VN>>6] |= 1 << (j.VN & 63)
+				f.marr.Arm(int(j.VN), j.Gen, j.Seq)
+			}
 		}
 		f.hasCur = false
 	}
@@ -362,10 +400,11 @@ type flexOp struct {
 	op, layer string
 	m, n, k   int // GEMM-equivalent dimensions of the run record
 	src       source
-	// vns is the fixed VN membership (Configuration Unit signals). Nil when
-	// every job carries its own members (sparse clusters, at most one per
-	// switch).
+	// vns is the fixed VN membership (Configuration Unit signals); rounds
+	// is that of each double-buffered stationary generation instead
+	// (rounds[g-1] for generation g: the sparse controller's clusters).
 	vns      [][]int
+	rounds   [][][]int
 	sumOut   bool // see flexRun.sumOut
 	fill     int  // initial DRAM working set, in elements
 	outShape []int

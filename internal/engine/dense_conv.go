@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comp"
 	"repro/internal/config"
@@ -26,7 +27,7 @@ type flexDenseRunner struct {
 // (gemmConvSource).
 type convSource struct {
 	in []float32 // the one image, C×X×Y
-	w  *tensor.Tensor
+	w  []float32 // the filters, K×(C/G)×R×S
 	cs tensor.ConvShape
 	t  mapper.Tile
 
@@ -40,51 +41,65 @@ type convSource struct {
 	forwarding bool
 
 	// wDests[kk·VNSize+p] is where weight element p of filter kk lands: its
-	// TYp position replicas; wEdges[kk·VNSize+p] is that set's Steiner edge
-	// count (dn.Delivery.Edges).
+	// TYp position replicas.
 	wDests [][]int
-	wEdges []int32
-	// steps holds the compute-step shapes, indexed by whether the fold's
-	// channel slice, the group's position count and the block's filter
-	// count are full (0) or the tail (1); a shape the layer never reaches
-	// stays nil.
-	steps [2][2][2][]convSlot
+	// loads holds the weight-load shapes, indexed by whether the fold's
+	// channel slice and the block's filter count are full (0) or the tail
+	// (1), and steps the compute-step shapes, indexed the same way and by
+	// whether the group's position count is full; a shape the layer never
+	// reaches stays empty.
+	loads [2][2]convLoad
+	steps [2][2][2]convStep
 
-	// Item buffers, refilled by every Next.
-	deliv  []dn.Delivery
-	jobs   []jobSpec
-	reload []int
+	// jobs is the item buffer of the steps' reductions, refilled by every
+	// step.
+	jobs []jobSpec
 
 	// iteration state
 	g, mb, panel, fold, grp int
-	phase                   int // 0 = weight load, 1 = stream
-	seq                     int
+	phase                   int    // 0 = weight load, 1 = stream
+	seq                     uint32 // the next step's number, modulo 2³² (see comp.Packet.Seq)
 	exhausted               bool
 	prevOx                  int
 }
 
-// convSlot is one delivery of a compute-step shape: the input element at
-// channel tc, row tr, column u of the step's receptive field, and every
-// switch that multiplies by it. Which (ty, p) pairs read the same element,
-// the order the distinct elements are first needed in and who receives each
-// depend only on how many channels, positions and filters the step covers —
-// not on where it sits in the image — so a layer has at most eight shapes
-// and a step only fills in values.
+// convStep is a compute-step shape: its deliveries, built once with their
+// destinations and Steiner edge counts, and for each the input element it
+// carries. Which (ty, p) pairs read the same element, the order the distinct
+// elements are first needed in and who receives each depend only on how
+// many channels, positions and filters the step covers — not on where it
+// sits in the image — so a layer has at most eight shapes and a step only
+// writes each delivery's value, step number and forward flag in place.
+type convStep struct {
+	slots []convSlot
+	deliv []dn.Delivery // deliv[i] carries slots[i]'s element
+}
+
+// convSlot is the input element at channel tc, row tr, column u of a
+// step's receptive field.
 type convSlot struct {
-	tc, tr, u int
+	tc, tr, u int32
 	// fwd: the previous group of the same output row read this element too
 	// (it lies in the TS−stride columns two adjacent windows share), so the
 	// forwarding links can supply it.
-	fwd   bool
-	dests []int
-	edges int32 // Steiner edge count of dests
+	fwd bool
+}
+
+// convLoad is a weight-load shape: one delivery per (filter, member) pair
+// of the block's slice, each multicast to the member's TYp position
+// replicas, the weight offset each carries relative to the block's first
+// weight, and the switches the load reprograms.
+type convLoad struct {
+	deliv  []dn.Delivery
+	off    []int
+	reload []int
 }
 
 // newConvSource schedules the convolution on tile t of a fabric of leaves
 // switches (the tree the Steiner edge counts are taken on).
 func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, forwarding bool, leaves int) *convSource {
 	c := &convSource{
-		in: in.Data(), w: w, cs: cs, t: t,
+		in: in.Data(), w: w.Data(), cs: cs, t: t,
 		cg: cs.C / cs.G, kg: cs.K / cs.G,
 		xo: cs.OutX(), yo: cs.OutY(),
 		folds:      t.Folds,
@@ -104,24 +119,22 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 
 	steiner := dn.NewSteiner(leaves)
 	c.wDests = destTable(t.TK*t.VNSize, t.TYp, func(e, ty int) int { return c.ms(e/t.VNSize, ty, e%t.VNSize) })
-	c.wEdges = make([]int32, len(c.wDests))
-	for e, dests := range c.wDests {
-		c.wEdges[e] = steiner.Edges(dests)
-	}
 	// Only the last group of a row and the last filter block can be short.
 	for fold := 0; fold < c.folds; fold++ {
-		for _, grp := range [2]int{0, c.groupsPerRow - 1} {
-			for _, mb := range [2]int{0, c.mblocks() - 1} {
-				cw, tys, kks := c.foldChannels(fold), c.groupPositions(grp), c.blockFilters(mb)
-				if shape := c.shape(cw, tys, kks); cw > 0 && *shape == nil {
-					*shape = c.buildShape(cw, tys, kks, steiner)
+		for _, mb := range [2]int{0, c.mblocks() - 1} {
+			cw, kks := c.foldChannels(fold), c.blockFilters(mb)
+			if load := &c.loads[tail(cw, t.TC)][tail(kks, t.TK)]; cw > 0 && load.deliv == nil {
+				*load = c.buildLoad(cw, kks, steiner)
+			}
+			for _, grp := range [2]int{0, c.groupsPerRow - 1} {
+				tys := c.groupPositions(grp)
+				if step := c.step(cw, tys, kks); cw > 0 && step.deliv == nil {
+					*step = c.buildStep(cw, tys, kks, steiner)
 				}
 			}
 		}
 	}
-	c.deliv = make([]dn.Delivery, max(t.TK, t.TYp)*t.VNSize)
 	c.jobs = make([]jobSpec, t.TK*t.TYp)
-	c.reload = make([]int, t.TK*t.VNSize*t.TYp)
 	return c
 }
 
@@ -167,9 +180,9 @@ func (c *convSource) foldChannels(fold int) int  { return min(c.t.TC, c.cg-fold*
 func (c *convSource) groupPositions(grp int) int { return min(c.t.TYp, c.yo-grp*c.t.TYp) }
 func (c *convSource) blockFilters(mb int) int    { return min(c.t.TK, c.kg-mb*c.t.TK) }
 
-// shape selects the step shape for cw channels, tys positions and kks
+// step selects the step shape for cw channels, tys positions and kks
 // filters.
-func (c *convSource) shape(cw, tys, kks int) *[]convSlot {
+func (c *convSource) step(cw, tys, kks int) *convStep {
 	return &c.steps[tail(cw, c.t.TC)][tail(tys, c.t.TYp)][tail(kks, c.t.TK)]
 }
 
@@ -182,34 +195,80 @@ func tail(n, full int) int {
 	return 1
 }
 
-// buildShape derives one step shape the way a step would be scheduled from
+// buildLoad derives the weight-load shape for cw channels and kks filters:
+// the deliveries of filters kk < kks and members p < cw·TR·TS, filter by
+// filter, with the weight offset of each and the switches it reloads.
+func (c *convSource) buildLoad(cw, kks int, steiner *dn.Steiner) convLoad {
+	t := c.t
+	vw := cw * t.TR * t.TS
+	ld := convLoad{
+		deliv:  make([]dn.Delivery, 0, kks*vw),
+		off:    make([]int, 0, kks*vw),
+		reload: make([]int, 0, kks*vw*t.TYp),
+	}
+	for kk := 0; kk < kks; kk++ {
+		for p := 0; p < vw; p++ {
+			tc, tr, ts := c.decode(p)
+			dests := c.wDests[kk*t.VNSize+p]
+			ld.deliv = append(ld.deliv, dn.Delivery{
+				Pkt:   comp.Packet{Kind: comp.WeightPkt},
+				Dests: dests,
+				Edges: steiner.Edges(dests),
+			})
+			ld.off = append(ld.off, ((kk*c.cg+tc)*c.cs.R+tr)*c.cs.S+ts)
+			ld.reload = append(ld.reload, dests...)
+		}
+	}
+	return ld
+}
+
+// buildStep derives one step shape the way a step would be scheduled from
 // scratch: walk the (ty, p) members in order, give every input element its
 // slot the first time it is needed, and add the member's kks filter replicas
-// to that slot's destinations; then count each slot's Steiner edges.
-func (c *convSource) buildShape(cw, tys, kks int, steiner *dn.Steiner) []convSlot {
+// to that slot's destinations; then lay the destination sets out in one
+// table and count each one's Steiner edges.
+func (c *convSource) buildStep(cw, tys, kks int, steiner *dn.Steiner) convStep {
 	t := c.t
 	cols := (tys-1)*c.cs.Stride + t.TS  // columns of the step's receptive field
 	slotOf := make([]int, cw*t.TR*cols) // element → 1 + its slot; 0 = not needed yet
-	var slots []convSlot
+	var st convStep
+	var readers []int // slot of each (ty, p) member, in member order
 	for ty := 0; ty < tys; ty++ {
 		for p := 0; p < cw*t.TR*t.TS; p++ {
 			tc, tr, ts := c.decode(p)
 			u := ty*c.cs.Stride + ts
 			e := (tc*t.TR+tr)*cols + u
 			if slotOf[e] == 0 {
-				slots = append(slots, convSlot{tc: tc, tr: tr, u: u, fwd: u+c.cs.Stride < t.TS})
-				slotOf[e] = len(slots)
+				st.slots = append(st.slots, convSlot{tc: int32(tc), tr: int32(tr), u: int32(u), fwd: u+c.cs.Stride < t.TS})
+				slotOf[e] = len(st.slots)
 			}
-			s := &slots[slotOf[e]-1]
-			for kk := 0; kk < kks; kk++ {
-				s.dests = append(s.dests, c.ms(kk, ty, p))
-			}
+			readers = append(readers, slotOf[e]-1)
 		}
 	}
-	for i := range slots {
-		slots[i].edges = steiner.Edges(slots[i].dests)
+	// Each reader adds kks destinations to its slot; cut every slot's set
+	// from one table, in the order the members were walked.
+	start := make([]int, len(st.slots)+1)
+	for _, s := range readers {
+		start[s+1] += kks
 	}
-	return slots
+	for i := range st.slots {
+		start[i+1] += start[i]
+	}
+	flat := make([]int, start[len(st.slots)])
+	fill := slices.Clone(start[:len(st.slots)])
+	for i, s := range readers {
+		ty, p := i/(cw*t.TR*t.TS), i%(cw*t.TR*t.TS)
+		for kk := 0; kk < kks; kk++ {
+			flat[fill[s]] = c.ms(kk, ty, p)
+			fill[s]++
+		}
+	}
+	st.deliv = make([]dn.Delivery, len(st.slots))
+	for i := range st.deliv {
+		dests := flat[start[i]:start[i+1]:start[i+1]]
+		st.deliv[i] = dn.Delivery{Pkt: comp.Packet{Kind: comp.InputPkt}, Dests: dests, Edges: steiner.Edges(dests)}
+	}
+	return st
 }
 
 // Next builds the next work item of the convolution schedule into the
@@ -227,30 +286,20 @@ func (c *convSource) Next() (workItem, bool) {
 	if c.phase == 0 {
 		// Weight load for (g, mb, fold): each filter's slice multicast to
 		// its TYp position replicas.
-		nd, nr := 0, 0
-		for kk := 0; kk < kks; kk++ {
-			kfull := c.g*c.kg + c.mb*t.TK + kk
-			for p := 0; p < vw; p++ {
-				tc, tr, ts := c.decode(p)
-				e := kk*t.VNSize + p
-				nr += copy(c.reload[nr:], c.wDests[e])
-				c.deliv[nd] = dn.Delivery{
-					Pkt: comp.Packet{
-						Value: c.w.At(kfull, c.fold*t.TC+tc, tr, ts),
-						Kind:  comp.WeightPkt,
-					},
-					Dests: c.wDests[e],
-					Edges: c.wEdges[e],
-				}
-				nd++
+		var ld convLoad // a fold past the channels loads nothing
+		if cw > 0 {
+			ld = c.loads[tail(cw, t.TC)][tail(kks, t.TK)]
+			w := c.w[((c.g*c.kg+c.mb*t.TK)*c.cg+c.fold*t.TC)*c.cs.R*c.cs.S:]
+			for i, off := range ld.off {
+				ld.deliv[i].Pkt.Value = w[off]
 			}
 		}
 		c.phase = 1
 		c.prevOx = -1 // a reload breaks the sliding-window reuse chain
 		return workItem{
-			Barrier: true, ReloadSet: c.reload[:nr],
+			Barrier: true, ReloadSet: ld.reload,
 			Prefetch:   t.TK * t.VNSize,
-			Deliveries: c.deliv[:nd],
+			Deliveries: ld.deliv,
 		}, true
 	}
 
@@ -265,26 +314,24 @@ func (c *convSource) Next() (workItem, bool) {
 	sameRow := c.forwarding && c.prevOx == ox
 	c.prevOx = ox
 
-	nd, nj := 0, 0
+	var deliv []dn.Delivery
+	nj := 0
 	if vw > 0 {
 		cc0 := c.g*c.cg + c.fold*t.TC
 		ix0 := ox*c.cs.Stride - c.cs.Padding
 		iy0 := oyBase*c.cs.Stride - c.cs.Padding
-		slots := *c.shape(cw, tys, kks)
-		for i := range slots {
-			s := &slots[i]
-			ix, iy := ix0+s.tr, iy0+s.u
+		st := c.step(cw, tys, kks)
+		deliv = st.deliv
+		for i := range st.slots {
+			s := &st.slots[i]
+			ix, iy := ix0+int(s.tr), iy0+int(s.u)
 			var v float32 // padding reads as zero
 			if ix >= 0 && ix < c.cs.X && iy >= 0 && iy < c.cs.Y {
-				v = c.in[((cc0+s.tc)*c.cs.X+ix)*c.cs.Y+iy]
+				v = c.in[((cc0+int(s.tc))*c.cs.X+ix)*c.cs.Y+iy]
 			}
-			c.deliv[nd] = dn.Delivery{
-				Pkt:     comp.Packet{Value: v, Kind: comp.InputPkt, Seq: seq},
-				Dests:   s.dests,
-				Forward: sameRow && s.fwd,
-				Edges:   s.edges,
-			}
-			nd++
+			d := &deliv[i]
+			d.Pkt.Value, d.Pkt.Seq = v, seq
+			d.Forward = sameRow && s.fwd
 		}
 		// Every member switch with a channel of this fold latches one
 		// product, so each (filter, position) VN reduces vw of them.
@@ -292,7 +339,7 @@ func (c *convSource) Next() (workItem, bool) {
 			kfull := c.g*c.kg + c.mb*t.TK + kk
 			for ty := 0; ty < tys; ty++ {
 				c.jobs[nj] = jobSpec{
-					VN: kk*t.TYp + ty, Seq: seq, Expect: vw,
+					VN: int32(kk*t.TYp + ty), Seq: seq, Expect: int32(vw),
 					OutIdx: (kfull*c.xo+ox)*c.yo + oyBase + ty,
 					Last:   c.fold == c.folds-1,
 				}
@@ -323,7 +370,7 @@ func (c *convSource) Next() (workItem, bool) {
 			}
 		}
 	}
-	return workItem{Deliveries: c.deliv[:nd], Jobs: c.jobs[:nj]}, true
+	return workItem{Deliveries: deliv, Jobs: c.jobs[:nj]}, true
 }
 
 // RunConv simulates a convolution on the tree-based flexible fabric with
@@ -349,6 +396,10 @@ func (r *flexDenseRunner) RunConvTiled(in, w *tensor.Tensor, cs tensor.ConvShape
 	}
 	if in.Rank() != 4 || in.Dim(0) != cs.N || in.Dim(1) != cs.C || in.Dim(2) != cs.X || in.Dim(3) != cs.Y {
 		return nil, nil, fmt.Errorf("engine: conv input %v does not match shape %+v: %w", in.Shape(), cs, config.ErrRefused)
+	}
+	// The schedule reads filter elements by flat index.
+	if w.Rank() != 4 || w.Dim(0) != cs.K || w.Dim(1) != cs.C/cs.G || w.Dim(2) != cs.R || w.Dim(3) != cs.S {
+		return nil, nil, fmt.Errorf("engine: conv filters %v do not match shape %+v: %w", w.Shape(), cs, config.ErrRefused)
 	}
 	if cs.N > 1 {
 		// The schedule streams one image at a time (T_N == 1 is enforced

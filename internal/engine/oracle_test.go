@@ -33,7 +33,7 @@ import (
 type refConvSource struct {
 	*convSource
 	steiner        *dn.Steiner
-	inT            *tensor.Tensor
+	inT, wT        *tensor.Tensor
 	seen           []uint32
 	slot           []int32
 	coordW, coordH int
@@ -44,6 +44,7 @@ func newRefConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, 
 		convSource: newConvSource(in, w, cs, t, forwarding, leaves),
 		steiner:    dn.NewSteiner(leaves),
 		inT:        in,
+		wT:         w,
 		coordH:     cs.X + 2*cs.Padding,
 		coordW:     cs.Y + 2*cs.Padding,
 	}
@@ -79,7 +80,7 @@ func (c *refConvSource) Next() (workItem, bool) {
 				item.ReloadSet = append(item.ReloadSet, dests...)
 				item.Deliveries = append(item.Deliveries, dn.Delivery{
 					Pkt: comp.Packet{
-						Value: c.w.At(kfull, c.fold*t.TC+tc, tr, ts),
+						Value: c.wT.At(kfull, c.fold*t.TC+tc, tr, ts),
 						Kind:  comp.WeightPkt,
 					},
 					Dests: dests,
@@ -101,7 +102,7 @@ func (c *refConvSource) Next() (workItem, bool) {
 	seq := c.seq
 	c.seq++
 
-	curGen := uint32(seq) + 1
+	curGen := seq + 1
 	prevGen := curGen - 1
 	sameRow := c.forwarding && c.prevOx == ox
 	expect := make([]int, t.TK*t.TYp)
@@ -167,7 +168,7 @@ func (c *refConvSource) Next() (workItem, bool) {
 				continue
 			}
 			item.Jobs = append(item.Jobs, jobSpec{
-				VN: vn, Seq: seq, Expect: expect[vn],
+				VN: int32(vn), Seq: seq, Expect: int32(expect[vn]),
 				OutIdx: (kfull*c.xo+ox)*c.yo + oy,
 				Last:   c.fold == c.folds-1,
 			})
@@ -212,7 +213,7 @@ type refGEMMSource struct {
 
 	mb, panel, fold, ng int
 	phase               int
-	seq                 int
+	seq                 uint32
 	exhausted           bool
 	steiner             *dn.Steiner
 }
@@ -308,7 +309,7 @@ func (g *refGEMMSource) Next() (workItem, bool) {
 				continue
 			}
 			item.Jobs = append(item.Jobs, jobSpec{
-				VN: i*g.tn + j, Seq: seq, Expect: kw,
+				VN: int32(i*g.tn + j), Seq: seq, Expect: int32(kw),
 				OutIdx: mi*g.n + nj,
 				Last:   g.fold == ceilDiv(g.k, g.kslice)-1,
 			})
@@ -405,10 +406,9 @@ func (s refSigmaSource) Next() (workItem, bool) {
 			continue
 		}
 		item.Jobs = append(item.Jobs, jobSpec{
-			VN: ci, Seq: seq, Expect: expect[ci],
-			OutIdx:  cl.row*s.n + j,
-			Last:    true,
-			Members: cl.members,
+			VN: int32(ci), Seq: seq, Gen: gen, Expect: int32(expect[ci]),
+			OutIdx: cl.row*s.n + j,
+			Last:   true,
 		})
 	}
 
@@ -458,7 +458,7 @@ func assertSameSchedule(t *testing.T, got, want source) (items int) {
 		if len(g.Jobs) != len(w.Jobs) {
 			t.Fatalf("item %d: %d jobs, want %d", items, len(g.Jobs), len(w.Jobs))
 		}
-		want := make(map[int]jobSpec, len(w.Jobs))
+		want := make(map[int32]jobSpec, len(w.Jobs))
 		for _, wj := range w.Jobs {
 			if _, dup := want[wj.VN]; dup {
 				t.Fatalf("item %d: reference has two jobs for VN %d", items, wj.VN)
@@ -471,8 +471,7 @@ func assertSameSchedule(t *testing.T, got, want source) (items int) {
 				t.Fatalf("item %d: job %+v for a VN the reference has no job (or already matched) for", items, gj)
 			}
 			delete(want, gj.VN)
-			if gj.Seq != wj.Seq || gj.Expect != wj.Expect || gj.OutIdx != wj.OutIdx ||
-				gj.Last != wj.Last || !slices.Equal(gj.Members, wj.Members) {
+			if gj != wj {
 				t.Fatalf("item %d VN %d: job %+v, want %+v", items, gj.VN, gj, wj)
 			}
 		}
@@ -587,8 +586,8 @@ func TestScheduleConvShapeCount(t *testing.T) {
 	count := func(c *convSource) (n int) {
 		for _, a := range c.steps {
 			for _, b := range a {
-				for _, slots := range b {
-					if slots != nil {
+				for _, step := range b {
+					if step.deliv != nil {
 						n++
 					}
 				}

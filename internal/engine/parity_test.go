@@ -5,11 +5,14 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // The dispatch-parity test pins every registered architecture against
@@ -29,8 +32,11 @@ func parityRender(out *tensor.Tensor, run *stats.Run) string {
 		h.Sum64(), run.Utilization, run.MACs, run.MemAccesses, run.CounterFile())
 }
 
-func TestDispatchParity(t *testing.T) {
-	update := os.Getenv("STONNE_UPDATE_PARITY") != ""
+// parityRuns runs the eight dispatch-parity cases — every registered
+// architecture × {gemm, conv} on one fixed operand set — with tune applied
+// to each preset, and hands each result to visit.
+func parityRuns(t *testing.T, tune func(*config.Hardware), visit func(arch, op string, out *tensor.Tensor, run *stats.Run)) {
+	t.Helper()
 	archs := sim.List()
 	if len(archs) != 4 {
 		t.Fatalf("registry lists %d architectures, want 4", len(archs))
@@ -44,6 +50,7 @@ func TestDispatchParity(t *testing.T) {
 	for _, arch := range archs {
 		hw := arch.Preset(64, 16)
 		hw.Preloaded = true
+		tune(&hw)
 		acc, err := New(hw)
 		if err != nil {
 			t.Fatalf("%s: New: %v", arch.Name, err)
@@ -62,25 +69,81 @@ func TestDispatchParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", arch.Name, op, err)
 			}
-			got := parityRender(out, run)
-			path := filepath.Join("testdata", "parity", arch.Name+"_"+op+".golden")
-			if update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%s %s: missing golden (run with STONNE_UPDATE_PARITY=1 to create): %v",
-					arch.Name, op, err)
-			}
-			if got != string(want) {
-				t.Errorf("%s %s: result diverged from the pre-registry engine\n--- got ---\n%s--- want ---\n%s",
-					arch.Name, op, got, want)
-			}
+			visit(arch.Name, op, out, run)
 		}
 	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file when update is set.
+func checkGolden(t *testing.T, path, got string, update bool) {
+	t.Helper()
+	if update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with STONNE_UPDATE_PARITY=1 to create): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: result diverged\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+func TestDispatchParity(t *testing.T) {
+	update := os.Getenv("STONNE_UPDATE_PARITY") != ""
+	parityRuns(t, func(*config.Hardware) {}, func(arch, op string, out *tensor.Tensor, run *stats.Run) {
+		checkGolden(t, filepath.Join("testdata", "parity", arch+"_"+op+".golden"), parityRender(out, run), update)
+	})
+}
+
+// TestTracedBreakdownParity pins the cycle attribution of the eight parity
+// runs: every tier's class totals and the spans the recorder exports, at a
+// 64-cycle interval and at one cycle (where the span layout is the class of
+// every single cycle), plus the counter file. The recorder classifies each
+// tier by per-cycle counter deltas, so this catches a counter charged on the
+// wrong cycle even where the run's totals stay the same. The congested pass
+// (one-deep operand FIFOs, a one-port RN, a 64-wide DN) makes the DN stall
+// on most cycles, which the parity presets never do.
+func TestTracedBreakdownParity(t *testing.T) {
+	update := os.Getenv("STONNE_UPDATE_PARITY") != ""
+	var b strings.Builder
+	for _, pass := range []struct {
+		name     string
+		interval int
+		tune     func(*config.Hardware)
+	}{
+		{"interval=64", 64, func(*config.Hardware) {}},
+		{"interval=1", 1, func(*config.Hardware) {}},
+		{"interval=1 congested", 1, func(hw *config.Hardware) { hw.FIFODepth, hw.RNBandwidth, hw.DNBandwidth = 1, 1, 64 }},
+	} {
+		var rt *trace.RunTrace
+		parityRuns(t, func(hw *config.Hardware) {
+			pass.tune(hw)
+			hw.Trace = &trace.Config{SpanInterval: pass.interval, OnComplete: func(r *trace.RunTrace) { rt = r }}
+		}, func(arch, op string, _ *tensor.Tensor, run *stats.Run) {
+			if rt == nil {
+				t.Fatalf("%s %s: no trace delivered", arch, op)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(run.CounterFile()))
+			fmt.Fprintf(&b, "%s %s %s cycles=%d counters_fnv64a=%016x\n", arch, op, pass.name, run.Cycles, h.Sum64())
+			for _, tier := range rt.Tiers {
+				h := fnv.New64a()
+				for _, sp := range tier.Spans {
+					fmt.Fprintf(h, "%d:%d:%d,", sp.Class, sp.Start, sp.Dur)
+				}
+				bd := run.Breakdown[tier.Name]
+				fmt.Fprintf(&b, "  %s busy=%d stall_input=%d stall_bandwidth=%d drain=%d idle=%d spans=%d spans_fnv64a=%016x\n",
+					tier.Name, bd.Busy, bd.StallInput, bd.StallBandwidth, bd.Drain, bd.Idle, len(tier.Spans), h.Sum64())
+			}
+			rt = nil
+		})
+	}
+	checkGolden(t, filepath.Join("testdata", "parity", "traced_breakdown.golden"), b.String(), update)
 }
 
 // TestRegistryResolveOrder pins the tie-break that matters: both the

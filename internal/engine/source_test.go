@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -8,12 +10,14 @@ import (
 	"repro/internal/config"
 	"repro/internal/dnn"
 	"repro/internal/mapper"
+	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
 // drainSource exhausts a source and returns all items. It keeps them past
-// the next Next(), so it copies the slices the source will refill; Dests and
-// Members are per-operation tables and stay shared.
+// the next Next(), so it copies the slices the source will refill; Dests are
+// per-operation tables and stay shared.
 func drainSource(t *testing.T, src source, max int) []workItem {
 	t.Helper()
 	var items []workItem
@@ -190,8 +194,8 @@ func TestSigmaSourceGenerations(t *testing.T) {
 			gens[d.Pkt.Gen] = true
 		}
 		for _, j := range item.Jobs {
-			if j.Members == nil {
-				t.Fatal("sparse job without a member snapshot")
+			if j.Gen == 0 || j.Gen != item.Deliveries[0].Pkt.Gen {
+				t.Fatalf("sparse job of generation %d in a step of generation %d", j.Gen, item.Deliveries[0].Pkt.Gen)
 			}
 			if !j.Last {
 				t.Fatal("sparse jobs must be terminal (GB-side accumulation)")
@@ -200,5 +204,65 @@ func TestSigmaSourceGenerations(t *testing.T) {
 	}
 	if len(gens) != len(rounds) {
 		t.Errorf("%d generations for %d rounds", len(gens), len(rounds))
+	}
+}
+
+// TestSeqWrapChangesNothing runs a convolution and an SpMM twice: with the
+// source's step counter starting at 0, and starting just below 2³², so the
+// step numbers wrap mid-run (comp.Packet.Seq). Outputs, cycles and the
+// counter file must be identical: products are matched to reductions by
+// equality on the wrapped step number alone.
+func TestSeqWrapChangesNothing(t *testing.T) {
+	maeri := config.MAERILike(128, 16)
+	maeri.Preloaded = true
+	sigma := config.SIGMALike(64, 16)
+	sigma.Preloaded = true
+	cs := tensor.ConvShape{R: 3, S: 3, C: 4, G: 1, K: 4, N: 1, X: 8, Y: 8, Stride: 1, Padding: 1}
+	in, w := randTensor(1, 1, cs.C, cs.X, cs.Y), randTensor(2, cs.K, cs.C, cs.R, cs.S)
+	A, B := randTensor(3, 20, 24), randTensor(4, 24, 30)
+	csr, err := tensor.ToCSR(A)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seq reads the step counter of the source op built last.
+	var seq *uint32
+	cases := []struct {
+		name string
+		hw   config.Hardware
+		// op builds the operation with its source's step counter at start.
+		op func(start uint32) flexOp
+	}{
+		{"conv", maeri, func(start uint32) flexOp {
+			src := newConvSource(in, w, cs, convTile(cs, 2, 2, 1, 3, 2), true, maeri.MSSize)
+			src.seq, seq = start, &src.seq
+			return flexOp{op: "CONV", src: src, vns: src.vns(), outShape: []int{1, cs.K, src.xo, src.yo}}
+		}},
+		{"sigma", sigma, func(start uint32) flexOp {
+			src := newSigmaSource(buildSigmaRounds(csr, sigma.MSSize, sched.NS, 0x51634), B)
+			src.seq, seq = start, &src.seq
+			return flexOp{op: "SpMM", src: src, rounds: src.roundVNs(), sumOut: true, outShape: []int{20, 30}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var outs [2][]float32
+			var files [2]string
+			for i, start := range []uint32{0, math.MaxUint32 - 5} {
+				out, run, err := runFlex(sim.NewCtx(&tc.hw), tc.op(start))
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i], files[i] = out.Data(), fmt.Sprintf("cycles=%d\n%s", run.Cycles, run.CounterFile())
+				if i == 1 && *seq >= start {
+					t.Fatalf("the step counter ended at %d: it never wrapped", *seq)
+				}
+			}
+			if !slices.Equal(outs[0], outs[1]) {
+				t.Error("outputs differ when the step counter wraps")
+			}
+			if files[0] != files[1] {
+				t.Errorf("run records differ when the step counter wraps:\n--- from 0 ---\n%s--- across the wrap ---\n%s", files[0], files[1])
+			}
+		})
 	}
 }

@@ -67,7 +67,7 @@ type sigmaSource struct {
 	round int
 	phase int // 0 = stationary load, 1 = stream columns
 	col   int
-	seq   int
+	seq   uint32 // the next step's number, modulo 2³² (see comp.Packet.Seq)
 
 	// Item buffers, refilled by every Next, and the per-cluster
 	// participation counters; all sized for the largest round.
@@ -94,6 +94,25 @@ func newSigmaSource(rounds []sigmaRound, B *tensor.Tensor) *sigmaSource {
 	s.expect = make([]int, clusters)
 	s.clusterOfMS = make([]int, used)
 	return s
+}
+
+// roundVNs is the VN membership of every round, generation by generation:
+// round r's VN ci is its cluster ci.
+func (s *sigmaSource) roundVNs() [][][]int {
+	total := 0
+	for r := range s.rounds {
+		total += len(s.rounds[r].clusters)
+	}
+	flat := make([][]int, total) // every round's table, back to back
+	gens := make([][][]int, len(s.rounds))
+	for r := range s.rounds {
+		clusters := s.rounds[r].clusters
+		gens[r], flat = flat[:len(clusters):len(clusters)], flat[len(clusters):]
+		for ci := range clusters {
+			gens[r][ci] = clusters[ci].members
+		}
+	}
+	return gens
 }
 
 // buildSigmaRounds packs the non-zeros of A into rounds of clusters on a
@@ -239,10 +258,9 @@ func (s *sigmaSource) Next() (workItem, bool) {
 		}
 		cl := &r.clusters[ci]
 		s.jobs[nj] = jobSpec{
-			VN: ci, Seq: seq, Expect: expect[ci],
-			OutIdx:  cl.row*s.n + j,
-			Last:    true, // each contribution exits and accumulates GB-side
-			Members: cl.members,
+			VN: int32(ci), Seq: seq, Gen: gen, Expect: int32(expect[ci]),
+			OutIdx: cl.row*s.n + j,
+			Last:   true, // each contribution exits and accumulates GB-side
 		}
 		nj++
 	}
@@ -306,9 +324,10 @@ func (r *sparseRunner) RunSpMM(A, B *tensor.Tensor, layer string, policy *sched.
 	case config.FmtCSR:
 		ctx.Counters.Add(names.GBMetaReads, uint64(csr.NNZ()+m+1))
 	}
+	src := newSigmaSource(rounds, B)
 	C, run, err := runFlex(ctx, flexOp{
 		op: "SpMM", layer: layer, m: m, n: n, k: k,
-		src: newSigmaSource(rounds, B), sumOut: true,
+		src: src, rounds: src.roundVNs(), sumOut: true,
 		fill: csr.NNZ() + k*n, outShape: []int{m, n},
 	})
 	if err != nil {

@@ -28,15 +28,14 @@ func DefaultExtraRoots() map[string][]string {
 		// Fired from the controller's per-cycle VN scan and from the DN's
 		// per-cycle delivery sink.
 		"repro/internal/mn": {
+			"Array.Arm",
 			"Array.AppendPop",
 			"Array.ReadyVN",
-			"Array.ReadyMembers",
 			"Array.DeliverAll",
 			"Array.Deliver",
 			"Array.CanDeliver",
 			"Array.QuiescentSet",
 			"Array.Idle",
-			"Array.VNs",
 		},
 		// Offered work and completion probes, once per controller cycle.
 		"repro/internal/rn": {
@@ -50,13 +49,10 @@ func DefaultExtraRoots() map[string][]string {
 		"repro/internal/engine": {
 			"systolicArray.runTile",
 		},
+		// Every DN kind's injection side is the shared base's.
 		"repro/internal/dn": {
-			"Tree.Offer",
-			"Tree.Pending",
-			"Benes.Offer",
-			"Benes.Pending",
-			"PointToPoint.Offer",
-			"PointToPoint.Pending",
+			"base.OfferAll",
+			"base.Pending",
 		},
 	}
 }

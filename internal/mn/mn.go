@@ -27,6 +27,9 @@ type msState struct {
 	stationary float32
 	hasStat    bool
 	curGen     uint32
+	// vn is the VN the live stationary belongs to in its generation (-1:
+	// none); every product the switch latches is tagged with it.
+	vn int32
 	// shadow is the double-buffered stationary register (SIGMA rounds):
 	// loaded ahead of time, promoted when the first input of its
 	// generation arrives.
@@ -41,13 +44,18 @@ type msState struct {
 
 type psum struct {
 	value float32
-	seq   int
-	last  bool
+	seq   uint32
+	vn    int32 // the VN this product reduces into (-1: none)
 }
 
+// noWant is the want entry of a VN with no step armed: no uint32 step
+// number equals it.
+const noWant = ^uint64(0)
+
 // Array is the multiplier-switch array. The engine assigns each switch to a
-// virtual neuron (VN) and tells the array, per VN and step, how many member
-// products to expect; ReadyVN reports VNs whose current step is complete.
+// virtual neuron (VN) per stationary generation and arms each VN with the
+// step its next reduction consumes; ReadyVN reports whether enough members
+// hold that step's product.
 type Array struct {
 	n  int
 	ms []msState
@@ -61,8 +69,17 @@ type Array struct {
 	cMults, cActive, cWeightLoads, cReconf comp.Counter
 	cFifoPushes, cFifoPops                 comp.Counter
 
-	vnMembers [][]int // vn -> member switch indices
-	vnOf      []int   // switch -> vn (-1 when unassigned)
+	// gens[g] is the VN programming of stationary generation g: 0 is
+	// ConfigureVNs', 1.. are ConfigureRounds'.
+	gens []vnRuns
+
+	// want[vn] is the step VN vn is armed with (noWant: none) and ready[vn]
+	// how many of its members hold a product of that step at the head of
+	// their latch. A product entering the head of a latch (fired into an
+	// empty one, or exposed by a pop) bumps its VN's count when the steps
+	// match, so no member set is rescanned while a VN waits.
+	want  []uint64
+	ready []int32
 }
 
 // NewArray builds an MS array of n switches; fifoDepth bounds each operand
@@ -78,41 +95,129 @@ func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 		cReconf:      c.Counter(names.MNReconfigurations),
 		cFifoPushes:  c.Counter(names.MNFifoPushes),
 		cFifoPops:    c.Counter(names.MNFifoPops),
-		vnOf:         make([]int, n),
+		gens:         make([]vnRuns, 1),
 	}
 	ring := make([]comp.Packet, n*fifoDepth)
 	for i := range a.ms {
 		a.ms[i].in = comp.NewFIFO(ring[i*fifoDepth : (i+1)*fifoDepth : (i+1)*fifoDepth])
-		a.vnOf[i] = -1
+		a.ms[i].vn = -1
 	}
 	return a
 }
 
-// ConfigureVNs assigns switches to virtual neurons. Each inner slice lists
-// the member switch indices of one VN. Reconfiguration happens between
-// tiles, mirroring the signals the paper's Configuration Unit drives.
+// vnRuns is the VN programming of one stationary generation. A virtual
+// neuron is a run of consecutive switches — a range of the reduction
+// network's leaves, as MAERI's VNs and SIGMA's clusters both are — so VN v
+// is the switches [start[v], end[v]), and the runs ascend without
+// overlapping.
+type vnRuns struct {
+	start, end []int32
+}
+
+// ConfigureVNs assigns switches to the virtual neurons of generation 0,
+// the barrier-synchronized stationaries. Each inner slice lists the member
+// switch indices of one VN, a run of consecutive switches after the
+// previous VN's. Reconfiguration happens between tiles, mirroring the
+// signals the paper's Configuration Unit drives.
 func (a *Array) ConfigureVNs(vns [][]int) error {
-	for i := range a.vnOf {
-		a.vnOf[i] = -1
+	bounds := make([]int32, 2*len(vns))
+	g := vnRuns{start: bounds[:len(vns)], end: bounds[len(vns):]}
+	if err := a.fillRuns(vns, g); err != nil {
+		return err
 	}
-	for vn, members := range vns {
-		for _, ms := range members {
-			if ms < 0 || ms >= a.n {
-				return fmt.Errorf("mn: VN %d member %d out of range [0,%d)", vn, ms, a.n)
-			}
-			if a.vnOf[ms] != -1 {
-				return fmt.Errorf("mn: switch %d assigned to both VN %d and VN %d", ms, a.vnOf[ms], vn)
-			}
-			a.vnOf[ms] = vn
+	a.gens[0] = g
+	a.sizeVNs(len(vns))
+	for i := range a.ms {
+		if s := &a.ms[i]; s.curGen == 0 {
+			s.vn = a.vnAt(0, i)
 		}
 	}
-	a.vnMembers = vns
 	a.cReconf.Add(1)
 	return nil
 }
 
-// VNs returns the current VN membership table.
-func (a *Array) VNs() [][]int { return a.vnMembers }
+// ConfigureRounds programs the VNs of the double-buffered stationary
+// generations: rounds[g-1] is generation g's, laid out as in ConfigureVNs.
+// The sparse controller knows every round's clusters before the first
+// cycle, so it programs them all at once; a switch takes its generation's
+// VN when that generation's stationary is promoted.
+func (a *Array) ConfigureRounds(rounds [][][]int) error {
+	total := 0
+	for _, vns := range rounds {
+		total += len(vns)
+	}
+	bounds := make([]int32, 2*total) // every round's runs, back to back
+	gens := append(make([]vnRuns, 0, 1+len(rounds)), a.gens[0])
+	for r, vns := range rounds {
+		n := len(vns)
+		g := vnRuns{start: bounds[:n:n], end: bounds[n : 2*n : 2*n]}
+		bounds = bounds[2*n:]
+		if err := a.fillRuns(vns, g); err != nil {
+			return fmt.Errorf("mn: round %d: %w", r, err)
+		}
+		gens = append(gens, g)
+		a.sizeVNs(n)
+	}
+	a.gens = gens
+	return nil
+}
+
+// fillRuns checks that vns is a generation's layout and records its runs in
+// g.
+func (a *Array) fillRuns(vns [][]int, g vnRuns) error {
+	prevEnd := 0
+	for vn, members := range vns {
+		first := prevEnd
+		if len(members) > 0 {
+			first = members[0]
+		}
+		for i, ms := range members {
+			if ms < 0 || ms >= a.n {
+				return fmt.Errorf("mn: VN %d member %d out of range [0,%d)", vn, ms, a.n)
+			}
+			if ms != first+i {
+				return fmt.Errorf("mn: VN %d is not a run of consecutive switches: %v", vn, members)
+			}
+		}
+		if first < prevEnd {
+			return fmt.Errorf("mn: VN %d starts at switch %d, before VN %d ends", vn, first, vn-1)
+		}
+		prevEnd = first + len(members)
+		g.start[vn], g.end[vn] = int32(first), int32(prevEnd)
+	}
+	return nil
+}
+
+// sizeVNs makes room for n VNs in the ready counts.
+func (a *Array) sizeVNs(n int) {
+	for len(a.want) < n {
+		a.want = append(a.want, noWant)
+		a.ready = append(a.ready, 0)
+	}
+}
+
+// vnAt returns switch ms's VN in generation gen, -1 when it has none: the
+// last run starting at or before ms, if ms lies inside it.
+func (a *Array) vnAt(gen uint32, ms int) int32 {
+	if int(gen) >= len(a.gens) {
+		return -1
+	}
+	g := &a.gens[gen]
+	// Binary search: runs before lo start at or before ms, runs from hi on
+	// after it.
+	lo, hi := 0, len(g.start)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); int(g.start[mid]) <= ms {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if v := lo - 1; v >= 0 && ms < int(g.end[v]) {
+		return int32(v)
+	}
+	return -1
+}
 
 // CanDeliver reports whether Deliver would accept the packet right now,
 // without side effects.
@@ -152,6 +257,7 @@ func (a *Array) Deliver(ms int, p comp.Packet) bool {
 			s.stationary = p.Value
 			s.hasStat = true
 			s.curGen = 0
+			s.vn = a.vnAt(0, ms)
 		}
 		a.cWeightLoads.Add(1)
 		return true
@@ -223,15 +329,28 @@ func (a *Array) fire(i int) bool {
 		s.stationary = s.shadow
 		s.hasStat = true
 		s.curGen = p.Gen
+		s.vn = a.vnAt(p.Gen, i)
 		s.hasShadow = false
 	}
 	if !s.hasStat {
 		return false
 	}
 	s.in.Pop()
-	s.latch[s.nlatch] = psum{value: s.stationary * p.Value, seq: p.Seq, last: p.Last}
+	s.latch[s.nlatch] = psum{value: s.stationary * p.Value, seq: p.Seq, vn: s.vn}
 	s.nlatch++
+	if s.nlatch == 1 {
+		a.headed(&s.latch[0])
+	}
 	return true
+}
+
+// headed accounts a product that just became the head of its switch's
+// latch: it completes one more member of its VN's armed step, if it is of
+// that step.
+func (a *Array) headed(h *psum) {
+	if h.vn >= 0 && a.want[h.vn] == uint64(h.seq) {
+		a.ready[h.vn]++
+	}
 }
 
 // Lookahead implements comp.Lookahead: an idle array (no queued operands,
@@ -247,49 +366,49 @@ func (a *Array) Lookahead() uint64 {
 // Advance implements comp.Lookahead: an idle array has no per-cycle state.
 func (a *Array) Advance(uint64) {}
 
-// ReadyVN reports whether VN vn has a complete product set for step seq:
-// at least `expect` member switches hold a head psum tagged seq.
-func (a *Array) ReadyVN(vn, seq, expect int) bool {
-	if vn >= len(a.vnMembers) {
-		return false
-	}
-	return a.ReadyMembers(a.vnMembers[vn], seq, expect)
-}
-
-// ReadyMembers is ReadyVN over an explicit member set — used by
-// controllers whose cluster shapes change every round and are snapshot
-// into the job itself.
-func (a *Array) ReadyMembers(members []int, seq, expect int) bool {
-	count := 0
-	for _, ms := range members {
-		s := &a.ms[ms]
-		if s.nlatch > 0 && s.latch[0].seq == seq {
-			count++
+// Arm sets the step VN vn's next reduction consumes: step seq of
+// generation gen. It counts the members already holding that step's
+// product once; from then on products entering the head of a member's
+// latch keep the count (see headed).
+func (a *Array) Arm(vn int, gen, seq uint32) {
+	a.want[vn] = uint64(seq)
+	var n int32
+	g := &a.gens[gen]
+	for ms := g.start[vn]; ms < g.end[vn]; ms++ {
+		if s := &a.ms[ms]; s.nlatch > 0 && s.latch[0].seq == seq {
+			n++
 		}
 	}
-	return count >= expect
+	a.ready[vn] = n
 }
 
-// AppendPop removes the head psums of the member set tagged with step seq,
-// appends them to dst and returns the extended slice; last reports whether
-// any contributing product was marked final. The cycle loop passes a
+// ReadyVN reports whether at least expect members of VN vn hold the
+// product of its armed step at the head of their latch.
+func (a *Array) ReadyVN(vn, expect int) bool { return int(a.ready[vn]) >= expect }
+
+// AppendPop removes the head psums tagged with step seq from the members
+// VN vn has in generation gen, appends them to dst in member order and
+// returns the extended slice; it disarms the VN. The cycle loop passes a
 // reusable scratch buffer, so the pop does not allocate.
-func (a *Array) AppendPop(dst []float32, members []int, seq int) (values []float32, last bool) {
-	values = dst
-	for _, ms := range members {
+func (a *Array) AppendPop(dst []float32, vn int, gen, seq uint32) []float32 {
+	a.want[vn] = noWant
+	values := dst
+	g := &a.gens[gen]
+	for ms := g.start[vn]; ms < g.end[vn]; ms++ {
 		s := &a.ms[ms]
 		if s.nlatch > 0 && s.latch[0].seq == seq {
 			//lint:ignore hotpathalloc dst is the caller's reusable scratch buffer (reset to len 0 each cycle), so this append reallocates only until it reaches steady-state capacity
 			values = append(values, s.latch[0].value)
-			last = last || s.latch[0].last
 			s.nlatch = copy(s.latch[:], s.latch[1:s.nlatch])
-			if s.nlatch == 0 && s.in.Empty() {
+			if s.nlatch > 0 {
+				a.headed(&s.latch[0])
+			} else if s.in.Empty() {
 				a.busy[ms>>6] &^= 1 << (ms & 63)
 				a.nbusy--
 			}
 		}
 	}
-	return values, last
+	return values
 }
 
 // QuiescentSet reports whether every switch in the set has drained its

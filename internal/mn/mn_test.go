@@ -22,11 +22,9 @@ func queued(a *Array) int {
 	return n
 }
 
-// pop drains VN vn's step seq the way flexRun.Control does: the VN's
-// member table into AppendPop.
+// pop drains generation-0 VN vn's step seq the way flexRun.Control does.
 func pop(a *Array, vn, seq int) []float32 {
-	v, _ := a.AppendPop(nil, a.VNs()[vn], seq)
-	return v
+	return a.AppendPop(nil, vn, 0, uint32(seq))
 }
 
 func TestConfigureVNs(t *testing.T) {
@@ -40,6 +38,22 @@ func TestConfigureVNs(t *testing.T) {
 	if err := a.ConfigureVNs([][]int{{0, 99}}); err == nil {
 		t.Error("out-of-range member accepted")
 	}
+	if err := a.ConfigureVNs([][]int{{0, 2}}); err == nil {
+		t.Error("a VN that is not a run of consecutive switches accepted")
+	}
+	if err := a.ConfigureVNs([][]int{{4, 5}, {1, 2}}); err == nil {
+		t.Error("VNs out of switch order accepted")
+	}
+	// A VN may start past the previous one's end; switches in the gap
+	// belong to none.
+	if err := a.ConfigureVNs([][]int{{1, 2}, {5}}); err != nil {
+		t.Fatal(err)
+	}
+	for ms, want := range []int32{-1, 0, 0, -1, -1, 1, -1, -1} {
+		if got := a.vnAt(0, ms); got != want {
+			t.Errorf("switch %d is in VN %d, want %d", ms, got, want)
+		}
+	}
 }
 
 func TestMultiplyFlow(t *testing.T) {
@@ -52,8 +66,12 @@ func TestMultiplyFlow(t *testing.T) {
 	a.Deliver(1, comp.Packet{Value: 3, Kind: comp.WeightPkt})
 	a.Deliver(0, comp.Packet{Value: 10, Kind: comp.InputPkt, Seq: 0})
 	a.Deliver(1, comp.Packet{Value: 10, Kind: comp.InputPkt, Seq: 0})
+	a.Arm(0, 0, 0)
+	if a.ReadyVN(0, 1) {
+		t.Fatal("VN ready before any multiply")
+	}
 	a.Cycle()
-	if !a.ReadyVN(0, 0, 2) {
+	if !a.ReadyVN(0, 2) {
 		t.Fatal("VN not ready after multiply")
 	}
 	values := pop(a, 0, 0)
@@ -86,7 +104,7 @@ func TestFIFOBackpressure(t *testing.T) {
 	a, _ := newTestArray(t, 1)
 	a.Deliver(0, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	for i := 0; i < 4; i++ {
-		if !a.Deliver(0, comp.Packet{Value: 1, Kind: comp.InputPkt, Seq: i}) {
+		if !a.Deliver(0, comp.Packet{Value: 1, Kind: comp.InputPkt, Seq: uint32(i)}) {
 			t.Fatalf("push %d rejected below capacity", i)
 		}
 	}
@@ -103,7 +121,7 @@ func TestPsumLatchLimitsRunAhead(t *testing.T) {
 	a.ConfigureVNs([][]int{{0}})
 	a.Deliver(0, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	for i := 0; i < 4; i++ {
-		a.Deliver(0, comp.Packet{Value: float32(i), Kind: comp.InputPkt, Seq: i})
+		a.Deliver(0, comp.Packet{Value: float32(i), Kind: comp.InputPkt, Seq: uint32(i)})
 	}
 	a.Cycle()
 	a.Cycle()
@@ -194,17 +212,21 @@ func TestAppendPopMatchesSeqOnly(t *testing.T) {
 	a.Deliver(1, comp.Packet{Value: 30, Kind: comp.InputPkt, Seq: 1})
 	a.Cycle()
 	a.Cycle()
-	if !a.ReadyMembers([]int{0, 1}, 0, 1) {
-		t.Fatal("step 0 not ready with expect=1")
+	a.Arm(0, 0, 0)
+	if !a.ReadyVN(0, 1) || a.ReadyVN(0, 2) {
+		t.Fatal("step 0 should be ready with expect=1 only")
 	}
-	v, _ := a.AppendPop(nil, []int{0, 1}, 0)
+	v := a.AppendPop(nil, 0, 0, 0)
 	if len(v) != 1 || v[0] != 10 {
 		t.Fatalf("step 0 pop %v", v)
 	}
-	if !a.ReadyMembers([]int{0, 1}, 1, 2) {
+	// The pop exposed switch 0's step-1 product; re-arming counts it with
+	// switch 1's.
+	a.Arm(0, 0, 1)
+	if !a.ReadyVN(0, 2) {
 		t.Fatal("step 1 not ready")
 	}
-	v, _ = a.AppendPop(nil, []int{0, 1}, 1)
+	v = a.AppendPop(nil, 0, 0, 1)
 	if len(v) != 2 {
 		t.Fatalf("step 1 pop %v", v)
 	}
@@ -244,7 +266,7 @@ func TestDeliverAllIsAtomic(t *testing.T) {
 	t.Run("full FIFO", func(t *testing.T) {
 		a, c := newTestArray(t, 4)
 		for i := 0; i < 4; i++ {
-			if !a.Deliver(2, comp.Packet{Kind: comp.InputPkt, Seq: i}) {
+			if !a.Deliver(2, comp.Packet{Kind: comp.InputPkt, Seq: uint32(i)}) {
 				t.Fatal("setup: push refused below capacity")
 			}
 		}
@@ -308,4 +330,129 @@ func TestDeliverAllIsAtomic(t *testing.T) {
 			t.Errorf("mn.weight_loads = %d, want 4: the setup load and one per destination", got)
 		}
 	})
+}
+
+// TestReadyCountsMatchRescan drives an array through SIGMA-like traffic:
+// three double-buffered rounds, each partitioning a random prefix of the
+// switches into clusters (so a switch changes VN from round to round),
+// every step streaming to a random subset of the switches in use. Deliveries
+// keep program order and retry when refused; each cycle multiplies, then
+// pops the ready VNs in a random order. Before every pop each armed VN's
+// count is checked against a rescan of its members' latch heads.
+func TestReadyCountsMatchRescan(t *testing.T) {
+	const n = 8
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func(m int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(m))
+	}
+	a, _ := newTestArray(t, n)
+	type delivery struct {
+		ms int
+		p  comp.Packet
+	}
+	type job struct {
+		gen, seq uint32
+		expect   int
+	}
+	var (
+		program []delivery
+		queues  = make([][]job, n)
+		rounds  [][][]int
+		seq     uint32
+	)
+	for r := 0; r < 3; r++ {
+		gen := uint32(r + 1)
+		used := 3 + next(n-2)
+		var vns [][]int
+		for base := 0; base < used; {
+			size := min(1+next(3), used-base)
+			vn := make([]int, size)
+			for i := range vn {
+				vn[i] = base + i
+			}
+			vns = append(vns, vn)
+			base += size
+		}
+		rounds = append(rounds, vns)
+		for ms := 0; ms < used; ms++ {
+			program = append(program, delivery{ms, comp.Packet{Value: float32(ms + 1), Kind: comp.WeightPkt, Gen: gen}})
+		}
+		for step := 0; step < 6; step++ {
+			for vn, members := range vns {
+				expect := 0
+				for _, ms := range members {
+					if next(3) > 0 {
+						program = append(program, delivery{ms, comp.Packet{Value: 1, Kind: comp.InputPkt, Seq: seq, Gen: gen}})
+						expect++
+					}
+				}
+				if expect > 0 {
+					queues[vn] = append(queues[vn], job{gen, seq, expect})
+				}
+			}
+			seq++
+		}
+	}
+	if err := a.ConfigureRounds(rounds); err != nil {
+		t.Fatal(err)
+	}
+	for vn, q := range queues {
+		if len(q) > 0 {
+			a.Arm(vn, q[0].gen, q[0].seq)
+		}
+	}
+	pending := 0
+	for _, q := range queues {
+		pending += len(q)
+	}
+	for cycle := 0; pending > 0 || len(program) > 0; cycle++ {
+		if cycle > 10000 {
+			t.Fatalf("stuck with %d deliveries and %d jobs left", len(program), pending)
+		}
+		for len(program) > 0 && a.Deliver(program[0].ms, program[0].p) {
+			program = program[1:]
+		}
+		a.Cycle()
+		for _, vn := range rotate(n, next(n)) {
+			q := queues[vn]
+			if len(q) == 0 {
+				continue
+			}
+			heads := 0
+			for _, ms := range rounds[q[0].gen-1][vn] {
+				if s := &a.ms[ms]; s.nlatch > 0 && s.latch[0].seq == q[0].seq {
+					heads++
+				}
+			}
+			if !a.ReadyVN(vn, heads) || a.ReadyVN(vn, heads+1) {
+				t.Fatalf("cycle %d VN %d step %d: ready count disagrees with the %d heads a rescan finds", cycle, vn, q[0].seq, heads)
+			}
+			if heads < q[0].expect {
+				continue
+			}
+			if got := a.AppendPop(nil, vn, q[0].gen, q[0].seq); len(got) != q[0].expect {
+				t.Fatalf("VN %d step %d popped %d products, want %d", vn, q[0].seq, len(got), q[0].expect)
+			}
+			queues[vn] = q[1:]
+			pending--
+			if len(q) > 1 {
+				a.Arm(vn, q[1].gen, q[1].seq)
+			}
+		}
+	}
+	if !a.Idle() {
+		t.Error("array not idle after every job popped")
+	}
+}
+
+// rotate lists 0..n-1 starting at k.
+func rotate(n, k int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = (k + i) % n
+	}
+	return out
 }

@@ -20,8 +20,7 @@ import (
 
 // Job is one virtual neuron's product set for one step of computation.
 type Job struct {
-	VN  int
-	Seq int
+	VN int
 	// Values are the products entering the tree this cycle.
 	Values []float32
 	// OutIdx identifies the output element this (chain of) reduction(s)

@@ -26,11 +26,11 @@ func TestFANReducesAndAccumulates(t *testing.T) {
 	n.SetSink(func(r Result) { results = append(results, r) })
 
 	// Two folds accumulate, the second is Last.
-	if !n.Offer(Job{VN: 0, Seq: 0, Values: []float32{1, 2, 3}, OutIdx: 7}) {
+	if !n.Offer(Job{VN: 0, Values: []float32{1, 2, 3}, OutIdx: 7}) {
 		t.Fatal("offer rejected")
 	}
 	n.Cycle()
-	n.Offer(Job{VN: 0, Seq: 1, Values: []float32{4, 5}, OutIdx: 7, Last: true})
+	n.Offer(Job{VN: 0, Values: []float32{4, 5}, OutIdx: 7, Last: true})
 	runUntilDrained(t, n, 20)
 	if len(results) != 1 {
 		t.Fatalf("results %v", results)
@@ -167,7 +167,7 @@ func TestReductionSumProperty(t *testing.T) {
 				vals[i] = float32(next(100)) / 10
 				want += float64(vals[i])
 			}
-			for !n.Offer(Job{VN: 0, Seq: f, Values: vals, OutIdx: 0, Last: f == folds-1}) {
+			for !n.Offer(Job{VN: 0, Values: vals, OutIdx: 0, Last: f == folds-1}) {
 				n.Cycle()
 			}
 			n.Cycle()

@@ -66,7 +66,7 @@ bench-smoke:
 # Go's native fuzzer accepts one -fuzz pattern in one package per
 # invocation, so each package:target pair gets its own run. FUZZTIME scales
 # both flavours: fuzz-smoke is the CI budget, fuzz a longer local soak.
-FUZZ_TARGETS = ./stonne:FuzzGEMMDispatch ./stonne:FuzzConvTile ./internal/check:FuzzSparseRoundTrip ./internal/dnn:FuzzPruneMatchesSort ./internal/serve:FuzzResolve ./internal/dnn:FuzzParseModel
+FUZZ_TARGETS = ./stonne:FuzzGEMMDispatch ./stonne:FuzzConvTile ./internal/check:FuzzSparseRoundTrip ./internal/dnn:FuzzPruneMatchesSort ./internal/serve:FuzzResolve ./internal/dnn:FuzzParseModel ./internal/serve:FuzzParseEntry
 
 fuzz-smoke: FUZZTIME ?= 30s
 fuzz-smoke:

@@ -65,9 +65,9 @@ func (q *jobQueue) pop() {
 // refills; they are valid until the next call of Next on that source, and a
 // consumer that keeps an element past that point copies it by value (the
 // controller copies deliveries into the DN queue and jobs into its per-VN
-// queues). The slices those elements carry in turn — dn.Delivery.Dests,
-// jobSpec.Members — are per-operation tables: immutable, possibly shared by
-// many elements, alive as long as the operation.
+// queues). The destination sets those deliveries carry (dn.Delivery.Dests)
+// are per-operation tables: immutable, possibly shared by many elements,
+// alive as long as the operation.
 type workItem struct {
 	// Barrier requires the switches in ReloadSet to be quiescent (operand
 	// FIFOs and psum latches empty) and the DN drained before issuing —
@@ -152,12 +152,10 @@ func newFlexRun(ctx *sim.Ctx, o flexOp) (*flexRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	rkind := rn.ARTAcc
+	rkind := rn.ARTAcc // config.ARTAccRN
 	switch hw.RN {
 	case config.ARTRN:
 		rkind = rn.ART
-	case config.ARTAccRN:
-		rkind = rn.ARTAcc
 	case config.FANRN:
 		rkind = rn.FAN
 	case config.LinearRN:
@@ -249,7 +247,7 @@ func (f *flexRun) Control() {
 			// The RN folds Values before Offer returns, so the scratch buffer
 			// is free to reuse for the next VN in the same cycle.
 			f.valBuf = f.marr.AppendPop(f.valBuf[:0], vn, j.Gen, j.Seq)
-			f.rnet.Offer(rn.Job{VN: vn, Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
+			f.rnet.Offer(rn.Job{Values: f.valBuf, OutIdx: j.OutIdx, Last: j.Last})
 			q.pop()
 			f.pendingJobs--
 			if q.n == 0 {
@@ -400,11 +398,11 @@ type flexOp struct {
 	op, layer string
 	m, n, k   int // GEMM-equivalent dimensions of the run record
 	src       source
-	// vns is the fixed VN membership (Configuration Unit signals); rounds
-	// is that of each double-buffered stationary generation instead
+	// vns is the fixed VN sizes (Configuration Unit signals); rounds is
+	// those of each double-buffered stationary generation instead
 	// (rounds[g-1] for generation g: the sparse controller's clusters).
-	vns      [][]int
-	rounds   [][][]int
+	vns      []int
+	rounds   [][]int
 	sumOut   bool // see flexRun.sumOut
 	fill     int  // initial DRAM working set, in elements
 	outShape []int

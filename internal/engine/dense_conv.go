@@ -138,9 +138,13 @@ func newConvSource(in, w *tensor.Tensor, cs tensor.ConvShape, t mapper.Tile, for
 	return c
 }
 
-// vns lays VN (kk, ty) = kk·TYp + ty over consecutive switch ranges.
-func (c *convSource) vns() [][]int {
-	return destTable(c.t.TK*c.t.TYp, c.t.VNSize, func(v, p int) int { return v*c.t.VNSize + p })
+// vns is the VN sizes: VN (kk, ty) = kk·TYp + ty holds VNSize switches.
+func (c *convSource) vns() []int {
+	sizes := make([]int, c.t.TK*c.t.TYp)
+	for v := range sizes {
+		sizes[v] = c.t.VNSize
+	}
+	return sizes
 }
 
 func (c *convSource) ms(kk, ty, p int) int { return (kk*c.t.TYp+ty)*c.t.VNSize + p }

@@ -230,14 +230,12 @@ func newRefGEMMSource(A, B *tensor.Tensor, kslice, tm, tn, leaves int) *refGEMMS
 	return g
 }
 
-// vns is the VN membership: VN (i,j) = i·TN + j occupies KSlice consecutive
+// vns is the VN sizes: VN (i,j) = i·TN + j occupies KSlice consecutive
 // switches.
-func (g *refGEMMSource) vns() [][]int {
-	vns := make([][]int, g.tm*g.tn)
+func (g *refGEMMSource) vns() []int {
+	vns := make([]int, g.tm*g.tn)
 	for v := range vns {
-		for p := 0; p < g.kslice; p++ {
-			vns[v] = append(vns[v], v*g.kslice+p)
-		}
+		vns[v] = g.kslice
 	}
 	return vns
 }
@@ -641,10 +639,10 @@ func (c gemmCase) userTile() *mapper.Tile {
 }
 
 // gemmSchedule builds the schedule of A×B on tile t of a fabric of leaves
-// switches, returning it with the VN membership it programs.
-type gemmSchedule func(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error)
+// switches, returning it with the VN sizes it programs.
+type gemmSchedule func(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, []int, error)
 
-func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error) {
+func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, []int, error) {
 	src, err := gemmConvSource(A, B, t, leaves)
 	if err != nil {
 		return nil, nil, err
@@ -652,7 +650,7 @@ func convGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [
 	return src, src.vns(), nil
 }
 
-func refGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, [][]int, error) {
+func refGEMMSchedule(A, B *tensor.Tensor, t mapper.Tile, leaves int) (source, []int, error) {
 	src := newRefGEMMSource(A, B, t.TC, t.TK, t.TYp, leaves)
 	return src, src.vns(), nil
 }
@@ -678,8 +676,8 @@ func TestScheduleGEMMMatchesReference(t *testing.T) {
 			if tc.wantPanel && (src.panels < 3 || tc.n%ref.panelCols == 0) {
 				t.Fatalf("case does not end in a tail panel: %d panels of %d columns", src.panels, ref.panelCols)
 			}
-			if !slices.EqualFunc(src.vns(), ref.vns(), slices.Equal) {
-				t.Fatal("VN membership differs from the reference")
+			if !slices.Equal(src.vns(), ref.vns()) {
+				t.Fatal("VN sizes differ from the reference")
 			}
 			if n := assertSameSchedule(t, src, ref); n == 0 {
 				t.Fatal("empty schedule")

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/comp"
 	"repro/internal/comp/names"
@@ -96,20 +95,20 @@ func newSigmaSource(rounds []sigmaRound, B *tensor.Tensor) *sigmaSource {
 	return s
 }
 
-// roundVNs is the VN membership of every round, generation by generation:
-// round r's VN ci is its cluster ci.
-func (s *sigmaSource) roundVNs() [][][]int {
+// roundVNs is the VN sizes of every round, generation by generation:
+// round r's VN ci is its cluster ci, laid from switch 0 in cluster order.
+func (s *sigmaSource) roundVNs() [][]int {
 	total := 0
 	for r := range s.rounds {
 		total += len(s.rounds[r].clusters)
 	}
-	flat := make([][]int, total) // every round's table, back to back
-	gens := make([][][]int, len(s.rounds))
+	flat := make([]int, total) // every round's sizes, back to back
+	gens := make([][]int, len(s.rounds))
 	for r := range s.rounds {
 		clusters := s.rounds[r].clusters
 		gens[r], flat = flat[:len(clusters):len(clusters)], flat[len(clusters):]
 		for ci := range clusters {
-			gens[r][ci] = clusters[ci].members
+			gens[r][ci] = len(clusters[ci].members)
 		}
 	}
 	return gens
@@ -134,13 +133,24 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 		ident[ms] = ms
 		leafEdges[ms] = steiner.Edges(ident[ms : ms+1])
 	}
-	// kPos[k] is 1 + k's position in the round's groups (0: not yet seen);
-	// each round resets the entries it set.
+	// Every round's groups lie back to back in one array, sized up front so
+	// no append moves it (a round's window would stay valid if one did);
+	// kPos[k] is 1 + k's index in groups (0: not yet seen in this round),
+	// and each round resets the entries it set.
 	kPos := make([]int32, A.Cols)
-	var groups []kGroup
+	bound := 0 // a round holds at most min(its non-zeros, A.Cols) groups
+	for _, r := range packed {
+		used := 0
+		for _, chunk := range r {
+			used += chunk.Len
+		}
+		bound += min(used, A.Cols)
+	}
+	groups := make([]kGroup, 0, bound)
 	rounds := make([]sigmaRound, len(packed))
 	for ri, r := range packed {
 		sr := &rounds[ri]
+		first := len(groups)
 		sr.clusters = make([]sigmaCluster, len(r))
 		base := 0
 		for ci, chunk := range r {
@@ -168,7 +178,7 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 		// Lay the groups out back to back, then fill each in ascending
 		// switch order.
 		var off int32
-		for i := range groups {
+		for i := first; i < len(groups); i++ {
 			count := groups[i].end
 			groups[i].start, groups[i].end = off, off
 			off += count
@@ -182,13 +192,12 @@ func buildSigmaRounds(A *tensor.CSRMatrix, capacity int, policy sched.Policy, se
 				g.end++
 			}
 		}
-		for i := range groups {
+		for i := first; i < len(groups); i++ {
 			g := &groups[i]
 			g.edges = steiner.Edges(sr.dests[g.start:g.end])
 			kPos[g.k] = 0
 		}
-		sr.kGroups = slices.Clone(groups)
-		groups = groups[:0]
+		sr.kGroups = groups[first:len(groups):len(groups)]
 	}
 	return rounds
 }

@@ -12,18 +12,17 @@ func DefaultExtraRoots() map[string][]string {
 			"GlobalBuffer.Read",
 			"GlobalBuffer.Write",
 			"DRAM.BeginPrefetch",
-			"DRAM.StallCycles",
-			"DRAM.StallLookahead",
-			"DRAM.AdvanceStall",
 			// The chip interconnect: CorePort stands in for DRAM on every
 			// multi-core tick path, and each of its transfers grants through
 			// SharedDRAM.Serve.
 			"SharedDRAM.Serve",
 			"CorePort.FetchCycles",
 			"CorePort.BeginPrefetch",
-			"CorePort.StallCycles",
-			"CorePort.StallLookahead",
-			"CorePort.AdvanceStall",
+			// The stall probes DRAM and CorePort both promote from their
+			// embedded prefetch window.
+			"window.StallCycles",
+			"window.StallLookahead",
+			"window.AdvanceStall",
 		},
 		// Fired from the controller's per-cycle VN scan and from the DN's
 		// per-cycle delivery sink.

@@ -85,15 +85,21 @@ func (h *hotPaths) markRoot(fn *types.Func, why string) {
 	h.work = append(h.work, fn)
 }
 
+// collectRoots marks the structural roots and the configured hot leaves,
+// and reports (at the first file's package clause) a configured leaf that
+// names no declaration: a renamed or promoted method would otherwise drop
+// out of the check without a sign.
 func (h *hotPaths) collectRoots(extra []string) {
-	extraSet := make(map[string]bool, len(extra))
+	matched := make(map[string]bool, len(extra))
 	for _, e := range extra {
-		extraSet[e] = true
+		matched[e] = false
 	}
 	ctrl := h.controllerIface()
 	for fn, hf := range h.decls {
 		fd := hf.decl
-		if name := qualifiedName(fd); extraSet[name] {
+		name := qualifiedName(fd)
+		if _, ok := matched[name]; ok {
+			matched[name] = true
 			h.markRoot(fn, name+" (configured hot leaf)")
 		}
 		if fd.Recv == nil {
@@ -106,29 +112,34 @@ func (h *hotPaths) collectRoots(extra []string) {
 		if recv := sig.Recv().Type(); ctrl != nil && fd.Name.Name != "Deadlock" &&
 			types.NewMethodSet(ctrl).Lookup(nil, fd.Name.Name) != nil &&
 			(types.Implements(recv, ctrl) || types.Implements(types.NewPointer(recv), ctrl)) {
-			h.markRoot(fn, qualifiedName(fd)+" (sim.Controller)")
+			h.markRoot(fn, name+" (sim.Controller)")
 		}
 		switch fd.Name.Name {
 		case "Cycle":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 0 {
-				h.markRoot(fn, qualifiedName(fd)+" (tick callback)")
+				h.markRoot(fn, name+" (tick callback)")
 			}
 		case "Next":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 2 && isBool(sig.Results().At(1).Type()) {
-				h.markRoot(fn, qualifiedName(fd)+" (schedule source)")
+				h.markRoot(fn, name+" (schedule source)")
 			}
 		case "Consume":
 			if sig.Params().Len() == 1 && sig.Results().Len() == 0 {
-				h.markRoot(fn, qualifiedName(fd)+" (result sink)")
+				h.markRoot(fn, name+" (result sink)")
 			}
 		case "Lookahead":
 			if sig.Params().Len() == 0 && sig.Results().Len() == 1 && isUint64(sig.Results().At(0).Type()) {
-				h.markRoot(fn, qualifiedName(fd)+" (fast-forward probe)")
+				h.markRoot(fn, name+" (fast-forward probe)")
 			}
 		case "Advance":
 			if sig.Params().Len() == 1 && sig.Results().Len() == 0 && isUint64(sig.Params().At(0).Type()) {
-				h.markRoot(fn, qualifiedName(fd)+" (fast-forward advance)")
+				h.markRoot(fn, name+" (fast-forward advance)")
 			}
+		}
+	}
+	for _, e := range extra {
+		if !matched[e] {
+			h.pass.Reportf(h.pass.Files[0].Name.Pos(), "configured hot leaf %s matches no declaration in %s", e, h.pass.Pkg.Path())
 		}
 	}
 }

@@ -27,10 +27,10 @@ func TestHotPathAlloc(t *testing.T) {
 
 // TestHotPathAllocExtraRoots drives the configured-hot-leaf mechanism the
 // real suite uses for mem/mn/rn/dn leaves called from another package's
-// tick loop.
+// tick loop, including the finding for a leaf that matches nothing.
 func TestHotPathAllocExtraRoots(t *testing.T) {
 	extra := map[string][]string{
-		"repro/internal/lint/testdata/hotleaf": {"Leaf.Touch"},
+		"repro/internal/lint/testdata/hotleaf": {"Leaf.Touch", "Leaf.Gone"},
 	}
 	linttest.Run(t, lint.HotPathAlloc(extra), "hotleaf")
 }

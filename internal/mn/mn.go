@@ -107,26 +107,21 @@ func NewArray(n, fifoDepth int, c *comp.Counters) *Array {
 
 // vnRuns is the VN programming of one stationary generation. A virtual
 // neuron is a run of consecutive switches — a range of the reduction
-// network's leaves, as MAERI's VNs and SIGMA's clusters both are — so VN v
-// is the switches [start[v], end[v]), and the runs ascend without
-// overlapping.
-type vnRuns struct {
-	start, end []int32
-}
+// network's leaves, as MAERI's VNs and SIGMA's clusters both are — laid
+// from switch 0 in VN order, so VN v is the switches [g[v], g[v+1]).
+type vnRuns []int32
 
 // ConfigureVNs assigns switches to the virtual neurons of generation 0,
-// the barrier-synchronized stationaries. Each inner slice lists the member
-// switch indices of one VN, a run of consecutive switches after the
-// previous VN's. Reconfiguration happens between tiles, mirroring the
+// the barrier-synchronized stationaries: VN v is the sizes[v] switches
+// after VN v-1's. Reconfiguration happens between tiles, mirroring the
 // signals the paper's Configuration Unit drives.
-func (a *Array) ConfigureVNs(vns [][]int) error {
-	bounds := make([]int32, 2*len(vns))
-	g := vnRuns{start: bounds[:len(vns)], end: bounds[len(vns):]}
-	if err := a.fillRuns(vns, g); err != nil {
+func (a *Array) ConfigureVNs(sizes []int) error {
+	g := make(vnRuns, len(sizes)+1)
+	if err := a.fillRuns(sizes, g); err != nil {
 		return err
 	}
 	a.gens[0] = g
-	a.sizeVNs(len(vns))
+	a.sizeVNs(len(sizes))
 	for i := range a.ms {
 		if s := &a.ms[i]; s.curGen == 0 {
 			s.vn = a.vnAt(0, i)
@@ -137,53 +132,40 @@ func (a *Array) ConfigureVNs(vns [][]int) error {
 }
 
 // ConfigureRounds programs the VNs of the double-buffered stationary
-// generations: rounds[g-1] is generation g's, laid out as in ConfigureVNs.
-// The sparse controller knows every round's clusters before the first
-// cycle, so it programs them all at once; a switch takes its generation's
-// VN when that generation's stationary is promoted.
-func (a *Array) ConfigureRounds(rounds [][][]int) error {
+// generations: rounds[g-1] is generation g's VN sizes, laid out as in
+// ConfigureVNs. The sparse controller knows every round's clusters before
+// the first cycle, so it programs them all at once; a switch takes its
+// generation's VN when that generation's stationary is promoted.
+func (a *Array) ConfigureRounds(rounds [][]int) error {
 	total := 0
-	for _, vns := range rounds {
-		total += len(vns)
+	for _, sizes := range rounds {
+		total += len(sizes) + 1
 	}
-	bounds := make([]int32, 2*total) // every round's runs, back to back
+	offs := make([]int32, total) // every round's runs, back to back
 	gens := append(make([]vnRuns, 0, 1+len(rounds)), a.gens[0])
-	for r, vns := range rounds {
-		n := len(vns)
-		g := vnRuns{start: bounds[:n:n], end: bounds[n : 2*n : 2*n]}
-		bounds = bounds[2*n:]
-		if err := a.fillRuns(vns, g); err != nil {
+	for r, sizes := range rounds {
+		n := len(sizes) + 1
+		g := vnRuns(offs[:n:n])
+		offs = offs[n:]
+		if err := a.fillRuns(sizes, g); err != nil {
 			return fmt.Errorf("mn: round %d: %w", r, err)
 		}
 		gens = append(gens, g)
-		a.sizeVNs(n)
+		a.sizeVNs(len(sizes))
 	}
 	a.gens = gens
 	return nil
 }
 
-// fillRuns checks that vns is a generation's layout and records its runs in
-// g.
-func (a *Array) fillRuns(vns [][]int, g vnRuns) error {
-	prevEnd := 0
-	for vn, members := range vns {
-		first := prevEnd
-		if len(members) > 0 {
-			first = members[0]
+// fillRuns lays VNs of the given sizes out from switch 0 into g.
+func (a *Array) fillRuns(sizes []int, g vnRuns) error {
+	next := 0
+	for vn, n := range sizes {
+		if n < 0 || n > a.n-next {
+			return fmt.Errorf("mn: VN %d of %d switches does not fit after switch %d of %d", vn, n, next, a.n)
 		}
-		for i, ms := range members {
-			if ms < 0 || ms >= a.n {
-				return fmt.Errorf("mn: VN %d member %d out of range [0,%d)", vn, ms, a.n)
-			}
-			if ms != first+i {
-				return fmt.Errorf("mn: VN %d is not a run of consecutive switches: %v", vn, members)
-			}
-		}
-		if first < prevEnd {
-			return fmt.Errorf("mn: VN %d starts at switch %d, before VN %d ends", vn, first, vn-1)
-		}
-		prevEnd = first + len(members)
-		g.start[vn], g.end[vn] = int32(first), int32(prevEnd)
+		next += n
+		g[vn+1] = int32(next)
 	}
 	return nil
 }
@@ -202,18 +184,18 @@ func (a *Array) vnAt(gen uint32, ms int) int32 {
 	if int(gen) >= len(a.gens) {
 		return -1
 	}
-	g := &a.gens[gen]
+	g := a.gens[gen]
 	// Binary search: runs before lo start at or before ms, runs from hi on
 	// after it.
-	lo, hi := 0, len(g.start)
+	lo, hi := 0, len(g)-1
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); int(g.start[mid]) <= ms {
+		if mid := int(uint(lo+hi) >> 1); int(g[mid]) <= ms {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if v := lo - 1; v >= 0 && ms < int(g.end[v]) {
+	if v := lo - 1; v >= 0 && ms < int(g[v+1]) {
 		return int32(v)
 	}
 	return -1
@@ -373,8 +355,8 @@ func (a *Array) Advance(uint64) {}
 func (a *Array) Arm(vn int, gen, seq uint32) {
 	a.want[vn] = uint64(seq)
 	var n int32
-	g := &a.gens[gen]
-	for ms := g.start[vn]; ms < g.end[vn]; ms++ {
+	g := a.gens[gen]
+	for ms := g[vn]; ms < g[vn+1]; ms++ {
 		if s := &a.ms[ms]; s.nlatch > 0 && s.latch[0].seq == seq {
 			n++
 		}
@@ -393,8 +375,8 @@ func (a *Array) ReadyVN(vn, expect int) bool { return int(a.ready[vn]) >= expect
 func (a *Array) AppendPop(dst []float32, vn int, gen, seq uint32) []float32 {
 	a.want[vn] = noWant
 	values := dst
-	g := &a.gens[gen]
-	for ms := g.start[vn]; ms < g.end[vn]; ms++ {
+	g := a.gens[gen]
+	for ms := g[vn]; ms < g[vn+1]; ms++ {
 		s := &a.ms[ms]
 		if s.nlatch > 0 && s.latch[0].seq == seq {
 			//lint:ignore hotpathalloc dst is the caller's reusable scratch buffer (reset to len 0 each cycle), so this append reallocates only until it reaches steady-state capacity

@@ -29,27 +29,18 @@ func pop(a *Array, vn, seq int) []float32 {
 
 func TestConfigureVNs(t *testing.T) {
 	a, _ := newTestArray(t, 8)
-	if err := a.ConfigureVNs([][]int{{0, 1, 2}, {3, 4, 5}}); err != nil {
+	if err := a.ConfigureVNs([]int{3, 3, 3}); err == nil {
+		t.Error("VNs past the last switch accepted")
+	}
+	if err := a.ConfigureVNs([]int{2, -1}); err == nil {
+		t.Error("a negative VN size accepted")
+	}
+	// VNs lie back to back from switch 0; switches past the last belong to
+	// none, and an empty VN holds no switch.
+	if err := a.ConfigureVNs([]int{1, 2, 0, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ConfigureVNs([][]int{{0, 1}, {1, 2}}); err == nil {
-		t.Error("overlapping VNs accepted")
-	}
-	if err := a.ConfigureVNs([][]int{{0, 99}}); err == nil {
-		t.Error("out-of-range member accepted")
-	}
-	if err := a.ConfigureVNs([][]int{{0, 2}}); err == nil {
-		t.Error("a VN that is not a run of consecutive switches accepted")
-	}
-	if err := a.ConfigureVNs([][]int{{4, 5}, {1, 2}}); err == nil {
-		t.Error("VNs out of switch order accepted")
-	}
-	// A VN may start past the previous one's end; switches in the gap
-	// belong to none.
-	if err := a.ConfigureVNs([][]int{{1, 2}, {5}}); err != nil {
-		t.Fatal(err)
-	}
-	for ms, want := range []int32{-1, 0, 0, -1, -1, 1, -1, -1} {
+	for ms, want := range []int32{0, 1, 1, 3, 3, 3, -1, -1} {
 		if got := a.vnAt(0, ms); got != want {
 			t.Errorf("switch %d is in VN %d, want %d", ms, got, want)
 		}
@@ -58,7 +49,7 @@ func TestConfigureVNs(t *testing.T) {
 
 func TestMultiplyFlow(t *testing.T) {
 	a, c := newTestArray(t, 4)
-	if err := a.ConfigureVNs([][]int{{0, 1}}); err != nil {
+	if err := a.ConfigureVNs([]int{2}); err != nil {
 		t.Fatal(err)
 	}
 	// Load stationary weights, then stream one input per switch.
@@ -118,7 +109,7 @@ func TestFIFOBackpressure(t *testing.T) {
 
 func TestPsumLatchLimitsRunAhead(t *testing.T) {
 	a, _ := newTestArray(t, 1)
-	a.ConfigureVNs([][]int{{0}})
+	a.ConfigureVNs([]int{1})
 	a.Deliver(0, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	for i := 0; i < 4; i++ {
 		a.Deliver(0, comp.Packet{Value: float32(i), Kind: comp.InputPkt, Seq: uint32(i)})
@@ -138,7 +129,7 @@ func TestPsumLatchLimitsRunAhead(t *testing.T) {
 
 func TestGenerationShadowSwap(t *testing.T) {
 	a, c := newTestArray(t, 1)
-	a.ConfigureVNs([][]int{{0}})
+	a.ConfigureVNs([]int{1})
 	// Round 1 stationary in the shadow, then its input promotes it.
 	a.Deliver(0, comp.Packet{Value: 3, Kind: comp.WeightPkt, Gen: 1})
 	a.Deliver(0, comp.Packet{Value: 2, Kind: comp.InputPkt, Seq: 0, Gen: 1})
@@ -183,7 +174,7 @@ func TestShadowOverwriteRules(t *testing.T) {
 
 func TestInputStallsUntilItsGeneration(t *testing.T) {
 	a, c := newTestArray(t, 1)
-	a.ConfigureVNs([][]int{{0}})
+	a.ConfigureVNs([]int{1})
 	// Input of gen 1 arrives before its weight: must stall.
 	a.Deliver(0, comp.Packet{Value: 2, Kind: comp.InputPkt, Seq: 0, Gen: 1})
 	a.Cycle()
@@ -203,7 +194,7 @@ func TestInputStallsUntilItsGeneration(t *testing.T) {
 
 func TestAppendPopMatchesSeqOnly(t *testing.T) {
 	a, _ := newTestArray(t, 2)
-	a.ConfigureVNs([][]int{{0, 1}})
+	a.ConfigureVNs([]int{2})
 	a.Deliver(0, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	a.Deliver(1, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	// Switch 0 has steps 0 and 1; switch 1 only step 1.
@@ -234,7 +225,7 @@ func TestAppendPopMatchesSeqOnly(t *testing.T) {
 
 func TestQuiescentSet(t *testing.T) {
 	a, _ := newTestArray(t, 2)
-	a.ConfigureVNs([][]int{{0}})
+	a.ConfigureVNs([]int{1})
 	a.Deliver(0, comp.Packet{Value: 1, Kind: comp.WeightPkt})
 	a.Deliver(0, comp.Packet{Value: 2, Kind: comp.InputPkt, Seq: 0})
 	if a.QuiescentSet([]int{0}) {
@@ -283,12 +274,12 @@ func TestDeliverAllIsAtomic(t *testing.T) {
 		}
 		// Drain switch 2 (stationary, multiply, pop its products) and retry.
 		a.Deliver(2, comp.Packet{Value: 1, Kind: comp.WeightPkt})
-		if err := a.ConfigureVNs([][]int{{2}}); err != nil {
+		if err := a.ConfigureVNs([]int{2, 1}); err != nil { // VN 1 is switch 2
 			t.Fatal(err)
 		}
 		for seq := 0; seq < 4; seq++ {
 			a.Cycle()
-			pop(a, 0, seq)
+			pop(a, 1, seq)
 		}
 		if !a.DeliverAll([]int{0, 1, 2, 3}, in) {
 			t.Fatal("multicast refused after the full switch drained")
@@ -318,11 +309,11 @@ func TestDeliverAllIsAtomic(t *testing.T) {
 				t.Errorf("switch %d received the refused weight", ms)
 			}
 		}
-		if err := a.ConfigureVNs([][]int{{1}}); err != nil {
+		if err := a.ConfigureVNs([]int{1, 1}); err != nil { // VN 1 is switch 1
 			t.Fatal(err)
 		}
 		a.Cycle() // promotes the shadow and multiplies
-		pop(a, 0, 0)
+		pop(a, 1, 0)
 		if !a.DeliverAll([]int{0, 1, 2}, w) {
 			t.Fatal("weight multicast refused after the shadow was promoted")
 		}
@@ -360,13 +351,17 @@ func TestReadyCountsMatchRescan(t *testing.T) {
 	var (
 		program []delivery
 		queues  = make([][]job, n)
-		rounds  [][][]int
+		rounds  [][]int   // VN sizes, as ConfigureRounds takes them
+		members [][][]int // the same VNs as switch lists, for the rescan
 		seq     uint32
 	)
 	for r := 0; r < 3; r++ {
 		gen := uint32(r + 1)
 		used := 3 + next(n-2)
-		var vns [][]int
+		var (
+			vns   [][]int
+			sizes []int
+		)
 		for base := 0; base < used; {
 			size := min(1+next(3), used-base)
 			vn := make([]int, size)
@@ -374,9 +369,10 @@ func TestReadyCountsMatchRescan(t *testing.T) {
 				vn[i] = base + i
 			}
 			vns = append(vns, vn)
+			sizes = append(sizes, size)
 			base += size
 		}
-		rounds = append(rounds, vns)
+		rounds, members = append(rounds, sizes), append(members, vns)
 		for ms := 0; ms < used; ms++ {
 			program = append(program, delivery{ms, comp.Packet{Value: float32(ms + 1), Kind: comp.WeightPkt, Gen: gen}})
 		}
@@ -422,7 +418,7 @@ func TestReadyCountsMatchRescan(t *testing.T) {
 				continue
 			}
 			heads := 0
-			for _, ms := range rounds[q[0].gen-1][vn] {
+			for _, ms := range members[q[0].gen-1][vn] {
 				if s := &a.ms[ms]; s.nlatch > 0 && s.latch[0].seq == q[0].seq {
 					heads++
 				}

@@ -20,7 +20,6 @@ import (
 
 // Job is one virtual neuron's product set for one step of computation.
 type Job struct {
-	VN int
 	// Values are the products entering the tree this cycle.
 	Values []float32
 	// OutIdx identifies the output element this (chain of) reduction(s)
@@ -35,7 +34,6 @@ type Job struct {
 // propagated from the job so accumulator-less configurations can tell
 // final results from fold partials.
 type Result struct {
-	VN     int
 	OutIdx int
 	Value  float32
 	Last   bool
@@ -80,7 +78,6 @@ func (k Kind) String() string {
 // results) so the network never retains the caller's Values slice — what
 // lets the controller reuse one scratch buffer for every pop.
 type inflight struct {
-	vn     int
 	outIdx int
 	sum    float32
 	last   bool
@@ -171,7 +168,7 @@ func (n *Net) Offer(j Job) bool {
 	}
 	//lint:ignore hotpathalloc Cycle retires by re-slicing inflight to [:0], so the backing array is reused once it reaches the network's natural occupancy
 	n.inflight = append(n.inflight, inflight{
-		vn: j.VN, outIdx: j.OutIdx, sum: sum, last: j.Last,
+		outIdx: j.OutIdx, sum: sum, last: j.Last,
 		ready: n.cycleCount + uint64(n.latency(need)),
 	})
 	n.countAdders(need)
@@ -237,14 +234,14 @@ func (n *Net) Cycle() {
 				n.cAccAccesses.Add(1)
 				n.acc[f.outIdx] += f.sum //lint:ignore hotpathalloc acc models the accumulator RAM: sparse map keyed by live output indices, entries deleted on retire
 				if f.last {
-					n.outQ = append(n.outQ, Result{VN: f.vn, OutIdx: f.outIdx, Value: n.acc[f.outIdx], Last: true}) //lint:ignore hotpathalloc outQ pops head-indexed, reusing its backing array; acc read hits the live entry inserted above
+					n.outQ = append(n.outQ, Result{OutIdx: f.outIdx, Value: n.acc[f.outIdx], Last: true}) //lint:ignore hotpathalloc outQ pops head-indexed, reusing its backing array; acc read hits the live entry inserted above
 					delete(n.acc, f.outIdx)
 				}
 			} else {
 				// Without accumulators every fold's partial leaves through the
 				// output ports (and is re-read by the controller), so each
 				// fold occupies port bandwidth. The engine folds externally.
-				n.outQ = append(n.outQ, Result{VN: f.vn, OutIdx: f.outIdx, Value: f.sum, Last: f.last}) //lint:ignore hotpathalloc outQ pops head-indexed, reusing its backing array at steady state
+				n.outQ = append(n.outQ, Result{OutIdx: f.outIdx, Value: f.sum, Last: f.last}) //lint:ignore hotpathalloc outQ pops head-indexed, reusing its backing array at steady state
 			}
 		}
 		n.inflight = kept

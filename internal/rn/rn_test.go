@@ -26,11 +26,11 @@ func TestFANReducesAndAccumulates(t *testing.T) {
 	n.SetSink(func(r Result) { results = append(results, r) })
 
 	// Two folds accumulate, the second is Last.
-	if !n.Offer(Job{VN: 0, Values: []float32{1, 2, 3}, OutIdx: 7}) {
+	if !n.Offer(Job{Values: []float32{1, 2, 3}, OutIdx: 7}) {
 		t.Fatal("offer rejected")
 	}
 	n.Cycle()
-	n.Offer(Job{VN: 0, Values: []float32{4, 5}, OutIdx: 7, Last: true})
+	n.Offer(Job{Values: []float32{4, 5}, OutIdx: 7, Last: true})
 	runUntilDrained(t, n, 20)
 	if len(results) != 1 {
 		t.Fatalf("results %v", results)
@@ -51,7 +51,7 @@ func TestARTCounts3to1(t *testing.T) {
 	n := New(ART, 16, 4, c)
 	var results []Result
 	n.SetSink(func(r Result) { results = append(results, r) })
-	n.Offer(Job{VN: 1, Values: []float32{1, 1, 1, 1, 1}, OutIdx: 0, Last: true})
+	n.Offer(Job{Values: []float32{1, 1, 1, 1, 1}, OutIdx: 0, Last: true})
 	runUntilDrained(t, n, 20)
 	if len(results) != 1 || results[0].Value != 5 {
 		t.Fatalf("results %v", results)
@@ -66,9 +66,9 @@ func TestARTWithoutAccEmitsPartials(t *testing.T) {
 	n := New(ART, 16, 4, c)
 	var results []Result
 	n.SetSink(func(r Result) { results = append(results, r) })
-	n.Offer(Job{VN: 0, Values: []float32{1, 2}, OutIdx: 3, Last: false})
+	n.Offer(Job{Values: []float32{1, 2}, OutIdx: 3, Last: false})
 	n.Cycle()
-	n.Offer(Job{VN: 0, Values: []float32{3}, OutIdx: 3, Last: true})
+	n.Offer(Job{Values: []float32{3}, OutIdx: 3, Last: true})
 	runUntilDrained(t, n, 20)
 	// Plain ART has no accumulator: both partials exit.
 	if len(results) != 2 {
@@ -86,11 +86,11 @@ func TestInputCapacityPerCycle(t *testing.T) {
 	if !n.CanAccept(8) {
 		t.Fatal("fresh network rejects full-width job")
 	}
-	n.Offer(Job{VN: 0, Values: make([]float32, 6), OutIdx: 0, Last: true})
+	n.Offer(Job{Values: make([]float32, 6), OutIdx: 0, Last: true})
 	if n.CanAccept(4) {
 		t.Error("capacity not consumed")
 	}
-	if n.Offer(Job{VN: 1, Values: make([]float32, 4), OutIdx: 1, Last: true}) {
+	if n.Offer(Job{Values: make([]float32, 4), OutIdx: 1, Last: true}) {
 		t.Error("over-capacity job accepted")
 	}
 	n.Cycle() // resets the per-cycle budget
@@ -105,7 +105,7 @@ func TestOutputBandwidth(t *testing.T) {
 	var results []Result
 	n.SetSink(func(r Result) { results = append(results, r) })
 	for i := 0; i < 5; i++ {
-		n.Offer(Job{VN: i, Values: []float32{1}, OutIdx: i, Last: true})
+		n.Offer(Job{Values: []float32{1}, OutIdx: i, Last: true})
 	}
 	n.Cycle() // retire + drain ≤ 2
 	n.Cycle()
@@ -126,7 +126,7 @@ func TestLinearLatencyIsSerial(t *testing.T) {
 	n := New(Linear, 16, 16, c)
 	var got []Result
 	n.SetSink(func(r Result) { got = append(got, r) })
-	n.Offer(Job{VN: 0, Values: make([]float32, 8), OutIdx: 0, Last: true})
+	n.Offer(Job{Values: make([]float32, 8), OutIdx: 0, Last: true})
 	for i := 0; i < 7; i++ {
 		n.Cycle()
 		if len(got) > 0 {
@@ -167,7 +167,7 @@ func TestReductionSumProperty(t *testing.T) {
 				vals[i] = float32(next(100)) / 10
 				want += float64(vals[i])
 			}
-			for !n.Offer(Job{VN: 0, Values: vals, OutIdx: 0, Last: f == folds-1}) {
+			for !n.Offer(Job{Values: vals, OutIdx: 0, Last: f == folds-1}) {
 				n.Cycle()
 			}
 			n.Cycle()

@@ -28,10 +28,11 @@ import (
 //
 // followed by the raw body bytes. Writes go to a temp file in the same
 // directory and rename into place, so a crash mid-write never leaves a
-// half-entry under the final name. Loads verify magic, version, length
-// and checksum; any mismatch (truncation, corruption, a future format
-// bump) deletes the file and reads as a miss — the simulator silently
-// recomputes, it never serves suspect bytes.
+// half-entry under the final name. A load accepts only the exact header
+// the body would be saved under (magic, version, checksum and length); any
+// mismatch (truncation, corruption, a future format bump) deletes the file
+// and reads as a miss — the simulator silently recomputes, it never serves
+// suspect bytes.
 //
 // Eviction is write-time FIFO: when a Save pushes the store past its
 // entry bound, the oldest entries by modification time are removed.
@@ -118,7 +119,6 @@ func (d *DiskStore) Save(k jobkey.Key, body []byte) {
 	if _, err := os.Stat(path); err == nil {
 		return // already persisted; identical by content addressing
 	}
-	header := fmt.Sprintf("%s %d %s %d\n", diskMagic, diskFormatVersion, bodySum(body), len(body))
 	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
 	if err != nil {
 		d.mu.Lock()
@@ -126,7 +126,7 @@ func (d *DiskStore) Save(k jobkey.Key, body []byte) {
 		d.mu.Unlock()
 		return
 	}
-	_, werr := tmp.Write(append([]byte(header), body...))
+	_, werr := tmp.Write(encodeEntry(body))
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -173,26 +173,25 @@ func (d *DiskStore) Load(k jobkey.Key) ([]byte, bool) {
 	return body, true
 }
 
-// parseEntry validates one entry file's bytes and returns the body.
+// encodeEntry frames body as the bytes of its entry file.
+func encodeEntry(body []byte) []byte {
+	return append(entryHeader(body), body...)
+}
+
+// entryHeader is the header line body is saved under.
+func entryHeader(body []byte) []byte {
+	return fmt.Appendf(nil, "%s %d %s %d\n", diskMagic, diskFormatVersion, bodySum(body), len(body))
+}
+
+// parseEntry returns the body of one entry file's bytes, which must be
+// exactly what encodeEntry makes of that body.
 func parseEntry(raw []byte) ([]byte, bool) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return nil, false
 	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 4 || fields[0] != diskMagic {
-		return nil, false
-	}
-	version, sum := fields[1], fields[2]
-	if version != fmt.Sprint(diskFormatVersion) {
-		return nil, false
-	}
-	var n int
-	if _, err := fmt.Sscanf(fields[3], "%d", &n); err != nil || n < 0 {
-		return nil, false
-	}
 	body := raw[nl+1:]
-	if len(body) != n || bodySum(body) != sum {
+	if !bytes.Equal(raw[:nl+1], entryHeader(body)) {
 		return nil, false
 	}
 	return body, true

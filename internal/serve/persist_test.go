@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -206,4 +207,30 @@ func TestServerRestartServesWarm(t *testing.T) {
 	if st.ColdRuns != 0 || st.WarmHits != 1 {
 		t.Errorf("restarted server counters: cold=%d warm=%d", st.ColdRuns, st.WarmHits)
 	}
+}
+
+// FuzzParseEntry feeds arbitrary bytes to the disk tier's entry parser. It
+// must not panic; a body it accepts must carry its header's length and
+// checksum; and an entry encoded from any body (an accepted one included)
+// parses back to that body.
+func FuzzParseEntry(f *testing.F) {
+	f.Add(encodeEntry([]byte(`{"result":"payload","n":42}`)))
+	f.Add(encodeEntry(nil))
+	f.Add([]byte(diskMagic + " 1 00 3\nabc"))
+	f.Add([]byte(diskMagic + "  1 x +3\nabc\n"))
+	f.Add([]byte("junk with no newline"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body, ok := parseEntry(raw)
+		if ok {
+			fields := strings.Fields(string(raw[:len(raw)-len(body)]))
+			if len(fields) != 4 || fields[2] != bodySum(body) || fields[3] != strconv.Itoa(len(body)) {
+				t.Fatalf("accepted a %d-byte body under header %q", len(body), fields)
+			}
+		} else {
+			body = raw
+		}
+		if again, ok := parseEntry(encodeEntry(body)); !ok || !bytes.Equal(again, body) {
+			t.Fatalf("a re-encoded entry of %d bytes parsed to %d bytes (ok %v)", len(body), len(again), ok)
+		}
+	})
 }

@@ -72,7 +72,7 @@ var (
 // NewTensor allocates a zero tensor.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
-// opKind is the currently configured operation.
+// opKind is the kind of a configured operation.
 type opKind int
 
 const (
@@ -84,6 +84,22 @@ const (
 	opMaxPool
 )
 
+// operation is one operation as it meets the accelerator: RunOperation
+// builds it from the Configure* and ConfigureData calls, a model layer
+// offloaded by RunModel or RunModelChip builds it from the layer. For a
+// convolution weights are the KCRS filters and inputs the NCHW activations;
+// for a GEMM or SpMM the product is weights (M×K) × inputs (K×N).
+type operation struct {
+	kind            opKind
+	layer           string
+	weights, inputs *Tensor
+	conv            ConvShape
+	pool            dnn.PoolShape
+	tile            *Tile       // conv: explicit tile (nil = the mapper's)
+	policy          SchedPolicy // sparse controller: filter scheduling
+	cut             bool        // SNAPEA: early termination on
+}
+
 // Instance is one simulated accelerator — what CreateInstance returns in
 // Table III. It is not safe for concurrent use; create one instance per
 // goroutine (they are cheap).
@@ -92,14 +108,8 @@ type Instance struct {
 	acc *engine.Accelerator
 	tab EnergyTable
 
-	op     opKind
-	conv   ConvShape
-	lin    struct{ out, in, batch int }
-	pool   dnn.PoolShape
-	tile   *Tile
-	policy SchedPolicy
-
-	weights, inputs *Tensor
+	op  operation // as the Configure* and ConfigureData calls left it
+	lin struct{ out, in, batch int }
 
 	selfCheck bool
 	lastCheck *CheckReport
@@ -137,7 +147,7 @@ func (s *Instance) ConfigureCONV(cs ConvShape) error {
 	if err := cs.Validate(); err != nil {
 		return err
 	}
-	s.op, s.conv = opCONV, cs
+	s.op.kind, s.op.conv = opCONV, cs
 	return nil
 }
 
@@ -148,22 +158,22 @@ func (s *Instance) ConfigureLinear(out, in, batch int) error {
 	if out <= 0 || in <= 0 || batch <= 0 {
 		return fmt.Errorf("stonne: non-positive linear dims out=%d in=%d batch=%d", out, in, batch)
 	}
-	s.op = opLinear
+	s.op.kind = opLinear
 	s.lin.out, s.lin.in, s.lin.batch = out, in, batch
 	return nil
 }
 
 // ConfigureDMM configures a dense matrix multiplication (Table III:
 // ConfigureDMM). Dimensions are taken from the operands at RunOperation.
-func (s *Instance) ConfigureDMM() { s.op = opDMM }
+func (s *Instance) ConfigureDMM() { s.op.kind = opDMM }
 
 // ConfigureSpMM configures a sparse matrix multiplication with the given
 // filter-scheduling policy (Table III: ConfigureSpMM). Only the sparse
-// controller skips zeros and applies the policy; any other composition runs
-// the same operands as a dense GEMM, zeros included.
+// controller skips zeros and applies the policy, to this and to later
+// convolutions (NS until a policy is set); any other composition runs the
+// same operands as a dense GEMM, zeros included.
 func (s *Instance) ConfigureSpMM(policy SchedPolicy) {
-	s.op = opSpMM
-	s.policy = policy
+	s.op.kind, s.op.policy = opSpMM, policy
 }
 
 // ConfigureMaxPool configures a max pooling layer (Table III:
@@ -173,77 +183,102 @@ func (s *Instance) ConfigureMaxPool(window, stride, padding int) error {
 	if window <= 0 || stride <= 0 || padding < 0 {
 		return fmt.Errorf("stonne: bad pool parameters window=%d stride=%d padding=%d", window, stride, padding)
 	}
-	s.op = opMaxPool
-	s.pool = dnn.PoolShape{Window: window, Stride: stride, Padding: padding}
+	s.op.kind = opMaxPool
+	s.op.pool = dnn.PoolShape{Window: window, Stride: stride, Padding: padding}
 	return nil
 }
 
 // ConfigureTile supplies an explicit tile for the next dense convolution,
 // overriding the mapper's choice — the per-layer tile configuration of
 // Fig. 2(d).
-func (s *Instance) ConfigureTile(t Tile) { s.tile = &t }
+func (s *Instance) ConfigureTile(t Tile) { s.op.tile = &t }
 
 // ConfigureData loads the weight and input tensors into the accelerator's
 // address space (Table III: ConfigureData). For DMM/SpMM, weights is the
 // MK operand and inputs the KN operand.
 func (s *Instance) ConfigureData(weights, inputs *Tensor) {
-	s.weights, s.inputs = weights, inputs
+	s.op.weights, s.op.inputs = weights, inputs
 }
 
 // RunOperation launches the simulation of the configured operation
 // (Table III: RunOperation), returning the output tensor and the run
-// statistics (with the energy model applied).
+// statistics (with the energy model applied). A SNAPEA convolution runs
+// with the early cut on.
 func (s *Instance) RunOperation() (*Tensor, *Run, error) {
-	if s.inputs == nil {
+	op := s.op
+	if op.inputs == nil {
 		return nil, nil, fmt.Errorf("stonne: no data configured — call ConfigureData first")
 	}
-	var (
-		out    *Tensor
-		run    *Run
-		err    error
-		gA, gB *Tensor // exact GEMM operands, kept for self-checking
-	)
-	switch s.op {
+	op.cut = true
+	switch op.kind {
 	case opCONV:
-		if s.weights == nil {
+		if op.weights == nil {
 			return nil, nil, fmt.Errorf("stonne: CONV requires weights")
 		}
-		if s.tile != nil {
-			out, run, err = s.acc.RunConvTiled(s.inputs, s.weights, s.conv, "conv", *s.tile)
-			s.tile = nil
-		} else {
-			out, run, err = s.acc.RunConv(s.inputs, s.weights, s.conv, "conv")
-		}
+		op.layer = "conv"
+		s.op.tile = nil // one run only
 	case opLinear:
 		outW, inW, batch := s.lin.out, s.lin.in, s.lin.batch
-		if s.weights == nil || s.weights.Len() != outW*inW {
+		if op.weights == nil || op.weights.Len() != outW*inW {
 			return nil, nil, fmt.Errorf("stonne: linear weights must be %d×%d", outW, inW)
 		}
-		W, err2 := s.weights.Reshape(outW, inW)
-		if err2 != nil {
-			return nil, nil, err2
+		W, err := op.weights.Reshape(outW, inW)
+		if err != nil {
+			return nil, nil, err
 		}
-		X, err2 := s.inputs.Reshape(batch, inW)
-		if err2 != nil {
-			return nil, nil, err2
+		X, err := op.inputs.Reshape(batch, inW)
+		if err != nil {
+			return nil, nil, err
 		}
 		// out = W × Xᵀ: run as GEMM with the weight matrix stationary.
-		gA, gB = W, tensor.Transpose(X)
-		out, run, err = s.acc.RunGEMM(gA, gB, "linear")
+		op.layer, op.weights, op.inputs = "linear", W, tensor.Transpose(X)
 	case opDMM:
-		if s.weights == nil {
+		if op.weights == nil {
 			return nil, nil, fmt.Errorf("stonne: DMM requires both operands")
 		}
-		gA, gB = s.weights, s.inputs
-		out, run, err = s.acc.RunGEMM(gA, gB, "dmm")
+		op.layer = "dmm"
 	case opSpMM:
-		if s.weights == nil {
+		if op.weights == nil {
 			return nil, nil, fmt.Errorf("stonne: SpMM requires both operands")
 		}
-		gA, gB = s.weights, s.inputs
-		out, run, err = s.runSpMM(gA, gB, "spmm", s.policy)
+		op.layer = "spmm"
+	}
+	return s.execute(op)
+}
+
+// execute is the one place an operation meets the accelerator. A conv with
+// an explicit tile runs RunConvTiled (flexible dense only), on SNAPEA
+// RunSNAPEAConv(cut), on the sparse controller RunConvScheduled(policy),
+// else RunConv; a GEMM or SpMM runs RunSpMM(policy) on the sparse
+// controller, else RunGEMM, zeros included. The run is then self-checked
+// (when enabled), priced by the energy model and appended to Runs.
+func (s *Instance) execute(op operation) (*Tensor, *Run, error) {
+	var (
+		out *Tensor
+		run *Run
+		err error
+		acc = s.acc
+	)
+	switch op.kind {
+	case opCONV:
+		switch {
+		case op.tile != nil:
+			out, run, err = acc.RunConvTiled(op.inputs, op.weights, op.conv, op.layer, *op.tile)
+		case acc.SupportsEarlyCut():
+			out, run, err = acc.RunSNAPEAConv(op.inputs, op.weights, op.conv, op.layer, op.cut)
+		case acc.SupportsScheduling():
+			out, run, err = acc.RunConvScheduled(op.inputs, op.weights, op.conv, op.layer, op.policy)
+		default:
+			out, run, err = acc.RunConv(op.inputs, op.weights, op.conv, op.layer)
+		}
+	case opLinear, opDMM, opSpMM:
+		if acc.SupportsScheduling() {
+			out, run, err = acc.RunSpMM(op.weights, op.inputs, op.layer, &op.policy)
+		} else {
+			out, run, err = acc.RunGEMM(op.weights, op.inputs, op.layer)
+		}
 	case opMaxPool:
-		out, run, err = s.runMaxPool()
+		out, run, err = s.runMaxPool(op.inputs, op.pool)
 	default:
 		return nil, nil, fmt.Errorf("stonne: no operation configured")
 	}
@@ -251,7 +286,7 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 		return nil, nil, err
 	}
 	if s.selfCheck {
-		if cerr := s.verifyRun(out, gA, gB); cerr != nil {
+		if cerr := s.verifyRun(op, out); cerr != nil {
 			return nil, nil, cerr
 		}
 	}
@@ -260,27 +295,17 @@ func (s *Instance) RunOperation() (*Tensor, *Run, error) {
 	return out, run, nil
 }
 
-// runSpMM runs A×B with A the sparse operand: on the sparse controller under
-// the filter-scheduling policy, elsewhere as a dense GEMM of the same operands.
-func (s *Instance) runSpMM(A, B *Tensor, layer string, pol SchedPolicy) (*Tensor, *Run, error) {
-	if s.acc.SupportsScheduling() {
-		return s.acc.RunSpMM(A, B, layer, &pol)
-	}
-	return s.acc.RunGEMM(A, B, layer)
-}
-
 // runMaxPool executes pooling on the fabric: the values are dnn's pooling
 // loop; the cost is one comparison per window element per output, at MSSize
 // comparisons per cycle.
-func (s *Instance) runMaxPool() (*Tensor, *Run, error) {
-	in := s.inputs
-	out, err := dnn.PoolForward(in, s.pool, true)
+func (s *Instance) runMaxPool(in *Tensor, pool dnn.PoolShape) (*Tensor, *Run, error) {
+	out, err := dnn.PoolForward(in, pool, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stonne: MaxPool: %w", err)
 	}
 	n, c, x, y := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	ox, oy := out.Dim(2), out.Dim(3)
-	comparisons := uint64(n*c*ox*oy) * uint64(s.pool.Window*s.pool.Window)
+	comparisons := uint64(n*c*ox*oy) * uint64(pool.Window*pool.Window)
 	cycles := max(comparisons/uint64(s.hw.MSSize), 1)
 	run := &Run{
 		Accelerator: s.hw.Name, Op: "MaxPool",

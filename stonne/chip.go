@@ -43,16 +43,14 @@ type chipStream struct {
 }
 
 // chipWorkload adapts a model inference over many inputs to the chip
-// scheduler's (stream × stage) grid. Each stage runs its layer range
-// through a per-core Instance, so capability dispatch (SNAPEA cuts,
-// sparse scheduling, explicit tiles) and the energy model apply per op
-// exactly as in single-core RunModel.
+// scheduler's (stream × stage) grid. Each stage offloads its layer range to
+// a per-core Instance through the same simOffloader as RunModel, so every
+// layer is one operation run by Instance.execute, as in single-core
+// RunModel.
 type chipWorkload struct {
 	m       *Model
 	wts     *Weights
-	opts    RunOptions
-	cutSafe map[string]bool
-	insts   []*Instance
+	offs    []*simOffloader // one per core
 	bounds  [][2]int
 	streams []chipStream
 	outs    []*Tensor
@@ -62,8 +60,8 @@ func (w *chipWorkload) Streams() int { return len(w.streams) }
 func (w *chipWorkload) Stages() int  { return len(w.bounds) }
 
 func (w *chipWorkload) RunStage(stream, stage, core int) ([]*stats.Run, int, error) {
-	inst := w.insts[core]
-	off := &simOffloader{inst: inst, opts: w.opts, cutSafe: w.cutSafe}
+	off := w.offs[core]
+	inst := off.inst
 	exec := &dnn.Executor{Model: w.m, Weights: w.wts, Offload: off}
 	before := len(inst.Runs)
 	st := &w.streams[stream]
@@ -110,11 +108,14 @@ func RunModelChip(ctx context.Context, m *Model, wts *Weights, inputs []*Tensor,
 	if err != nil {
 		return nil, nil, err
 	}
-	insts := make([]*Instance, cores)
-	for i := range insts {
-		if insts[i], err = CreateInstance(chip.Core(i)); err != nil {
+	offs := make([]*simOffloader, cores)
+	cutSafe := dnn.SNAPEACutSafe(m)
+	for i := range offs {
+		inst, err := CreateInstance(chip.Core(i))
+		if err != nil {
 			return nil, nil, fmt.Errorf("stonne: chip core %d: %w", i, err)
 		}
+		offs[i] = &simOffloader{inst: inst, opts: *opts, cutSafe: cutSafe}
 	}
 
 	stages := 1
@@ -124,9 +125,7 @@ func RunModelChip(ctx context.Context, m *Model, wts *Weights, inputs []*Tensor,
 	w := &chipWorkload{
 		m:       m,
 		wts:     wts,
-		opts:    *opts,
-		cutSafe: dnn.SNAPEACutSafe(m),
-		insts:   insts,
+		offs:    offs,
 		bounds:  dnn.PartitionLayers(m, stages),
 		streams: make([]chipStream, len(inputs)),
 		outs:    make([]*Tensor, len(inputs)),

@@ -60,10 +60,6 @@ type RunOptions struct {
 	// DisableSNAPEACut turns the SNAPEA early-termination logic off,
 	// yielding the paper's "Baseline" architecture.
 	DisableSNAPEACut bool
-	// Tiles supplies explicit per-layer tile configurations for the dense
-	// flexible fabric, keyed by layer name — the per-layer tile arguments
-	// of the paper's Fig. 2(d). Layers without an entry use the mapper.
-	Tiles map[string]Tile
 }
 
 // simOffloader implements dnn.Offloader on top of an Instance.
@@ -76,49 +72,35 @@ type simOffloader struct {
 	cutSafe map[string]bool
 }
 
-// RunLayer dispatches one offloaded layer to the simulated accelerator.
+// RunLayer runs one offloaded layer on the simulated accelerator: the
+// layer becomes an operation, and the instance executes it as it would a
+// RunOperation. Linear and GEMM layers run as SpMM, which is a dense GEMM
+// on every composition but the sparse one.
 func (o *simOffloader) RunLayer(l *dnn.Layer, in, w *tensor.Tensor) (*tensor.Tensor, error) {
-	inst := o.inst
-	var (
-		out *Tensor
-		run *Run
-		err error
-	)
+	op := operation{layer: l.Name, policy: o.opts.Policy}
 	switch l.Kind {
 	case dnn.Conv:
-		switch {
-		case inst.acc.SupportsEarlyCut():
-			cut := !o.opts.DisableSNAPEACut && o.cutSafe[l.Name]
-			out, run, err = inst.acc.RunSNAPEAConv(in, w, l.Conv, l.Name, cut)
-		case inst.acc.SupportsScheduling():
-			out, run, err = inst.acc.RunConvScheduled(in, w, l.Conv, l.Name, o.opts.Policy)
-		default:
-			if tile, ok := o.opts.Tiles[l.Name]; ok {
-				out, run, err = inst.acc.RunConvTiled(in, w, l.Conv, l.Name, tile)
-			} else {
-				out, run, err = inst.acc.RunConv(in, w, l.Conv, l.Name)
-			}
-		}
+		op.kind, op.weights, op.inputs, op.conv = opCONV, w, in, l.Conv
+		op.cut = !o.opts.DisableSNAPEACut && o.cutSafe[l.Name]
 	case dnn.Linear:
-		// out = W(Out×In) × inᵀ(In×B), reshaped to (B, Out).
-		out, run, err = inst.runSpMM(w, tensor.Transpose(in), l.Name, o.opts.Policy)
-		if err == nil {
-			out = tensor.Transpose(out)
-		}
+		// out = W(Out×In) × inᵀ(In×B), transposed back to (B, Out).
+		op.kind, op.weights, op.inputs = opSpMM, w, tensor.Transpose(in)
 	case dnn.GEMM:
-		a, b, err2 := dnn.GEMMOperands(l, in)
-		if err2 != nil {
-			return nil, err2
+		a, b, err := dnn.GEMMOperands(l, in)
+		if err != nil {
+			return nil, err
 		}
-		out, run, err = inst.runSpMM(a, b, l.Name, o.opts.Policy)
+		op.kind, op.weights, op.inputs = opSpMM, a, b
 	default:
 		return nil, fmt.Errorf("stonne: layer %s of kind %v cannot be offloaded", l.Name, l.Kind)
 	}
+	out, _, err := o.inst.execute(op)
 	if err != nil {
 		return nil, err
 	}
-	inst.tab.Apply(run, &inst.hw)
-	inst.Runs = append(inst.Runs, run)
+	if l.Kind == dnn.Linear {
+		out = tensor.Transpose(out)
+	}
 	return out, nil
 }
 

@@ -2,7 +2,6 @@ package stonne
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/dnn"
@@ -106,43 +105,6 @@ func TestFullModelSNAPEA(t *testing.T) {
 	}
 	if mr.TotalCycles() >= mrBase.TotalCycles() {
 		t.Errorf("SNAPEA cut did not save cycles: %d vs %d", mr.TotalCycles(), mrBase.TotalCycles())
-	}
-}
-
-const tilesNetJSON = `{
-  "name": "tilesnet", "input_channels": 2, "input_size": 8,
-  "layers": [
-    {"type": "conv", "name": "c1", "filters": 4, "kernel": 3, "pad": 1},
-    {"type": "relu"},
-    {"type": "linear", "name": "fc", "out": 3},
-    {"type": "softmax"}
-  ]
-}`
-
-func TestTilesOption(t *testing.T) {
-	m, err := dnn.ParseModel(strings.NewReader(tilesNetJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, input := InitWeights(m, 55), RandomInput(m, 56)
-	want, err := RunModelNative(m, w, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An explicit (valid) tile for c1: 3×3×1 window slice, one VN.
-	tiles := map[string]Tile{
-		"c1": {TR: 3, TS: 3, TC: 1, TG: 1, TK: 1, TN: 1, TXp: 1, TYp: 2,
-			VNSize: 9, NumVNs: 2, Folds: 2, UsedMultipliers: 18},
-	}
-	got, mr, err := RunModel(m, w, input, MAERILike(64, 16), &RunOptions{Tiles: tiles})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxRelDiff(got, want); d > 1e-3 {
-		t.Errorf("tiled run differs from native by %g", d)
-	}
-	if mr.TotalCycles() == 0 {
-		t.Error("no cycles")
 	}
 }
 

@@ -24,36 +24,27 @@ func (s *Instance) EnableSelfCheck() { s.selfCheck = true }
 // operation, or nil if self-checking is disabled or nothing has run yet.
 func (s *Instance) LastCheck() *CheckReport { return s.lastCheck }
 
-// VerifyGEMM, VerifySpMM and VerifyConv expose the differential verifiers
-// directly, for callers that hold their own simulated outputs rather than
-// running through an Instance.
-var (
-	VerifyGEMM = check.VerifyGEMM
-	VerifySpMM = check.VerifySpMM
-	VerifyConv = check.VerifyConv
-)
-
 // errSelfCheck wraps every error verifyRun returns: the operation ran, and
 // its output either failed the tolerance or (wrong shape, nil tensor) could
 // not be compared at all. Callers tell it apart from a run the engine
 // refused.
 var errSelfCheck = errors.New("stonne: self-check")
 
-// verifyRun dispatches the configured operation to the matching
-// differential verifier. gA/gB are the exact GEMM operands handed to the
-// engine (already reshaped/transposed for linear layers).
-func (s *Instance) verifyRun(out, gA, gB *Tensor) error {
+// verifyRun compares the output of an executed operation with the matching
+// differential verifier, on the exact operands the engine ran (a linear
+// layer's already reshaped and transposed).
+func (s *Instance) verifyRun(op operation, out *Tensor) error {
 	var (
 		rep *check.Report
 		err error
 	)
-	switch s.op {
+	switch op.kind {
 	case opCONV:
-		rep, err = check.VerifyConv(s.hw, s.inputs, s.weights, s.conv, out)
+		rep, err = check.VerifyConv(s.hw, op.inputs, op.weights, op.conv, out)
 	case opDMM, opLinear:
-		rep, err = check.VerifyGEMM(s.hw, gA, gB, out)
+		rep, err = check.VerifyGEMM(s.hw, op.weights, op.inputs, out)
 	case opSpMM:
-		rep, err = check.VerifySpMM(s.hw, gA, gB, out)
+		rep, err = check.VerifySpMM(s.hw, op.weights, op.inputs, out)
 	default:
 		return nil // MaxPool etc. execute natively; nothing to diff against
 	}

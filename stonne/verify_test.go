@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/check"
 )
 
 // fillDet populates a tensor with a small deterministic pattern mixing
@@ -111,7 +113,7 @@ func TestSelfCheckCatchesCorruption(t *testing.T) {
 	bad := NewTensor(4, 4)
 	copy(bad.Data(), out.Data())
 	bad.Data()[5] += 0.25
-	rep, err := VerifyGEMM(inst.HW(), A, B, bad)
+	rep, err := check.VerifyGEMM(inst.HW(), A, B, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +133,9 @@ func TestSelfCheckUncomparableOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	A, B := NewTensor(4, 4), NewTensor(4, 4)
-	inst.ConfigureDMM()
+	op := operation{kind: opDMM, weights: NewTensor(4, 4), inputs: NewTensor(4, 4)}
 	for _, out := range []*Tensor{NewTensor(4, 3), nil} {
-		err := inst.verifyRun(out, A, B)
+		err := inst.verifyRun(op, out)
 		if !errors.Is(err, errSelfCheck) {
 			t.Errorf("output %v: error %v does not wrap errSelfCheck", out, err)
 		}
